@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DEFAULT_ENTRY_CAP, DEFAULT_TERM_CAP, CapExceeded
-from .linalg import PolyMatrix, QMatrix, commute, dot, rank, vec_mat
+from .linalg import Echelon, PolyMatrix, QMatrix, commute, dot, vec_mat
 from .poly import Mono, Poly, deglex_key
 
 KINDS = ("general", "commutative", "diagonal", "set_multilinear")
@@ -139,8 +139,8 @@ def eval_abp(abp: Abp, point: Sequence[Fraction | int]) -> Fraction:
     return dot(row, abp.v)
 
 
-def expand_abp(abp: Abp, max_terms: int = DEFAULT_TERM_CAP) -> Poly:
-    """The exact polynomial computed by the program, via symbolic products."""
+def expand_row(abp: Abp, max_terms: int = DEFAULT_TERM_CAP) -> list[Poly]:
+    """u^T times the symbolic layers in order; its dot product with v is the program's value."""
     row: list[Poly] = [Poly.constant(abp.vars, c) for c in abp.u]
     for idx in abp.order:
         sym = abp.layers[idx].symbolic(abp.vars, abp.width)
@@ -158,8 +158,13 @@ def expand_abp(abp: Abp, max_terms: int = DEFAULT_TERM_CAP) -> Poly:
                 f"symbolic expansion reached {total} intermediate terms, cap is {max_terms}",
                 flag="--max-terms",
             )
+    return row
+
+
+def expand_abp(abp: Abp, max_terms: int = DEFAULT_TERM_CAP) -> Poly:
+    """The exact polynomial computed by the program, via symbolic products."""
     out = Poly.zero(abp.vars)
-    for p, c in zip(row, abp.v):
+    for p, c in zip(expand_row(abp, max_terms), abp.v):
         if c and p:
             out = out + p.scale(c)
     return out
@@ -247,49 +252,26 @@ def nisan_matrix(f: Poly, s: Iterable[int],
     return QMatrix(data)
 
 
-def _cut_rank_sparse(f: Poly, s_sorted: list[int], t_sorted: list[int]) -> int:
-    """Rank of the bipartition matrix gathered sparsely from f's support.
-
-    Zero rows and columns never contribute to rank, so only row/column
-    keys that actually occur in the support need materializing.
-    """
-    rows: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
-    for mono, coeff in f.terms.items():
-        re = tuple(mono[i] for i in s_sorted)
-        ce = tuple(mono[i] for i in t_sorted)
-        rows.setdefault(re, {})[ce] = coeff
-    col_keys = sorted({c for row in rows.values() for c in row}, key=deglex_key)
-    col_index = {c: j for j, c in enumerate(col_keys)}
-    dense = []
-    for key in sorted(rows, key=deglex_key):
-        row = [Fraction(0)] * len(col_keys)
-        for ce, coeff in rows[key].items():
-            row[col_index[ce]] = coeff
-        dense.append(row)
-    if not dense:
-        return 0
-    return rank(QMatrix(dense), max_entries=max(1, len(dense) * len(col_keys)))
-
-
-def nisan_width(f: Poly, order: Sequence[int],
-                max_entries: int = DEFAULT_ENTRY_CAP) -> NisanCutReport:
+def nisan_width(f: Poly, order: Sequence[int]) -> NisanCutReport:
     """Exact minimal ROABP width/size of f in the given variable order.
 
-    Computes the rank of every prefix-cut coefficient matrix; cuts whose
-    dense form would exceed the entry cap fall back to the sparse
-    gather, which yields the same rank.
+    Computes the rank of every prefix-cut coefficient matrix.  Each cut
+    is gathered from f's support, one sparse row per prefix exponent
+    that occurs; zero rows and columns add no rank, so the rank is that
+    of nisan_matrix without materializing it.
     """
     order = tuple(order)
     if sorted(order) != list(range(f.arity)):
         raise ValueError("order is not a permutation of the variables")
-    d = f.max_individual_degree()
     ranks = []
     for i in range(1, f.arity + 1):
-        s_sorted = sorted(order[:i])
-        t_sorted = sorted(order[i:])
-        dense_entries = (d + 1) ** len(s_sorted) * (d + 1) ** len(t_sorted)
-        if dense_entries <= max_entries:
-            ranks.append(rank(nisan_matrix(f, s_sorted, max_entries=max_entries)))
-        else:
-            ranks.append(_cut_rank_sparse(f, s_sorted, t_sorted))
+        prefix, suffix = order[:i], order[i:]
+        rows: dict[Mono, dict[Mono, Fraction]] = {}
+        for mono, coeff in f.terms.items():
+            row = rows.setdefault(tuple(mono[k] for k in prefix), {})
+            row[tuple(mono[k] for k in suffix)] = coeff
+        echelon = Echelon()
+        for row in rows.values():
+            echelon.add(row)
+        ranks.append(echelon.rank)
     return NisanCutReport(order=order, cut_ranks=tuple(ranks))

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .linalg import QMatrix, inverse, vec_mat
+from .linalg import Echelon, QMatrix, inverse, vec_mat
 from .partials import DerivBasis, derivative_basis, eval_vector, pairing
 from .poly import Mono, Poly, mono_mul, monomials_upto
 
@@ -69,22 +69,11 @@ def normal_set(b: DerivBasis) -> QuotientStructure:
     w = b.dimension
     selected: list[Mono] = []
     vectors: list[list[Fraction]] = []
-    reduced: dict[int, list[Fraction]] = {}  # pivot index -> reduced vector
+    echelon = Echelon()
     for mono in monomials_upto(f.arity, f.total_degree()):
         vec = eval_vector(mono, b)
-        work = list(vec)
-        for piv in sorted(reduced):
-            if work[piv] == 0:
-                continue
-            other = reduced[piv]
-            factor = work[piv] / other[piv]
-            for j in range(piv, w):
-                if other[j]:
-                    work[j] -= factor * other[j]
-        piv = next((j for j in range(w) if work[j] != 0), None)
-        if piv is None:
+        if not echelon.add(dict(enumerate(vec))):
             continue
-        reduced[piv] = work
         selected.append(mono)
         vectors.append(vec)
         if len(selected) == w:

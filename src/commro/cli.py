@@ -119,7 +119,7 @@ def _cmd_nisan(args) -> int:
     index = {name: i for i, name in enumerate(f.vars)}
 
     def report(order_indices: list[int]) -> None:
-        cut = nisan_width(f, order_indices, max_entries=args.max_entries)
+        cut = nisan_width(f, order_indices)
         names = ",".join(f.vars[i] for i in order_indices)
         ranks = " ".join(str(r) for r in cut.cut_ranks)
         print(f"order: {names} cut-ranks: {ranks} width: {cut.width} size: {cut.size}")
@@ -143,6 +143,9 @@ def _cmd_nisan(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.random_eval is not None and args.random_eval < 1:
+        raise ValueError(f"--random-eval {args.random_eval} would check nothing; "
+                         "give at least 1 point")
     abp = parse_abp(_read(args.abp))
     f = _load_poly(args.against, args.vars)
     if f.vars != abp.vars:
@@ -244,7 +247,6 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--order", help="comma-separated variable order")
     group.add_argument("--all-orders", action="store_true")
-    p.add_argument("--max-entries", type=int, default=DEFAULT_ENTRY_CAP)
     add_vars(p)
     p.set_defaults(func=_cmd_nisan)
 

@@ -33,9 +33,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .abp import Abp, Layer
+from .abp import Abp, Layer, expand_row
 from .apolar import QuotientStructure, quotient
-from .linalg import QMatrix, polymat_mul, solve
+from .errors import DEFAULT_TERM_CAP
+from .linalg import QMatrix, solve
 from .poly import Poly, mono_factorial
 
 __all__ = [
@@ -323,24 +324,14 @@ def waring_of_monomial(n: int) -> WaringDecomposition:
 
 
 def boundary_vector_by_solve(abp: Abp, f: Poly,
-                             max_terms: int = 1 << 20) -> list[Fraction] | None:
+                             max_terms: int = DEFAULT_TERM_CAP) -> list[Fraction] | None:
     """Recover the right boundary vector by a linear solve; the oracle route.
 
     Matches the symbolic first row of the layer product against f:
     unknowns v_j, one equation per monomial of the combined support.
     Returns None when the system is inconsistent.
     """
-    from .linalg import PolyMatrix
-
-    row = None
-    for idx in abp.order:
-        sym = abp.layers[idx].symbolic(abp.vars, abp.width)
-        if row is None:
-            start = PolyMatrix(abp.vars, [[Poly.constant(abp.vars, c) for c in abp.u]])
-            row = polymat_mul(start, sym)
-        else:
-            row = polymat_mul(row, sym)
-    entries = [row.data[0][j] for j in range(abp.width)]
+    entries = expand_row(abp, max_terms)
     monomials = sorted({m for p in entries for m in p.terms} | set(f.terms))
     matrix = QMatrix([[p.coeff(m) for p in entries] for m in monomials])
     rhs = [f.coeff(m) for m in monomials]

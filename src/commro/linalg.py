@@ -1,14 +1,17 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 QMatrix is a dense row-major matrix of Fraction entries; PolyMatrix is
 the same shape with Poly entries (used to expand branching programs
-symbolically).  Elimination uses exact arithmetic with largest-absolute-
-value pivoting to moderate coefficient growth; correctness does not
-depend on the pivot choice.
+symbolically).  Every elimination in the package runs through one
+kernel, Echelon: an incremental echelon form over sparse rows keyed by
+any sortable column key (ints for vectors, exponent tuples for
+monomials).  rank, solve, inverse and minimal_polynomial are short calls
+on it.  Arithmetic is exact, so no result depends on the pivot choice.
 """
 
 from __future__ import annotations
 
+import bisect
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -126,6 +129,65 @@ def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return sum((x * y for x, y in zip(a, b) if x and y), Fraction(0))
 
 
+class Echelon:
+    """Incremental exact echelon form over sparse rows.
+
+    A row is a mapping {column key: rational}; zero entries are ignored
+    and keys may be any mutually sortable values.  Each stored row
+    pivots on its largest key, is scaled to pivot coefficient 1, and
+    carries its combination of the rows added so far (numbered 0, 1, ...
+    in the order add accepted them).
+    """
+
+    def __init__(self):
+        self.rank = 0
+        self._pivots: list = []  # ascending
+        self._rows: dict = {}    # pivot -> (scaled row, {added index: coeff})
+
+    def _reduce(self, row) -> tuple[dict, dict]:
+        # returns (rest, comb) with row = rest + sum_i comb[i] * added_i,
+        # and no key of rest is a stored pivot
+        work = {k: x for k, x in row.items() if x}
+        comb: dict[int, Fraction] = {}
+        for pivot in reversed(self._pivots):
+            f = work.get(pivot)
+            if f is None:
+                continue
+            prow, pcomb = self._rows[pivot]
+            _axpy(work, -f, prow)
+            _axpy(comb, f, pcomb)
+        return work, comb
+
+    def add(self, row) -> bool:
+        """Store the row iff it is independent of the rows stored so far."""
+        work, comb = self._reduce(row)
+        if not work:
+            return False
+        pivot = max(work)
+        scale = 1 / Fraction(work[pivot])
+        combination = {i: -c * scale for i, c in comb.items()}
+        combination[self.rank] = scale
+        self._rows[pivot] = ({k: x * scale for k, x in work.items()}, combination)
+        bisect.insort(self._pivots, pivot)
+        self.rank += 1
+        return True
+
+    def solve(self, row) -> dict[int, Fraction] | None:
+        """{added-row index: coeff} summing to the row, or None if it is independent."""
+        work, comb = self._reduce(row)
+        return None if work else comb
+
+
+def _axpy(target: dict, a: Fraction, source: dict) -> None:
+    """target += a * source on sparse rows, dropping entries that cancel."""
+    for k, x in source.items():
+        acc = target.get(k, 0) + a * x
+        if acc:
+            target[k] = acc
+        else:
+            target.pop(k, None)
+
+
 def _check_entry_cap(rows: int, cols: int, max_entries: int) -> None:
     if rows * cols > max_entries:
         raise CapExceeded(
@@ -135,105 +197,47 @@ def _check_entry_cap(rows: int, cols: int, max_entries: int) -> None:
 
 
 def rank(m: QMatrix, max_entries: int = DEFAULT_ENTRY_CAP) -> int:
-    """Exact rank via Gaussian elimination with largest-|pivot| selection."""
+    """Exact rank."""
     _check_entry_cap(m.rows, m.cols, max_entries)
-    a = [list(row) for row in m.data]
-    r = 0
-    for c in range(m.cols):
-        pivot, best = None, Fraction(0)
-        for i in range(r, m.rows):
-            if abs(a[i][c]) > best:
-                pivot, best = i, abs(a[i][c])
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        prow = a[r]
-        pval = prow[c]
-        for i in range(r + 1, m.rows):
-            f = a[i][c]
-            if f == 0:
-                continue
-            f /= pval
-            arow = a[i]
-            for j in range(c, m.cols):
-                if prow[j]:
-                    arow[j] -= f * prow[j]
-        r += 1
-        if r == m.rows:
-            break
-    return r
+    echelon = Echelon()
+    for row in m.data:
+        echelon.add(dict(enumerate(row)))
+    return echelon.rank
 
 
 def solve(m: QMatrix, b: Sequence[Fraction | int],
           max_entries: int = DEFAULT_ENTRY_CAP) -> list[Fraction] | None:
-    """Some exact solution x of m @ x = b, or None if the system is inconsistent."""
+    """Some exact solution x of m @ x = b, or None if the system is inconsistent.
+
+    b is written over a basis of m's columns; the other unknowns are 0.
+    """
     _check_entry_cap(m.rows, m.cols + 1, max_entries)
-    b = [Fraction(x) for x in b]
     if len(b) != m.rows:
         raise ValueError("dimension mismatch")
-    a = [list(row) + [b[i]] for i, row in enumerate(m.data)]
-    n, cols = m.rows, m.cols
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    r = 0
-    for c in range(cols):
-        pivot, best = None, Fraction(0)
-        for i in range(r, n):
-            if abs(a[i][c]) > best:
-                pivot, best = i, abs(a[i][c])
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        prow = a[r]
-        pval = prow[c]
-        for i in range(n):
-            if i == r or a[i][c] == 0:
-                continue
-            f = a[i][c] / pval
-            arow = a[i]
-            for j in range(c, cols + 1):
-                if prow[j]:
-                    arow[j] -= f * prow[j]
-        pivots.append((r, c))
-        r += 1
-        if r == n:
-            break
-    for i in range(r, n):
-        if a[i][cols] != 0:
-            return None
-    x = [Fraction(0)] * cols
-    for row, col in pivots:
-        x[col] = a[row][cols] / a[row][col]
+    echelon = Echelon()
+    basic = [j for j, col in enumerate(m.transpose().data) if echelon.add(dict(enumerate(col)))]
+    comb = echelon.solve(dict(enumerate(b)))
+    if comb is None:
+        return None
+    x = [Fraction(0)] * m.cols
+    for i, c in comb.items():
+        x[basic[i]] = c
     return x
 
 
 def inverse(m: QMatrix) -> QMatrix | None:
-    """Exact inverse, or None when m is singular (m must be square)."""
+    """Exact inverse, or None when m is singular (m must be square).
+
+    Row j of the inverse is the combination of m's rows that gives the
+    unit vector e_j.
+    """
     if m.rows != m.cols:
         raise ValueError("square matrix required")
-    n = m.rows
-    a = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-         for i, row in enumerate(m.data)]
-    for c in range(n):
-        pivot, best = None, Fraction(0)
-        for i in range(c, n):
-            if abs(a[i][c]) > best:
-                pivot, best = i, abs(a[i][c])
-        if pivot is None:
-            return None
-        a[c], a[pivot] = a[pivot], a[c]
-        prow = a[c]
-        pval = prow[c]
-        for j in range(2 * n):
-            prow[j] /= pval
-        for i in range(n):
-            if i == c or a[i][c] == 0:
-                continue
-            f = a[i][c]
-            arow = a[i]
-            for j in range(c, 2 * n):
-                if prow[j]:
-                    arow[j] -= f * prow[j]
-    return QMatrix([row[n:] for row in a])
+    echelon = Echelon()
+    if not all(echelon.add(dict(enumerate(row))) for row in m.data):
+        return None
+    combs = [echelon.solve({j: 1}) for j in range(m.rows)]
+    return QMatrix([[comb.get(i, 0) for i in range(m.rows)] for comb in combs])
 
 
 def commute(a: QMatrix, b: QMatrix) -> bool:
@@ -251,29 +255,16 @@ def minimal_polynomial(m: QMatrix) -> Poly:
     """
     if m.rows != m.cols:
         raise ValueError("square matrix required")
-    n = m.rows
-    # rows: pivot index -> (reduced flattened vector, combination over powers)
-    reduced: dict[int, tuple[list[Fraction], list[Fraction]]] = {}
-    power = QMatrix.identity(n)
+    echelon = Echelon()
+    power = QMatrix.identity(m.rows)
     k = 0
     while True:
-        vec = [x for row in power.data for x in row]
-        comb = [Fraction(0)] * (k + 1)
-        comb[k] = Fraction(1)
-        for piv in sorted(reduced):
-            if vec[piv] == 0:
-                continue
-            rvec, rcomb = reduced[piv]
-            f = vec[piv] / rvec[piv]
-            for j in range(piv, n * n):
-                if rvec[j]:
-                    vec[j] -= f * rvec[j]
-            for j, c in enumerate(rcomb):
-                comb[j] -= f * c
-        piv = next((j for j in range(n * n) if vec[j] != 0), None)
-        if piv is None:
-            return Poly(("t",), {(j,): c for j, c in enumerate(comb)})
-        reduced[piv] = (vec, comb)
+        flat = dict(enumerate(x for row in power.data for x in row))
+        if not echelon.add(flat):
+            # I, m, ..., m^(k-1) were all added, so index j is the power j
+            terms = {(j,): -c for j, c in echelon.solve(flat).items()}
+            terms[(k,)] = Fraction(1)
+            return Poly(("t",), terms)
         power = power @ m
         k += 1
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import QMatrix
+from .linalg import Echelon, QMatrix
 from .poly import Mono, Poly, deglex_key, mono_factorial, monomials_of_degree
 
 
@@ -42,31 +42,6 @@ class DerivBasis:
         return len(self.basis)
 
 
-class _SparseElim:
-    """Incremental row reduction over sparse dict rows keyed by monomial."""
-
-    def __init__(self):
-        self.rows: dict[Mono, dict[Mono, Fraction]] = {}  # pivot -> reduced row
-
-    def add(self, row: dict[Mono, Fraction]) -> bool:
-        """Reduce the row in place; store and return True if independent."""
-        work = dict(row)
-        while work:
-            pivot = max(work, key=deglex_key)
-            if pivot not in self.rows:
-                self.rows[pivot] = work
-                return True
-            other = self.rows[pivot]
-            f = work[pivot] / other[pivot]
-            for mono, coeff in other.items():
-                acc = work.get(mono, Fraction(0)) - f * coeff
-                if acc:
-                    work[mono] = acc
-                else:
-                    work.pop(mono, None)
-        return False
-
-
 def derivative_basis(f: Poly) -> DerivBasis:
     """Basis of the span of all partial derivatives of f (f must be nonzero).
 
@@ -78,8 +53,8 @@ def derivative_basis(f: Poly) -> DerivBasis:
     """
     if f.is_zero():
         raise ValueError("zero polynomial has no derivative basis")
-    elim = _SparseElim()
-    elim.add(f.terms)
+    echelon = Echelon()
+    echelon.add(f.terms)
     basis = [f]
     for order in range(1, f.total_degree() + 1):
         grew = False
@@ -87,7 +62,7 @@ def derivative_basis(f: Poly) -> DerivBasis:
             g = f.derive(mono)
             if g.is_zero():
                 continue
-            if elim.add(g.terms):
+            if echelon.add(g.terms):
                 basis.append(g)
                 grew = True
         if not grew:

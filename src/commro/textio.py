@@ -24,6 +24,22 @@ from .linalg import QMatrix
 from .poly import Poly, parse_poly
 
 
+def _rational(token: str) -> Fraction:
+    """A rational token such as `-3/4`; a zero denominator is a ValueError."""
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise ValueError(f"rational {token!r} has a zero denominator") from None
+
+
+def _variables(names: Sequence[str]) -> tuple[str, ...]:
+    vars = tuple(names)
+    for i, name in enumerate(vars):
+        if name in vars[:i]:
+            raise ValueError(f"variable {name!r} is declared twice")
+    return vars
+
+
 # ---------------------------------------------------------------------------
 # polynomial files
 # ---------------------------------------------------------------------------
@@ -36,10 +52,10 @@ def parse_poly_file(text: str, default_vars: Sequence[str] | None = None) -> Pol
     """Parse a polynomial file; a missing `vars:` header falls back to default_vars."""
     lines = [line for line in text.splitlines() if line.strip()]
     if lines and lines[0].strip().startswith("vars:"):
-        vars = tuple(lines[0].strip()[len("vars:"):].split())
+        vars = _variables(lines[0].strip()[len("vars:"):].split())
         body = " ".join(lines[1:])
     elif default_vars is not None:
-        vars = tuple(default_vars)
+        vars = _variables(default_vars)
         body = " ".join(lines)
     else:
         raise ValueError("polynomial file lacks a 'vars:' header and no variable order was given")
@@ -69,7 +85,7 @@ def parse_matrix(text: str) -> QMatrix:
     if len(values) != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, found {len(values)}")
     it = iter(values)
-    return QMatrix([[Fraction(next(it)) for _ in range(cols)] for _ in range(rows)])
+    return QMatrix([[_rational(next(it)) for _ in range(cols)] for _ in range(rows)])
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +103,12 @@ def parse_waring_file(text: str) -> WaringDecomposition:
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines or not lines[0].startswith("waring"):
         raise ValueError("missing 'waring' header")
-    fields = dict(part.split("=", 1) for part in lines[0].split()[1:])
+    fields = {}
+    for part in lines[0].split()[1:]:
+        key, eq, value = part.partition("=")
+        if not eq:
+            raise ValueError(f"waring header field {part!r} is not of the form key=value")
+        fields[key] = value
     try:
         degree, arity = int(fields["d"]), int(fields["n"])
     except KeyError as missing:
@@ -97,10 +118,10 @@ def parse_waring_file(text: str) -> WaringDecomposition:
         if ":" not in line:
             raise ValueError(f"malformed waring term {line!r}")
         head, tail = line.split(":", 1)
-        form = tuple(Fraction(tok) for tok in tail.split())
+        form = tuple(_rational(tok) for tok in tail.split())
         if len(form) != arity:
             raise ValueError(f"term has {len(form)} coordinates, expected {arity}")
-        terms.append((Fraction(head.strip()), form))
+        terms.append((_rational(head.strip()), form))
     return WaringDecomposition(degree=degree, terms=tuple(terms))
 
 
@@ -144,10 +165,10 @@ def parse_abp(text: str) -> Abp:
 
     kind = headers["kind"]
     width = int(headers["width"])
-    vars = tuple(headers["vars"].split())
+    vars = _variables(headers["vars"].split())
     index = {name: i for i, name in enumerate(vars)}
-    u = tuple(Fraction(x) for x in headers["u"].split())
-    v = tuple(Fraction(x) for x in headers["v"].split())
+    u = tuple(_rational(x) for x in headers["u"].split())
+    v = tuple(_rational(x) for x in headers["v"].split())
 
     # layer blocks, grouped by variable
     blocks: dict[int, list[tuple[int, QMatrix]]] = {}
@@ -165,7 +186,7 @@ def parse_abp(text: str) -> Abp:
         for _ in range(width):
             if at >= len(lines):
                 raise ValueError("truncated layer block")
-            rows.append([Fraction(x) for x in lines[at].split()])
+            rows.append([_rational(x) for x in lines[at].split()])
             at += 1
         if var not in blocks:
             appearance.append(var)
@@ -178,7 +199,10 @@ def parse_abp(text: str) -> Abp:
         names = [name.strip() for name in group.split(",") if name.strip()]
         if not names:
             raise ValueError("empty group in order header")
-        order_groups.append([index[name] for name in names])
+        try:
+            order_groups.append([index[name] for name in names])
+        except KeyError as bad:
+            raise ValueError(f"order header names unknown variable {bad.args[0]!r}") from None
 
     # declaration order: sorted by first appearance of any member variable
     first_seen = {var: pos for pos, var in enumerate(appearance)}

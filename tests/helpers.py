@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the library's own pipeline:
 brute_dpd enumerates every derivative directly, cofactor_det expands a
 numeric determinant recursively, and poly_at_matrices substitutes
-matrices into a polynomial the long way.
+matrices into a polynomial the long way.  Ranks come from sympy, not
+from the library's own elimination kernel.
 """
 
 from __future__ import annotations
@@ -12,7 +13,10 @@ import itertools
 import random
 from fractions import Fraction
 
-from commro import Poly, QMatrix, deglex_key, monomials_of_degree, rank
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
+
+from commro import Poly, QMatrix, deglex_key, monomials_of_degree
 
 
 def var_names(n: int) -> tuple[str, ...]:
@@ -57,9 +61,7 @@ def brute_dpd(f: Poly) -> int:
         g = f.derive(e)
         if not g.is_zero():
             derivatives.append(g)
-    columns = sorted({m for g in derivatives for m in g.terms}, key=deglex_key)
-    matrix = QMatrix([[g.coeff(m) for m in columns] for g in derivatives])
-    return rank(matrix)
+    return span_rank(derivatives)
 
 
 def cofactor_det(matrix: list[list[Fraction]]) -> Fraction:
@@ -102,4 +104,4 @@ def span_rank(polys: list[Poly]) -> int:
     columns = sorted({m for p in polys for m in p.terms}, key=deglex_key)
     if not columns:
         return 0
-    return rank(QMatrix([[p.coeff(m) for m in columns] for p in polys]))
+    return DomainMatrix.from_list([[p.coeff(m) for m in columns] for p in polys], QQ).rank()

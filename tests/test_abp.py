@@ -151,12 +151,21 @@ def test_nisan_width_examples():
     assert nisan_width(pal3, separated).width == 8
 
 
-def test_nisan_sparse_fallback_matches_dense():
+def test_nisan_width_cut_ranks_match_dense_matrix():
+    # the dense coefficient matrix is the oracle for every sparse cut rank
     pal3 = palindrome(3)
-    order = (0, 1, 2, 3, 4, 5)
-    dense = nisan_width(pal3, order)
-    sparse = nisan_width(pal3, order, max_entries=4)
-    assert dense == sparse
+    rng = random.Random(19)
+    cases = [(pal3, (0, 3, 1, 4, 2, 5)), (pal3, (0, 1, 2, 3, 4, 5)),
+             (det_polynomial(3), tuple(range(9)))]
+    for _ in range(6):
+        f = random_poly(rng, 4, rng.randint(1, 3), 7, homogeneous=False)
+        order = list(range(4))
+        rng.shuffle(order)
+        cases.append((f, tuple(order)))
+    for f, order in cases:
+        expected = tuple(rank(nisan_matrix(f, sorted(order[:i])))
+                         for i in range(1, f.arity + 1))
+        assert nisan_width(f, order).cut_ranks == expected
 
 
 def test_nisan_rank_symmetric_in_the_partition():

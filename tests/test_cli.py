@@ -1,6 +1,8 @@
+import re
+
 import pytest
 
-from commro import Poly, expand_abp, waring_expand
+from commro import Poly, build_commro, expand_abp, parse_poly, waring_expand
 from commro.cli import run
 from commro.detspecial import det_polynomial, palindrome
 from commro.textio import (format_abp, format_poly_file, parse_abp,
@@ -91,6 +93,17 @@ def test_verify_random_eval_reproducible(det2_file, tmp_path, capsys):
     first = capsys.readouterr().out
     assert run(argv) == 0
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_verify_refuses_to_check_nothing(det2_file, tmp_path, capsys, k):
+    out = str(tmp_path / "det2.abp")
+    run(["build", "commro", det2_file, "-o", out])
+    capsys.readouterr()
+    assert run(["verify", out, "--against", det2_file, "--random-eval", k]) == 2
+    captured = capsys.readouterr()
+    assert "verify OK" not in captured.out
+    assert "check nothing" in captured.err
 
 
 def test_verify_detects_tampering(det2_file, tmp_path, capsys):
@@ -195,3 +208,33 @@ def test_vars_flag_for_headerless_files(tmp_path, capsys):
     assert run(["dpd", str(raw), "--vars", "x1,x2"]) == 0
     assert capsys.readouterr().out == "4\n"
     assert run(["dpd", str(raw)]) == 2
+
+
+X1X2_ABP = format_abp(build_commro(parse_poly("x1*x2", ("x1", "x2"))))
+
+
+@pytest.mark.parametrize("suffix, text, flags, message", [
+    ("abp", re.sub(r"(?m)^u: \S+", "u: 1/0", X1X2_ABP), [], "zero denominator"),
+    ("abp", re.sub(r"(?m)^v: \S+", "v: 1/0", X1X2_ABP), [], "zero denominator"),
+    ("abp", re.sub(r"(?m)^(layer x1 power 0\n)\S+", r"\g<1>1/0", X1X2_ABP), [],
+     "zero denominator"),
+    ("abp", re.sub(r"(?m)^vars: .*", "vars: x1 x1", X1X2_ABP), [], "declared twice"),
+    ("abp", re.sub(r"(?m)^order: .*", "order: x1,zz", X1X2_ABP), [], "unknown variable"),
+    ("waring", "waring d=2 n=2\n1/0: 1 1\n", [], "zero denominator"),
+    ("waring", "waring d=2 n=2\n1: 1 1/0\n", [], "zero denominator"),
+    ("waring", "waring d=2 n\n1: 1 1\n", [], "key=value"),
+    ("poly", "vars: x x\nx^2\n", [], "declared twice"),
+    ("poly", "x^2\n", ["--vars", "x,x"], "declared twice"),
+], ids=["abp-u", "abp-v", "abp-layer", "abp-duplicate-vars", "abp-order", "waring-coeff",
+        "waring-form", "waring-header", "poly-duplicate-vars", "vars-flag-duplicate"])
+def test_bad_input_exits_2_without_traceback(tmp_path, capsys, suffix, text, flags, message):
+    path = tmp_path / f"input.{suffix}"
+    path.write_text(text)
+    against = tmp_path / "x1x2.poly"
+    against.write_text("vars: x1 x2\nx1*x2\n")
+    argv = {"abp": ["verify", str(path), "--against", str(against), "--expand"],
+            "waring": ["build", "diagro", str(path), "-o", str(tmp_path / "out.abp")],
+            "poly": ["dpd", str(path)]}[suffix] + flags
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from commro import (Poly, WaringDecomposition, boundary_vector_by_solve,
+from commro import (CapExceeded, Poly, WaringDecomposition, boundary_vector_by_solve,
                     build_commro, build_commro_general, build_diagro_from_waring,
                     build_smabp, check_kind, dpd, eval_abp, expand_abp,
                     parse_poly, quotient, waring_expand, waring_of_monomial)
@@ -78,6 +78,13 @@ def test_closed_form_v_matches_linear_solve():
         solved = boundary_vector_by_solve(abp, f)
         assert solved is not None
         assert tuple(solved) == abp.v
+
+
+def test_boundary_vector_by_solve_respects_term_cap():
+    f = parse_poly("x1*x2", V2)
+    with pytest.raises(CapExceeded) as cap:
+        boundary_vector_by_solve(build_commro(f), f, max_terms=1)
+    assert cap.value.flag == "--max-terms"
 
 
 def test_general_is_identity_on_homogeneous():

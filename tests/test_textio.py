@@ -39,6 +39,8 @@ def test_matrix_round_trip():
     assert parse_matrix(text) == m
     with pytest.raises(ValueError):
         parse_matrix("2 2\n1 2 3")
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_matrix("1 1\n1/0")
 
 
 def test_waring_round_trip():
