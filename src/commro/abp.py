@@ -26,10 +26,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DEFAULT_ENTRY_CAP, DEFAULT_TERM_CAP, CapExceeded
-from .linalg import Echelon, PolyMatrix, QMatrix, commute, dot, vec_mat
+from .linalg import Echelon, QMatrix, commute
 from .poly import Mono, Poly, deglex_key
 
 KINDS = ("general", "commutative", "diagonal", "set_multilinear")
@@ -52,31 +52,6 @@ class Layer:
     def variables(self) -> set[int]:
         """Variables this layer is attached to (power-0 terms count)."""
         return {var for var, _, _ in self.terms}
-
-    def value_at(self, point: Sequence[Fraction], width: int) -> QMatrix:
-        out = [[Fraction(0)] * width for _ in range(width)]
-        for var, power, mat in self.terms:
-            scale = point[var] ** power
-            if scale == 0:
-                continue
-            for i, row in enumerate(mat.data):
-                for j, x in enumerate(row):
-                    if x:
-                        out[i][j] += x * scale
-        return QMatrix(out)
-
-    def symbolic(self, vars: tuple[str, ...], width: int) -> PolyMatrix:
-        entries: list[list[dict[Mono, Fraction]]] = [
-            [dict() for _ in range(width)] for _ in range(width)
-        ]
-        for var, power, mat in self.terms:
-            mono = tuple(power if k == var else 0 for k in range(len(vars)))
-            for i, row in enumerate(mat.data):
-                for j, x in enumerate(row):
-                    if x:
-                        cell = entries[i][j]
-                        cell[mono] = cell.get(mono, Fraction(0)) + x
-        return PolyMatrix(vars, [[Poly(vars, cell) for cell in row] for row in entries])
 
 
 @dataclass(frozen=True)
@@ -125,40 +100,56 @@ class Abp:
         return [mat for layer in self.layers for _, _, mat in layer.terms]
 
 
-def eval_abp(abp: Abp, point: Sequence[Fraction | int]) -> Fraction:
-    """Exact value u^T * (product of specialized layers in order) * v.
+def _sweep(abp: Abp, row: dict, power: Callable[[int, int], object]) -> Iterator[dict]:
+    """Yield the sparse row vector row * M_1 * ... * M_i after each layer in order.
 
-    Runs as vector-times-matrix sweeps, w^2 work per layer.
+    Row entries are Fractions or Polys; power(var, k) is x_var^k in the
+    same ring.  Each layer costs about the number of stored nonzeros its
+    matrices hold in the row's support.
     """
+    for idx in abp.order:
+        out: dict = {}
+        for var, k, mat in abp.layers[idx].terms:
+            scale = power(var, k)
+            if not scale:
+                continue
+            for i, x in row.items():
+                xs = x * scale
+                for j, a in mat.entries[i].items():
+                    y = xs * a
+                    out[j] = out[j] + y if j in out else y
+        row = {j: y for j, y in out.items() if y}
+        yield row
+
+
+def eval_abp(abp: Abp, point: Sequence[Fraction | int]) -> Fraction:
+    """Exact value u^T * (product of specialized layers in order) * v."""
     point = [Fraction(p) for p in point]
     if len(point) != len(abp.vars):
         raise ValueError(f"point has {len(point)} coordinates, expected {len(abp.vars)}")
-    row = list(abp.u)
-    for idx in abp.order:
-        row = vec_mat(row, abp.layers[idx].value_at(point, abp.width))
-    return dot(row, abp.v)
+    row = {i: x for i, x in enumerate(abp.u) if x}
+    for row in _sweep(abp, row, lambda var, k: point[var] ** k):
+        pass
+    return sum((x * abp.v[j] for j, x in row.items()), Fraction(0))
 
 
 def expand_row(abp: Abp, max_terms: int = DEFAULT_TERM_CAP) -> list[Poly]:
     """u^T times the symbolic layers in order; its dot product with v is the program's value."""
-    row: list[Poly] = [Poly.constant(abp.vars, c) for c in abp.u]
-    for idx in abp.order:
-        sym = abp.layers[idx].symbolic(abp.vars, abp.width)
-        new_row: list[Poly] = []
-        for j in range(abp.width):
-            acc = Poly.zero(abp.vars)
-            for k in range(abp.width):
-                if row[k] and sym.data[k][j]:
-                    acc = acc + row[k] * sym.data[k][j]
-            new_row.append(acc)
-        row = new_row
-        total = sum(len(p.terms) for p in row)
+    arity = len(abp.vars)
+
+    def power(var: int, k: int) -> Poly:
+        return Poly.monomial(abp.vars, tuple(k if i == var else 0 for i in range(arity)))
+
+    row = {i: Poly.constant(abp.vars, x) for i, x in enumerate(abp.u) if x}
+    for row in _sweep(abp, row, power):
+        total = sum(len(p.terms) for p in row.values())
         if total > max_terms:
             raise CapExceeded(
                 f"symbolic expansion reached {total} intermediate terms, cap is {max_terms}",
                 flag="--max-terms",
             )
-    return row
+    zero = Poly.zero(abp.vars)
+    return [row.get(j, zero) for j in range(abp.width)]
 
 
 def expand_abp(abp: Abp, max_terms: int = DEFAULT_TERM_CAP) -> Poly:

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .linalg import Echelon, QMatrix, inverse, vec_mat
 from .partials import DerivBasis, derivative_basis, eval_vector, pairing
-from .poly import Mono, Poly, mono_mul, monomials_upto
+from .poly import Mono, Poly, mono_mul
 
 
 @dataclass(frozen=True)
@@ -56,11 +56,12 @@ class QuotientStructure:
 def normal_set(b: DerivBasis) -> QuotientStructure:
     """Greedy normal-set selection for the apolar ideal of a homogeneous source.
 
-    Monomials of degree <= deg(f) are scanned in ascending deg-lex and
-    kept iff their pairing vector against the derivative basis increases
-    the rank; exactly w = dim(b) monomials get selected and the
-    resulting evaluation matrix is invertible.  Monomials above deg(f)
-    all lie in the ideal, so the cutoff loses nothing.
+    The monomials of the basis support (b.monomials, already ascending
+    in deg-lex) are scanned in order and kept iff their pairing vector
+    against the derivative basis increases the rank; exactly w = dim(b)
+    monomials get selected and the resulting evaluation matrix is
+    invertible.  Any other monomial pairs to the zero vector against
+    every basis element, so it could never be selected.
     """
     f = b.source
     if not f.is_homogeneous():
@@ -70,7 +71,7 @@ def normal_set(b: DerivBasis) -> QuotientStructure:
     selected: list[Mono] = []
     vectors: list[list[Fraction]] = []
     echelon = Echelon()
-    for mono in monomials_upto(f.arity, f.total_degree()):
+    for mono in b.monomials:
         vec = eval_vector(mono, b)
         if not echelon.add(dict(enumerate(vec))):
             continue

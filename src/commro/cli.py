@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or input errors,
 from __future__ import annotations
 
 import argparse
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -136,7 +137,6 @@ def _cmd_nisan(args) -> int:
     else:
         if f.arity > 6:
             raise ValueError("--all-orders is limited to 6 variables (720 orders)")
-        import itertools
         for perm in itertools.permutations(range(f.arity)):
             report(list(perm))
     return 0

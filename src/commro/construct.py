@@ -149,16 +149,14 @@ def _direct_sum(blocks: list[Abp], vars: tuple[str, ...]) -> Abp:
                 powers.add(power)
         terms = []
         for power in sorted(powers):
-            data = [[Fraction(0)] * width for _ in range(width)]
+            entries: list[dict[int, Fraction]] = [{} for _ in range(width)]
             for b, off in zip(blocks, offsets):
                 mat = next((m for _, p, m in b.layers[var].terms if p == power), None)
                 if mat is None:
                     continue
-                for i, row in enumerate(mat.data):
-                    for j, x in enumerate(row):
-                        if x:
-                            data[off + i][off + j] = x
-            terms.append((var, power, QMatrix(data)))
+                for i, row in enumerate(mat.entries):
+                    entries[off + i] = {off + j: x for j, x in row.items()}
+            terms.append((var, power, QMatrix.sparse(width, width, entries)))
         layers.append(Layer(terms))
     u = tuple(x for b in blocks for x in b.u)
     v = tuple(x for b in blocks for x in b.v)

@@ -23,8 +23,9 @@ from .errors import CapExceeded
 from .linalg import PolyMatrix, QMatrix
 from .poly import Mono, Poly, deglex_key
 
-# dense C(2n, n)-dimensional tables get impractical quickly; the fast
-# path refuses past this point (width 70 at n = 4)
+# the closed forms are trusted only as far as the tests check them
+# entrywise against the generic pipeline; the fast path refuses past
+# this point (width 70 at n = 4)
 FAST_PATH_MAX_N = 4
 
 
@@ -167,7 +168,7 @@ def det_mult_tables(n: int, max_n: int = FAST_PATH_MAX_N) -> list[QMatrix]:
     tables = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            data = [[Fraction(0)] * width for _ in range(width)]
+            entries: list[dict[int, Fraction]] = [{} for _ in range(width)]
             for s, t in index_sets:
                 if i in s or j in t:
                     continue
@@ -178,8 +179,8 @@ def det_mult_tables(n: int, max_n: int = FAST_PATH_MAX_N) -> list[QMatrix]:
                 target_pairs = _anti_diagonal_pairs(s2, t2)
                 col = position[_pairs_to_mono(n, target_pairs)]
                 sign = _pairs_sign(target_pairs) * _pairs_sign(base + [(i, j)])
-                data[row][col] = Fraction(sign)
-            tables.append(QMatrix(data))
+                entries[row] = {col: Fraction(sign)}
+            tables.append(QMatrix.sparse(width, width, entries))
     return tables
 
 

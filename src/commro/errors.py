@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-# Dense matrices and symbolic expansions can grow exponentially (Nisan
-# matrices are (d+1)^|S| wide); operations that materialize them refuse
-# to exceed these caps instead of thrashing.
+# Dense Nisan matrices ((d+1)^|S| wide), dense table dumps and symbolic
+# expansions can grow exponentially; operations that materialize them
+# refuse to exceed these caps instead of thrashing.  QMatrix stores only
+# nonzeros, so rank and solve take no cap.
 DEFAULT_ENTRY_CAP = 1 << 20
 DEFAULT_TERM_CAP = 1 << 20
 

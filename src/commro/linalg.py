@@ -1,12 +1,15 @@
 """Exact linear algebra over the rationals.
 
-QMatrix is a dense row-major matrix of Fraction entries; PolyMatrix is
-the same shape with Poly entries (used to expand branching programs
-symbolically).  Every elimination in the package runs through one
-kernel, Echelon: an incremental echelon form over sparse rows keyed by
-any sortable column key (ints for vectors, exponent tuples for
-monomials).  rank, solve, inverse and minimal_polynomial are short calls
-on it.  Arithmetic is exact, so no result depends on the pivot choice.
+QMatrix stores only its nonzero entries, one {column: Fraction} dict
+per row; PolyMatrix is a dense matrix with Poly entries (used to expand
+branching programs symbolically).  Every elimination in the package
+runs through one kernel, Echelon: an incremental echelon form over
+sparse rows keyed by any sortable column key (ints for vectors,
+exponent tuples for monomials).  QMatrix rows go to it as they are;
+rank, solve, inverse and minimal_polynomial are short calls on it, and
+the matrix product and sum reuse its row update.  Arithmetic is exact,
+so no result depends on the pivot choice; rank and solve see only
+stored nonzeros, so they take no size cap.
 """
 
 from __future__ import annotations
@@ -15,44 +18,69 @@ import bisect
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DEFAULT_ENTRY_CAP, CapExceeded
 from .poly import Poly
+
+_ZERO = Fraction(0)
 
 
 class QMatrix:
-    """Immutable dense matrix of exact rationals."""
+    """Immutable sparse matrix of exact rationals.
 
-    __slots__ = ("rows", "cols", "data")
+    entries holds one {column: nonzero Fraction} dict per row; zeros are
+    never stored, so two equal matrices have equal entries.
+    """
+
+    __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, data: Iterable[Iterable[Fraction | int]]):
-        self.data: tuple[tuple[Fraction, ...], ...] = tuple(
-            tuple(Fraction(x) for x in row) for row in data
-        )
-        self.rows = len(self.data)
-        self.cols = len(self.data[0]) if self.rows else 0
-        if any(len(row) != self.cols for row in self.data):
+        dense = [tuple(row) for row in data]
+        self.rows = len(dense)
+        self.cols = len(dense[0]) if dense else 0
+        if any(len(row) != self.cols for row in dense):
             raise ValueError("ragged rows")
+        self.entries: tuple[dict[int, Fraction], ...] = tuple(
+            {j: Fraction(x) for j, x in enumerate(row) if x} for row in dense
+        )
+
+    @classmethod
+    def sparse(cls, rows: int, cols: int, entries: Iterable[dict[int, Fraction]]) -> QMatrix:
+        """Wrap row dicts whose values are already nonzero Fractions, without copying.
+
+        The dicts become the matrix's storage, so the caller must not
+        change them afterwards.
+        """
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.entries = rows, cols, tuple(entries)
+        return m
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> QMatrix:
-        return cls([[0] * cols for _ in range(rows)])
+        return cls.sparse(rows, cols, ({} for _ in range(rows)))
 
     @classmethod
     def identity(cls, n: int) -> QMatrix:
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls.sparse(n, n, ({i: Fraction(1)} for i in range(n)))
 
     @classmethod
     def diagonal(cls, values: Sequence[Fraction | int]) -> QMatrix:
         n = len(values)
-        return cls([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls.sparse(n, n, ({i: Fraction(x)} if x else {} for i, x in enumerate(values)))
+
+    @property
+    def data(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Dense row-major view, for text output and tests."""
+        return tuple(tuple(row.get(j, _ZERO) for j in range(self.cols)) for row in self.entries)
 
     def __getitem__(self, index: tuple[int, int]) -> Fraction:
-        return self.data[index[0]][index[1]]
+        i, j = index
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} out of range for {self.cols} columns")
+        return self.entries[i].get(j, _ZERO)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QMatrix):
             return NotImplemented
-        return self.data == other.data
+        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
 
     __hash__ = None
 
@@ -60,44 +88,46 @@ class QMatrix:
         return f"QMatrix({self.rows}x{self.cols})"
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
+        return not any(self.entries)
 
     def is_diagonal(self) -> bool:
-        return all(
-            x == 0
-            for i, row in enumerate(self.data)
-            for j, x in enumerate(row)
-            if i != j
-        )
+        return all(j == i for i, row in enumerate(self.entries) for j in row)
 
     def transpose(self) -> QMatrix:
-        return QMatrix([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        out: list[dict[int, Fraction]] = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.entries):
+            for j, x in row.items():
+                out[j][i] = x
+        return QMatrix.sparse(self.cols, self.rows, out)
 
     def scale(self, factor: Fraction | int) -> QMatrix:
         factor = Fraction(factor)
-        return QMatrix([[x * factor for x in row] for row in self.data])
+        if not factor:
+            return QMatrix.zeros(self.rows, self.cols)
+        return QMatrix.sparse(self.rows, self.cols, (
+            {j: x * factor for j, x in row.items()} for row in self.entries
+        ))
 
     def __add__(self, other: QMatrix) -> QMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch")
-        return QMatrix([
-            [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)
-        ])
+        out = []
+        for a, b in zip(self.entries, other.entries):
+            row = dict(a)
+            _axpy(row, 1, b)
+            out.append(row)
+        return QMatrix.sparse(self.rows, self.cols, out)
 
     def __matmul__(self, other: QMatrix) -> QMatrix:
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch: {self.cols} vs {other.rows}")
-        out = [[Fraction(0)] * other.cols for _ in range(self.rows)]
-        for i, row in enumerate(self.data):
-            acc = out[i]
-            for k, a in enumerate(row):
-                if a == 0:
-                    continue
-                brow = other.data[k]
-                for j, b in enumerate(brow):
-                    if b:
-                        acc[j] += a * b
-        return QMatrix(out)
+        out = []
+        for row in self.entries:
+            acc: dict[int, Fraction] = {}
+            for k, a in row.items():
+                _axpy(acc, a, other.entries[k])
+            out.append(acc)
+        return QMatrix.sparse(self.rows, other.cols, out)
 
     def power(self, n: int) -> QMatrix:
         if self.rows != self.cols:
@@ -112,21 +142,11 @@ def vec_mat(vec: Sequence[Fraction], m: QMatrix) -> list[Fraction]:
     """Row vector times matrix; skips zero entries of the vector."""
     if len(vec) != m.rows:
         raise ValueError("dimension mismatch")
-    out = [Fraction(0)] * m.cols
-    for k, a in enumerate(vec):
-        if a == 0:
-            continue
-        row = m.data[k]
-        for j, b in enumerate(row):
-            if b:
-                out[j] += a * b
-    return out
-
-
-def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    if len(a) != len(b):
-        raise ValueError("dimension mismatch")
-    return sum((x * y for x, y in zip(a, b) if x and y), Fraction(0))
+    acc: dict[int, Fraction] = {}
+    for a, row in zip(vec, m.entries):
+        if a:
+            _axpy(acc, a, row)
+    return [acc.get(j, _ZERO) for j in range(m.cols)]
 
 
 class Echelon:
@@ -188,34 +208,23 @@ def _axpy(target: dict, a: Fraction, source: dict) -> None:
             target.pop(k, None)
 
 
-def _check_entry_cap(rows: int, cols: int, max_entries: int) -> None:
-    if rows * cols > max_entries:
-        raise CapExceeded(
-            f"matrix of {rows}x{cols} = {rows * cols} entries exceeds the cap of {max_entries}",
-            flag="--max-entries",
-        )
-
-
-def rank(m: QMatrix, max_entries: int = DEFAULT_ENTRY_CAP) -> int:
+def rank(m: QMatrix) -> int:
     """Exact rank."""
-    _check_entry_cap(m.rows, m.cols, max_entries)
     echelon = Echelon()
-    for row in m.data:
-        echelon.add(dict(enumerate(row)))
+    for row in m.entries:
+        echelon.add(row)
     return echelon.rank
 
 
-def solve(m: QMatrix, b: Sequence[Fraction | int],
-          max_entries: int = DEFAULT_ENTRY_CAP) -> list[Fraction] | None:
+def solve(m: QMatrix, b: Sequence[Fraction | int]) -> list[Fraction] | None:
     """Some exact solution x of m @ x = b, or None if the system is inconsistent.
 
     b is written over a basis of m's columns; the other unknowns are 0.
     """
-    _check_entry_cap(m.rows, m.cols + 1, max_entries)
     if len(b) != m.rows:
         raise ValueError("dimension mismatch")
     echelon = Echelon()
-    basic = [j for j, col in enumerate(m.transpose().data) if echelon.add(dict(enumerate(col)))]
+    basic = [j for j, col in enumerate(m.transpose().entries) if echelon.add(col)]
     comb = echelon.solve(dict(enumerate(b)))
     if comb is None:
         return None
@@ -234,10 +243,9 @@ def inverse(m: QMatrix) -> QMatrix | None:
     if m.rows != m.cols:
         raise ValueError("square matrix required")
     echelon = Echelon()
-    if not all(echelon.add(dict(enumerate(row))) for row in m.data):
+    if not all(echelon.add(row) for row in m.entries):
         return None
-    combs = [echelon.solve({j: 1}) for j in range(m.rows)]
-    return QMatrix([[comb.get(i, 0) for i in range(m.rows)] for comb in combs])
+    return QMatrix.sparse(m.rows, m.rows, (echelon.solve({j: 1}) for j in range(m.rows)))
 
 
 def commute(a: QMatrix, b: QMatrix) -> bool:
@@ -259,7 +267,7 @@ def minimal_polynomial(m: QMatrix) -> Poly:
     power = QMatrix.identity(m.rows)
     k = 0
     while True:
-        flat = dict(enumerate(x for row in power.data for x in row))
+        flat = {i * m.cols + j: x for i, row in enumerate(power.entries) for j, x in row.items()}
         if not echelon.add(flat):
             # I, m, ..., m^(k-1) were all added, so index j is the power j
             terms = {(j,): -c for j, c in echelon.solve(flat).items()}
@@ -291,11 +299,6 @@ class PolyMatrix:
         vars = tuple(vars)
         one, zero = Poly.constant(vars, 1), Poly.zero(vars)
         return cls(vars, [[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_qmatrix(cls, vars: Iterable[str], m: QMatrix) -> PolyMatrix:
-        vars = tuple(vars)
-        return cls(vars, [[Poly.constant(vars, x) for x in row] for row in m.data])
 
     def __getitem__(self, index: tuple[int, int]) -> Poly:
         return self.data[index[0]][index[1]]

@@ -181,6 +181,8 @@ def parse_abp(text: str) -> Abp:
         if name not in index:
             raise ValueError(f"layer for unknown variable {name!r}")
         var = index[name]
+        if any(p == power for p, _ in blocks.get(var, [])):
+            raise ValueError(f"repeated layer block {lines[at]!r}")
         at += 1
         rows = []
         for _ in range(width):

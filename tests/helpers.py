@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's own pipeline:
 brute_dpd enumerates every derivative directly, cofactor_det expands a
-numeric determinant recursively, and poly_at_matrices substitutes
-matrices into a polynomial the long way.  Ranks come from sympy, not
+numeric determinant recursively, poly_at_matrices substitutes matrices
+into a polynomial the long way, and dense_eval_abp evaluates a program
+from the dense view of its matrices alone.  Ranks come from sympy, not
 from the library's own elimination kernel.
 """
 
@@ -97,6 +98,21 @@ def poly_at_matrices(g: Poly, mats: list[QMatrix]) -> QMatrix:
                 term = term @ power(var, e)
         total = total + term.scale(coeff)
     return total
+
+
+def dense_eval_abp(abp, point) -> Fraction:
+    """u^T * M_1(point) * ... * M_k(point) * v, each layer built densely from mat.data."""
+    w = abp.width
+    row = list(abp.u)
+    for idx in abp.order:
+        layer = [[Fraction(0)] * w for _ in range(w)]
+        for var, power, mat in abp.layers[idx].terms:
+            scale = Fraction(point[var]) ** power
+            for i, mat_row in enumerate(mat.data):
+                for j, x in enumerate(mat_row):
+                    layer[i][j] += x * scale
+        row = [sum((row[k] * layer[k][j] for k in range(w)), Fraction(0)) for j in range(w)]
+    return sum((x * y for x, y in zip(row, abp.v)), Fraction(0))
 
 
 def span_rank(polys: list[Poly]) -> int:

@@ -10,7 +10,7 @@ from commro import (Abp, CapExceeded, Layer, Poly, QMatrix, check_kind,
 from commro.construct import build_commro
 from commro.detspecial import det_polynomial, palindrome
 
-from helpers import random_point, random_poly
+from helpers import dense_eval_abp, random_point, random_poly
 
 V2 = ("x1", "x2")
 
@@ -194,7 +194,7 @@ def test_expand_matches_eval():
         expanded = expand_abp(abp)
         for _ in range(5):
             point = random_point(rng, 3, bound=100)
-            assert expanded.eval(point) == eval_abp(abp, point)
+            assert expanded.eval(point) == eval_abp(abp, point) == dense_eval_abp(abp, point)
 
 
 def test_any_order_evaluation():

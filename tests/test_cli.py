@@ -220,12 +220,14 @@ X1X2_ABP = format_abp(build_commro(parse_poly("x1*x2", ("x1", "x2"))))
      "zero denominator"),
     ("abp", re.sub(r"(?m)^vars: .*", "vars: x1 x1", X1X2_ABP), [], "declared twice"),
     ("abp", re.sub(r"(?m)^order: .*", "order: x1,zz", X1X2_ABP), [], "unknown variable"),
+    ("abp", X1X2_ABP.replace("layer x2 power 0", "layer x1 power 0"), [], "repeated layer block"),
     ("waring", "waring d=2 n=2\n1/0: 1 1\n", [], "zero denominator"),
     ("waring", "waring d=2 n=2\n1: 1 1/0\n", [], "zero denominator"),
     ("waring", "waring d=2 n\n1: 1 1\n", [], "key=value"),
     ("poly", "vars: x x\nx^2\n", [], "declared twice"),
     ("poly", "x^2\n", ["--vars", "x,x"], "declared twice"),
-], ids=["abp-u", "abp-v", "abp-layer", "abp-duplicate-vars", "abp-order", "waring-coeff",
+], ids=["abp-u", "abp-v", "abp-layer", "abp-duplicate-vars", "abp-order",
+        "abp-repeated-layer", "waring-coeff",
         "waring-form", "waring-header", "poly-duplicate-vars", "vars-flag-duplicate"])
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, suffix, text, flags, message):
     path = tmp_path / f"input.{suffix}"
