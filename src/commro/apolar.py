@@ -22,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .linalg import Echelon, QMatrix, inverse, vec_mat
-from .partials import DerivBasis, derivative_basis, eval_vector, pairing
-from .poly import Mono, Poly, mono_mul
+from .linalg import Echelon, QMatrix, inverse, sparse_vec_mat, vec_mat
+from .partials import DerivBasis, derivative_basis, pairing
+from .poly import Mono, Poly, mono_factorial, mono_mul
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,8 @@ class QuotientStructure:
     tables: tuple[QMatrix, ...] | None = None
     # inverse of eval_matrix, factored once and shared by every residue solve
     _solver: QMatrix = field(repr=False, compare=False, default=None)
+    # {m: {j: <x^m, g_j>}} for each monomial m of the basis support, zeros left out
+    _columns: dict[Mono, dict[int, Fraction]] = field(repr=False, compare=False, default=None)
 
     @property
     def dimension(self) -> int:
@@ -57,36 +59,38 @@ def normal_set(b: DerivBasis) -> QuotientStructure:
     """Greedy normal-set selection for the apolar ideal of a homogeneous source.
 
     The monomials of the basis support (b.monomials, already ascending
-    in deg-lex) are scanned in order and kept iff their pairing vector
+    in deg-lex) are scanned in order and kept iff their pairing column
     against the derivative basis increases the rank; exactly w = dim(b)
     monomials get selected and the resulting evaluation matrix is
     invertible.  Any other monomial pairs to the zero vector against
-    every basis element, so it could never be selected.
+    every basis element, so it could never be selected.  The choice
+    depends only on the span of b, not on its basis order.
     """
     f = b.source
     if not f.is_homogeneous():
         raise ValueError("normal set requires a homogeneous polynomial; "
                          "route general inputs through the homogeneous components")
     w = b.dimension
+    # <x^m, g_j> = m! * coeff_{g_j}(m): one pass over the basis terms
+    columns: dict[Mono, dict[int, Fraction]] = {}
+    for j, g in enumerate(b.basis):
+        for mono, coeff in g.terms.items():
+            columns.setdefault(mono, {})[j] = mono_factorial(mono) * coeff
     selected: list[Mono] = []
-    vectors: list[list[Fraction]] = []
     echelon = Echelon()
     for mono in b.monomials:
-        vec = eval_vector(mono, b)
-        if not echelon.add(dict(enumerate(vec))):
-            continue
-        selected.append(mono)
-        vectors.append(vec)
-        if len(selected) == w:
-            break
+        if echelon.add(columns[mono]):
+            selected.append(mono)
+            if len(selected) == w:
+                break
     if len(selected) != w:
         raise AssertionError("normal set selection did not reach full dimension")
-    eval_matrix = QMatrix(vectors)
+    eval_matrix = QMatrix.sparse(w, w, (columns[m] for m in selected))
     solver = inverse(eval_matrix)
     if solver is None:
         raise AssertionError("evaluation matrix is singular")
-    return QuotientStructure(basis=b, normal_set=tuple(selected),
-                             eval_matrix=eval_matrix, _solver=solver)
+    return QuotientStructure(basis=b, normal_set=tuple(selected), eval_matrix=eval_matrix,
+                             _solver=solver, _columns=columns)
 
 
 def reduce_mod_apolar(g: Poly, q: QuotientStructure) -> Poly:
@@ -116,24 +120,23 @@ def multiplication_tables(q: QuotientStructure) -> QuotientStructure:
     """Fill the per-variable multiplication tables.
 
     Row i of table l is the residue of t_l * m_i written over the normal
-    set; the evaluation-matrix factorization is reused across all
-    (variable, monomial) pairs.
+    set: the pairing column of t_l * m_i times the factored inverse of
+    the evaluation matrix (an empty row when t_l * m_i is outside the
+    basis support, since it then lies in the apolar ideal).
     """
-    arity = q.basis.source.arity
+    w, arity = q.dimension, q.basis.source.arity
     tables = []
     for var in range(arity):
-        shift = tuple(1 if k == var else 0 for k in range(arity))
-        rows = []
-        for mono in q.normal_set:
-            product = Poly.monomial(q.vars, mono_mul(mono, shift))
-            rows.append(residue_coefficients(product, q))
-        tables.append(QMatrix(rows))
+        shift = tuple(int(k == var) for k in range(arity))
+        rows = (sparse_vec_mat(q._columns.get(mono_mul(mono, shift), {}), q._solver)
+                for mono in q.normal_set)
+        tables.append(QMatrix.sparse(w, w, rows))
     return replace(q, tables=tuple(tables))
 
 
-def quotient(f: Poly) -> QuotientStructure:
-    """Normal set plus multiplication tables for a homogeneous nonzero f."""
-    return multiplication_tables(normal_set(derivative_basis(f)))
+def quotient(f: Poly, max_width: int | None = None) -> QuotientStructure:
+    """Normal set plus tables for a homogeneous nonzero f; max_width as in derivative_basis."""
+    return multiplication_tables(normal_set(derivative_basis(f, max_width)))
 
 
 def univariate_mult_table(p: Poly) -> QMatrix:

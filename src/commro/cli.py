@@ -67,7 +67,7 @@ def _cmd_dpd(args) -> int:
     if f.is_zero():
         print(0)
         return 0
-    basis = derivative_basis(f)
+    basis = derivative_basis(f, args.max_width)
     print(basis.dimension)
     if args.basis:
         for g in basis.basis:
@@ -77,7 +77,7 @@ def _cmd_dpd(args) -> int:
 
 def _cmd_normal_set(args) -> int:
     f = _load_poly(args.poly, args.vars)
-    structure = normal_set(derivative_basis(f))
+    structure = normal_set(derivative_basis(f, args.max_width))
     for mono in structure.normal_set:
         print(mono_str(mono, f.vars))
     return 0
@@ -85,7 +85,7 @@ def _cmd_normal_set(args) -> int:
 
 def _cmd_tables(args) -> int:
     f = _load_poly(args.poly, args.vars)
-    structure = quotient(f)
+    structure = quotient(f, args.max_width)
     chunks = []
     for name, table in zip(f.vars, structure.tables):
         if table.rows * table.cols > args.max_entries:
@@ -105,11 +105,11 @@ def _cmd_build(args) -> int:
     else:
         f = _load_poly(args.input, args.vars)
         if args.target == "commro":
-            abp = build_commro_general(f)
+            abp = build_commro_general(f, args.max_width)
         else:
             if not args.partition:
                 raise ValueError("smabp requires --partition")
-            abp = build_smabp(f, _parse_partition(args.partition, f.vars))
+            abp = build_smabp(f, _parse_partition(args.partition, f.vars), args.max_width)
     Path(args.output).write_text(format_abp(abp))
     print(f"wrote {args.output} (kind={abp.kind} width={abp.width})")
     return 0
@@ -216,14 +216,20 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_vars(p):
         p.add_argument("--vars", help="comma-separated variable order for headerless files")
 
+    def add_max_width(p):
+        p.add_argument("--max-width", type=int, metavar="W",
+                       help="refuse (exit 3) once the derivative span exceeds W dimensions")
+
     p = sub.add_parser("dpd", help="dimension of the span of all partial derivatives")
     p.add_argument("poly")
     p.add_argument("--basis", action="store_true", help="also print the basis polynomials")
+    add_max_width(p)
     add_vars(p)
     p.set_defaults(func=_cmd_dpd)
 
     p = sub.add_parser("normal-set", help="normal set of the apolar ideal")
     p.add_argument("poly")
+    add_max_width(p)
     add_vars(p)
     p.set_defaults(func=_cmd_normal_set)
 
@@ -231,6 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("poly")
     p.add_argument("-o", "--output")
     p.add_argument("--max-entries", type=int, default=DEFAULT_ENTRY_CAP)
+    add_max_width(p)
     add_vars(p)
     p.set_defaults(func=_cmd_tables)
 
@@ -239,6 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--partition", help="variable groups a,b|c,d (smabp only)")
+    add_max_width(p)
     add_vars(p)
     p.set_defaults(func=_cmd_build)
 

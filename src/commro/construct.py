@@ -115,17 +115,18 @@ def _truncated_exponential_layers(q: QuotientStructure, f: Poly) -> list[Layer]:
     return layers
 
 
-def build_commro(f: Poly) -> Abp:
+def build_commro(f: Poly, max_width: int | None = None) -> Abp:
     """Commutative ROABP of width equal to f's derivative-span dimension.
 
     f must be nonzero and homogeneous; the computed polynomial equals f
-    exactly and all coefficient matrices commute pairwise.
+    exactly and all coefficient matrices commute pairwise.  A width
+    above max_width raises CapExceeded (naming --max-width).
     """
     if f.is_zero():
         raise ValueError("cannot build a branching program for the zero polynomial")
     if not f.is_homogeneous():
         raise ValueError("homogeneous input required; use build_commro_general")
-    q = quotient(f)
+    q = quotient(f, max_width)
     layers = _truncated_exponential_layers(q, f)
     width = q.dimension
     u = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(width))
@@ -172,13 +173,14 @@ def _constant_block(vars: tuple[str, ...], value: Fraction) -> Abp:
                layers=layers, order=tuple(range(len(vars))))
 
 
-def build_commro_general(f: Poly) -> Abp:
+def build_commro_general(f: Poly, max_width: int | None = None) -> Abp:
     """Commutative ROABP for arbitrary nonzero f.
 
     Direct sum of the homogeneous constructions over f's nonzero
     components, in ascending degree order; the degree-0 component rides
     in a 1x1 identity block with u * v equal to the constant.  Total
     width is at most (d+1)^2 times the derivative-span dimension of f.
+    max_width caps the width of each component's block.
     """
     if f.is_zero():
         raise ValueError("cannot build a branching program for the zero polynomial")
@@ -189,7 +191,7 @@ def build_commro_general(f: Poly) -> Abp:
         if degree == 0:
             blocks.append(_constant_block(f.vars, component.coeff((0,) * f.arity)))
         else:
-            blocks.append(build_commro(component))
+            blocks.append(build_commro(component, max_width))
     if len(blocks) == 1:
         return blocks[0]
     return _direct_sum(blocks, f.vars)
@@ -217,17 +219,18 @@ def _validate_set_multilinear(f: Poly, partition: Sequence[Sequence[int]]) -> No
                 )
 
 
-def build_smabp(f: Poly, partition: Sequence[Sequence[int]]) -> Abp:
+def build_smabp(f: Poly, partition: Sequence[Sequence[int]],
+                max_width: int | None = None) -> Abp:
     """Commutative set-multilinear ABP with one linear layer per part.
 
     Layer j is sum of A_k x_k over the variables k of part j, built from
     the same apolar multiplication tables as the read-once construction;
-    width equals the derivative-span dimension of f.
+    width equals the derivative-span dimension of f, capped by max_width.
     """
     if f.is_zero():
         raise ValueError("cannot build a branching program for the zero polynomial")
     _validate_set_multilinear(f, partition)
-    q = quotient(f)
+    q = quotient(f, max_width)
     width = q.dimension
     layers = [Layer([(var, 1, q.tables[var]) for var in part]) for part in partition]
     u = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(width))

@@ -7,9 +7,9 @@ runs through one kernel, Echelon: an incremental echelon form over
 sparse rows keyed by any sortable column key (ints for vectors,
 exponent tuples for monomials).  QMatrix rows go to it as they are;
 rank, solve, inverse and minimal_polynomial are short calls on it, and
-the matrix product and sum reuse its row update.  Arithmetic is exact,
-so no result depends on the pivot choice; rank and solve see only
-stored nonzeros, so they take no size cap.
+the matrix product, the sum and sparse_vec_mat reuse its row update.
+Arithmetic is exact, so no result depends on the pivot choice; rank and
+solve see only stored nonzeros, so they take no size cap.
 """
 
 from __future__ import annotations
@@ -121,13 +121,8 @@ class QMatrix:
     def __matmul__(self, other: QMatrix) -> QMatrix:
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch: {self.cols} vs {other.rows}")
-        out = []
-        for row in self.entries:
-            acc: dict[int, Fraction] = {}
-            for k, a in row.items():
-                _axpy(acc, a, other.entries[k])
-            out.append(acc)
-        return QMatrix.sparse(self.rows, other.cols, out)
+        return QMatrix.sparse(self.rows, other.cols,
+                              (sparse_vec_mat(row, other) for row in self.entries))
 
     def power(self, n: int) -> QMatrix:
         if self.rows != self.cols:
@@ -138,14 +133,19 @@ class QMatrix:
         return out
 
 
+def sparse_vec_mat(row: dict[int, Fraction], m: QMatrix) -> dict[int, Fraction]:
+    """Sparse row {index: nonzero} times matrix, as a sparse row of nonzeros."""
+    acc: dict[int, Fraction] = {}
+    for k, a in row.items():
+        _axpy(acc, a, m.entries[k])
+    return acc
+
+
 def vec_mat(vec: Sequence[Fraction], m: QMatrix) -> list[Fraction]:
-    """Row vector times matrix; skips zero entries of the vector."""
+    """Dense row vector times matrix; skips zero entries of the vector."""
     if len(vec) != m.rows:
         raise ValueError("dimension mismatch")
-    acc: dict[int, Fraction] = {}
-    for a, row in zip(vec, m.entries):
-        if a:
-            _axpy(acc, a, row)
+    acc = sparse_vec_mat({k: a for k, a in enumerate(vec) if a}, m)
     return [acc.get(j, _ZERO) for j in range(m.cols)]
 
 

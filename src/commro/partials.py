@@ -18,18 +18,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import CapExceeded
 from .linalg import Echelon, QMatrix
-from .poly import Mono, Poly, deglex_key, mono_factorial, monomials_of_degree
+from .poly import Mono, Poly, deglex_key, mono_factorial
 
 
 @dataclass(frozen=True)
 class DerivBasis:
     """Ordered basis g_1, ..., g_w of the derivative span of `source`.
 
-    g_1 is always the source polynomial itself; the rest follow in
-    breadth-first discovery order (derivative order, then deg-lex of the
-    differentiating monomial).  `monomials` fixes the column order of
-    `matrix`, whose rows are the basis coefficient vectors.
+    g_1 is always the source polynomial itself; the rest follow in the
+    order the breadth-first closure kept them (level by level, each kept
+    element differentiated by x_1, ..., x_r in turn).  `monomials` is the
+    union support of the basis, ascending in deg-lex; it fixes the column
+    order of `matrix`, whose rows are the basis coefficient vectors.
     """
 
     source: Poly
@@ -42,34 +44,38 @@ class DerivBasis:
         return len(self.basis)
 
 
-def derivative_basis(f: Poly) -> DerivBasis:
+def derivative_basis(f: Poly, max_width: int | None = None) -> DerivBasis:
     """Basis of the span of all partial derivatives of f (f must be nonzero).
 
-    Breadth-first closure: each level differentiates by all monomials of
-    the next order (ascending deg-lex) and keeps a derivative iff it is
-    independent of everything kept so far.  Degrees strictly drop along
-    levels, so the loop terminates; it also stops early as soon as a
-    whole level contributes nothing new.
+    Breadth-first closure under single-variable derivatives: level 0 is
+    [f], and level k+1 keeps each d/dx_i of a level-k element, i in index
+    order, iff it is independent of everything kept so far.  Every
+    derivative of a kept element lies in the kept span, so that span is
+    closed under each d/dx_i and is the whole derivative span.  Degrees
+    drop along levels, so the loop ends.  Once the span exceeds
+    max_width dimensions, CapExceeded (naming --max-width) is raised.
     """
     if f.is_zero():
         raise ValueError("zero polynomial has no derivative basis")
+    shifts = [tuple(int(k == var) for k in range(f.arity)) for var in range(f.arity)]
     echelon = Echelon()
-    echelon.add(f.terms)
-    basis = [f]
-    for order in range(1, f.total_degree() + 1):
-        grew = False
-        for mono in monomials_of_degree(f.arity, order):
-            g = f.derive(mono)
-            if g.is_zero():
-                continue
+    basis: list[Poly] = []
+    candidates = [f]
+    while candidates:
+        level = []
+        for g in candidates:
             if echelon.add(g.terms):
-                basis.append(g)
-                grew = True
-        if not grew:
-            break
-    columns = sorted({m for g in basis for m in g.terms}, key=deglex_key)
-    matrix = QMatrix([[g.coeff(m) for m in columns] for g in basis])
-    return DerivBasis(source=f, basis=tuple(basis), monomials=tuple(columns), matrix=matrix)
+                if max_width is not None and echelon.rank > max_width:
+                    raise CapExceeded(f"derivative span has more than {max_width} dimensions",
+                                      flag="--max-width")
+                level.append(g)
+        basis.extend(level)
+        candidates = [g.derive(shift) for g in level for shift in shifts]
+    monomials = sorted({m for g in basis for m in g.terms}, key=deglex_key)
+    column = {m: j for j, m in enumerate(monomials)}
+    matrix = QMatrix.sparse(len(basis), len(monomials),
+                            ({column[m]: c for m, c in g.terms.items()} for g in basis))
+    return DerivBasis(source=f, basis=tuple(basis), monomials=tuple(monomials), matrix=matrix)
 
 
 def dpd(f: Poly) -> int:

@@ -174,25 +174,32 @@ def parse_abp(text: str) -> Abp:
     blocks: dict[int, list[tuple[int, QMatrix]]] = {}
     appearance: list[int] = []
     while at < len(lines):
-        parts = lines[at].split()
+        header = lines[at]
+        parts = header.split()
         if len(parts) != 4 or parts[0] != "layer" or parts[2] != "power":
-            raise ValueError(f"malformed layer header {lines[at]!r}")
+            raise ValueError(f"malformed layer header {header!r}")
         name, power = parts[1], int(parts[3])
         if name not in index:
             raise ValueError(f"layer for unknown variable {name!r}")
         var = index[name]
         if any(p == power for p, _ in blocks.get(var, [])):
-            raise ValueError(f"repeated layer block {lines[at]!r}")
+            raise ValueError(f"repeated layer block {header!r}")
         at += 1
         rows = []
-        for _ in range(width):
+        for i in range(width):
             if at >= len(lines):
                 raise ValueError("truncated layer block")
-            rows.append([_rational(x) for x in lines[at].split()])
+            tokens = lines[at].split()
+            if len(tokens) != width:
+                raise ValueError(f"row {i + 1} of {header!r} has {len(tokens)} entries, "
+                                 f"expected {width}")
+            # layer rows are mostly zeros: build the sparse row without parsing them
+            rows.append({j: x for j, tok in enumerate(tokens)
+                         if tok != "0" and (x := _rational(tok))})
             at += 1
         if var not in blocks:
             appearance.append(var)
-        blocks.setdefault(var, []).append((power, QMatrix(rows)))
+        blocks.setdefault(var, []).append((power, QMatrix.sparse(width, width, rows)))
 
     group_texts = headers["order"].split("|") if kind == "set_multilinear" \
         else headers["order"].split(",")

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from commro import (Poly, QMatrix, apolar_member, commute, derivative_basis,
-                    dpd, minimal_polynomial, normal_set, parse_poly, quotient,
-                    reduce_mod_apolar, univariate_mult_table)
-from commro.detspecial import det_polynomial
+                    dpd, minimal_polynomial, mono_mul, normal_set, parse_poly,
+                    quotient, reduce_mod_apolar, univariate_mult_table)
+from commro.apolar import residue_coefficients
+from commro.detspecial import det_polynomial, palindrome, perm_polynomial
 
 from helpers import poly_at_matrices, random_poly
 
@@ -138,6 +139,21 @@ def test_tables_commute_and_nilpotent():
             assert commute(a, b)
         for var, table in enumerate(q.tables):
             assert table.power(f.individual_degree(var) + 1).is_zero()
+
+
+def test_table_rows_match_residues_of_shifted_monomials():
+    # the tables come from pairing columns; residue_coefficients pairs t_l * m_i
+    # against every basis element, so it is an independent route to each row
+    rng = random.Random(107)
+    corpus = [det_polynomial(3), perm_polynomial(3), palindrome(4)]
+    corpus += [random_poly(rng, rng.randint(2, 4), rng.randint(2, 4), 6) for _ in range(10)]
+    for f in corpus:
+        q = quotient(f)
+        for var, table in enumerate(q.tables):
+            shift = tuple(int(k == var) for k in range(f.arity))
+            for i, mono in enumerate(q.normal_set):
+                product = Poly.monomial(f.vars, mono_mul(mono, shift))
+                assert list(table.data[i]) == residue_coefficients(product, q)
 
 
 def test_first_row_property():

@@ -62,6 +62,23 @@ def test_tables_cap_exit_code(det2_file, capsys):
     assert "--max-entries" in err
 
 
+@pytest.mark.parametrize("command", [["dpd"], ["normal-set"], ["tables"],
+                                     ["build", "commro"], ["build", "smabp"]])
+def test_max_width_cap(tmp_path, capsys, command):
+    poly_path = str(tmp_path / "det3.poly")
+    assert run(["gen", "det", "3", "-o", poly_path]) == 0
+    argv = command + [poly_path]
+    if command[0] == "build":
+        argv += ["-o", str(tmp_path / "det3.abp")]
+    if command[-1] == "smabp":
+        argv += ["--partition", "x1_1,x1_2,x1_3|x2_1,x2_2,x2_3|x3_1,x3_2,x3_3"]
+    capsys.readouterr()
+    assert run(argv + ["--max-width", "19"]) == 3
+    err = capsys.readouterr().err
+    assert "--max-width" in err and "Traceback" not in err
+    assert run(argv + ["--max-width", "20"]) == 0
+
+
 def test_nisan_orders(pal3_file, capsys):
     assert run(["nisan", pal3_file, "--order", "x1,x2,x3,y1,y2,y3"]) == 0
     out = capsys.readouterr().out
@@ -221,13 +238,15 @@ X1X2_ABP = format_abp(build_commro(parse_poly("x1*x2", ("x1", "x2"))))
     ("abp", re.sub(r"(?m)^vars: .*", "vars: x1 x1", X1X2_ABP), [], "declared twice"),
     ("abp", re.sub(r"(?m)^order: .*", "order: x1,zz", X1X2_ABP), [], "unknown variable"),
     ("abp", X1X2_ABP.replace("layer x2 power 0", "layer x1 power 0"), [], "repeated layer block"),
+    ("abp", X1X2_ABP.replace("layer x1 power 1\n0 1 0 0", "layer x1 power 1\n0 1 0"), [],
+     "has 3 entries, expected 4"),
     ("waring", "waring d=2 n=2\n1/0: 1 1\n", [], "zero denominator"),
     ("waring", "waring d=2 n=2\n1: 1 1/0\n", [], "zero denominator"),
     ("waring", "waring d=2 n\n1: 1 1\n", [], "key=value"),
     ("poly", "vars: x x\nx^2\n", [], "declared twice"),
     ("poly", "x^2\n", ["--vars", "x,x"], "declared twice"),
 ], ids=["abp-u", "abp-v", "abp-layer", "abp-duplicate-vars", "abp-order",
-        "abp-repeated-layer", "waring-coeff",
+        "abp-repeated-layer", "abp-short-row", "waring-coeff",
         "waring-form", "waring-header", "poly-duplicate-vars", "vars-flag-duplicate"])
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, suffix, text, flags, message):
     path = tmp_path / f"input.{suffix}"

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from commro import (Poly, QMatrix, derivative_basis, dpd, eval_vector,
-                    pairing, parse_poly, rank)
-from commro.detspecial import det_polynomial
+                    monomials_upto, pairing, parse_poly, rank)
+from commro.detspecial import det_polynomial, palindrome, perm_polynomial
 
 from helpers import brute_dpd, dilate, random_poly, span_rank
 
@@ -16,8 +16,8 @@ def test_basis_of_x1x2():
     f = parse_poly("x1*x2", V2)
     b = derivative_basis(f)
     assert b.dimension == 4
-    # discovery order: f, then the first-order derivatives in deg-lex
-    # order of the differentiating monomial (d/dx1 gives x2), then 1
+    # closure order: f, then its derivatives by x1 (giving x2) and by x2
+    # (giving x1), then d/dx2 of x2 (giving 1)
     assert list(b.basis) == [f, Poly.variable(V2, 1), Poly.variable(V2, 0),
                              Poly.constant(V2, 1)]
     assert b.basis[0] == b.source
@@ -126,6 +126,15 @@ def test_basis_is_closed_under_derivatives():
                 if not dg.is_zero():
                     extended.append(dg)
         assert span_rank(extended) == base_rank
+
+
+def test_closure_spans_every_monomial_derivative():
+    rng = random.Random(67)
+    corpus = [det_polynomial(3), perm_polynomial(3), palindrome(4)]
+    corpus += [random_poly(rng, rng.randint(2, 4), rng.randint(2, 4), 6) for _ in range(10)]
+    for f in corpus:
+        derivatives = [f.derive(m) for m in monomials_upto(f.arity, f.total_degree())]
+        assert derivative_basis(f).dimension == span_rank([g for g in derivatives if g])
 
 
 def test_basis_matrix_shape_and_rank():
