@@ -7,7 +7,7 @@ Waring decomposition), with Nisan-matrix width measurement and exact
 verification of every artifact.
 """
 
-from .abp import (Abp, Layer, NisanCutReport, check_kind, eval_abp,
+from .abp import (Abp, KindCheck, Layer, NisanCutReport, check_kind, eval_abp,
                   expand_abp, nisan_matrix, nisan_width, permute_order)
 from .apolar import (QuotientStructure, apolar_member, multiplication_tables,
                      normal_set, quotient, reduce_mod_apolar,

@@ -169,21 +169,40 @@ def permute_order(abp: Abp, new_order: Sequence[int]) -> Abp:
     return replace(abp, order=new_order)
 
 
-def check_kind(abp: Abp) -> bool:
+@dataclass(frozen=True)
+class KindCheck:
+    """What check_kind checked; true iff the declared invariant holds."""
+
+    ok: bool
+    matrices: int  # coefficient matrices inspected
+    span: int      # dimension of the span of I and the matrices (commuting kinds)
+    pairs: int     # pairs to multiply both ways; all were when ok
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+def check_kind(abp: Abp) -> KindCheck:
     """Verify the structural invariant of the declared kind, exactly.
 
     commutative / set_multilinear: all coefficient matrices commute
     pairwise; diagonal: all matrices diagonal; general: always true.
+
+    The commutator is bilinear, so matrices commute pairwise iff a basis
+    of their linear span does, and the identity commutes with everything.
+    Each matrix is therefore flattened into an echelon seeded with I, and
+    only the matrices that grow its rank are multiplied, pair by pair.
     """
     if abp.kind == "general":
-        return True
+        return KindCheck(True, 0, 0, 0)
     mats = abp.coefficient_matrices()
     if abp.kind == "diagonal":
-        return all(m.is_diagonal() for m in mats)
-    for a, b in itertools.combinations(mats, 2):
-        if not commute(a, b):
-            return False
-    return True
+        return KindCheck(all(m.is_diagonal() for m in mats), len(mats), 0, 0)
+    span = Echelon()
+    span.add(QMatrix.identity(abp.width).flat())
+    basis = [m for m in mats if span.add(m.flat())]
+    ok = all(commute(a, b) for a, b in itertools.combinations(basis, 2))
+    return KindCheck(ok, len(mats), span.rank, len(basis) * (len(basis) - 1) // 2)
 
 
 # ---------------------------------------------------------------------------

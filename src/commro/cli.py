@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or input errors,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import random
 import sys
@@ -27,6 +28,9 @@ from .textio import (format_abp, format_matrix, format_poly_file,
                      parse_waring_file)
 
 RANDOM_COORD_BOUND = 10 ** 6
+# a random coordinate to the power k has about 20k bits; built programs
+# have layer powers of at most deg f
+DEFAULT_POWER_CAP = 1 << 12
 
 
 def _read(path: str) -> str:
@@ -147,6 +151,11 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--random-eval {args.random_eval} would check nothing; "
                          "give at least 1 point")
     abp = parse_abp(_read(args.abp))
+    if args.random_eval is not None:
+        top = max((k for layer in abp.layers for _, k, _ in layer.terms), default=0)
+        if top > args.max_power:
+            raise CapExceeded(f"layer power {top} exceeds the random-evaluation cap "
+                              f"of {args.max_power}", flag="--max-power")
     f = _load_poly(args.against, args.vars)
     if f.vars != abp.vars:
         print(f"verify FAILED: variable mismatch {f.vars} vs {abp.vars}")
@@ -169,10 +178,17 @@ def _cmd_verify(args) -> int:
             print(f"{label} random-eval: {args.random_eval} points ok (seed={args.seed})")
         return True
 
-    if not check_kind(abp):
+    kind = check_kind(abp)
+    if not kind:
         print(f"verify FAILED: structural invariant of kind {abp.kind!r} violated")
         return 1
-    print(f"kind {abp.kind}: ok")
+    if abp.kind == "general":
+        print("kind general: ok (no invariant to check)")
+    elif abp.kind == "diagonal":
+        print(f"kind diagonal: ok ({kind.matrices} matrices diagonal)")
+    else:
+        print(f"kind {abp.kind}: ok ({kind.matrices} matrices; their span with I has "
+              f"dimension {kind.span}; {kind.pairs} basis pairs multiplied)")
     if not check(abp, "program"):
         return 1
     if args.any_order:
@@ -206,7 +222,9 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once per process: parse_args leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="commro",
         description="Compile polynomials into commutative read-once oblivious "
@@ -269,6 +287,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--any-order", type=int, metavar="M", default=0,
                    help="also verify M random layer permutations")
     p.add_argument("--max-terms", type=int, default=DEFAULT_TERM_CAP)
+    p.add_argument("--max-power", type=int, metavar="P", default=DEFAULT_POWER_CAP,
+                   help="refuse (exit 3) to --random-eval a program with a layer power "
+                        "above P (default: %(default)s)")
     add_vars(p)
     p.set_defaults(func=_cmd_verify)
 
@@ -291,7 +312,8 @@ def run(argv: list[str]) -> int:
     try:
         return args.func(args)
     except CapExceeded as cap:
-        print(f"error: {cap} (raise {cap.flag})", file=sys.stderr)
+        hint = f" (raise {cap.flag})" if cap.flag else ""
+        print(f"error: {cap}{hint}", file=sys.stderr)
         return 3
     except (PolyParseError, ValueError, OSError) as bad:
         print(f"error: {bad}", file=sys.stderr)

@@ -153,7 +153,7 @@ def det_mult_tables(n: int, max_n: int = FAST_PATH_MAX_N) -> list[QMatrix]:
             f"fast-path tables are limited to n <= {max_n} "
             f"(dimension C(2n,n) grows too fast); use the generic quotient "
             f"pipeline on det_polynomial({n}) instead",
-            flag="--max-entries",
+            flag=None,
         )
     normal = det_normal_set(n)
     position = {mono: idx for idx, mono in enumerate(normal)}

@@ -68,8 +68,12 @@ class QMatrix:
 
     @property
     def data(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Dense row-major view, for text output and tests."""
+        """Dense row-major view, for tests."""
         return tuple(tuple(row.get(j, _ZERO) for j in range(self.cols)) for row in self.entries)
+
+    def flat(self) -> dict[int, Fraction]:
+        """The stored entries keyed by row-major position i * cols + j."""
+        return {i * self.cols + j: x for i, row in enumerate(self.entries) for j, x in row.items()}
 
     def __getitem__(self, index: tuple[int, int]) -> Fraction:
         i, j = index
@@ -267,7 +271,7 @@ def minimal_polynomial(m: QMatrix) -> Poly:
     power = QMatrix.identity(m.rows)
     k = 0
     while True:
-        flat = {i * m.cols + j: x for i, row in enumerate(power.entries) for j, x in row.items()}
+        flat = power.flat()
         if not echelon.add(flat):
             # I, m, ..., m^(k-1) were all added, so index j is the power j
             terms = {(j,): -c for j, c in echelon.solve(flat).items()}

@@ -70,10 +70,19 @@ def parse_poly_file(text: str, default_vars: Sequence[str] | None = None) -> Pol
 # matrix blocks
 # ---------------------------------------------------------------------------
 
+def _row_lines(m: QMatrix) -> list[str]:
+    """One line of space-separated rationals per row, written from the stored nonzeros."""
+    lines = []
+    for row in m.entries:
+        cells = ["0"] * m.cols
+        for j, x in row.items():
+            cells[j] = str(x)
+        lines.append(" ".join(cells))
+    return lines
+
+
 def format_matrix(m: QMatrix) -> str:
-    lines = [f"{m.rows} {m.cols}"]
-    lines.extend(" ".join(str(x) for x in row) for row in m.data)
-    return "\n".join(lines) + "\n"
+    return "\n".join([f"{m.rows} {m.cols}", *_row_lines(m)]) + "\n"
 
 
 def parse_matrix(text: str) -> QMatrix:
@@ -144,7 +153,7 @@ def format_abp(abp: Abp) -> str:
     for layer in abp.layers:
         for var, power, mat in layer.terms:
             lines.append(f"layer {abp.vars[var]} power {power}")
-            lines.extend(" ".join(str(x) for x in row) for row in mat.data)
+            lines.extend(_row_lines(mat))
     return "\n".join(lines) + "\n"
 
 

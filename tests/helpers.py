@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the library's own pipeline:
 brute_dpd enumerates every derivative directly, cofactor_det expands a
 numeric determinant recursively, poly_at_matrices substitutes matrices
-into a polynomial the long way, and dense_eval_abp evaluates a program
-from the dense view of its matrices alone.  Ranks come from sympy, not
+into a polynomial the long way, dense_eval_abp evaluates a program
+from the dense view of its matrices alone, and all_pairs_commute
+multiplies every pair of matrices densely, both ways.  Ranks come from sympy, not
 from the library's own elimination kernel.
 """
 
@@ -113,6 +114,18 @@ def dense_eval_abp(abp, point) -> Fraction:
                     layer[i][j] += x * scale
         row = [sum((row[k] * layer[k][j] for k in range(w)), Fraction(0)) for j in range(w)]
     return sum((x * y for x, y in zip(row, abp.v)), Fraction(0))
+
+
+def all_pairs_commute(mats: list[QMatrix]) -> bool:
+    """Every pair of square matrices commutes, by dense products of .data."""
+    dense = [m.data for m in mats]
+
+    def mul(a, b):
+        n = len(a)
+        return [[sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
+                for i in range(n)]
+
+    return all(mul(a, b) == mul(b, a) for a, b in itertools.combinations(dense, 2))
 
 
 def span_rank(polys: list[Poly]) -> int:

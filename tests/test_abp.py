@@ -3,6 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from commro import (Abp, CapExceeded, Layer, Poly, QMatrix, check_kind,
                     dpd, eval_abp, expand_abp, nisan_matrix, nisan_width,
@@ -10,7 +14,7 @@ from commro import (Abp, CapExceeded, Layer, Poly, QMatrix, check_kind,
 from commro.construct import build_commro
 from commro.detspecial import det_polynomial, palindrome
 
-from helpers import dense_eval_abp, random_point, random_poly
+from helpers import all_pairs_commute, dense_eval_abp, random_point, random_poly
 
 V2 = ("x1", "x2")
 
@@ -101,6 +105,59 @@ def test_check_kind():
               layers=shift_pair().layers, order=(0, 1))
     assert not check_kind(bad)
     assert check_kind(shift_pair())  # kind "general" has no constraint
+
+
+@st.composite
+def matrix_families(draw):
+    """Square matrices that commute by construction, optionally with one entry perturbed.
+
+    Families: polynomials in one random matrix, scalar multiples of I,
+    and one random matrix repeated (with scalar multiples and I mixed in).
+    """
+    n = draw(st.integers(1, 4))
+    entry = st.integers(-3, 3)
+    count = draw(st.integers(1, 6))
+
+    def dense():
+        return QMatrix([[draw(entry) for _ in range(n)] for _ in range(n)])
+
+    family = draw(st.sampled_from(["polynomial", "scalar", "repeated"]))
+    ident = QMatrix.identity(n)
+    if family == "polynomial":
+        base = dense()
+        mats = []
+        for _ in range(count):
+            acc = QMatrix.zeros(n, n)
+            for k in range(draw(st.integers(0, 3)) + 1):
+                acc = acc + base.power(k).scale(draw(entry))
+            mats.append(acc)
+    elif family == "scalar":
+        mats = [ident.scale(draw(entry)) for _ in range(count)]
+    else:
+        base = dense()
+        mats = [draw(st.sampled_from([base, base, base.scale(2), ident])) for _ in range(count)]
+    if draw(st.booleans()):
+        k, i, j = (draw(st.integers(0, bound - 1)) for bound in (count, n, n))
+        bump = QMatrix.sparse(n, n, ({j: Fraction(draw(st.sampled_from([-2, -1, 1, 3])))}
+                                     if r == i else {} for r in range(n)))
+        mats[k] = mats[k] + bump
+    return mats
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix_families(), st.sampled_from(["commutative", "set_multilinear"]))
+def test_check_kind_agrees_with_all_pairs_oracle(mats, kind):
+    n = mats[0].rows
+    abp = Abp(kind=kind, vars=tuple(f"x{k}" for k in range(len(mats))), width=n,
+              u=(Fraction(1),) * n, v=(Fraction(1),) * n,
+              layers=tuple(Layer([(k, 1, m)]) for k, m in enumerate(mats)),
+              order=tuple(range(len(mats))))
+    report = check_kind(abp)
+    assert bool(report) == all_pairs_commute(mats)
+    assert report.matrices == len(mats)
+    flat = [[x for row in m.data for x in row] for m in (QMatrix.identity(n), *mats)]
+    assert report.span == DomainMatrix.from_list(flat, QQ).rank()
+    assert report.pairs == (report.span - 1) * (report.span - 2) // 2
 
 
 def test_abp_validation():

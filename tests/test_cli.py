@@ -1,12 +1,16 @@
 import re
+from fractions import Fraction
 
 import pytest
 
-from commro import Poly, build_commro, expand_abp, parse_poly, waring_expand
+from commro import Poly, QMatrix, build_commro, expand_abp, parse_poly, waring_expand
+from commro import cli
 from commro.cli import run
 from commro.detspecial import det_polynomial, palindrome
 from commro.textio import (format_abp, format_poly_file, parse_abp,
                            parse_poly_file, parse_waring_file)
+
+from helpers import all_pairs_commute
 
 
 @pytest.fixture()
@@ -136,6 +140,95 @@ def test_verify_detects_tampering(det2_file, tmp_path, capsys):
     assert "FAILED" in capsys.readouterr().out
 
 
+def _bump_entry(text: str, header: str, i: int, j: int) -> str:
+    """Add 1 to entry (i, j) of the layer block under `header`."""
+    lines = text.split("\n")
+    at = lines.index(header) + 1 + i
+    cells = lines[at].split(" ")
+    cells[j] = str(Fraction(cells[j]) + 1)
+    lines[at] = " ".join(cells)
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("gen, header, i, j", [
+    (["det", "2"], "layer x1_1 power 1", 0, 0),
+    (["det", "2"], "layer x1_1 power 0", 0, 1),
+    (["palindrome", "3"], "layer x1 power 1", 0, 0),
+], ids=["table-entry", "identity-entry", "table-equal-to-another"])
+def test_verify_detects_non_commuting_tamper(tmp_path, capsys, gen, header, i, j):
+    poly_path, abp_path = str(tmp_path / "f.poly"), tmp_path / "f.abp"
+    assert run(["gen", *gen, "-o", poly_path]) == 0
+    assert run(["build", "commro", poly_path, "-o", str(abp_path)]) == 0
+    abp = parse_abp(abp_path.read_text())
+    tables = {(abp.vars[var], power): mat for layer in abp.layers
+              for var, power, mat in layer.terms}
+    if header.endswith("power 0"):
+        # the identity lies in the span the check starts from
+        assert tables[("x1_1", 0)] == QMatrix.identity(abp.width)
+    if gen[0] == "palindrome":
+        # linearly dependent on an earlier matrix, so the check multiplies only one of them
+        assert tables[("x1", 1)] == tables[("y1", 1)]
+    tampered = _bump_entry(abp_path.read_text(), header, i, j)
+    assert not all_pairs_commute(parse_abp(tampered).coefficient_matrices())
+    abp_path.write_text(tampered)
+    capsys.readouterr()
+    assert run(["verify", str(abp_path), "--against", poly_path, "--random-eval", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "structural invariant" in out and "verify OK" not in out
+
+
+def test_verify_kind_line_states_what_was_checked(det2_file, tmp_path, capsys):
+    out = str(tmp_path / "det2.abp")
+    assert run(["build", "commro", det2_file, "-o", out]) == 0
+    capsys.readouterr()
+    assert run(["verify", out, "--against", det2_file, "--random-eval", "1"]) == 0
+    # 4 identities and 4 independent tables: a span of dimension 5, C(4, 2) pairs
+    assert ("kind commutative: ok (8 matrices; their span with I has dimension 5; "
+            "6 basis pairs multiplied)") in capsys.readouterr().out.splitlines()
+
+
+POWER_BOMB_ABP = ("abp v1\nkind: commutative\nwidth: 1\nvars: x\norder: x\n"
+                  "u: 1\nv: 1\nlayer x power 100000000\n1\n")
+
+
+def test_verify_caps_layer_powers_under_random_eval(tmp_path, capsys):
+    bomb, against = tmp_path / "bomb.abp", tmp_path / "x.poly"
+    bomb.write_text(POWER_BOMB_ABP)
+    against.write_text("vars: x\nx\n")
+    assert len(POWER_BOMB_ABP.splitlines()) == 9
+    assert run(["verify", str(bomb), "--against", str(against), "--random-eval", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "--max-power" in err and "Traceback" not in err
+
+    fifth = tmp_path / "x5.abp"
+    fifth.write_text(POWER_BOMB_ABP.replace("power 100000000", "power 5"))
+    against.write_text("vars: x\nx^5\n")
+    argv = ["verify", str(fifth), "--against", str(against), "--random-eval", "2"]
+    assert run(argv) == 0
+    assert run(argv + ["--max-power", "4"]) == 3
+    assert run(argv + ["--max-power", "5"]) == 0
+    capsys.readouterr()
+    assert run(["verify", "--help"]) == 0
+    assert f"(default: {cli.DEFAULT_POWER_CAP})" in " ".join(capsys.readouterr().out.split())
+
+
+def test_runs_share_one_parser_without_leaking_options(det2_file, tmp_path, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    out = str(tmp_path / "det2.abp")
+    assert run(["build", "commro", det2_file, "-o", out, "--max-width", "5"]) == 3
+    assert run(["build", "commro", det2_file, "-o", out]) == 0
+    capsys.readouterr()
+    verify = ["verify", out, "--against", det2_file, "--random-eval", "2"]
+    assert run(verify + ["--seed", "5"]) == 0
+    assert "(seed=5)" in capsys.readouterr().out
+    assert run(verify) == 0
+    assert "(seed=0)" in capsys.readouterr().out
+    raw = tmp_path / "raw.poly"
+    raw.write_text("x1*x2\n")
+    assert run(["dpd", str(raw), "--vars", "x1,x2"]) == 0
+    assert run(["dpd", str(raw)]) == 2
+
+
 def test_verify_rejects_wrong_kind(det2_file, tmp_path, capsys):
     out = tmp_path / "det2.abp"
     run(["build", "commro", det2_file, "-o", str(out)])
@@ -204,6 +297,14 @@ def test_gen_det_tables(capsys):
 def test_gen_det_tables_refuses_large_n(capsys):
     assert run(["gen", "det-tables", "5"]) == 3
     assert "generic" in capsys.readouterr().err
+
+
+def test_gen_det_tables_refusal_names_no_missing_flag(capsys):
+    # the fast path has a fixed ceiling: no option of `gen` raises it
+    assert run(["gen", "det-tables", "5"]) == 3
+    err = capsys.readouterr().err
+    assert "--" not in err and "raise" not in err
+    assert run(["gen", "det-tables", "5", "--max-entries", "10"]) == 2
 
 
 def test_usage_error_exit_code(capsys):

@@ -7,7 +7,7 @@ from commro import (QMatrix, WaringDecomposition, build_commro,
                     build_commro_general, build_diagro_from_waring,
                     build_smabp, expand_abp, parse_poly, permute_order,
                     waring_of_monomial)
-from commro.detspecial import det_polynomial
+from commro.detspecial import det_polynomial, palindrome
 from commro.textio import (format_abp, format_matrix, format_poly_file,
                            format_waring_file, parse_abp, parse_matrix,
                            parse_poly_file, parse_waring_file)
@@ -102,6 +102,22 @@ def test_abp_round_trip_random_corpus():
         f = random_poly(rng, 3, rng.randint(1, 3), 5, homogeneous=False)
         abp = build_commro_general(f)
         assert parse_abp(format_abp(abp)) == abp
+
+
+def test_format_abp_reproduces_its_text_with_dense_rows():
+    # rows are written from the stored nonzeros; they must read as the dense rows
+    rng = random.Random(404)
+    programs = [build_commro(det_polynomial(3)), build_commro(palindrome(4))]
+    programs += [build_commro_general(random_poly(rng, 3, rng.randint(1, 3), 5, homogeneous=False))
+                 for _ in range(5)]
+    for abp in programs:
+        text = format_abp(abp)
+        assert format_abp(parse_abp(text)) == text
+        dense = [" ".join(str(x) for x in row) for layer in abp.layers
+                 for _, _, mat in layer.terms for row in mat.data]
+        assert [line for line in text.splitlines()[7:] if not line.startswith("layer ")] == dense
+    m = QMatrix([[0, Fraction(-1, 3), 0], [0, 0, 0]])
+    assert format_matrix(m) == "2 3\n0 -1/3 0\n0 0 0\n"
 
 
 def test_abp_rejects_malformed():
