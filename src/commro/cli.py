@@ -23,7 +23,7 @@ from .detspecial import (det_mult_tables, det_polynomial, det_variables,
 from .errors import DEFAULT_ENTRY_CAP, DEFAULT_TERM_CAP, CapExceeded
 from .partials import derivative_basis, dpd
 from .poly import Poly, PolyParseError, mono_str
-from .textio import (format_abp, format_matrix, format_poly_file,
+from .textio import (format_abp, format_matrix, format_order, format_poly_file,
                      format_waring_file, parse_abp, parse_poly_file,
                      parse_waring_file)
 
@@ -31,6 +31,9 @@ RANDOM_COORD_BOUND = 10 ** 6
 # a random coordinate to the power k has about 20k bits; built programs
 # have layer powers of at most deg f
 DEFAULT_POWER_CAP = 1 << 12
+# far above det7's w = 3432; without a cap, `x^99999999` closes a span of
+# 10^8 dimensions whose coefficients grow factorially
+DEFAULT_WIDTH_CAP = 1 << 13
 
 
 def _read(path: str) -> str:
@@ -197,7 +200,8 @@ def _cmd_verify(args) -> int:
         for trial in range(args.any_order):
             perm = list(range(k))
             rng.shuffle(perm)
-            if not check(permute_order(abp, perm), f"order-{trial}"):
+            program = permute_order(abp, perm)
+            if not check(program, f"order-{trial} ({format_order(program)})"):
                 return 1
     print("verify OK")
     return 0
@@ -235,8 +239,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--vars", help="comma-separated variable order for headerless files")
 
     def add_max_width(p):
-        p.add_argument("--max-width", type=int, metavar="W",
-                       help="refuse (exit 3) once the derivative span exceeds W dimensions")
+        p.add_argument("--max-width", type=int, metavar="W", default=DEFAULT_WIDTH_CAP,
+                       help="refuse (exit 3) once the derivative span exceeds W dimensions "
+                            "(default: %(default)s)")
 
     p = sub.add_parser("dpd", help="dimension of the span of all partial derivatives")
     p.add_argument("poly")
@@ -285,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="compare at K seeded random rational points")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--any-order", type=int, metavar="M", default=0,
-                   help="also verify M random layer permutations")
+                   help="also verify M random layer permutations, naming each order")
     p.add_argument("--max-terms", type=int, default=DEFAULT_TERM_CAP)
     p.add_argument("--max-power", type=int, metavar="P", default=DEFAULT_POWER_CAP,
                    help="refuse (exit 3) to --random-eval a program with a layer power "

@@ -5,7 +5,9 @@ per row; PolyMatrix is a dense matrix with Poly entries (used to expand
 branching programs symbolically).  Every elimination in the package
 runs through one kernel, Echelon: an incremental echelon form over
 sparse rows keyed by any sortable column key (ints for vectors,
-exponent tuples for monomials).  QMatrix rows go to it as they are;
+exponent tuples for monomials).  It reduces a row by the row's own
+keys, so a row pays for the pivots it meets, not for every stored row.
+QMatrix rows go to it as they are;
 rank, solve, inverse and minimal_polynomial are short calls on it, and
 the matrix product, the sum and sparse_vec_mat reuse its row update.
 Arithmetic is exact, so no result depends on the pivot choice; rank and
@@ -14,7 +16,6 @@ solve see only stored nonzeros, so they take no size cap.
 
 from __future__ import annotations
 
-import bisect
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -161,23 +162,28 @@ class Echelon:
     pivots on its largest key, is scaled to pivot coefficient 1, and
     carries its combination of the rows added so far (numbered 0, 1, ...
     in the order add accepted them).
+
+    A row is reduced by repeatedly eliminating its largest key that is a
+    stored pivot, until no such key is left.  A stored row's keys all lie
+    at or below its pivot, so each elimination only changes smaller keys
+    and the pivots are met in descending order; stored pivots the row
+    never reaches cost nothing.
     """
 
     def __init__(self):
         self.rank = 0
-        self._pivots: list = []  # ascending
-        self._rows: dict = {}    # pivot -> (scaled row, {added index: coeff})
+        self._rows: dict = {}  # pivot -> (scaled row, {added index: coeff})
 
     def _reduce(self, row) -> tuple[dict, dict]:
         # returns (rest, comb) with row = rest + sum_i comb[i] * added_i,
         # and no key of rest is a stored pivot
         work = {k: x for k, x in row.items() if x}
         comb: dict[int, Fraction] = {}
-        for pivot in reversed(self._pivots):
-            f = work.get(pivot)
-            if f is None:
-                continue
-            prow, pcomb = self._rows[pivot]
+        rows = self._rows
+        while pivots := rows.keys() & work.keys():
+            pivot = max(pivots)
+            prow, pcomb = rows[pivot]
+            f = work[pivot]
             _axpy(work, -f, prow)
             _axpy(comb, f, pcomb)
         return work, comb
@@ -192,7 +198,6 @@ class Echelon:
         combination = {i: -c * scale for i, c in comb.items()}
         combination[self.rank] = scale
         self._rows[pivot] = ({k: x * scale for k, x in work.items()}, combination)
-        bisect.insort(self._pivots, pivot)
         self.rank += 1
         return True
 

@@ -52,12 +52,14 @@ def derivative_basis(f: Poly, max_width: int | None = None) -> DerivBasis:
     order, iff it is independent of everything kept so far.  Every
     derivative of a kept element lies in the kept span, so that span is
     closed under each d/dx_i and is the whole derivative span.  Degrees
-    drop along levels, so the loop ends.  Once the span exceeds
-    max_width dimensions, CapExceeded (naming --max-width) is raised.
+    drop along levels, so the loop ends.  Each derivative comes from
+    Poly.derive_var, which visits only the terms containing x_i, and the
+    independence test reduces only by the pivots its terms reach.  Once
+    the span exceeds max_width dimensions, CapExceeded (naming
+    --max-width) is raised.
     """
     if f.is_zero():
         raise ValueError("zero polynomial has no derivative basis")
-    shifts = [tuple(int(k == var) for k in range(f.arity)) for var in range(f.arity)]
     echelon = Echelon()
     basis: list[Poly] = []
     candidates = [f]
@@ -70,7 +72,7 @@ def derivative_basis(f: Poly, max_width: int | None = None) -> DerivBasis:
                                       flag="--max-width")
                 level.append(g)
         basis.extend(level)
-        candidates = [g.derive(shift) for g in level for shift in shifts]
+        candidates = [g.derive_var(i) for g in level for i in range(f.arity)]
     monomials = sorted({m for g in basis for m in g.terms}, key=deglex_key)
     column = {m: j for j, m in enumerate(monomials)}
     matrix = QMatrix.sparse(len(basis), len(monomials),

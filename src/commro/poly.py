@@ -149,6 +149,18 @@ class Poly:
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def sparse(cls, vars: tuple[str, ...], terms: dict[Mono, Fraction]) -> Poly:
+        """Wrap a term dict that is already clean, without copying or checking.
+
+        The keys must be exponent tuples of arity len(vars) and the values
+        nonzero Fractions; the dict becomes the polynomial's storage, so
+        the caller must not change it afterwards.
+        """
+        p = cls.__new__(cls)
+        p.vars, p.terms = vars, terms
+        return p
+
+    @classmethod
     def zero(cls, vars: Iterable[str]) -> Poly:
         return cls(vars)
 
@@ -267,6 +279,22 @@ class Poly:
                 ne = tuple(ei - mi for ei, mi in zip(e, mono))
                 out[ne] = out.get(ne, Fraction(0)) + c * fall
         return Poly(self.vars, out)
+
+    def derive_var(self, index: int) -> Poly:
+        """Exact partial derivative d/dx_index; the result may be zero.
+
+        Visits only the terms that contain x_index.  Distinct monomials
+        stay distinct and every coefficient c * e_index is nonzero, so the
+        result needs no merging or re-checking.
+        """
+        if not 0 <= index < self.arity:
+            raise IndexError(f"variable index {index} out of range for arity {self.arity}")
+        out: dict[Mono, Fraction] = {}
+        for e, c in self.terms.items():
+            k = e[index]
+            if k:
+                out[e[:index] + (k - 1,) + e[index + 1:]] = c * k
+        return Poly.sparse(self.vars, out)
 
     def eval(self, point: Iterable[Fraction | int]) -> Fraction:
         point = [Fraction(p) for p in point]

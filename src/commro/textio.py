@@ -138,16 +138,19 @@ def parse_waring_file(text: str) -> WaringDecomposition:
 # ABP files
 # ---------------------------------------------------------------------------
 
-def format_abp(abp: Abp) -> str:
-    lines = ["abp v1", f"kind: {abp.kind}", f"width: {abp.width}",
-             f"vars: {' '.join(abp.vars)}"]
+def format_order(abp: Abp) -> str:
+    """The layer order as the `order:` header writes it, e.g. `x2,x3,x1` or `a,b|c,d`."""
     groups = []
     for idx in abp.order:
-        layer = abp.layers[idx]
-        names = [abp.vars[var] for var in sorted(layer.variables())]
+        names = [abp.vars[var] for var in sorted(abp.layers[idx].variables())]
         groups.append(",".join(names))
     separator = "|" if abp.kind == "set_multilinear" else ","
-    lines.append(f"order: {separator.join(groups)}")
+    return separator.join(groups)
+
+
+def format_abp(abp: Abp) -> str:
+    lines = ["abp v1", f"kind: {abp.kind}", f"width: {abp.width}",
+             f"vars: {' '.join(abp.vars)}", f"order: {format_order(abp)}"]
     lines.append(f"u: {' '.join(str(x) for x in abp.u)}")
     lines.append(f"v: {' '.join(str(x) for x in abp.v)}")
     for layer in abp.layers:

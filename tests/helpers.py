@@ -6,11 +6,14 @@ numeric determinant recursively, poly_at_matrices substitutes matrices
 into a polynomial the long way, dense_eval_abp evaluates a program
 from the dense view of its matrices alone, and all_pairs_commute
 multiplies every pair of matrices densely, both ways.  Ranks come from sympy, not
-from the library's own elimination kernel.
+from the library's own elimination kernel.  AllPivotEchelon keeps the
+elimination walk over every stored pivot as the reference that the
+key-driven Echelon must reproduce row for row.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 from fractions import Fraction
@@ -134,3 +137,51 @@ def span_rank(polys: list[Poly]) -> int:
     if not columns:
         return 0
     return DomainMatrix.from_list([[p.coeff(m) for m in columns] for p in polys], QQ).rank()
+
+
+class AllPivotEchelon:
+    """Echelon form that reduces a row by walking every stored pivot, largest first.
+
+    Rows pivot on their largest key, are scaled to pivot coefficient 1 and
+    carry their combination of the added rows, as in linalg.Echelon; only
+    the walk differs (it visits the pivots a row lacks too).
+    """
+
+    def __init__(self):
+        self.rank = 0
+        self.pivots: list = []  # ascending
+        self.rows: dict = {}    # pivot -> (scaled row, {added index: coeff})
+
+    def reduce(self, row) -> tuple[dict, dict]:
+        work = {k: x for k, x in row.items() if x}
+        comb: dict = {}
+        for pivot in reversed(self.pivots):
+            f = work.get(pivot)
+            if f is None:
+                continue
+            prow, pcomb = self.rows[pivot]
+            _add_multiple(work, -f, prow)
+            _add_multiple(comb, f, pcomb)
+        return work, comb
+
+    def add(self, row) -> bool:
+        work, comb = self.reduce(row)
+        if not work:
+            return False
+        pivot = max(work)
+        scale = 1 / Fraction(work[pivot])
+        combination = {i: -c * scale for i, c in comb.items()}
+        combination[self.rank] = scale
+        self.rows[pivot] = ({k: x * scale for k, x in work.items()}, combination)
+        bisect.insort(self.pivots, pivot)
+        self.rank += 1
+        return True
+
+
+def _add_multiple(target: dict, a: Fraction, source: dict) -> None:
+    for k, x in source.items():
+        acc = target.get(k, 0) + a * x
+        if acc:
+            target[k] = acc
+        else:
+            target.pop(k, None)

@@ -6,7 +6,7 @@ import pytest
 from commro import Poly, QMatrix, build_commro, expand_abp, parse_poly, waring_expand
 from commro import cli
 from commro.cli import run
-from commro.detspecial import det_polynomial, palindrome
+from commro.detspecial import det_polynomial, det_variables, palindrome
 from commro.textio import (format_abp, format_poly_file, parse_abp,
                            parse_poly_file, parse_waring_file)
 
@@ -83,6 +83,23 @@ def test_max_width_cap(tmp_path, capsys, command):
     assert run(argv + ["--max-width", "20"]) == 0
 
 
+def test_default_max_width_refuses_runaway_span(tmp_path, capsys):
+    # w = 10^8, and the coefficients of the span grow factorially
+    path = tmp_path / "huge.poly"
+    path.write_text("vars: x y\nx^99999999\n")
+    assert run(["dpd", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "--max-width" in err and "8192" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["dpd"], ["normal-set"], ["tables"], ["build"]])
+def test_max_width_default_is_stated_in_help(capsys, command):
+    assert run(command + ["--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "--max-width W refuse (exit 3)" in help_text
+    assert "W dimensions (default: 8192)" in help_text
+
+
 def test_nisan_orders(pal3_file, capsys):
     assert run(["nisan", pal3_file, "--order", "x1,x2,x3,y1,y2,y3"]) == 0
     out = capsys.readouterr().out
@@ -103,6 +120,40 @@ def test_build_and_verify_expand(det2_file, tmp_path, capsys):
     assert run(["verify", out, "--against", det2_file, "--expand",
                 "--any-order", "3"]) == 0
     assert "verify OK" in capsys.readouterr().out
+
+
+def test_verify_any_order_names_each_order(det2_file, tmp_path, capsys):
+    out = str(tmp_path / "det2.abp")
+    assert run(["build", "commro", det2_file, "-o", out]) == 0
+    capsys.readouterr()
+    assert run(["verify", out, "--against", det2_file, "--random-eval", "3", "--seed", "4",
+                "--any-order", "5"]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("order-")]
+    assert len(lines) == 5
+    orders = set()
+    for trial, line in enumerate(lines):
+        match = re.fullmatch(r"order-(\d+) \(([^)]*)\) random-eval: 3 points ok \(seed=4\)", line)
+        assert match and int(match.group(1)) == trial
+        assert sorted(match.group(2).split(",")) == sorted(det_variables(2))
+        orders.add(match.group(2))
+    assert len(orders) > 1  # each line names the order it tried, not the file's
+
+
+def test_verify_any_order_names_set_multilinear_layers(det2_file, tmp_path, capsys):
+    out = str(tmp_path / "det2.smabp")
+    assert run(["build", "smabp", det2_file, "-o", out,
+                "--partition", "x1_1,x1_2|x2_1,x2_2"]) == 0
+    capsys.readouterr()
+    assert run(["verify", out, "--against", det2_file, "--expand", "--any-order", "4"]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("order-")]
+    assert len(lines) == 4
+    orders = set()
+    for trial, line in enumerate(lines):
+        match = re.fullmatch(r"order-(\d+) \(([^)]*)\) expand: ok", line)
+        assert match and int(match.group(1)) == trial
+        assert sorted(match.group(2).split("|")) == ["x1_1,x1_2", "x2_1,x2_2"]
+        orders.add(match.group(2))
+    assert len(orders) == 2
 
 
 def test_verify_random_eval_reproducible(det2_file, tmp_path, capsys):

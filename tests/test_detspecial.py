@@ -61,7 +61,7 @@ def test_det_normal_set_counts():
 
 
 def test_det_normal_set_matches_generic():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4, 5):
         generic = normal_set(derivative_basis(det_polynomial(n)))
         assert det_normal_set(n) == list(generic.normal_set)
 

@@ -1,16 +1,19 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from commro import (Poly, PolyMatrix, QMatrix, commute, inverse,
                     minimal_polynomial, parse_poly, polymat_mul, rank, solve)
 from commro.detspecial import det2_golden, det_polynomial
-from commro.linalg import vec_mat
+from commro.linalg import Echelon, vec_mat
 
-from helpers import random_poly, random_point
+from helpers import AllPivotEchelon, random_poly, random_point
 
 # the worked 5x5 multiplication table with minimal polynomial
 # t^5 - 10 t^4 - 7 t^3 + 2 t^2 - 3
@@ -204,3 +207,63 @@ def test_qmatrix_operations_match_nested_lists(operands):
     assert (ma == mb) == (a == b)
     sparse = QMatrix.sparse(rows, inner, ({j: x for j, x in enumerate(row) if x} for row in a))
     assert sparse == ma
+
+
+KEY_SETS = {
+    "int": list(range(7)),
+    "tuple": sorted(itertools.product(range(3), repeat=2)),  # exponent tuples
+}
+
+
+NONZERO = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+
+
+@st.composite
+def echelon_rows(draw, keys):
+    # fresh sparse rows (explicit zeros included) mixed with combinations of
+    # earlier rows, so dependent rows and cancellation both occur
+    keys = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=6, unique=True))
+    rows: list[dict] = []
+    for _ in range(draw(st.integers(1, 8))):
+        if rows and draw(st.booleans()):
+            row: dict = {}
+            for earlier in draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3)):
+                a = draw(NONZERO)
+                for k, x in earlier.items():
+                    row[k] = row.get(k, Fraction(0)) + a * x
+        else:
+            row = draw(st.dictionaries(st.sampled_from(keys),
+                                       st.one_of(st.just(Fraction(0)), NONZERO),
+                                       min_size=1, max_size=len(keys)))
+        rows.append(row)
+    return rows
+
+
+def nonzero(row: dict) -> dict:
+    return {k: x for k, x in row.items() if x}
+
+
+@pytest.mark.parametrize("key_kind", sorted(KEY_SETS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_echelon_matches_all_pivot_walk_and_sympy(key_kind, data):
+    rows = data.draw(echelon_rows(KEY_SETS[key_kind]))
+    echelon, oracle = Echelon(), AllPivotEchelon()
+    added: list[dict] = []
+    for row in rows:
+        before = echelon.solve(row)
+        accepted = echelon.add(row)
+        assert accepted == oracle.add(row) == (before is None)
+        if accepted:
+            added.append(row)
+        else:
+            rebuilt: dict = {}
+            for i, c in before.items():
+                for k, x in added[i].items():
+                    rebuilt[k] = rebuilt.get(k, Fraction(0)) + c * x
+            assert nonzero(rebuilt) == nonzero(row)
+        assert echelon._rows == oracle.rows
+    columns = sorted({k for row in rows for k in row})
+    expected = DomainMatrix.from_list(
+        [[row.get(k, Fraction(0)) for k in columns] for row in rows], QQ).rank() if columns else 0
+    assert echelon.rank == oracle.rank == expected == len(added)

@@ -137,6 +137,23 @@ def test_closure_spans_every_monomial_derivative():
         assert derivative_basis(f).dimension == span_rank([g for g in derivatives if g])
 
 
+def test_closure_uses_only_single_variable_derivatives(monkeypatch):
+    # a fall-back to the multi-index derivative fails here, with no timing budget
+    calls = []
+    multi_index = Poly.derive
+
+    def counted(self, mono):
+        calls.append(mono)
+        return multi_index(self, mono)
+
+    monkeypatch.setattr(Poly, "derive", counted)
+    assert derivative_basis(det_polynomial(4)).dimension == 70
+    assert derivative_basis(palindrome(5)).dimension == 32
+    assert calls == []
+    det_polynomial(2).derive((1, 0, 0, 0))
+    assert len(calls) == 1
+
+
 def test_basis_matrix_shape_and_rank():
     f = det_polynomial(2)
     b = derivative_basis(f)

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commro import (Poly, PolyParseError, deglex_compare, deglex_key,
                     mono_divides, monomials_of_degree, monomials_upto,
@@ -112,6 +114,36 @@ def test_derivatives_commute():
         m2 = tuple(rng.randint(0, 2) for _ in range(3))
         combined = tuple(a + b for a, b in zip(m1, m2))
         assert f.derive(m1).derive(m2) == f.derive(combined)
+
+
+@st.composite
+def polys(draw):
+    # exponents up to 4 and a possible constant term; a variable that no
+    # term contains gives a zero derivative
+    arity = draw(st.integers(1, 4))
+    monos = st.tuples(*[st.integers(0, 4)] * arity)
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+    terms = draw(st.dictionaries(monos, coeffs, max_size=6))
+    return Poly(tuple(f"x{i + 1}" for i in range(arity)), terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys())
+def test_derive_var_matches_multi_index_derive(f):
+    for i in range(f.arity):
+        unit = tuple(int(k == i) for k in range(f.arity))
+        g = f.derive_var(i)
+        assert g == f.derive(unit)
+        assert g.vars == f.vars
+        assert all(g.terms.values())
+        assert g.is_zero() == all(m[i] == 0 for m in f.terms)
+
+
+def test_derive_var_rejects_out_of_range_index():
+    f = parse_poly("x1^2 + x2", V2)
+    for index in (-1, 2):
+        with pytest.raises(IndexError):
+            f.derive_var(index)
 
 
 def test_eval_examples():
