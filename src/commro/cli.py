@@ -226,6 +226,20 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _int_at_least(minimum: int):
+    """argparse type for a cap: an int of at least minimum, else usage error 2."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+_POSITIVE = _int_at_least(1)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """Built once per process: parse_args leaves the parser as it was."""
@@ -239,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--vars", help="comma-separated variable order for headerless files")
 
     def add_max_width(p):
-        p.add_argument("--max-width", type=int, metavar="W", default=DEFAULT_WIDTH_CAP,
+        p.add_argument("--max-width", type=_POSITIVE, metavar="W", default=DEFAULT_WIDTH_CAP,
                        help="refuse (exit 3) once the derivative span exceeds W dimensions "
                             "(default: %(default)s)")
 
@@ -259,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tables", help="apolar multiplication tables")
     p.add_argument("poly")
     p.add_argument("-o", "--output")
-    p.add_argument("--max-entries", type=int, default=DEFAULT_ENTRY_CAP)
+    p.add_argument("--max-entries", type=_POSITIVE, default=DEFAULT_ENTRY_CAP)
     add_max_width(p)
     add_vars(p)
     p.set_defaults(func=_cmd_tables)
@@ -291,8 +305,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--any-order", type=int, metavar="M", default=0,
                    help="also verify M random layer permutations, naming each order")
-    p.add_argument("--max-terms", type=int, default=DEFAULT_TERM_CAP)
-    p.add_argument("--max-power", type=int, metavar="P", default=DEFAULT_POWER_CAP,
+    p.add_argument("--max-terms", type=_POSITIVE, default=DEFAULT_TERM_CAP)
+    p.add_argument("--max-power", type=_int_at_least(0), metavar="P", default=DEFAULT_POWER_CAP,
                    help="refuse (exit 3) to --random-eval a program with a layer power "
                         "above P (default: %(default)s)")
     add_vars(p)

@@ -7,9 +7,13 @@ runs through one kernel, Echelon: an incremental echelon form over
 sparse rows keyed by any sortable column key (ints for vectors,
 exponent tuples for monomials).  It reduces a row by the row's own
 keys, so a row pays for the pivots it meets, not for every stored row.
+It eliminates on integer rows (fraction-free): a row enters scaled by
+the lcm of its denominators, so no elimination step builds a Fraction,
+and only solve's results are Fractions.
 QMatrix rows go to it as they are;
 rank, solve, inverse and minimal_polynomial are short calls on it, and
-the matrix product, the sum and sparse_vec_mat reuse its row update.
+the matrix product, the sum and sparse_vec_mat reuse its row update
+(_axpy) on Fractions.
 Arithmetic is exact, so no result depends on the pivot choice; rank and
 solve see only stored nonzeros, so they take no size cap.
 """
@@ -17,6 +21,7 @@ solve see only stored nonzeros, so they take no size cap.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .poly import Poly
@@ -155,60 +160,92 @@ def vec_mat(vec: Sequence[Fraction], m: QMatrix) -> list[Fraction]:
 
 
 class Echelon:
-    """Incremental exact echelon form over sparse rows.
+    """Incremental exact echelon form over sparse rows, computed on integers.
 
     A row is a mapping {column key: rational}; zero entries are ignored
     and keys may be any mutually sortable values.  Each stored row
-    pivots on its largest key, is scaled to pivot coefficient 1, and
-    carries its combination of the rows added so far (numbered 0, 1, ...
-    in the order add accepted them).
+    pivots on its largest key and carries its combination of the rows
+    added so far (numbered 0, 1, ... in the order add accepted them).
+    Both are stored as ints, divided by their joint content and with a
+    positive pivot entry; the row equals that combination of added rows.
 
     A row is reduced by repeatedly eliminating its largest key that is a
     stored pivot, until no such key is left.  A stored row's keys all lie
     at or below its pivot, so each elimination only changes smaller keys
     and the pivots are met in descending order; stored pivots the row
-    never reaches cost nothing.
+    never reaches cost nothing.  The row enters scaled by the lcm s of
+    its denominators, and the reduction keeps s * row = work + sum_i
+    comb[i] * added_i in ints.  A pivot p that divides the entry w to
+    eliminate (always so for p = 1, the usual case for 0/+-1 data) costs
+    one integer row update; otherwise work, comb and s are first scaled
+    by p / gcd(p, w), and their content is divided out afterwards.
+    solve divides by s once, at the end.
     """
 
     def __init__(self):
         self.rank = 0
-        self._rows: dict = {}  # pivot -> (scaled row, {added index: coeff})
+        self._rows: dict = {}  # pivot -> (int row, {added index: int coeff})
 
-    def _reduce(self, row) -> tuple[dict, dict]:
-        # returns (rest, comb) with row = rest + sum_i comb[i] * added_i,
-        # and no key of rest is a stored pivot
-        work = {k: x for k, x in row.items() if x}
-        comb: dict[int, Fraction] = {}
+    def _reduce(self, row) -> tuple[dict, dict, int]:
+        # returns (work, comb, s) with s * row = work + sum_i comb[i] * added_i,
+        # all ints, s > 0, and no key of work a stored pivot
+        items = [(k, x) for k, x in row.items() if x]
+        s = lcm(*[x.denominator for _, x in items])
+        work = {k: x.numerator * (s // x.denominator) for k, x in items}
+        comb: dict[int, int] = {}
         rows = self._rows
         while pivots := rows.keys() & work.keys():
             pivot = max(pivots)
             prow, pcomb = rows[pivot]
-            f = work[pivot]
-            _axpy(work, -f, prow)
-            _axpy(comb, f, pcomb)
-        return work, comb
+            w, p = work[pivot], prow[pivot]
+            g = gcd(p, w)
+            if g != p:
+                m = p // g
+                s *= m
+                for k in work:
+                    work[k] *= m
+                for i in comb:
+                    comb[i] *= m
+            _axpy(work, -(w // g), prow)
+            _axpy(comb, w // g, pcomb)
+            if g != p:
+                content = gcd(s, *work.values(), *comb.values())
+                if content != 1:
+                    s //= content
+                    work, comb = _exact_div(work, content), _exact_div(comb, content)
+        return work, comb, s
 
     def add(self, row) -> bool:
         """Store the row iff it is independent of the rows stored so far."""
-        work, comb = self._reduce(row)
+        work, comb, s = self._reduce(row)
         if not work:
             return False
+        # work = s * added_rank - sum_i comb[i] * added_i
+        comb = {i: -c for i, c in comb.items()}
+        comb[self.rank] = s
         pivot = max(work)
-        scale = 1 / Fraction(work[pivot])
-        combination = {i: -c * scale for i, c in comb.items()}
-        combination[self.rank] = scale
-        self._rows[pivot] = ({k: x * scale for k, x in work.items()}, combination)
+        content = gcd(*work.values(), *comb.values())
+        if work[pivot] < 0:
+            content = -content
+        if content != 1:
+            work, comb = _exact_div(work, content), _exact_div(comb, content)
+        self._rows[pivot] = (work, comb)
         self.rank += 1
         return True
 
     def solve(self, row) -> dict[int, Fraction] | None:
         """{added-row index: coeff} summing to the row, or None if it is independent."""
-        work, comb = self._reduce(row)
-        return None if work else comb
+        work, comb, s = self._reduce(row)
+        return None if work else {i: Fraction(c, s) for i, c in comb.items()}
 
 
-def _axpy(target: dict, a: Fraction, source: dict) -> None:
-    """target += a * source on sparse rows, dropping entries that cancel."""
+def _exact_div(row: dict, d: int) -> dict:
+    """The int row divided by d, which divides every entry."""
+    return {k: x // d for k, x in row.items()}
+
+
+def _axpy(target: dict, a: Fraction | int, source: dict) -> None:
+    """target += a * source on sparse rows (Fractions or ints), dropping entries that cancel."""
     for k, x in source.items():
         acc = target.get(k, 0) + a * x
         if acc:

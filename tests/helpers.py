@@ -8,7 +8,8 @@ from the dense view of its matrices alone, and all_pairs_commute
 multiplies every pair of matrices densely, both ways.  Ranks come from sympy, not
 from the library's own elimination kernel.  AllPivotEchelon keeps the
 elimination walk over every stored pivot as the reference that the
-key-driven Echelon must reproduce row for row.
+key-driven, integer-row Echelon must reproduce row for row, and
+sympy_minimal_polynomial factors the characteristic polynomial.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import itertools
 import random
 from fractions import Fraction
 
-from sympy import QQ
+from sympy import QQ, Symbol
+from sympy import Poly as SympyPoly
 from sympy.polys.matrices import DomainMatrix
 
 from commro import Poly, QMatrix, deglex_key, monomials_of_degree
@@ -139,12 +141,49 @@ def span_rank(polys: list[Poly]) -> int:
     return DomainMatrix.from_list([[p.coeff(m) for m in columns] for p in polys], QQ).rank()
 
 
+def sympy_fraction(x) -> Fraction:
+    """A sympy rational (domain element or expression) as a Fraction."""
+    q = QQ.convert(x)
+    return Fraction(int(q.numerator), int(q.denominator))
+
+
+def sympy_minimal_polynomial(data: list[list[Fraction]]) -> list[Fraction]:
+    """Coefficients, highest degree first, of the monic minimal polynomial.
+
+    Computed by sympy: the least divisor of the factored characteristic
+    polynomial that annihilates the matrix.  Each irreducible factor's
+    exponent is lowered while the product still annihilates, but not
+    below 1, since both polynomials have the same irreducible factors;
+    the annihilating divisors are exactly the multiples of the minimal one.
+    """
+    m = DomainMatrix.from_list(data, QQ)
+    t = Symbol("t")
+    factors = [[SympyPoly(f, t, domain=QQ), k] for f, k in m.charpoly_factor_list()]
+
+    def product() -> SympyPoly:
+        out = SympyPoly(1, t, domain=QQ)
+        for f, k in factors:
+            out *= f ** k
+        return out.monic()
+
+    for entry in factors:
+        while entry[1] > 1:
+            entry[1] -= 1
+            coeffs = [QQ.convert(c) for c in product().all_coeffs()]
+            if not m.eval_poly(coeffs).is_zero_matrix:
+                entry[1] += 1
+                break
+    return [sympy_fraction(c) for c in product().all_coeffs()]
+
+
 class AllPivotEchelon:
     """Echelon form that reduces a row by walking every stored pivot, largest first.
 
     Rows pivot on their largest key, are scaled to pivot coefficient 1 and
-    carry their combination of the added rows, as in linalg.Echelon; only
-    the walk differs (it visits the pivots a row lacks too).
+    carry their combination of the added rows.  linalg.Echelon pivots the
+    same way, so its stored rows divided by their pivot values must equal
+    these; the walk differs (this one visits the pivots a row lacks too),
+    and so does the arithmetic (Fractions here, integer rows there).
     """
 
     def __init__(self):

@@ -411,3 +411,35 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, suffix, text, fla
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    (["dpd", "{poly}"], "--max-width", "0"),
+    (["normal-set", "{poly}"], "--max-width", "-1"),
+    (["build", "commro", "{poly}", "-o", "{abp}"], "--max-width", "-5"),
+    (["tables", "{poly}"], "--max-entries", "0"),
+    (["tables", "{poly}"], "--max-entries", "-1"),
+    (["verify", "{abp}", "--against", "{poly}", "--expand"], "--max-terms", "0"),
+    (["verify", "{abp}", "--against", "{poly}", "--random-eval", "1"], "--max-power", "-1"),
+    (["dpd", "{poly}"], "--max-width", "x"),
+], ids=["dpd-width-0", "normal-set-width-neg", "build-width-neg", "tables-entries-0",
+        "tables-entries-neg", "verify-terms-0", "verify-power-neg", "dpd-width-not-int"])
+def test_nonsense_cap_exits_2_naming_the_flag(tmp_path, det2_file, capsys, command, flag, value):
+    abp = str(tmp_path / "det2.abp")
+    assert run(["build", "commro", det2_file, "-o", abp]) == 0
+    capsys.readouterr()
+    argv = [arg.format(poly=det2_file, abp=abp) for arg in command] + [flag, value]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err and "Traceback" not in err
+
+
+def test_smallest_caps_are_accepted(tmp_path, det2_file, capsys):
+    abp = str(tmp_path / "det2.abp")
+    assert run(["build", "commro", det2_file, "-o", abp, "--max-width", "6"]) == 0
+    # det2's layers have power at most 1, so a cap of 0 refuses (exit 3), not misparses
+    assert run(["verify", abp, "--against", det2_file, "--random-eval", "1",
+                "--max-power", "0"]) == 3
+    assert "--max-power" in capsys.readouterr().err
+    assert run(["verify", abp, "--against", det2_file, "--random-eval", "1",
+                "--max-power", "1"]) == 0

@@ -13,7 +13,8 @@ from commro import (Poly, PolyMatrix, QMatrix, commute, inverse,
 from commro.detspecial import det2_golden, det_polynomial
 from commro.linalg import Echelon, vec_mat
 
-from helpers import AllPivotEchelon, random_poly, random_point
+from helpers import (AllPivotEchelon, random_point, random_poly, sympy_fraction,
+                     sympy_minimal_polynomial)
 
 # the worked 5x5 multiplication table with minimal polynomial
 # t^5 - 10 t^4 - 7 t^3 + 2 t^2 - 3
@@ -218,8 +219,14 @@ KEY_SETS = {
 NONZERO = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
 
 
+# denominators up to 10^6 and numerators up to 10^18, so stored pivots are
+# rarely 1 and the integer rows carry wide common denominators
+WIDE = st.builds(Fraction, st.integers(-10 ** 18, 10 ** 18).filter(bool),
+                 st.integers(1, 10 ** 6))
+
+
 @st.composite
-def echelon_rows(draw, keys):
+def echelon_rows(draw, keys, coeffs=NONZERO):
     # fresh sparse rows (explicit zeros included) mixed with combinations of
     # earlier rows, so dependent rows and cancellation both occur
     keys = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=6, unique=True))
@@ -228,12 +235,12 @@ def echelon_rows(draw, keys):
         if rows and draw(st.booleans()):
             row: dict = {}
             for earlier in draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3)):
-                a = draw(NONZERO)
+                a = draw(coeffs)
                 for k, x in earlier.items():
                     row[k] = row.get(k, Fraction(0)) + a * x
         else:
             row = draw(st.dictionaries(st.sampled_from(keys),
-                                       st.one_of(st.just(Fraction(0)), NONZERO),
+                                       st.one_of(st.just(Fraction(0)), coeffs),
                                        min_size=1, max_size=len(keys)))
         rows.append(row)
     return rows
@@ -241,6 +248,16 @@ def echelon_rows(draw, keys):
 
 def nonzero(row: dict) -> dict:
     return {k: x for k, x in row.items() if x}
+
+
+def pivot_normalized(echelon: Echelon) -> dict:
+    """pivot -> (row, combination), both divided by the stored pivot value."""
+    out = {}
+    for pivot, (row, comb) in echelon._rows.items():
+        p = row[pivot]
+        out[pivot] = ({k: Fraction(x, p) for k, x in row.items()},
+                      {i: Fraction(c, p) for i, c in comb.items()})
+    return out
 
 
 @pytest.mark.parametrize("key_kind", sorted(KEY_SETS))
@@ -262,8 +279,72 @@ def test_echelon_matches_all_pivot_walk_and_sympy(key_kind, data):
                 for k, x in added[i].items():
                     rebuilt[k] = rebuilt.get(k, Fraction(0)) + c * x
             assert nonzero(rebuilt) == nonzero(row)
-        assert echelon._rows == oracle.rows
+        assert pivot_normalized(echelon) == oracle.rows
     columns = sorted({k for row in rows for k in row})
     expected = DomainMatrix.from_list(
         [[row.get(k, Fraction(0)) for k in columns] for row in rows], QQ).rank() if columns else 0
     assert echelon.rank == oracle.rank == expected == len(added)
+
+
+def sympy_combination(added: list[dict], row: dict, columns: list) -> dict | None:
+    """{added index: coeff} summing to the row, by sympy's rref, or None if independent."""
+    augmented = DomainMatrix.from_list(
+        [[r.get(k, Fraction(0)) for r in added] + [row.get(k, Fraction(0))] for k in columns], QQ)
+    reduced, pivots = augmented.rref()
+    n = len(added)
+    if n in pivots:
+        return None
+    # the added rows are independent, so column i pivots in row i
+    table = reduced.to_list()
+    return {i: sympy_fraction(table[i][n]) for i in range(n) if table[i][n]}
+
+
+@pytest.mark.parametrize("key_kind", sorted(KEY_SETS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_echelon_on_wide_rationals_matches_sympy(key_kind, data):
+    rows = data.draw(echelon_rows(KEY_SETS[key_kind], coeffs=WIDE))
+    columns = sorted({k for row in rows for k in row})
+    echelon = Echelon()
+    added: list[dict] = []
+    for row in rows:
+        expected = sympy_combination(added, row, columns)
+        assert echelon.solve(row) == expected
+        assert echelon.add(row) == (expected is None)
+        if expected is None:
+            added.append(row)
+            assert echelon.solve(row) == {len(added) - 1: 1}
+        assert all(type(x) is int for prow, pcomb in echelon._rows.values()
+                   for x in (*prow.values(), *pcomb.values()))
+    expected_rank = DomainMatrix.from_list(
+        [[row.get(k, Fraction(0)) for k in columns] for row in rows], QQ).rank()
+    assert echelon.rank == expected_rank == len(added)
+
+
+@st.composite
+def wide_square(draw):
+    # dense, sparse, or a*I + u v^T (minimal polynomial of degree <= 2)
+    n = draw(st.integers(1, 4))
+    entry = draw(st.sampled_from([WIDE, st.one_of(st.just(Fraction(0)), WIDE)]))
+    kind = draw(st.sampled_from(["entries", "rank-one update"]))
+    if kind == "entries":
+        return [[draw(entry) for _ in range(n)] for _ in range(n)]
+    a = draw(WIDE)
+    u = [draw(entry) for _ in range(n)]
+    v = [draw(entry) for _ in range(n)]
+    return [[(a if i == j else 0) + u[i] * v[j] for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_square())
+def test_inverse_and_minimal_polynomial_on_wide_rationals_match_sympy(data):
+    n = len(data)
+    m, dm = QMatrix(data), DomainMatrix.from_list(data, QQ)
+    if dm.rank() == n:
+        expected = [[sympy_fraction(x) for x in row] for row in dm.inv().to_list()]
+        assert inverse(m).data == as_tuples(expected)
+    else:
+        assert inverse(m) is None
+    p = minimal_polynomial(m)
+    degree = p.total_degree()
+    assert [p.coeff((k,)) for k in range(degree, -1, -1)] == sympy_minimal_polynomial(data)
