@@ -92,10 +92,6 @@ class Abp:
                 raise ValueError("variable read by more than one layer")
             seen |= read
 
-    def partition(self) -> list[list[int]]:
-        """Variable groups read by each layer, in declaration order."""
-        return [sorted(layer.variables()) for layer in self.layers]
-
     def coefficient_matrices(self) -> list[QMatrix]:
         return [mat for layer in self.layers for _, _, mat in layer.terms]
 

@@ -98,7 +98,7 @@ def _cmd_tables(args) -> int:
         if table.rows * table.cols > args.max_entries:
             raise CapExceeded(
                 f"table for {name} has {table.rows * table.cols} entries, "
-                f"cap is {args.max_entries}")
+                f"cap is {args.max_entries}", flag="--max-entries")
         chunks.append(f"table {name}\n{format_matrix(table)}")
     _write_output("".join(chunks), args.output)
     return 0
@@ -195,7 +195,7 @@ def _cmd_verify(args) -> int:
     if not check(abp, "program"):
         return 1
     if args.any_order:
-        rng = random.Random(args.seed + 1 if args.seed is not None else 1)
+        rng = random.Random(args.seed + 1)
         k = len(abp.layers)
         for trial in range(args.any_order):
             perm = list(range(k))

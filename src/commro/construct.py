@@ -11,9 +11,10 @@ Four builders live here:
   the right boundary has closed form v_j = e_j! * coeff_f(m_j) over the
   normal-set monomials m_j = t^{e_j}.
 
-* build_commro_general: block-diagonal direct sum of build_commro over
-  the nonzero homogeneous components (a 1x1 identity block carries the
-  constant term), for arbitrary nonzero input.
+* build_commro_general: the same layers for arbitrary nonzero input,
+  built from block-diagonal tables with one block per nonzero
+  homogeneous component (a constant's quotient is 1x1 with zero
+  tables); the boundary vectors concatenate the blocks'.
 
 * build_smabp: for a set-multilinear polynomial, one *linear* layer per
   partition part, sum of A_k x_k over the part's variables, same tables
@@ -96,14 +97,35 @@ def _closed_form_v(q: QuotientStructure, f: Poly) -> tuple[Fraction, ...]:
     return tuple(mono_factorial(m) * f.coeff(m) for m in q.normal_set)
 
 
-def _truncated_exponential_layers(q: QuotientStructure, f: Poly) -> list[Layer]:
+def _block_diagonal(blocks: Sequence[QMatrix]) -> QMatrix:
+    entries: list[dict[int, Fraction]] = []
+    for block in blocks:
+        offset = len(entries)
+        entries.extend({offset + j: x for j, x in row.items()} for row in block.entries)
+    return QMatrix.sparse(len(entries), len(entries), entries)
+
+
+def _quotient_program(f: Poly, max_width: int | None) -> tuple[
+        tuple[QMatrix, ...], tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Block-diagonal tables, u and v: one block per nonzero homogeneous component of f.
+
+    A block is the component's apolar quotient with u = e_0 and the
+    closed-form v; a constant's quotient is 1x1 with zero tables.
+    """
+    blocks = [(quotient(fk, max_width), fk) for fk in f.homogeneous_components()
+              if not fk.is_zero()]
+    tables = tuple(_block_diagonal([q.tables[var] for q, _ in blocks]) for var in range(f.arity))
+    u = tuple(Fraction(int(i == 0)) for q, _ in blocks for i in range(q.dimension))
+    v = tuple(x for q, fk in blocks for x in _closed_form_v(q, fk))
+    return tables, u, v
+
+
+def _truncated_exponential_layers(tables: Sequence[QMatrix], f: Poly) -> list[Layer]:
     layers = []
-    width = q.dimension
-    for var in range(f.arity):
-        table = q.tables[var]
+    for var, table in enumerate(tables):
         d_var = f.individual_degree(var)
-        terms = [(var, 0, QMatrix.identity(width))]
-        power = QMatrix.identity(width)
+        terms = [(var, 0, QMatrix.identity(table.rows))]
+        power = QMatrix.identity(table.rows)
         for k in range(1, d_var + 1):
             power = power @ table
             terms.append((var, k, power.scale(Fraction(1, math.factorial(k)))))
@@ -122,79 +144,27 @@ def build_commro(f: Poly, max_width: int | None = None) -> Abp:
     exactly and all coefficient matrices commute pairwise.  A width
     above max_width raises CapExceeded (naming --max-width).
     """
-    if f.is_zero():
-        raise ValueError("cannot build a branching program for the zero polynomial")
     if not f.is_homogeneous():
         raise ValueError("homogeneous input required; use build_commro_general")
-    q = quotient(f, max_width)
-    layers = _truncated_exponential_layers(q, f)
-    width = q.dimension
-    u = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(width))
-    v = _closed_form_v(q, f)
-    return Abp(kind="commutative", vars=f.vars, width=width, u=u, v=v,
-               layers=tuple(layers), order=tuple(range(len(layers))))
-
-
-def _direct_sum(blocks: list[Abp], vars: tuple[str, ...]) -> Abp:
-    width = sum(b.width for b in blocks)
-    offsets = []
-    at = 0
-    for b in blocks:
-        offsets.append(at)
-        at += b.width
-    layers = []
-    for var in range(len(vars)):
-        powers: set[int] = set()
-        for b in blocks:
-            for lvar, power, _ in b.layers[var].terms:
-                powers.add(power)
-        terms = []
-        for power in sorted(powers):
-            entries: list[dict[int, Fraction]] = [{} for _ in range(width)]
-            for b, off in zip(blocks, offsets):
-                mat = next((m for _, p, m in b.layers[var].terms if p == power), None)
-                if mat is None:
-                    continue
-                for i, row in enumerate(mat.entries):
-                    entries[off + i] = {off + j: x for j, x in row.items()}
-            terms.append((var, power, QMatrix.sparse(width, width, entries)))
-        layers.append(Layer(terms))
-    u = tuple(x for b in blocks for x in b.u)
-    v = tuple(x for b in blocks for x in b.v)
-    return Abp(kind="commutative", vars=vars, width=width, u=u, v=v,
-               layers=tuple(layers), order=tuple(range(len(layers))))
-
-
-def _constant_block(vars: tuple[str, ...], value: Fraction) -> Abp:
-    one = QMatrix.identity(1)
-    layers = tuple(Layer([(var, 0, one)]) for var in range(len(vars)))
-    return Abp(kind="commutative", vars=vars, width=1,
-               u=(Fraction(1),), v=(Fraction(value),),
-               layers=layers, order=tuple(range(len(vars))))
+    return build_commro_general(f, max_width)
 
 
 def build_commro_general(f: Poly, max_width: int | None = None) -> Abp:
-    """Commutative ROABP for arbitrary nonzero f.
+    """Commutative ROABP for arbitrary nonzero f: the direct sum of its components'.
 
-    Direct sum of the homogeneous constructions over f's nonzero
-    components, in ascending degree order; the degree-0 component rides
-    in a 1x1 identity block with u * v equal to the constant.  Total
-    width is at most (d+1)^2 times the derivative-span dimension of f.
-    max_width caps the width of each component's block.
+    The tables are block-diagonal, one block per nonzero homogeneous
+    component in ascending degree; each block is nilpotent past its
+    component's degrees, so one truncated exponential at f's individual
+    degrees builds every block's layers.  Width is the sum of the
+    components' derivative-span dimensions, at most (d+1)^2 dpd(f);
+    max_width caps each block.
     """
     if f.is_zero():
         raise ValueError("cannot build a branching program for the zero polynomial")
-    blocks: list[Abp] = []
-    for degree, component in enumerate(f.homogeneous_components()):
-        if component.is_zero():
-            continue
-        if degree == 0:
-            blocks.append(_constant_block(f.vars, component.coeff((0,) * f.arity)))
-        else:
-            blocks.append(build_commro(component, max_width))
-    if len(blocks) == 1:
-        return blocks[0]
-    return _direct_sum(blocks, f.vars)
+    tables, u, v = _quotient_program(f, max_width)
+    layers = _truncated_exponential_layers(tables, f)
+    return Abp(kind="commutative", vars=f.vars, width=len(u), u=u, v=v,
+               layers=tuple(layers), order=tuple(range(len(layers))))
 
 
 def _validate_set_multilinear(f: Poly, partition: Sequence[Sequence[int]]) -> None:
@@ -230,12 +200,9 @@ def build_smabp(f: Poly, partition: Sequence[Sequence[int]],
     if f.is_zero():
         raise ValueError("cannot build a branching program for the zero polynomial")
     _validate_set_multilinear(f, partition)
-    q = quotient(f, max_width)
-    width = q.dimension
-    layers = [Layer([(var, 1, q.tables[var]) for var in part]) for part in partition]
-    u = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(width))
-    v = _closed_form_v(q, f)
-    return Abp(kind="set_multilinear", vars=f.vars, width=width, u=u, v=v,
+    tables, u, v = _quotient_program(f, max_width)
+    layers = [Layer([(var, 1, tables[var]) for var in part]) for part in partition]
+    return Abp(kind="set_multilinear", vars=f.vars, width=len(u), u=u, v=v,
                layers=tuple(layers), order=tuple(range(len(layers))))
 
 

@@ -13,6 +13,6 @@ DEFAULT_TERM_CAP = 1 << 20
 class CapExceeded(RuntimeError):
     """A size guard tripped; `flag` names the CLI option that raises it, if any."""
 
-    def __init__(self, message: str, flag: str | None = "--max-entries"):
+    def __init__(self, message: str, flag: str | None):
         super().__init__(message)
         self.flag = flag

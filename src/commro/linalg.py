@@ -132,7 +132,7 @@ class QMatrix:
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch: {self.cols} vs {other.rows}")
         return QMatrix.sparse(self.rows, other.cols,
-                              (sparse_vec_mat(row, other) for row in self.entries))
+                              (sparse_vec_mat(row, other) if row else {} for row in self.entries))
 
     def power(self, n: int) -> QMatrix:
         if self.rows != self.cols:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapExceeded
-from .linalg import Echelon, QMatrix
+from .linalg import Echelon
 from .poly import Mono, Poly, deglex_key, mono_factorial
 
 
@@ -30,14 +30,12 @@ class DerivBasis:
     g_1 is always the source polynomial itself; the rest follow in the
     order the breadth-first closure kept them (level by level, each kept
     element differentiated by x_1, ..., x_r in turn).  `monomials` is the
-    union support of the basis, ascending in deg-lex; it fixes the column
-    order of `matrix`, whose rows are the basis coefficient vectors.
+    union support of the basis, ascending in deg-lex.
     """
 
     source: Poly
     basis: tuple[Poly, ...]
     monomials: tuple[Mono, ...]
-    matrix: QMatrix
 
     @property
     def dimension(self) -> int:
@@ -74,10 +72,7 @@ def derivative_basis(f: Poly, max_width: int | None = None) -> DerivBasis:
         basis.extend(level)
         candidates = [g.derive_var(i) for g in level for i in range(f.arity)]
     monomials = sorted({m for g in basis for m in g.terms}, key=deglex_key)
-    column = {m: j for j, m in enumerate(monomials)}
-    matrix = QMatrix.sparse(len(basis), len(monomials),
-                            ({column[m]: c for m, c in g.terms.items()} for g in basis))
-    return DerivBasis(source=f, basis=tuple(basis), monomials=tuple(monomials), matrix=matrix)
+    return DerivBasis(source=f, basis=tuple(basis), monomials=tuple(monomials))
 
 
 def dpd(f: Poly) -> int:

@@ -135,6 +135,33 @@ def test_general_bound_and_expansion_random():
         assert check_kind(abp)
 
 
+def test_general_is_the_direct_sum_of_the_component_programs():
+    rng = random.Random(409)
+    polys = [random_poly(rng, 3, 4, 8, homogeneous=False) for _ in range(12)]
+    polys += [Poly.constant(V2, Fraction(5, 3)), parse_poly("x1*x2 + 1", V2)]
+    assert sum(not f.is_homogeneous() for f in polys) >= 10
+    for f in polys:
+        blocks = [build_commro(fk) for fk in f.homogeneous_components() if not fk.is_zero()]
+        starts = [sum(b.width for b in blocks[:k]) for k in range(len(blocks))]
+        abp = build_commro_general(f)
+        assert abp.width == sum(b.width for b in blocks)
+        assert abp.u == tuple(x for b in blocks for x in b.u)
+        assert abp.v == tuple(x for b in blocks for x in b.v)
+        for var, layer in enumerate(abp.layers):
+            assert [p for _, p, _ in layer.terms] == list(range(f.individual_degree(var) + 1))
+            for _, power, mat in layer.terms:
+                for k, (bk, sk) in enumerate(zip(blocks, starts)):
+                    rows = mat.data[sk:sk + bk.width]
+                    # block k's own layer stops at deg_var f_k; past it the block is zero
+                    own = {p: m for _, p, m in bk.layers[var].terms}
+                    for j, (bj, sj) in enumerate(zip(blocks, starts)):
+                        got = tuple(row[sj:sj + bj.width] for row in rows)
+                        if j == k and power in own:
+                            assert got == own[power].data
+                        else:
+                            assert not any(x for row in got for x in row)
+
+
 def test_smabp_two_singletons():
     vars = ("x1", "y1")
     f = parse_poly("x1*y1", vars)

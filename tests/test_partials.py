@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from commro import (Poly, QMatrix, derivative_basis, dpd, eval_vector,
-                    monomials_upto, pairing, parse_poly, rank)
+from commro import (Poly, derivative_basis, dpd, eval_vector, monomials_upto, pairing,
+                    parse_poly)
 from commro.detspecial import det_polynomial, palindrome, perm_polynomial
 
 from helpers import brute_dpd, dilate, random_poly, span_rank
@@ -153,11 +153,3 @@ def test_closure_uses_only_single_variable_derivatives(monkeypatch):
     det_polynomial(2).derive((1, 0, 0, 0))
     assert len(calls) == 1
 
-
-def test_basis_matrix_shape_and_rank():
-    f = det_polynomial(2)
-    b = derivative_basis(f)
-    assert b.matrix.rows == b.dimension
-    assert b.matrix.cols == len(b.monomials)
-    assert rank(b.matrix) == b.dimension
-    assert isinstance(b.matrix, QMatrix)
