@@ -11,8 +11,8 @@ computable with rank/solve alone, no general Groebner machinery:
   keeping a monomial iff its pairing vector against the basis grows the
   rank (a monomial is a leading monomial of the ideal exactly when its
   vector depends on those of smaller monomials);
-* residues are recovered by a single linear solve against the (always
-  invertible) evaluation matrix of the normal set;
+* that elimination is kept, and a residue is one solve against it: the
+  combination of normal-set columns equal to the input's pairing vector;
 * the per-variable multiplication tables are the residues of t_l * m_i
   written over the normal set.
 """
@@ -22,27 +22,25 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .linalg import Echelon, QMatrix, inverse, sparse_vec_mat, vec_mat
+from .linalg import Echelon, QMatrix
 from .partials import DerivBasis, derivative_basis, pairing
 from .poly import Mono, Poly, mono_factorial, mono_mul
 
 
 @dataclass(frozen=True)
 class QuotientStructure:
-    """Normal set, evaluation matrix and multiplication tables of f's apolar ideal.
+    """Normal set and multiplication tables of f's apolar ideal.
 
     normal_set is ascending in deg-lex and always starts at the constant
-    monomial 1; eval_matrix holds the pairings <m_i, g_j>; tables (once
-    filled) hold one w x w matrix per variable, representing
-    multiplication by that variable on the quotient ring.
+    monomial 1; tables (once filled) hold one w x w matrix per variable,
+    representing multiplication by that variable on the quotient ring.
     """
 
     basis: DerivBasis
     normal_set: tuple[Mono, ...]
-    eval_matrix: QMatrix
     tables: tuple[QMatrix, ...] | None = None
-    # inverse of eval_matrix, factored once and shared by every residue solve
-    _solver: QMatrix = field(repr=False, compare=False, default=None)
+    # the normal set's pairing columns, eliminated once; added row i is column m_i
+    _echelon: Echelon = field(repr=False, compare=False, default=None)
     # {m: {j: <x^m, g_j>}} for each monomial m of the basis support, zeros left out
     _columns: dict[Mono, dict[int, Fraction]] = field(repr=False, compare=False, default=None)
 
@@ -61,10 +59,11 @@ def normal_set(b: DerivBasis) -> QuotientStructure:
     The monomials of the basis support (b.monomials, already ascending
     in deg-lex) are scanned in order and kept iff their pairing column
     against the derivative basis increases the rank; exactly w = dim(b)
-    monomials get selected and the resulting evaluation matrix is
-    invertible.  Any other monomial pairs to the zero vector against
-    every basis element, so it could never be selected.  The choice
-    depends only on the span of b, not on its basis order.
+    monomials get selected, their columns independent, and the
+    elimination that chose them is kept for every later residue solve.
+    Any other monomial pairs to the zero vector against every basis
+    element, so it could never be selected.  The choice depends only on
+    the span of b, not on its basis order.
     """
     f = b.source
     if not f.is_homogeneous():
@@ -85,19 +84,15 @@ def normal_set(b: DerivBasis) -> QuotientStructure:
                 break
     if len(selected) != w:
         raise AssertionError("normal set selection did not reach full dimension")
-    eval_matrix = QMatrix.sparse(w, w, (columns[m] for m in selected))
-    solver = inverse(eval_matrix)
-    if solver is None:
-        raise AssertionError("evaluation matrix is singular")
-    return QuotientStructure(basis=b, normal_set=tuple(selected), eval_matrix=eval_matrix,
-                             _solver=solver, _columns=columns)
+    return QuotientStructure(basis=b, normal_set=tuple(selected),
+                             _echelon=echelon, _columns=columns)
 
 
 def reduce_mod_apolar(g: Poly, q: QuotientStructure) -> Poly:
     """The unique residue of g supported on the normal set.
 
     The residue shares g's pairing vector against the derivative basis,
-    so it falls out of one solve against the evaluation matrix; the
+    so it falls out of one solve against the normal set's columns; the
     difference g - residue lies in the apolar ideal.
     """
     coeffs = residue_coefficients(g, q)
@@ -107,28 +102,28 @@ def reduce_mod_apolar(g: Poly, q: QuotientStructure) -> Poly:
 def residue_coefficients(g: Poly, q: QuotientStructure) -> list[Fraction]:
     """Coefficient vector of reduce_mod_apolar(g) over the normal set.
 
-    Solves eval_matrix^T * c = pairings(g) via the factored inverse:
-    as a row-vector product that is pairings(g) * eval_matrix^{-1}.
+    c is the combination of the normal set's pairing columns that sums
+    to g's pairing vector: sum_i c_i <m_i, g_j> = <g, g_j> for every j.
     """
     if g.arity != q.basis.source.arity:
         raise ValueError(f"arity mismatch: {g.arity} vs {q.basis.source.arity}")
-    target = [pairing(g, gj) for gj in q.basis.basis]
-    return vec_mat(target, q._solver)
+    solution = q._echelon.solve({j: pairing(g, gj) for j, gj in enumerate(q.basis.basis)})
+    return [solution.get(i, Fraction(0)) for i in range(q.dimension)]
 
 
 def multiplication_tables(q: QuotientStructure) -> QuotientStructure:
     """Fill the per-variable multiplication tables.
 
     Row i of table l is the residue of t_l * m_i written over the normal
-    set: the pairing column of t_l * m_i times the factored inverse of
-    the evaluation matrix (an empty row when t_l * m_i is outside the
-    basis support, since it then lies in the apolar ideal).
+    set: the solve of t_l * m_i's pairing column against the normal
+    set's columns (an empty row when t_l * m_i is outside the basis
+    support, since it then lies in the apolar ideal).
     """
     w, arity = q.dimension, q.basis.source.arity
     tables = []
     for var in range(arity):
         shift = tuple(int(k == var) for k in range(arity))
-        rows = (sparse_vec_mat(q._columns.get(mono_mul(mono, shift), {}), q._solver)
+        rows = (q._echelon.solve(q._columns.get(mono_mul(mono, shift), {}))
                 for mono in q.normal_set)
         tables.append(QMatrix.sparse(w, w, rows))
     return replace(q, tables=tuple(tables))

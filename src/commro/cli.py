@@ -18,8 +18,7 @@ from .abp import check_kind, eval_abp, expand_abp, nisan_width, permute_order
 from .apolar import normal_set, quotient
 from .construct import (build_commro_general, build_diagro_from_waring,
                         build_smabp, waring_of_monomial)
-from .detspecial import (det_mult_tables, det_polynomial, det_variables,
-                         palindrome, perm_polynomial)
+from .detspecial import det_polynomial, palindrome, perm_polynomial
 from .errors import DEFAULT_ENTRY_CAP, DEFAULT_TERM_CAP, CapExceeded
 from .partials import derivative_basis, dpd
 from .poly import Poly, PolyParseError, mono_str
@@ -215,13 +214,8 @@ def _cmd_gen(args) -> int:
         text = format_poly_file(perm_polynomial(n))
     elif args.what == "palindrome":
         text = format_poly_file(palindrome(n))
-    elif args.what == "monomial-waring":
+    else:  # monomial-waring
         text = format_waring_file(waring_of_monomial(n))
-    else:  # det-tables
-        chunks = []
-        for name, table in zip(det_variables(n), det_mult_tables(n)):
-            chunks.append(f"table {name}\n{format_matrix(table)}")
-        text = "".join(chunks)
     _write_output(text, args.output)
     return 0
 
@@ -313,8 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("gen", help="generate standard inputs")
-    p.add_argument("what", choices=("det", "perm", "palindrome",
-                                    "monomial-waring", "det-tables"))
+    p.add_argument("what", choices=("det", "perm", "palindrome", "monomial-waring"))
     p.add_argument("n", type=int)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_gen)
@@ -331,8 +324,7 @@ def run(argv: list[str]) -> int:
     try:
         return args.func(args)
     except CapExceeded as cap:
-        hint = f" (raise {cap.flag})" if cap.flag else ""
-        print(f"error: {cap}{hint}", file=sys.stderr)
+        print(f"error: {cap} (raise {cap.flag})", file=sys.stderr)
         return 3
     except (PolyParseError, ValueError, OSError) as bad:
         print(f"error: {bad}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Determinant and permanent generators plus the anti-diagonal fast path.
+"""Determinant and permanent generators plus closed-form determinant oracles.
 
 The derivative span of the n x n symbolic determinant is spanned by the
 determinants of its square minors, its apolar ideal is generated by the
@@ -9,9 +9,8 @@ minors.  That yields closed-form multiplication tables: multiplying the
 anti-diagonal of the (S, T) minor by x_{i,j} lands, up to sign, on the
 anti-diagonal of the (S + i, T + j) minor.
 
-The closed forms here are an optimization; the generic quotient
-pipeline is the source of truth and the test suite forces entrywise
-agreement before the fast path is trusted.
+The closed forms are oracles, not a build path: the test suite checks
+the generic quotient pipeline against them entrywise.
 """
 
 from __future__ import annotations
@@ -19,14 +18,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .errors import CapExceeded
 from .linalg import PolyMatrix, QMatrix
 from .poly import Mono, Poly, deglex_key
-
-# the closed forms are trusted only as far as the tests check them
-# entrywise against the generic pipeline; the fast path refuses past
-# this point (width 70 at n = 4)
-FAST_PATH_MAX_N = 4
 
 
 def det_variables(n: int) -> tuple[str, ...]:
@@ -137,7 +130,7 @@ def det_normal_set(n: int) -> list[Mono]:
     return out
 
 
-def det_mult_tables(n: int, max_n: int = FAST_PATH_MAX_N) -> list[QMatrix]:
+def det_mult_tables(n: int) -> list[QMatrix]:
     """Closed-form multiplication tables of the determinant's apolar ideal.
 
     One C(2n,n)-dimensional table per variable x_{i,j}, in row-major
@@ -148,13 +141,6 @@ def det_mult_tables(n: int, max_n: int = FAST_PATH_MAX_N) -> list[QMatrix]:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > max_n:
-        raise CapExceeded(
-            f"fast-path tables are limited to n <= {max_n} "
-            f"(dimension C(2n,n) grows too fast); use the generic quotient "
-            f"pipeline on det_polynomial({n}) instead",
-            flag=None,
-        )
     normal = det_normal_set(n)
     position = {mono: idx for idx, mono in enumerate(normal)}
     width = len(normal)

@@ -11,8 +11,8 @@ DEFAULT_TERM_CAP = 1 << 20
 
 
 class CapExceeded(RuntimeError):
-    """A size guard tripped; `flag` names the CLI option that raises it, if any."""
+    """A size guard tripped; `flag` names the CLI option that raises it."""
 
-    def __init__(self, message: str, flag: str | None):
+    def __init__(self, message: str, flag: str):
         super().__init__(message)
         self.flag = flag

@@ -7,8 +7,9 @@ polynomial file:   `vars: x1 x2 ...` header, then the expression text
 matrix block:      `rows cols` line, then row-major rationals
 waring file:       `waring d=<d> n=<n>` header, lines `c: a1 a2 ... an`
 abp file:          `abp v1` magic, `kind:`/`width:`/`vars:`/`order:`/
-                   `u:`/`v:` headers, then `layer <var> power <k>`
-                   blocks each followed by width rows of width rationals.
+                   `u:`/`v:` headers once each, then `layer <var> power
+                   <k>` blocks, each for a variable of the order line and
+                   followed by width rows of width rationals.
                    For set-multilinear programs the order line groups
                    part variables with '|': `order: a,b|c,d`.
 """
@@ -165,13 +166,19 @@ def parse_abp(text: str) -> Abp:
     if not lines or lines[0].strip() != "abp v1":
         raise ValueError("not an abp v1 file")
 
+    header_keys = ("kind", "width", "vars", "order", "u", "v")
     headers: dict[str, str] = {}
     at = 1
     while at < len(lines) and not lines[at].startswith("layer "):
-        key, _, value = lines[at].partition(":")
-        headers[key.strip()] = value.strip()
+        key, colon, value = lines[at].partition(":")
+        key = key.strip()
+        if not colon or key not in header_keys:
+            raise ValueError(f"unexpected abp header line {lines[at]!r}")
+        if key in headers:
+            raise ValueError(f"repeated abp header line {lines[at]!r}")
+        headers[key] = value.strip()
         at += 1
-    for required in ("kind", "width", "vars", "order", "u", "v"):
+    for required in header_keys:
         if required not in headers:
             raise ValueError(f"abp file lacks the {required!r} header")
 
@@ -224,6 +231,11 @@ def parse_abp(text: str) -> Abp:
             order_groups.append([index[name] for name in names])
         except KeyError as bad:
             raise ValueError(f"order header names unknown variable {bad.args[0]!r}") from None
+    ordered = {var for group in order_groups for var in group}
+    for var in appearance:
+        if var not in ordered:
+            raise ValueError(f"layer block 'layer {vars[var]} power {blocks[var][0][0]}' "
+                             "is for a variable the order header does not list")
 
     # declaration order: sorted by first appearance of any member variable
     first_seen = {var: pos for pos, var in enumerate(appearance)}

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from commro import (Poly, QMatrix, apolar_member, commute, derivative_basis,
-                    dpd, minimal_polynomial, mono_mul, normal_set, parse_poly,
-                    quotient, reduce_mod_apolar, univariate_mult_table)
+                    dpd, eval_vector, minimal_polynomial, mono_mul, normal_set,
+                    parse_poly, quotient, reduce_mod_apolar, univariate_mult_table)
 from commro.apolar import residue_coefficients
 from commro.detspecial import det_polynomial, palindrome, perm_polynomial
 
@@ -68,9 +68,9 @@ def test_normal_set_structure_invariants():
                 if mono[var]:
                     lower = tuple(e - 1 if k == var else e for k, e in enumerate(mono))
                     assert lower in selected
-        # evaluation matrix invertible
+        # the normal set's pairing vectors are independent
         from commro import rank
-        assert rank(q.eval_matrix) == w
+        assert rank(QMatrix([eval_vector(m, q.basis) for m in q.normal_set])) == w
 
 
 def test_reduce_idempotent_on_normal_span():

@@ -3,10 +3,8 @@ import math
 import random
 from fractions import Fraction
 
-import pytest
-
-from commro import (CapExceeded, Poly, deglex_key, derivative_basis, dpd,
-                    mono_divides, mono_str, normal_set, parse_poly, quotient)
+from commro import (Poly, deglex_key, derivative_basis, dpd, mono_divides,
+                    mono_str, normal_set, parse_poly, quotient)
 from commro.detspecial import (det2_golden, det_mult_tables, det_normal_set,
                                det_polynomial, det_variables, palindrome,
                                perm_polynomial)
@@ -75,14 +73,9 @@ def test_det_mult_tables_match_generic():
     # the generic pipeline is the source of truth for the sign convention;
     # at n = 5 (w = 252) the closed forms check the elimination entrywise
     for n in (1, 2, 3, 4, 5):
-        fast = det_mult_tables(n, max_n=5)
+        fast = det_mult_tables(n)
         generic = quotient(det_polynomial(n))
         assert list(fast) == list(generic.tables)
-
-
-def test_det_mult_tables_refuse_past_ceiling():
-    with pytest.raises(CapExceeded):
-        det_mult_tables(5)
 
 
 def test_det2_golden_entries_as_printed():
