@@ -15,6 +15,11 @@ computable with rank/solve alone, no general Groebner machinery:
   combination of normal-set columns equal to the input's pairing vector;
 * the per-variable multiplication tables are the residues of t_l * m_i
   written over the normal set.
+
+Monomials are packed keys here (poly.MonoPacking): the scan runs in
+their integer order, and t_l * m is the key of m plus a constant.  The
+pairing columns have integer entries, taken from the derivative basis's
+integer rows; only the tuple normal set and the tables leave the module.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from fractions import Fraction
 
 from .linalg import Echelon, QMatrix
 from .partials import DerivBasis, derivative_basis, pairing
-from .poly import Mono, Poly, mono_factorial, mono_mul
+from .poly import Mono, Poly, mono_factorial
 
 
 @dataclass(frozen=True)
@@ -41,8 +46,11 @@ class QuotientStructure:
     tables: tuple[QMatrix, ...] | None = None
     # the normal set's pairing columns, eliminated once; added row i is column m_i
     _echelon: Echelon = field(repr=False, compare=False, default=None)
-    # {m: {j: <x^m, g_j>}} for each monomial m of the basis support, zeros left out
-    _columns: dict[Mono, dict[int, Fraction]] = field(repr=False, compare=False, default=None)
+    # {packed m: {j: <x^m, L * g_j>}} for each monomial m of the basis support, zeros
+    # left out (L is the basis scale, the same for every column)
+    _columns: dict[int, dict[int, int]] = field(repr=False, compare=False, default=None)
+    # the packed keys of normal_set
+    _keys: tuple[int, ...] = field(repr=False, compare=False, default=())
 
     @property
     def dimension(self) -> int:
@@ -56,36 +64,42 @@ class QuotientStructure:
 def normal_set(b: DerivBasis) -> QuotientStructure:
     """Greedy normal-set selection for the apolar ideal of a homogeneous source.
 
-    The monomials of the basis support (b.monomials, already ascending
-    in deg-lex) are scanned in order and kept iff their pairing column
-    against the derivative basis increases the rank; exactly w = dim(b)
-    monomials get selected, their columns independent, and the
-    elimination that chose them is kept for every later residue solve.
-    Any other monomial pairs to the zero vector against every basis
-    element, so it could never be selected.  The choice depends only on
-    the span of b, not on its basis order.
+    The monomials of the basis support are scanned in deg-lex order (the
+    integer order of their packed keys) and kept iff their pairing
+    column against the derivative basis increases the rank; exactly
+    w = dim(b) monomials get selected, their columns independent, and
+    the elimination that chose them is kept for every later residue
+    solve.  Any other monomial pairs to the zero vector against every
+    basis element, so it could never be selected.  The columns pair
+    against the basis's integer rows, a common multiple L of the basis,
+    which scales every column alike and so changes no choice and no
+    solve.  The choice depends only on the span of b, not on its basis
+    order.
     """
     f = b.source
     if not f.is_homogeneous():
         raise ValueError("normal set requires a homogeneous polynomial; "
                          "route general inputs through the homogeneous components")
     w = b.dimension
-    # <x^m, g_j> = m! * coeff_{g_j}(m): one pass over the basis terms
-    columns: dict[Mono, dict[int, Fraction]] = {}
-    for j, g in enumerate(b.basis):
-        for mono, coeff in g.terms.items():
-            columns.setdefault(mono, {})[j] = mono_factorial(mono) * coeff
+    # <x^m, L * g_j> = m! * (L * coeff_{g_j}(m)): one pass over the integer rows
+    factorials = {k: mono_factorial(m) for k, m in zip(b._keys, b.monomials)}
+    columns: dict[int, dict[int, int]] = {k: {} for k in b._keys}
+    for j, row in enumerate(b._rows):
+        for key, coeff in row.items():
+            columns[key][j] = factorials[key] * coeff
     selected: list[Mono] = []
+    keys: list[int] = []
     echelon = Echelon()
-    for mono in b.monomials:
-        if echelon.add(columns[mono]):
+    for key, mono in zip(b._keys, b.monomials):
+        if echelon.add(columns[key]):
             selected.append(mono)
+            keys.append(key)
             if len(selected) == w:
                 break
     if len(selected) != w:
         raise AssertionError("normal set selection did not reach full dimension")
-    return QuotientStructure(basis=b, normal_set=tuple(selected),
-                             _echelon=echelon, _columns=columns)
+    return QuotientStructure(basis=b, normal_set=tuple(selected), _echelon=echelon,
+                             _columns=columns, _keys=tuple(keys))
 
 
 def reduce_mod_apolar(g: Poly, q: QuotientStructure) -> Poly:
@@ -104,10 +118,13 @@ def residue_coefficients(g: Poly, q: QuotientStructure) -> list[Fraction]:
 
     c is the combination of the normal set's pairing columns that sums
     to g's pairing vector: sum_i c_i <m_i, g_j> = <g, g_j> for every j.
+    The stored columns pair against L * g_j, so g's vector is scaled by L
+    too.
     """
     if g.arity != q.basis.source.arity:
         raise ValueError(f"arity mismatch: {g.arity} vs {q.basis.source.arity}")
-    solution = q._echelon.solve({j: pairing(g, gj) for j, gj in enumerate(q.basis.basis)})
+    scale = q.basis._scale
+    solution = q._echelon.solve({j: scale * pairing(g, gj) for j, gj in enumerate(q.basis.basis)})
     return [solution.get(i, Fraction(0)) for i in range(q.dimension)]
 
 
@@ -119,12 +136,11 @@ def multiplication_tables(q: QuotientStructure) -> QuotientStructure:
     set's columns (an empty row when t_l * m_i is outside the basis
     support, since it then lies in the apolar ideal).
     """
-    w, arity = q.dimension, q.basis.source.arity
+    w, packing = q.dimension, q.basis._packing
     tables = []
-    for var in range(arity):
-        shift = tuple(int(k == var) for k in range(arity))
-        rows = (q._echelon.solve(q._columns.get(mono_mul(mono, shift), {}))
-                for mono in q.normal_set)
+    for var in range(packing.arity):
+        step = packing.step(var)
+        rows = (q._echelon.solve(q._columns.get(key + step, {})) for key in q._keys)
         tables.append(QMatrix.sparse(w, w, rows))
     return replace(q, tables=tuple(tables))
 

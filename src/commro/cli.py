@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .abp import check_kind, eval_abp, expand_abp, nisan_width, permute_order
-from .apolar import normal_set, quotient
+from .apolar import multiplication_tables, normal_set
 from .construct import (build_commro_general, build_diagro_from_waring,
                         build_smabp, waring_of_monomial)
 from .detspecial import det_polynomial, palindrome, perm_polynomial
@@ -91,15 +91,15 @@ def _cmd_normal_set(args) -> int:
 
 def _cmd_tables(args) -> int:
     f = _load_poly(args.poly, args.vars)
-    structure = quotient(f, args.max_width)
-    chunks = []
-    for name, table in zip(f.vars, structure.tables):
-        if table.rows * table.cols > args.max_entries:
-            raise CapExceeded(
-                f"table for {name} has {table.rows * table.cols} entries, "
-                f"cap is {args.max_entries}", flag="--max-entries")
-        chunks.append(f"table {name}\n{format_matrix(table)}")
-    _write_output("".join(chunks), args.output)
+    structure = normal_set(derivative_basis(f, args.max_width))
+    # every table is w x w, so the cap is checked before any is built
+    entries = structure.dimension ** 2
+    if f.vars and entries > args.max_entries:
+        raise CapExceeded(f"table for {f.vars[0]} has {entries} entries, "
+                          f"cap is {args.max_entries}", flag="--max-entries")
+    tables = multiplication_tables(structure).tables
+    _write_output("".join(f"table {name}\n{format_matrix(table)}"
+                          for name, table in zip(f.vars, tables)), args.output)
     return 0
 
 

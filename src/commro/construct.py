@@ -125,13 +125,13 @@ def _truncated_exponential_layers(tables: Sequence[QMatrix], f: Poly) -> list[La
     for var, table in enumerate(tables):
         d_var = f.individual_degree(var)
         terms = [(var, 0, QMatrix.identity(table.rows))]
-        power = QMatrix.identity(table.rows)
+        power = table
         for k in range(1, d_var + 1):
+            terms.append((var, k, power.scale(Fraction(1, math.factorial(k))) if k > 1 else power))
             power = power @ table
-            terms.append((var, k, power.scale(Fraction(1, math.factorial(k)))))
         # the table is nilpotent past the individual degree; everything
         # truncated away is exactly zero
-        if not (power @ table).is_zero():
+        if not power.is_zero():
             raise AssertionError("multiplication table not nilpotent at the individual degree")
         layers.append(Layer(terms))
     return layers

@@ -10,17 +10,21 @@ span by breadth-first closure under single-variable derivatives, and
 
 which is the value at 0 of the derivative operator of g applied to h
 (symmetric in g and h).  Everything downstream of the apolar quotient
-construction is driven by these two primitives.
+construction is driven by these two primitives.  The closure runs on
+packed monomial keys (poly.MonoPacking) and integer coefficients: f is
+scaled by the lcm of its denominators first, and the basis keeps those
+integer rows beside its exact Poly elements for the quotient stages.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .errors import CapExceeded
 from .linalg import Echelon
-from .poly import Mono, Poly, deglex_key, mono_factorial
+from .poly import Mono, MonoPacking, Poly, mono_factorial
 
 
 @dataclass(frozen=True)
@@ -36,6 +40,12 @@ class DerivBasis:
     source: Poly
     basis: tuple[Poly, ...]
     monomials: tuple[Mono, ...]
+    # g_i scaled by _scale (the lcm of the source's denominators) as {packed key: int}
+    _rows: tuple[dict[int, int], ...] = field(repr=False, compare=False, default=())
+    _scale: int = field(repr=False, compare=False, default=1)
+    # the packed keys of `monomials`, ascending (integer order is deg-lex)
+    _keys: tuple[int, ...] = field(repr=False, compare=False, default=())
+    _packing: MonoPacking = field(repr=False, compare=False, default=None)
 
     @property
     def dimension(self) -> int:
@@ -50,29 +60,38 @@ def derivative_basis(f: Poly, max_width: int | None = None) -> DerivBasis:
     order, iff it is independent of everything kept so far.  Every
     derivative of a kept element lies in the kept span, so that span is
     closed under each d/dx_i and is the whole derivative span.  Degrees
-    drop along levels, so the loop ends.  Each derivative comes from
-    Poly.derive_var, which visits only the terms containing x_i, and the
-    independence test reduces only by the pivots its terms reach.  Once
-    the span exceeds max_width dimensions, CapExceeded (naming
-    --max-width) is raised.
+    drop along levels, so the loop ends.  The closure runs on L * f, L
+    the lcm of f's denominators, as integer rows keyed by packed
+    monomials: a derivative visits only the terms containing x_i, and
+    the independence test reduces only by the pivots its terms reach.
+    Scaling changes no independence test, and the basis elements are
+    the rows divided by L.  Once the span exceeds max_width dimensions,
+    CapExceeded (naming --max-width) is raised.
     """
     if f.is_zero():
         raise ValueError("zero polynomial has no derivative basis")
+    scale = lcm(*(c.denominator for c in f.terms.values()))
+    packing = MonoPacking(f.arity, f.total_degree())
     echelon = Echelon()
-    basis: list[Poly] = []
-    candidates = [f]
+    rows: list[dict[int, int]] = []
+    candidates = [{packing.pack(m): c.numerator * (scale // c.denominator)
+                   for m, c in f.terms.items()}]
     while candidates:
         level = []
-        for g in candidates:
-            if echelon.add(g.terms):
+        for row in candidates:
+            if echelon.add(row):
                 if max_width is not None and echelon.rank > max_width:
                     raise CapExceeded(f"derivative span has more than {max_width} dimensions",
                                       flag="--max-width")
-                level.append(g)
-        basis.extend(level)
-        candidates = [g.derive_var(i) for g in level for i in range(f.arity)]
-    monomials = sorted({m for g in basis for m in g.terms}, key=deglex_key)
-    return DerivBasis(source=f, basis=tuple(basis), monomials=tuple(monomials))
+                level.append(row)
+        rows.extend(level)
+        candidates = [packing.derive(row, i) for row in level for i in range(f.arity)]
+    keys = sorted({k for row in rows for k in row})
+    monos = {k: packing.unpack(k) for k in keys}
+    basis = tuple(Poly.sparse(f.vars, {monos[k]: Fraction(c, scale) for k, c in row.items()})
+                  for row in rows)
+    return DerivBasis(source=f, basis=basis, monomials=tuple(monos.values()),
+                      _rows=tuple(rows), _scale=scale, _keys=tuple(keys), _packing=packing)
 
 
 def dpd(f: Poly) -> int:

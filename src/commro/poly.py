@@ -12,6 +12,11 @@ declared variable most significant.  The declared variable tuple thus
 reads as an ascending chain v1 < v2 < ... < vr, the constant monomial
 1 is the least monomial, and the order refines divisibility.
 
+MonoPacking packs the monomials of a bounded degree into single ints
+whose integer order is that deg-lex order, with multiplication and
+differentiation by a variable as one addition or subtraction on the
+key; the derivative-span and quotient stages run on such keys.
+
 All values are immutable after construction and safe to share across
 threads; arithmetic returns new objects.
 """
@@ -71,10 +76,52 @@ def mono_degree(mono: Mono) -> int:
 
 def mono_factorial(mono: Mono) -> int:
     """Product of factorials of the exponents (e1! * e2! * ... * er!)."""
-    out = 1
-    for e in mono:
-        out *= math.factorial(e)
-    return out
+    return math.prod(map(math.factorial, mono))
+
+
+class MonoPacking:
+    """Monomials of arity r and total degree <= d packed into one int each.
+
+    A key holds the total degree in its top field, then e_r, ..., e_1
+    down to the lowest field; every field is d.bit_length() + 1 bits wide
+    (the packed exponent vectors of Monagan and Pearce, CASC 2007).  The
+    fields are compared most significant first, so integer order on keys
+    is exactly the deg-lex order.  The extra guard bit lets a field hold
+    d + 1, so multiplying a degree-d monomial by a variable stays exact.
+    Multiplying by x_i adds step(i) to the key; d/dx_i subtracts it and
+    multiplies the coefficient by e_i.
+    """
+
+    __slots__ = ("arity", "bits", "mask", "top")
+
+    def __init__(self, arity: int, degree: int):
+        self.arity = arity
+        self.bits = degree.bit_length() + 1
+        self.mask = (1 << self.bits) - 1
+        self.top = 1 << (arity * self.bits)
+
+    def pack(self, mono: Mono) -> int:
+        key = sum(mono)
+        for e in reversed(mono):
+            key = key << self.bits | e
+        return key
+
+    def unpack(self, key: int) -> Mono:
+        mask = self.mask
+        return tuple([key >> s & mask for s in range(0, self.arity * self.bits, self.bits)])
+
+    def step(self, index: int) -> int:
+        """What multiplying by x_index adds to a key: one in the degree and in e_index."""
+        return self.top | 1 << (index * self.bits)
+
+    def derive(self, row: dict[int, int], index: int) -> dict[int, int]:
+        """d/dx_index of a packed row {key: coefficient}; like Poly.derive_var.
+
+        Terms free of x_index drop out; distinct keys stay distinct, so
+        the result needs no merging.
+        """
+        shift, mask, step = index * self.bits, self.mask, self.step(index)
+        return {k - step: c * e for k, c in row.items() if (e := k >> shift & mask)}
 
 
 def mono_str(mono: Mono, var_names: tuple[str, ...]) -> str:
@@ -206,10 +253,6 @@ class Poly:
     def is_homogeneous(self) -> bool:
         degrees = {sum(m) for m in self.terms}
         return len(degrees) <= 1
-
-    def support(self) -> list[Mono]:
-        """Monomials with nonzero coefficient, ascending deg-lex."""
-        return sorted(self.terms, key=deglex_key)
 
     # -- arithmetic ----------------------------------------------------------
 

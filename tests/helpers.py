@@ -10,6 +10,8 @@ from the library's own elimination kernel.  AllPivotEchelon keeps the
 elimination walk over every stored pivot as the reference that the
 key-driven, integer-row Echelon must reproduce row for row, and
 sympy_minimal_polynomial factors the characteristic polynomial.
+wide_rational_polys draws homogeneous input with wide rational
+coefficients for the integer-row closure and quotient.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import itertools
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
 from sympy import QQ, Symbol
 from sympy import Poly as SympyPoly
 from sympy.polys.matrices import DomainMatrix
@@ -47,6 +50,17 @@ def random_poly(rng: random.Random, nvars: int, degree: int, max_terms: int,
     if p.is_zero():
         p = Poly.monomial(vars, chosen[0])
     return p
+
+
+@st.composite
+def wide_rational_polys(draw) -> Poly:
+    """Nonzero homogeneous polynomial, numerators to 10^18, denominators to 10^6."""
+    nvars, degree = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    pool = monomials_of_degree(nvars, degree)
+    monos = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
+    coeffs = st.builds(Fraction, st.integers(-10 ** 18, 10 ** 18).filter(bool),
+                       st.integers(1, 10 ** 6))
+    return Poly(var_names(nvars), {m: draw(coeffs) for m in monos})
 
 
 def random_point(rng: random.Random, arity: int, bound: int = 10 ** 6) -> list[Fraction]:

@@ -1,8 +1,10 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from commro import (Poly, QMatrix, apolar_member, commute, derivative_basis,
                     dpd, eval_vector, minimal_polynomial, mono_mul, normal_set,
@@ -10,7 +12,7 @@ from commro import (Poly, QMatrix, apolar_member, commute, derivative_basis,
 from commro.apolar import residue_coefficients
 from commro.detspecial import det_polynomial, palindrome, perm_polynomial
 
-from helpers import poly_at_matrices, random_poly
+from helpers import poly_at_matrices, random_poly, wide_rational_polys
 
 V2 = ("x1", "x2")
 
@@ -239,3 +241,21 @@ def test_normal_set_size_counts_quotient_dimension():
         q = normal_set(derivative_basis(det))
         import math
         assert q.dimension == math.comb(2 * n, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_rational_polys())
+def test_quotient_of_rational_input(f):
+    # the quotient depends only on the derivative span, which scaling by
+    # the lcm of the denominators leaves alone; table rows must still be
+    # the residues of t_l * m_i, which pair against the rational basis
+    q = quotient(f)
+    scale = math.lcm(*(c.denominator for c in f.terms.values()))
+    integral = quotient(f.scale(scale))
+    assert q.normal_set == integral.normal_set
+    assert q.tables == integral.tables
+    for var, table in enumerate(q.tables):
+        shift = tuple(int(k == var) for k in range(f.arity))
+        for i, mono in enumerate(q.normal_set):
+            product = Poly.monomial(f.vars, mono_mul(mono, shift))
+            assert list(table.data[i]) == residue_coefficients(product, q)

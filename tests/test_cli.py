@@ -66,6 +66,20 @@ def test_tables_cap_exit_code(det2_file, capsys):
     assert "--max-entries" in err
 
 
+def test_tables_cap_checked_before_any_table_is_built(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "det5.poly"
+    path.write_text(format_poly_file(det_polynomial(5)))
+
+    def refuse(q):
+        raise AssertionError("multiplication_tables called past the --max-entries cap")
+
+    monkeypatch.setattr(cli, "multiplication_tables", refuse)
+    assert run(["tables", str(path), "--max-entries", "4"]) == 3
+    err = capsys.readouterr().err
+    assert "table for x1_1 has 63504 entries, cap is 4" in err
+    assert "--max-entries" in err
+
+
 @pytest.mark.parametrize("command", [["dpd"], ["normal-set"], ["tables"],
                                      ["build", "commro"], ["build", "smabp"]])
 def test_max_width_cap(tmp_path, capsys, command):

@@ -1,13 +1,15 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from commro import (Poly, derivative_basis, dpd, eval_vector, monomials_upto, pairing,
                     parse_poly)
 from commro.detspecial import det_polynomial, palindrome, perm_polynomial
 
-from helpers import brute_dpd, dilate, random_poly, span_rank
+from helpers import brute_dpd, dilate, random_poly, span_rank, wide_rational_polys
 
 V2 = ("x1", "x2")
 
@@ -153,3 +155,15 @@ def test_closure_uses_only_single_variable_derivatives(monkeypatch):
     det_polynomial(2).derive((1, 0, 0, 0))
     assert len(calls) == 1
 
+
+@settings(max_examples=40, deadline=None)
+@given(wide_rational_polys())
+def test_basis_of_rational_input_is_exact(f):
+    # the closure runs on f scaled to integers; the basis must still be
+    # f's own derivatives, with their exact rational coefficients
+    b = derivative_basis(f)
+    assert b.basis[0] == f
+    bounds = [range(f.individual_degree(i) + 1) for i in range(f.arity)]
+    derivatives = [f.derive(e) for e in itertools.product(*bounds)]
+    assert all(g in derivatives for g in b.basis)
+    assert b.dimension == brute_dpd(f)

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commro import (Poly, PolyParseError, deglex_compare, deglex_key,
-                    mono_divides, monomials_of_degree, monomials_upto,
+                    mono_divides, mono_mul, monomials_of_degree, monomials_upto,
                     parse_poly, print_poly)
 from commro.detspecial import det_polynomial
+from commro.poly import MonoPacking
 
 from helpers import random_poly, random_point
 
@@ -209,3 +210,44 @@ def test_deglex_total_order_and_divisibility():
         for b in monos:
             if mono_divides(a, b):
                 assert deglex_key(a) <= deglex_key(b)
+
+
+@st.composite
+def packed_monomials(draw, count):
+    # a packing for degree d and monomials whose exponents reach d and
+    # d + 1, the largest value a field must hold (guard bit included)
+    arity, d = draw(st.integers(1, 5)), draw(st.integers(0, 9))
+    exponent = st.one_of(st.integers(0, d + 1), st.sampled_from([d, d + 1]))
+    monos = [draw(st.tuples(*[exponent] * arity)) for _ in range(count)]
+    return MonoPacking(arity, d), d, monos
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_monomials(2))
+def test_packing_round_trips_and_keeps_deglex_order(case):
+    packing, _, (a, b) = case
+    assert packing.unpack(packing.pack(a)) == a
+    assert packing.unpack(packing.pack(b)) == b
+    ka, kb = packing.pack(a), packing.pack(b)
+    assert (ka < kb) == (deglex_key(a) < deglex_key(b))
+    assert (ka == kb) == (a == b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys())
+def test_packed_derivative_matches_derive_var(f):
+    packing = MonoPacking(f.arity, max(f.total_degree(), 0))
+    row = {packing.pack(m): c for m, c in f.terms.items()}
+    for i in range(f.arity):
+        derived = packing.derive(row, i)
+        assert {packing.unpack(k): c for k, c in derived.items()} == f.derive_var(i).terms
+
+
+@settings(max_examples=100, deadline=None)
+@given(packed_monomials(1))
+def test_packed_shift_matches_mono_mul(case):
+    packing, d, (mono,) = case
+    mono = tuple(min(e, d) for e in mono)  # a field reaches d + 1 only after the shift
+    for l in range(packing.arity):
+        unit = tuple(int(k == l) for k in range(packing.arity))
+        assert packing.pack(mono) + packing.step(l) == packing.pack(mono_mul(mono, unit))
