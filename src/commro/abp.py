@@ -12,9 +12,8 @@ term,
 
     M = A_{j,1} x_{j,1} + A_{j,2} x_{j,2} + ... .
 
-Layers are stored in a fixed declaration order; `order` is the
-permutation giving the actual multiplication order.  Only stored
-matrices exist; absent powers are zero semantically.
+Layers are stored in multiplication order.  Only stored matrices
+exist; absent powers are zero semantically.
 
 This module also computes coefficient ("Nisan") matrices of a
 polynomial over a variable bipartition, whose prefix-cut ranks give the
@@ -56,7 +55,7 @@ class Layer:
 
 @dataclass(frozen=True)
 class Abp:
-    """A branching program with declared kind, boundary vectors and layer order."""
+    """A branching program: declared kind, boundary vectors, layers in multiplication order."""
 
     kind: str
     vars: tuple[str, ...]
@@ -64,15 +63,12 @@ class Abp:
     u: tuple[Fraction, ...]
     v: tuple[Fraction, ...]
     layers: tuple[Layer, ...]
-    order: tuple[int, ...]
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
         if len(self.u) != self.width or len(self.v) != self.width:
             raise ValueError("boundary vector length differs from width")
-        if sorted(self.order) != list(range(len(self.layers))):
-            raise ValueError("order is not a permutation of the layers")
         seen: set[int] = set()
         for layer in self.layers:
             for var, power, mat in layer.terms:
@@ -103,9 +99,9 @@ def _sweep(abp: Abp, row: dict, power: Callable[[int, int], object]) -> Iterator
     same ring.  Each layer costs about the number of stored nonzeros its
     matrices hold in the row's support.
     """
-    for idx in abp.order:
+    for layer in abp.layers:
         out: dict = {}
-        for var, k, mat in abp.layers[idx].terms:
+        for var, k, mat in layer.terms:
             scale = power(var, k)
             if not scale:
                 continue
@@ -158,11 +154,11 @@ def expand_abp(abp: Abp, max_terms: int = DEFAULT_TERM_CAP) -> Poly:
 
 
 def permute_order(abp: Abp, new_order: Sequence[int]) -> Abp:
-    """Same layers and boundary, new multiplication order."""
+    """Same layers and boundary; layer new_order[k] is multiplied k-th."""
     new_order = tuple(new_order)
     if sorted(new_order) != list(range(len(abp.layers))):
         raise ValueError("not a valid permutation of the layers")
-    return replace(abp, order=new_order)
+    return replace(abp, layers=tuple(abp.layers[i] for i in new_order))
 
 
 @dataclass(frozen=True)

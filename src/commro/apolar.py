@@ -12,7 +12,8 @@ computable with rank/solve alone, no general Groebner machinery:
   rank (a monomial is a leading monomial of the ideal exactly when its
   vector depends on those of smaller monomials);
 * that elimination is kept, and a residue is one solve against it: the
-  combination of normal-set columns equal to the input's pairing vector;
+  input's pairing vector (a combination of the stored columns) written
+  over the normal-set columns;
 * the per-variable multiplication tables are the residues of t_l * m_i
   written over the normal set.
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .linalg import Echelon, QMatrix
-from .partials import DerivBasis, derivative_basis, pairing
+from .partials import DerivBasis, derivative_basis
 from .poly import Mono, Poly, mono_factorial
 
 
@@ -80,25 +81,23 @@ def normal_set(b: DerivBasis) -> QuotientStructure:
     if not f.is_homogeneous():
         raise ValueError("normal set requires a homogeneous polynomial; "
                          "route general inputs through the homogeneous components")
-    w = b.dimension
+    w, unpack = b.dimension, b.packing.unpack
     # <x^m, L * g_j> = m! * (L * coeff_{g_j}(m)): one pass over the integer rows
-    factorials = {k: mono_factorial(m) for k, m in zip(b._keys, b.monomials)}
-    columns: dict[int, dict[int, int]] = {k: {} for k in b._keys}
-    for j, row in enumerate(b._rows):
+    factorials = {k: mono_factorial(unpack(k)) for k in b.keys}
+    columns: dict[int, dict[int, int]] = {k: {} for k in b.keys}
+    for j, row in enumerate(b.rows):
         for key, coeff in row.items():
             columns[key][j] = factorials[key] * coeff
-    selected: list[Mono] = []
     keys: list[int] = []
     echelon = Echelon()
-    for key, mono in zip(b._keys, b.monomials):
+    for key in b.keys:
         if echelon.add(columns[key]):
-            selected.append(mono)
             keys.append(key)
-            if len(selected) == w:
+            if len(keys) == w:
                 break
-    if len(selected) != w:
+    if len(keys) != w:
         raise AssertionError("normal set selection did not reach full dimension")
-    return QuotientStructure(basis=b, normal_set=tuple(selected), _echelon=echelon,
+    return QuotientStructure(basis=b, normal_set=tuple(map(unpack, keys)), _echelon=echelon,
                              _columns=columns, _keys=tuple(keys))
 
 
@@ -118,13 +117,22 @@ def residue_coefficients(g: Poly, q: QuotientStructure) -> list[Fraction]:
 
     c is the combination of the normal set's pairing columns that sums
     to g's pairing vector: sum_i c_i <m_i, g_j> = <g, g_j> for every j.
-    The stored columns pair against L * g_j, so g's vector is scaled by L
-    too.
+    That vector is itself sum_m coeff_g(m) * (column of x^m), so it is
+    built from the stored columns (which pair against L * g_j, a scaling
+    the solve does not see).  A monomial outside the basis support has
+    no column and pairs to zero; one above deg f is skipped before it is
+    packed, since its exponents need not fit the packing's fields.
     """
-    if g.arity != q.basis.source.arity:
-        raise ValueError(f"arity mismatch: {g.arity} vs {q.basis.source.arity}")
-    scale = q.basis._scale
-    solution = q._echelon.solve({j: scale * pairing(g, gj) for j, gj in enumerate(q.basis.basis)})
+    b = q.basis
+    if g.arity != b.source.arity:
+        raise ValueError(f"arity mismatch: {g.arity} vs {b.source.arity}")
+    degree = b.source.total_degree()
+    vector: dict[int, Fraction] = {}
+    for mono, coeff in g.terms.items():
+        if sum(mono) <= degree:
+            for j, x in q._columns.get(b.packing.pack(mono), {}).items():
+                vector[j] = vector.get(j, 0) + coeff * x
+    solution = q._echelon.solve(vector)
     return [solution.get(i, Fraction(0)) for i in range(q.dimension)]
 
 
@@ -136,7 +144,7 @@ def multiplication_tables(q: QuotientStructure) -> QuotientStructure:
     set's columns (an empty row when t_l * m_i is outside the basis
     support, since it then lies in the apolar ideal).
     """
-    w, packing = q.dimension, q.basis._packing
+    w, packing = q.dimension, q.basis.packing
     tables = []
     for var in range(packing.arity):
         step = packing.step(var)

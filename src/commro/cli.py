@@ -94,7 +94,7 @@ def _cmd_tables(args) -> int:
     structure = normal_set(derivative_basis(f, args.max_width))
     # every table is w x w, so the cap is checked before any is built
     entries = structure.dimension ** 2
-    if f.vars and entries > args.max_entries:
+    if entries > args.max_entries:
         raise CapExceeded(f"table for {f.vars[0]} has {entries} entries, "
                           f"cap is {args.max_entries}", flag="--max-entries")
     tables = multiplication_tables(structure).tables
@@ -297,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--random-eval", type=int, metavar="K",
                        help="compare at K seeded random rational points")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--any-order", type=int, metavar="M", default=0,
+    p.add_argument("--any-order", type=_int_at_least(0), metavar="M", default=0,
                    help="also verify M random layer permutations, naming each order")
     p.add_argument("--max-terms", type=_POSITIVE, default=DEFAULT_TERM_CAP)
     p.add_argument("--max-power", type=_int_at_least(0), metavar="P", default=DEFAULT_POWER_CAP,

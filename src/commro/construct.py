@@ -163,8 +163,7 @@ def build_commro_general(f: Poly, max_width: int | None = None) -> Abp:
         raise ValueError("cannot build a branching program for the zero polynomial")
     tables, u, v = _quotient_program(f, max_width)
     layers = _truncated_exponential_layers(tables, f)
-    return Abp(kind="commutative", vars=f.vars, width=len(u), u=u, v=v,
-               layers=tuple(layers), order=tuple(range(len(layers))))
+    return Abp(kind="commutative", vars=f.vars, width=len(u), u=u, v=v, layers=tuple(layers))
 
 
 def _validate_set_multilinear(f: Poly, partition: Sequence[Sequence[int]]) -> None:
@@ -202,8 +201,7 @@ def build_smabp(f: Poly, partition: Sequence[Sequence[int]],
     _validate_set_multilinear(f, partition)
     tables, u, v = _quotient_program(f, max_width)
     layers = [Layer([(var, 1, tables[var]) for var in part]) for part in partition]
-    return Abp(kind="set_multilinear", vars=f.vars, width=len(u), u=u, v=v,
-               layers=tuple(layers), order=tuple(range(len(layers))))
+    return Abp(kind="set_multilinear", vars=f.vars, width=len(u), u=u, v=v, layers=tuple(layers))
 
 
 def _lagrange_coefficient_weights(nodes: Sequence[Fraction], degree: int) -> list[Fraction]:
@@ -263,7 +261,7 @@ def build_diagro_from_waring(w: WaringDecomposition, vars: Sequence[str]) -> Abp
             terms.append((var, k, QMatrix.diagonal(diag)))
         layers.append(Layer(terms))
     return Abp(kind="diagonal", vars=vars, width=width, u=tuple(u), v=tuple(v),
-               layers=tuple(layers), order=tuple(range(n)))
+               layers=tuple(layers))
 
 
 def waring_of_monomial(n: int) -> WaringDecomposition:

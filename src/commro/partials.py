@@ -12,14 +12,15 @@ which is the value at 0 of the derivative operator of g applied to h
 (symmetric in g and h).  Everything downstream of the apolar quotient
 construction is driven by these two primitives.  The closure runs on
 packed monomial keys (poly.MonoPacking) and integer coefficients: f is
-scaled by the lcm of its denominators first, and the basis keeps those
-integer rows beside its exact Poly elements for the quotient stages.
+scaled by the lcm of its denominators first, and the basis is kept as
+those integer rows; the quotient stages read nothing else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .errors import CapExceeded
@@ -33,23 +34,29 @@ class DerivBasis:
 
     g_1 is always the source polynomial itself; the rest follow in the
     order the breadth-first closure kept them (level by level, each kept
-    element differentiated by x_1, ..., x_r in turn).  `monomials` is the
-    union support of the basis, ascending in deg-lex.
+    element differentiated by x_1, ..., x_r in turn).  Row i is g_i
+    scaled by `scale` (the lcm of the source's denominators) as
+    {packed key: int}; `keys` is the union support of the rows,
+    ascending (integer order is deg-lex), under `packing`.
     """
 
     source: Poly
-    basis: tuple[Poly, ...]
-    monomials: tuple[Mono, ...]
-    # g_i scaled by _scale (the lcm of the source's denominators) as {packed key: int}
-    _rows: tuple[dict[int, int], ...] = field(repr=False, compare=False, default=())
-    _scale: int = field(repr=False, compare=False, default=1)
-    # the packed keys of `monomials`, ascending (integer order is deg-lex)
-    _keys: tuple[int, ...] = field(repr=False, compare=False, default=())
-    _packing: MonoPacking = field(repr=False, compare=False, default=None)
+    rows: tuple[dict[int, int], ...]
+    scale: int
+    keys: tuple[int, ...]
+    packing: MonoPacking = field(repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
+
+    @cached_property
+    def basis(self) -> tuple[Poly, ...]:
+        """The g_i as exact Polys, the rows divided by scale; built on first read."""
+        monos = {k: self.packing.unpack(k) for k in self.keys}
+        return tuple(Poly.sparse(self.source.vars,
+                                 {monos[k]: Fraction(c, self.scale) for k, c in row.items()})
+                     for row in self.rows)
 
 
 def derivative_basis(f: Poly, max_width: int | None = None) -> DerivBasis:
@@ -64,9 +71,9 @@ def derivative_basis(f: Poly, max_width: int | None = None) -> DerivBasis:
     the lcm of f's denominators, as integer rows keyed by packed
     monomials: a derivative visits only the terms containing x_i, and
     the independence test reduces only by the pivots its terms reach.
-    Scaling changes no independence test, and the basis elements are
-    the rows divided by L.  Once the span exceeds max_width dimensions,
-    CapExceeded (naming --max-width) is raised.
+    Scaling changes no independence test, and the basis keeps the rows,
+    L * g_i.  Once the span exceeds max_width dimensions, CapExceeded
+    (naming --max-width) is raised.
     """
     if f.is_zero():
         raise ValueError("zero polynomial has no derivative basis")
@@ -86,12 +93,8 @@ def derivative_basis(f: Poly, max_width: int | None = None) -> DerivBasis:
                 level.append(row)
         rows.extend(level)
         candidates = [packing.derive(row, i) for row in level for i in range(f.arity)]
-    keys = sorted({k for row in rows for k in row})
-    monos = {k: packing.unpack(k) for k in keys}
-    basis = tuple(Poly.sparse(f.vars, {monos[k]: Fraction(c, scale) for k, c in row.items()})
-                  for row in rows)
-    return DerivBasis(source=f, basis=basis, monomials=tuple(monos.values()),
-                      _rows=tuple(rows), _scale=scale, _keys=tuple(keys), _packing=packing)
+    keys = tuple(sorted({k for row in rows for k in row}))
+    return DerivBasis(source=f, rows=tuple(rows), scale=scale, keys=keys, packing=packing)
 
 
 def dpd(f: Poly) -> int:

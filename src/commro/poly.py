@@ -70,10 +70,6 @@ def mono_divides(a: Mono, b: Mono) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def mono_degree(mono: Mono) -> int:
-    return sum(mono)
-
-
 def mono_factorial(mono: Mono) -> int:
     """Product of factorials of the exponents (e1! * e2! * ... * er!)."""
     return math.prod(map(math.factorial, mono))

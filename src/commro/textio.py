@@ -9,9 +9,10 @@ waring file:       `waring d=<d> n=<n>` header, lines `c: a1 a2 ... an`
 abp file:          `abp v1` magic, `kind:`/`width:`/`vars:`/`order:`/
                    `u:`/`v:` headers once each, then `layer <var> power
                    <k>` blocks, each for a variable of the order line and
-                   followed by width rows of width rationals.
-                   For set-multilinear programs the order line groups
-                   part variables with '|': `order: a,b|c,d`.
+                   followed by width rows of width rationals.  The order
+                   line lists the layers in multiplication order, one
+                   layer per group; for set-multilinear programs it
+                   groups part variables with '|': `order: a,b|c,d`.
 """
 
 from __future__ import annotations
@@ -141,10 +142,8 @@ def parse_waring_file(text: str) -> WaringDecomposition:
 
 def format_order(abp: Abp) -> str:
     """The layer order as the `order:` header writes it, e.g. `x2,x3,x1` or `a,b|c,d`."""
-    groups = []
-    for idx in abp.order:
-        names = [abp.vars[var] for var in sorted(abp.layers[idx].variables())]
-        groups.append(",".join(names))
+    groups = [",".join(abp.vars[var] for var in sorted(layer.variables()))
+              for layer in abp.layers]
     separator = "|" if abp.kind == "set_multilinear" else ","
     return separator.join(groups)
 
@@ -191,7 +190,6 @@ def parse_abp(text: str) -> Abp:
 
     # layer blocks, grouped by variable
     blocks: dict[int, list[tuple[int, QMatrix]]] = {}
-    appearance: list[int] = []
     while at < len(lines):
         header = lines[at]
         parts = header.split()
@@ -216,8 +214,6 @@ def parse_abp(text: str) -> Abp:
             rows.append({j: x for j, tok in enumerate(tokens)
                          if tok != "0" and (x := _rational(tok))})
             at += 1
-        if var not in blocks:
-            appearance.append(var)
         blocks.setdefault(var, []).append((power, QMatrix.sparse(width, width, rows)))
 
     group_texts = headers["order"].split("|") if kind == "set_multilinear" \
@@ -232,23 +228,14 @@ def parse_abp(text: str) -> Abp:
         except KeyError as bad:
             raise ValueError(f"order header names unknown variable {bad.args[0]!r}") from None
     ordered = {var for group in order_groups for var in group}
-    for var in appearance:
+    for var, powers in blocks.items():
         if var not in ordered:
-            raise ValueError(f"layer block 'layer {vars[var]} power {blocks[var][0][0]}' "
+            raise ValueError(f"layer block 'layer {vars[var]} power {powers[0][0]}' "
                              "is for a variable the order header does not list")
 
-    # declaration order: sorted by first appearance of any member variable
-    first_seen = {var: pos for pos, var in enumerate(appearance)}
-    decl = sorted(range(len(order_groups)),
-                  key=lambda g: min(first_seen.get(var, len(appearance))
-                                    for var in order_groups[g]))
-    layers = []
-    for g in decl:
-        terms: list[tuple[int, int, QMatrix]] = []
-        for var in order_groups[g]:
-            for power, mat in blocks.get(var, []):
-                terms.append((var, power, mat))
-        layers.append(Layer(terms))
-    order = tuple(decl.index(g) for g in range(len(order_groups)))
-    return Abp(kind=kind, vars=vars, width=width, u=u, v=v,
-               layers=tuple(layers), order=order)
+    # one layer per group, in multiplication order; a variable listed twice
+    # gives both its layers its blocks, which Abp rejects
+    layers = tuple(Layer([(var, power, mat) for var in group
+                          for power, mat in blocks.get(var, [])])
+                   for group in order_groups)
+    return Abp(kind=kind, vars=vars, width=width, u=u, v=v, layers=layers)

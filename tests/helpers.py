@@ -12,6 +12,8 @@ key-driven, integer-row Echelon must reproduce row for row, and
 sympy_minimal_polynomial factors the characteristic polynomial.
 wide_rational_polys draws homogeneous input with wide rational
 coefficients for the integer-row closure and quotient.
+residue_by_pairing solves for a residue from the pairing of Polys,
+without the quotient's stored columns or its elimination.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from sympy import QQ, Symbol
 from sympy import Poly as SympyPoly
 from sympy.polys.matrices import DomainMatrix
 
-from commro import Poly, QMatrix, deglex_key, monomials_of_degree
+from commro import Poly, QMatrix, deglex_key, monomials_of_degree, pairing
 
 
 def var_names(n: int) -> tuple[str, ...]:
@@ -124,9 +126,9 @@ def dense_eval_abp(abp, point) -> Fraction:
     """u^T * M_1(point) * ... * M_k(point) * v, each layer built densely from mat.data."""
     w = abp.width
     row = list(abp.u)
-    for idx in abp.order:
+    for abp_layer in abp.layers:
         layer = [[Fraction(0)] * w for _ in range(w)]
-        for var, power, mat in abp.layers[idx].terms:
+        for var, power, mat in abp_layer.terms:
             scale = Fraction(point[var]) ** power
             for i, mat_row in enumerate(mat.data):
                 for j, x in enumerate(mat_row):
@@ -153,6 +155,20 @@ def span_rank(polys: list[Poly]) -> int:
     if not columns:
         return 0
     return DomainMatrix.from_list([[p.coeff(m) for m in columns] for p in polys], QQ).rank()
+
+
+def residue_by_pairing(g: Poly, q) -> list[Fraction]:
+    """The c with sum_i c_i <m_i, g_j> = <g, g_j> for every basis element g_j.
+
+    Pairs Polys with the library's pairing over q.basis.basis and solves
+    the w x w system with sympy; the normal-set columns are independent,
+    so the solution is unique.
+    """
+    basis = q.basis.basis
+    monos = [Poly.monomial(g.vars, m) for m in q.normal_set]
+    system = DomainMatrix.from_list([[pairing(m, gj) for m in monos] for gj in basis], QQ)
+    rhs = DomainMatrix.from_list([[pairing(g, gj)] for gj in basis], QQ)
+    return [sympy_fraction(x) for x in system.lu_solve(rhs).to_Matrix()]
 
 
 def sympy_fraction(x) -> Fraction:

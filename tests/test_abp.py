@@ -25,7 +25,7 @@ def width_one_chain() -> Abp:
     layers = (Layer([(0, 0, one), (0, 1, one)]),
               Layer([(1, 0, one), (1, 1, one)]))
     return Abp(kind="commutative", vars=V2, width=1,
-               u=(Fraction(1),), v=(Fraction(1),), layers=layers, order=(0, 1))
+               u=(Fraction(1),), v=(Fraction(1),), layers=layers)
 
 
 def shift_pair() -> Abp:
@@ -37,7 +37,7 @@ def shift_pair() -> Abp:
               Layer([(1, 0, ident), (1, 1, down)]))
     return Abp(kind="general", vars=V2, width=2,
                u=(Fraction(1), Fraction(0)), v=(Fraction(1), Fraction(0)),
-               layers=layers, order=(0, 1))
+               layers=layers)
 
 
 def test_eval_width_one_chain():
@@ -72,8 +72,9 @@ def test_expand_cap():
 
 def test_permute_identity_and_reversal():
     abp = build_commro(det_polynomial(2))
-    assert permute_order(abp, abp.order) == abp
-    reverse = permute_order(abp, tuple(reversed(abp.order)))
+    identity = tuple(range(len(abp.layers)))
+    assert permute_order(abp, identity) == abp
+    reverse = permute_order(abp, tuple(reversed(identity)))
     assert expand_abp(reverse) == expand_abp(abp)
 
 
@@ -92,17 +93,17 @@ def test_check_kind():
                    Layer([(1, 1, QMatrix.diagonal([3, 4]))]))
     diag = Abp(kind="diagonal", vars=V2, width=2,
                u=(Fraction(1), Fraction(1)), v=(Fraction(1), Fraction(1)),
-               layers=diag_layers, order=(0, 1))
+               layers=diag_layers)
     assert check_kind(diag)
     as_comm = Abp(kind="commutative", vars=V2, width=2, u=diag.u, v=diag.v,
-                  layers=diag_layers, order=(0, 1))
+                  layers=diag_layers)
     assert check_kind(as_comm)
 
     assert check_kind(build_commro(det_polynomial(2)))
 
     bad = Abp(kind="commutative", vars=V2, width=2,
               u=(Fraction(1), Fraction(0)), v=(Fraction(1), Fraction(0)),
-              layers=shift_pair().layers, order=(0, 1))
+              layers=shift_pair().layers)
     assert not check_kind(bad)
     assert check_kind(shift_pair())  # kind "general" has no constraint
 
@@ -150,8 +151,7 @@ def test_check_kind_agrees_with_all_pairs_oracle(mats, kind):
     n = mats[0].rows
     abp = Abp(kind=kind, vars=tuple(f"x{k}" for k in range(len(mats))), width=n,
               u=(Fraction(1),) * n, v=(Fraction(1),) * n,
-              layers=tuple(Layer([(k, 1, m)]) for k, m in enumerate(mats)),
-              order=tuple(range(len(mats))))
+              layers=tuple(Layer([(k, 1, m)]) for k, m in enumerate(mats)))
     report = check_kind(abp)
     assert bool(report) == all_pairs_commute(mats)
     assert report.matrices == len(mats)
@@ -164,13 +164,10 @@ def test_abp_validation():
     one = QMatrix([[1]])
     with pytest.raises(ValueError, match="kind"):
         Abp(kind="mystery", vars=V2, width=1, u=(Fraction(1),), v=(Fraction(1),),
-            layers=(Layer([(0, 0, one)]), Layer([(1, 0, one)])), order=(0, 1))
-    with pytest.raises(ValueError, match="permutation"):
-        Abp(kind="general", vars=V2, width=1, u=(Fraction(1),), v=(Fraction(1),),
-            layers=(Layer([(0, 0, one)]), Layer([(1, 0, one)])), order=(0, 0))
+            layers=(Layer([(0, 0, one)]), Layer([(1, 0, one)])))
     with pytest.raises(ValueError, match="more than one layer"):
         Abp(kind="general", vars=V2, width=1, u=(Fraction(1),), v=(Fraction(1),),
-            layers=(Layer([(0, 1, one)]), Layer([(0, 1, one)])), order=(0, 1))
+            layers=(Layer([(0, 1, one)]), Layer([(0, 1, one)])))
 
 
 def test_nisan_matrix_examples():

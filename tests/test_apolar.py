@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commro import (Poly, QMatrix, apolar_member, commute, derivative_basis,
                     dpd, eval_vector, minimal_polynomial, mono_mul, normal_set,
@@ -12,7 +13,7 @@ from commro import (Poly, QMatrix, apolar_member, commute, derivative_basis,
 from commro.apolar import residue_coefficients
 from commro.detspecial import det_polynomial, palindrome, perm_polynomial
 
-from helpers import poly_at_matrices, random_poly, wide_rational_polys
+from helpers import poly_at_matrices, random_poly, residue_by_pairing, wide_rational_polys
 
 V2 = ("x1", "x2")
 
@@ -259,3 +260,30 @@ def test_quotient_of_rational_input(f):
         for i, mono in enumerate(q.normal_set):
             product = Poly.monomial(f.vars, mono_mul(mono, shift))
             assert list(table.data[i]) == residue_coefficients(product, q)
+
+
+@st.composite
+def residue_cases(draw):
+    """A quotient and a g mixing support monomials, other monomials of
+    degree up to deg f + 1, and monomials with one exponent too wide for
+    a packed field (at least 2^bits)."""
+    f = draw(wide_rational_polys())
+    q = normal_set(derivative_basis(f))
+    d, r = f.total_degree(), f.arity
+    support = sorted({m for g in q.basis.basis for m in g.terms})
+    low = st.tuples(*[st.integers(0, d + 1)] * r)
+    field = 1 << (d.bit_length() + 1)
+    wide = st.builds(lambda m, var, e: m[:var] + (e,) + m[var + 1:],
+                     low, st.integers(0, r - 1), st.integers(field, 4 * field))
+    monos = draw(st.lists(st.sampled_from(support), min_size=1, max_size=4))
+    monos += draw(st.lists(st.one_of(low, wide), max_size=4))
+    coeffs = st.builds(Fraction, st.integers(-10 ** 18, 10 ** 18).filter(bool),
+                       st.integers(1, 10 ** 6))
+    return q, Poly(f.vars, {m: draw(coeffs) for m in monos})
+
+
+@settings(max_examples=150, deadline=None)
+@given(residue_cases())
+def test_residues_match_the_pairing_oracle(case):
+    q, g = case
+    assert residue_coefficients(g, q) == residue_by_pairing(g, q)

@@ -198,7 +198,7 @@ def test_verify_detects_tampering(det2_file, tmp_path, capsys):
     abp = parse_abp(out.read_text())
     tampered = abp.__class__(kind=abp.kind, vars=abp.vars, width=abp.width,
                              u=abp.u, v=tuple(-x for x in abp.v),
-                             layers=abp.layers, order=abp.order)
+                             layers=abp.layers)
     out.write_text(format_abp(tampered))
     capsys.readouterr()
     assert run(["verify", str(out), "--against", det2_file, "--expand"]) == 1
@@ -391,6 +391,8 @@ X1X2_ABP = format_abp(build_commro(parse_poly("x1*x2", ("x1", "x2"))))
     ("abp", X1X2_ABP.replace("v: 0 0 0 1", "v: 0 0 0 2\nv: 0 0 0 1"), [], "'v: 0 0 0 1'"),
     ("abp", X1X2_ABP.replace("width: 4", "width: 4\nthis line is not a header"), [],
      "'this line is not a header'"),
+    ("abp", re.sub(r"(?m)^order: .*", "order: x1,x2,x1", X1X2_ABP), [],
+     "variable read by more than one layer"),
     ("waring", "waring d=2 n=2\n1/0: 1 1\n", [], "zero denominator"),
     ("waring", "waring d=2 n=2\n1: 1 1/0\n", [], "zero denominator"),
     ("waring", "waring d=2 n\n1: 1 1\n", [], "key=value"),
@@ -398,7 +400,7 @@ X1X2_ABP = format_abp(build_commro(parse_poly("x1*x2", ("x1", "x2"))))
     ("poly", "x^2\n", ["--vars", "x,x"], "declared twice"),
 ], ids=["abp-u", "abp-v", "abp-layer", "abp-duplicate-vars", "abp-order",
         "abp-repeated-layer", "abp-short-row", "abp-unordered-layer",
-        "abp-repeated-header", "abp-stray-header", "waring-coeff",
+        "abp-repeated-header", "abp-stray-header", "abp-order-repeats", "waring-coeff",
         "waring-form", "waring-header", "poly-duplicate-vars", "vars-flag-duplicate"])
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, suffix, text, flags, message):
     path = tmp_path / f"input.{suffix}"
@@ -421,9 +423,11 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, suffix, text, fla
     (["tables", "{poly}"], "--max-entries", "-1"),
     (["verify", "{abp}", "--against", "{poly}", "--expand"], "--max-terms", "0"),
     (["verify", "{abp}", "--against", "{poly}", "--random-eval", "1"], "--max-power", "-1"),
+    (["verify", "{abp}", "--against", "{poly}", "--expand"], "--any-order", "-1"),
     (["dpd", "{poly}"], "--max-width", "x"),
 ], ids=["dpd-width-0", "normal-set-width-neg", "build-width-neg", "tables-entries-0",
-        "tables-entries-neg", "verify-terms-0", "verify-power-neg", "dpd-width-not-int"])
+        "tables-entries-neg", "verify-terms-0", "verify-power-neg", "verify-any-order-neg",
+        "dpd-width-not-int"])
 def test_nonsense_cap_exits_2_naming_the_flag(tmp_path, det2_file, capsys, command, flag, value):
     abp = str(tmp_path / "det2.abp")
     assert run(["build", "commro", det2_file, "-o", abp]) == 0

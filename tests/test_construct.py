@@ -9,6 +9,7 @@ from commro import (CapExceeded, Poly, WaringDecomposition, boundary_vector_by_s
                     build_smabp, check_kind, dpd, eval_abp, expand_abp,
                     parse_poly, quotient, waring_expand, waring_of_monomial)
 from commro.detspecial import det2_golden, det_polynomial
+from commro.partials import DerivBasis
 
 from helpers import cofactor_det, random_poly
 
@@ -24,6 +25,21 @@ def test_commro_x1x2():
     assert abp.v == (0, 0, 0, 1)
     assert expand_abp(abp) == f
     assert check_kind(abp)
+
+
+def test_builders_never_read_the_poly_basis(monkeypatch):
+    # the quotient stages run on the basis's integer rows; the exact Poly
+    # basis is built only when something reads it
+    def refuse(self):
+        raise AssertionError("DerivBasis.basis read while building")
+
+    monkeypatch.setattr(DerivBasis, "basis", property(refuse))
+    det4 = det_polynomial(4)
+    assert build_commro_general(det4).width == 70
+    f = parse_poly("1/3*x1^2*x2 - 5/7*x1 + 1/2", V2)
+    assert expand_abp(build_commro_general(f)) == f
+    det2 = det_polynomial(2)
+    assert expand_abp(build_smabp(det2, [[0, 1], [2, 3]])) == det2
 
 
 def test_commro_univariate_power():

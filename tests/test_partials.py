@@ -14,6 +14,12 @@ from helpers import brute_dpd, dilate, random_poly, span_rank, wide_rational_pol
 V2 = ("x1", "x2")
 
 
+def test_bases_compare_by_source_and_rows():
+    f = parse_poly("1/3*x1^2*x2 + 2*x2^3", V2)
+    assert derivative_basis(f) == derivative_basis(parse_poly("2*x2^3 + 1/3*x1^2*x2", V2))
+    assert derivative_basis(f) != derivative_basis(f.scale(2))
+
+
 def test_basis_of_x1x2():
     f = parse_poly("x1*x2", V2)
     b = derivative_basis(f)
