@@ -15,9 +15,10 @@ term,
 Layers are stored in multiplication order.  Only stored matrices
 exist; absent powers are zero semantically.
 
-This module also computes coefficient ("Nisan") matrices of a
-polynomial over a variable bipartition, whose prefix-cut ranks give the
-exact minimal ROABP width and size per variable order.
+This module also measures a polynomial against Nisan's
+characterization: the ranks of its coefficient matrices over the
+prefix cuts of a variable order give the exact minimal ROABP width and
+size in that order.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import DEFAULT_ENTRY_CAP, DEFAULT_TERM_CAP, CapExceeded
+from .errors import DEFAULT_TERM_CAP, CapExceeded
 from .linalg import Echelon, QMatrix, commute
-from .poly import Mono, Poly, deglex_key
+from .poly import Mono, Poly
 
 KINDS = ("general", "commutative", "diagonal", "set_multilinear")
 ROABP_KINDS = ("general", "commutative", "diagonal")
@@ -125,8 +126,8 @@ def eval_abp(abp: Abp, point: Sequence[Fraction | int]) -> Fraction:
     return sum((x * abp.v[j] for j, x in row.items()), Fraction(0))
 
 
-def expand_row(abp: Abp, max_terms: int = DEFAULT_TERM_CAP) -> list[Poly]:
-    """u^T times the symbolic layers in order; its dot product with v is the program's value."""
+def expand_abp(abp: Abp, max_terms: int = DEFAULT_TERM_CAP) -> Poly:
+    """The exact polynomial computed by the program, via symbolic products."""
     arity = len(abp.vars)
 
     def power(var: int, k: int) -> Poly:
@@ -140,16 +141,10 @@ def expand_row(abp: Abp, max_terms: int = DEFAULT_TERM_CAP) -> list[Poly]:
                 f"symbolic expansion reached {total} intermediate terms, cap is {max_terms}",
                 flag="--max-terms",
             )
-    zero = Poly.zero(abp.vars)
-    return [row.get(j, zero) for j in range(abp.width)]
-
-
-def expand_abp(abp: Abp, max_terms: int = DEFAULT_TERM_CAP) -> Poly:
-    """The exact polynomial computed by the program, via symbolic products."""
     out = Poly.zero(abp.vars)
-    for p, c in zip(expand_row(abp, max_terms), abp.v):
-        if c and p:
-            out = out + p.scale(c)
+    for j, p in row.items():
+        if abp.v[j]:
+            out = out + p.scale(abp.v[j])
     return out
 
 
@@ -198,7 +193,7 @@ def check_kind(abp: Abp) -> KindCheck:
 
 
 # ---------------------------------------------------------------------------
-# Nisan matrices
+# Nisan prefix-cut ranks
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -217,50 +212,15 @@ class NisanCutReport:
         return sum(self.cut_ranks)
 
 
-def _exponent_tuples(count: int, degree_bound: int) -> list[tuple[int, ...]]:
-    tuples = list(itertools.product(range(degree_bound + 1), repeat=count))
-    tuples.sort(key=deglex_key)
-    return tuples
-
-
-def nisan_matrix(f: Poly, s: Iterable[int],
-                 max_entries: int = DEFAULT_ENTRY_CAP) -> QMatrix:
-    """Coefficient matrix of f over the bipartition (s, complement).
-
-    Rows and columns are indexed by all monomials of individual degree
-    at most d over the two variable groups (d being the largest
-    individual degree of f), in deg-lex order of the exponent tuples;
-    the (m, m') entry is the coefficient of m * m' in f.
-    """
-    s_sorted = sorted(set(s))
-    if any(i < 0 or i >= f.arity for i in s_sorted):
-        raise ValueError("variable index out of range")
-    t_sorted = [i for i in range(f.arity) if i not in set(s_sorted)]
-    d = f.max_individual_degree()
-    n_rows = (d + 1) ** len(s_sorted)
-    n_cols = (d + 1) ** len(t_sorted)
-    if n_rows * n_cols > max_entries:
-        raise CapExceeded(
-            f"Nisan matrix of {n_rows}x{n_cols} entries exceeds the cap of {max_entries}",
-            flag="--max-entries",
-        )
-    row_index = {e: i for i, e in enumerate(_exponent_tuples(len(s_sorted), d))}
-    col_index = {e: j for j, e in enumerate(_exponent_tuples(len(t_sorted), d))}
-    data = [[Fraction(0)] * n_cols for _ in range(n_rows)]
-    for mono, coeff in f.terms.items():
-        re = tuple(mono[i] for i in s_sorted)
-        ce = tuple(mono[i] for i in t_sorted)
-        data[row_index[re]][col_index[ce]] = coeff
-    return QMatrix(data)
-
-
 def nisan_width(f: Poly, order: Sequence[int]) -> NisanCutReport:
     """Exact minimal ROABP width/size of f in the given variable order.
 
-    Computes the rank of every prefix-cut coefficient matrix.  Each cut
-    is gathered from f's support, one sparse row per prefix exponent
-    that occurs; zero rows and columns add no rank, so the rank is that
-    of nisan_matrix without materializing it.
+    Computes the rank of every prefix-cut coefficient matrix: rows are
+    indexed by the exponents of the prefix variables, columns by those
+    of the rest, and entry (m, m') is the coefficient of m * m' in f.
+    Each cut is gathered from f's support, one sparse row per prefix
+    exponent that occurs; zero rows and columns add no rank, so the
+    dense matrix over every exponent is never built.
     """
     order = tuple(order)
     if sorted(order) != list(range(f.arity)):

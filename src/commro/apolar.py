@@ -158,27 +158,6 @@ def quotient(f: Poly, max_width: int | None = None) -> QuotientStructure:
     return multiplication_tables(normal_set(derivative_basis(f, max_width)))
 
 
-def univariate_mult_table(p: Poly) -> QMatrix:
-    """Multiplication table for t on C[t]/<p>, for univariate p of degree >= 1.
-
-    Row i holds the coefficients of t^{i+1} mod p: a plain shift for
-    i < d-1, and the negated low coefficients of p (made monic) in the
-    last row.  Its minimal polynomial is p normalized to leading
-    coefficient 1.
-    """
-    if p.arity != 1:
-        raise ValueError("univariate polynomial required")
-    d = p.total_degree()
-    if d < 1:
-        raise ValueError("degree must be at least 1")
-    lead = p.coeff((d,))
-    rows = []
-    for i in range(d - 1):
-        rows.append([1 if j == i + 1 else 0 for j in range(d)])
-    rows.append([-p.coeff((j,)) / lead for j in range(d)])
-    return QMatrix(rows)
-
-
 def apolar_member(h: Poly, f: Poly) -> bool:
     """True iff h's derivative operator annihilates f identically.
 

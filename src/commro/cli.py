@@ -20,7 +20,7 @@ from .construct import (build_commro_general, build_diagro_from_waring,
                         build_smabp, waring_of_monomial)
 from .detspecial import det_polynomial, palindrome, perm_polynomial
 from .errors import DEFAULT_ENTRY_CAP, DEFAULT_TERM_CAP, CapExceeded
-from .partials import derivative_basis, dpd
+from .partials import derivative_basis
 from .poly import Poly, PolyParseError, mono_str
 from .textio import (format_abp, format_matrix, format_order, format_poly_file,
                      format_waring_file, parse_abp, parse_poly_file,
@@ -28,7 +28,7 @@ from .textio import (format_abp, format_matrix, format_order, format_poly_file,
 
 RANDOM_COORD_BOUND = 10 ** 6
 # a random coordinate to the power k has about 20k bits; built programs
-# have layer powers of at most deg f
+# have layer powers of at most f's largest exponent
 DEFAULT_POWER_CAP = 1 << 12
 # far above det7's w = 3432; without a cap, `x^99999999` closes a span of
 # 10^8 dimensions whose coefficients grow factorially
@@ -107,7 +107,7 @@ def _cmd_build(args) -> int:
     if args.target == "diagro":
         w = parse_waring_file(_read(args.input))
         vars = tuple(f"x{i + 1}" for i in range(w.arity))
-        abp = build_diagro_from_waring(w, vars)
+        abp = build_diagro_from_waring(w, vars, args.max_width)
     else:
         f = _load_poly(args.input, args.vars)
         if args.target == "commro":
@@ -159,6 +159,10 @@ def _cmd_verify(args) -> int:
             raise CapExceeded(f"layer power {top} exceeds the random-evaluation cap "
                               f"of {args.max_power}", flag="--max-power")
     f = _load_poly(args.against, args.vars)
+    if args.random_eval is not None and f.max_individual_degree() > args.max_power:
+        raise CapExceeded(f"exponent {f.max_individual_degree()} of the --against polynomial "
+                          f"exceeds the random-evaluation cap of {args.max_power}",
+                          flag="--max-power")
     if f.vars != abp.vars:
         print(f"verify FAILED: variable mismatch {f.vars} vs {abp.vars}")
         return 1
@@ -301,8 +305,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also verify M random layer permutations, naming each order")
     p.add_argument("--max-terms", type=_POSITIVE, default=DEFAULT_TERM_CAP)
     p.add_argument("--max-power", type=_int_at_least(0), metavar="P", default=DEFAULT_POWER_CAP,
-                   help="refuse (exit 3) to --random-eval a program with a layer power "
-                        "above P (default: %(default)s)")
+                   help="refuse (exit 3) to --random-eval when a layer power or an "
+                        "exponent of the --against polynomial is above P "
+                        "(default: %(default)s)")
     add_vars(p)
     p.set_defaults(func=_cmd_verify)
 

@@ -34,10 +34,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .abp import Abp, Layer, expand_row
+from .abp import Abp, Layer
 from .apolar import QuotientStructure, quotient
-from .errors import DEFAULT_TERM_CAP
-from .linalg import QMatrix, solve
+from .errors import CapExceeded
+from .linalg import QMatrix
 from .poly import Poly, mono_factorial
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "build_diagro_from_waring",
     "waring_of_monomial",
     "waring_expand",
-    "boundary_vector_by_solve",
 ]
 
 
@@ -226,22 +225,27 @@ def _lagrange_coefficient_weights(nodes: Sequence[Fraction], degree: int) -> lis
     return weights
 
 
-def build_diagro_from_waring(w: WaringDecomposition, vars: Sequence[str]) -> Abp:
+def build_diagro_from_waring(w: WaringDecomposition, vars: Sequence[str],
+                             max_width: int | None = None) -> Abp:
     """Diagonal ROABP computing the expansion of a Waring decomposition.
 
     Each decomposition term contributes a block of nd+1 diagonal slots,
     one per interpolation node; slot i of layer j holds the truncated
     exponential univariate exp_d(a_j x_j z_i).  Width is exactly
-    (number of terms) * (nd + 1).
+    (number of terms) * (nd + 1); a width above max_width raises
+    CapExceeded (naming --max-width) before any weight is computed.
     """
     vars = tuple(vars)
     if len(vars) != w.arity:
         raise ValueError("variable list does not match the decomposition arity")
     n, d = w.arity, w.degree
     t = n * d + 1
+    width = len(w.terms) * t
+    if max_width is not None and width > max_width:
+        raise CapExceeded(f"diagonal program needs width {width}, cap is {max_width}",
+                          flag="--max-width")
     nodes = [Fraction(k) for k in range(1, t + 1)]
     weights = _lagrange_coefficient_weights(nodes, d)
-    width = len(w.terms) * t
     d_fact = math.factorial(d)
 
     u = []
@@ -287,18 +291,3 @@ def waring_of_monomial(n: int) -> WaringDecomposition:
     if waring_expand(decomposition, vars) != expected:
         raise RuntimeError("sign decomposition failed its expansion check")
     return decomposition
-
-
-def boundary_vector_by_solve(abp: Abp, f: Poly,
-                             max_terms: int = DEFAULT_TERM_CAP) -> list[Fraction] | None:
-    """Recover the right boundary vector by a linear solve; the oracle route.
-
-    Matches the symbolic first row of the layer product against f:
-    unknowns v_j, one equation per monomial of the combined support.
-    Returns None when the system is inconsistent.
-    """
-    entries = expand_row(abp, max_terms)
-    monomials = sorted({m for p in entries for m in p.terms} | set(f.terms))
-    matrix = QMatrix([[p.coeff(m) for p in entries] for m in monomials])
-    rhs = [f.coeff(m) for m in monomials]
-    return solve(matrix, rhs)

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-# Dense Nisan matrices ((d+1)^|S| wide), dense table dumps and symbolic
-# expansions can grow exponentially; operations that materialize them
-# refuse to exceed these caps instead of thrashing.  QMatrix stores only
-# nonzeros, so rank and solve take no cap.
+# Dense table dumps (`tables`, w * w entries each) and symbolic
+# expansions (`verify --expand`) can grow exponentially; the operations
+# that materialize them refuse to exceed these caps instead of
+# thrashing.  QMatrix stores only nonzeros, so rank takes no cap.
 DEFAULT_ENTRY_CAP = 1 << 20
 DEFAULT_TERM_CAP = 1 << 20
 

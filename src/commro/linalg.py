@@ -1,21 +1,20 @@
 """Exact linear algebra over the rationals.
 
 QMatrix stores only its nonzero entries, one {column: Fraction} dict
-per row; PolyMatrix is a dense matrix with Poly entries (used to expand
-branching programs symbolically).  Every elimination in the package
-runs through one kernel, Echelon: an incremental echelon form over
-sparse rows keyed by any sortable column key (ints for vectors,
-exponent tuples for monomials).  It reduces a row by the row's own
-keys, so a row pays for the pivots it meets, not for every stored row.
-It eliminates on integer rows (fraction-free): a row enters scaled by
-the lcm of its denominators, so no elimination step builds a Fraction,
-and only solve's results are Fractions.
-QMatrix rows go to it as they are;
-rank, solve, inverse and minimal_polynomial are short calls on it, and
-the matrix product, the sum and sparse_vec_mat reuse its row update
-(_axpy) on Fractions.
-Arithmetic is exact, so no result depends on the pivot choice; rank and
-solve see only stored nonzeros, so they take no size cap.
+per row; PolyMatrix is a dense matrix with Poly entries, kept for the
+printed det2 layers (detspecial.det2_golden) and their product.  Every
+elimination in the package runs through one kernel, Echelon: an
+incremental echelon form over sparse rows keyed by any sortable column
+key (ints for vectors, packed monomials, exponent tuples).  It reduces
+a row by the row's own keys, so a row pays for the pivots it meets, not
+for every stored row.  It eliminates on integer rows (fraction-free): a
+row enters scaled by the lcm of its denominators, so no elimination
+step builds a Fraction, and only Echelon.solve's results are Fractions.
+QMatrix rows go to it as they are; rank, inverse and
+minimal_polynomial are short calls on it, and the matrix product, the
+sum and sparse_vec_mat reuse its row update (_axpy) on Fractions.
+Arithmetic is exact, so no result depends on the pivot choice; rank
+sees only stored nonzeros, so it takes no size cap.
 """
 
 from __future__ import annotations
@@ -103,13 +102,6 @@ class QMatrix:
     def is_diagonal(self) -> bool:
         return all(j == i for i, row in enumerate(self.entries) for j in row)
 
-    def transpose(self) -> QMatrix:
-        out: list[dict[int, Fraction]] = [{} for _ in range(self.cols)]
-        for i, row in enumerate(self.entries):
-            for j, x in row.items():
-                out[j][i] = x
-        return QMatrix.sparse(self.cols, self.rows, out)
-
     def scale(self, factor: Fraction | int) -> QMatrix:
         factor = Fraction(factor)
         if not factor:
@@ -133,14 +125,6 @@ class QMatrix:
             raise ValueError(f"dimension mismatch: {self.cols} vs {other.rows}")
         return QMatrix.sparse(self.rows, other.cols,
                               (sparse_vec_mat(row, other) if row else {} for row in self.entries))
-
-    def power(self, n: int) -> QMatrix:
-        if self.rows != self.cols:
-            raise ValueError("square matrix required")
-        out = QMatrix.identity(self.rows)
-        for _ in range(n):
-            out = out @ self
-        return out
 
 
 def sparse_vec_mat(row: dict[int, Fraction], m: QMatrix) -> dict[int, Fraction]:
@@ -262,24 +246,6 @@ def rank(m: QMatrix) -> int:
     return echelon.rank
 
 
-def solve(m: QMatrix, b: Sequence[Fraction | int]) -> list[Fraction] | None:
-    """Some exact solution x of m @ x = b, or None if the system is inconsistent.
-
-    b is written over a basis of m's columns; the other unknowns are 0.
-    """
-    if len(b) != m.rows:
-        raise ValueError("dimension mismatch")
-    echelon = Echelon()
-    basic = [j for j, col in enumerate(m.transpose().entries) if echelon.add(col)]
-    comb = echelon.solve(dict(enumerate(b)))
-    if comb is None:
-        return None
-    x = [Fraction(0)] * m.cols
-    for i, c in comb.items():
-        x[basic[i]] = c
-    return x
-
-
 def inverse(m: QMatrix) -> QMatrix | None:
     """Exact inverse, or None when m is singular (m must be square).
 
@@ -358,9 +324,6 @@ class PolyMatrix:
 
     def __repr__(self) -> str:
         return f"PolyMatrix({self.rows}x{self.cols} over {self.vars})"
-
-    def specialize(self, point: Sequence[Fraction | int]) -> QMatrix:
-        return QMatrix([[p.eval(point) for p in row] for row in self.data])
 
 
 def polymat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:

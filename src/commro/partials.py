@@ -9,11 +9,14 @@ span by breadth-first closure under single-variable derivatives, and
     <g, h> = sum_e coeff_g(e) * e! * coeff_h(e)
 
 which is the value at 0 of the derivative operator of g applied to h
-(symmetric in g and h).  Everything downstream of the apolar quotient
-construction is driven by these two primitives.  The closure runs on
-packed monomial keys (poly.MonoPacking) and integer coefficients: f is
-scaled by the lcm of its denominators first, and the basis is kept as
-those integer rows; the quotient stages read nothing else.
+(symmetric in g and h).  A polynomial lies in the apolar ideal of f
+exactly when it pairs to zero with every basis element.  The closure
+runs on packed monomial keys (poly.MonoPacking) and integer
+coefficients: f is scaled by the lcm of its denominators first, and
+the basis is kept as those integer rows; the quotient stages read
+nothing else.  apolar.normal_set builds its pairing columns from those
+rows itself, so `pairing` on Polys is the reference the tests check
+the quotient against.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from math import lcm
 
 from .errors import CapExceeded
 from .linalg import Echelon
-from .poly import Mono, MonoPacking, Poly, mono_factorial
+from .poly import MonoPacking, Poly, mono_factorial
 
 
 @dataclass(frozen=True)
@@ -115,16 +118,3 @@ def pairing(g: Poly, h: Poly) -> Fraction:
         if other is not None:
             total += coeff * mono_factorial(mono) * other
     return total
-
-
-def eval_vector(mono: Mono, b: DerivBasis) -> list[Fraction]:
-    """Pairing of the monomial x^mono with each basis element, in basis order.
-
-    Entry i equals e! * coeff_{g_i}(x^e), the value at 0 of g_i's
-    derivative operator applied to the monomial.
-    """
-    mono = tuple(mono)
-    if len(mono) != b.source.arity:
-        raise ValueError(f"arity mismatch: {len(mono)} vs {b.source.arity}")
-    e_fact = mono_factorial(mono)
-    return [e_fact * g.coeff(mono) for g in b.basis]

@@ -49,27 +49,6 @@ def deglex_key(mono: Mono) -> tuple:
     return (sum(mono), tuple(reversed(mono)))
 
 
-def deglex_compare(a: Mono, b: Mono) -> int:
-    """Compare two monomials in deg-lex order: -1, 0, or 1."""
-    if len(a) != len(b):
-        raise ValueError(f"arity mismatch: {len(a)} vs {len(b)}")
-    ka, kb = deglex_key(a), deglex_key(b)
-    return (ka > kb) - (ka < kb)
-
-
-def mono_mul(a: Mono, b: Mono) -> Mono:
-    if len(a) != len(b):
-        raise ValueError(f"arity mismatch: {len(a)} vs {len(b)}")
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def mono_divides(a: Mono, b: Mono) -> bool:
-    """True iff monomial a divides monomial b."""
-    if len(a) != len(b):
-        raise ValueError(f"arity mismatch: {len(a)} vs {len(b)}")
-    return all(x <= y for x, y in zip(a, b))
-
-
 def mono_factorial(mono: Mono) -> int:
     """Product of factorials of the exponents (e1! * e2! * ... * er!)."""
     return math.prod(map(math.factorial, mono))
@@ -111,7 +90,7 @@ class MonoPacking:
         return self.top | 1 << (index * self.bits)
 
     def derive(self, row: dict[int, int], index: int) -> dict[int, int]:
-        """d/dx_index of a packed row {key: coefficient}; like Poly.derive_var.
+        """d/dx_index of a packed row {key: coefficient}; Poly.derive at a unit index.
 
         Terms free of x_index drop out; distinct keys stay distinct, so
         the result needs no merging.
@@ -319,22 +298,6 @@ class Poly:
                 out[ne] = out.get(ne, Fraction(0)) + c * fall
         return Poly(self.vars, out)
 
-    def derive_var(self, index: int) -> Poly:
-        """Exact partial derivative d/dx_index; the result may be zero.
-
-        Visits only the terms that contain x_index.  Distinct monomials
-        stay distinct and every coefficient c * e_index is nonzero, so the
-        result needs no merging or re-checking.
-        """
-        if not 0 <= index < self.arity:
-            raise IndexError(f"variable index {index} out of range for arity {self.arity}")
-        out: dict[Mono, Fraction] = {}
-        for e, c in self.terms.items():
-            k = e[index]
-            if k:
-                out[e[:index] + (k - 1,) + e[index + 1:]] = c * k
-        return Poly.sparse(self.vars, out)
-
     def eval(self, point: Iterable[Fraction | int]) -> Fraction:
         point = [Fraction(p) for p in point]
         if len(point) != self.arity:
@@ -496,8 +459,3 @@ def parse_poly(text: str, var_order: Iterable[str]) -> Poly:
             raise PolyParseError(f"expected '+', '-' or end of input, got {value!r}", at)
         sign = -1 if value == "-" else 1
     return Poly(vars, terms)
-
-
-def print_poly(p: Poly) -> str:
-    """Canonical text form; round-trips through parse_poly."""
-    return str(p)

@@ -4,7 +4,8 @@ Every format is line oriented with bit-exact rationals (`Fraction`
 string form), so emitted artifacts are stable golden files.
 
 polynomial file:   `vars: x1 x2 ...` header, then the expression text
-matrix block:      `rows cols` line, then row-major rationals
+matrix block:      `rows cols` line, then row-major rationals (written by
+                   `commro tables`; nothing reads it back)
 waring file:       `waring d=<d> n=<n>` header, lines `c: a1 a2 ... an`
 abp file:          `abp v1` magic, `kind:`/`width:`/`vars:`/`order:`/
                    `u:`/`v:` headers once each, then `layer <var> power
@@ -85,18 +86,6 @@ def _row_lines(m: QMatrix) -> list[str]:
 
 def format_matrix(m: QMatrix) -> str:
     return "\n".join([f"{m.rows} {m.cols}", *_row_lines(m)]) + "\n"
-
-
-def parse_matrix(text: str) -> QMatrix:
-    tokens = text.split()
-    if len(tokens) < 2:
-        raise ValueError("matrix text too short")
-    rows, cols = int(tokens[0]), int(tokens[1])
-    values = tokens[2:]
-    if len(values) != rows * cols:
-        raise ValueError(f"expected {rows * cols} entries, found {len(values)}")
-    it = iter(values)
-    return QMatrix([[_rational(next(it)) for _ in range(cols)] for _ in range(rows)])
 
 
 # ---------------------------------------------------------------------------

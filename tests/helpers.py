@@ -5,15 +5,19 @@ brute_dpd enumerates every derivative directly, cofactor_det expands a
 numeric determinant recursively, poly_at_matrices substitutes matrices
 into a polynomial the long way, dense_eval_abp evaluates a program
 from the dense view of its matrices alone, and all_pairs_commute
-multiplies every pair of matrices densely, both ways.  Ranks come from sympy, not
-from the library's own elimination kernel.  AllPivotEchelon keeps the
-elimination walk over every stored pivot as the reference that the
-key-driven, integer-row Echelon must reproduce row for row, and
-sympy_minimal_polynomial factors the characteristic polynomial.
-wide_rational_polys draws homogeneous input with wide rational
-coefficients for the integer-row closure and quotient.
-residue_by_pairing solves for a residue from the pairing of Polys,
-without the quotient's stored columns or its elimination.
+multiplies every pair of matrices densely, both ways.  Ranks and
+solves come from sympy, not from the library's own elimination kernel:
+span_rank, dense_nisan_rank (the dense coefficient matrix over a
+variable bipartition, which nisan_width never builds),
+boundary_vector_by_solve (v from the symbolic row u^T * M_1 * ... * M_k
+and f) and residue_by_pairing (a residue from the pairing of Polys,
+without the quotient's stored columns or its elimination).
+AllPivotEchelon keeps the elimination walk over every stored pivot as
+the reference that the key-driven, integer-row Echelon must reproduce
+row for row; sympy_minimal_polynomial factors the characteristic
+polynomial, and companion_matrix gives a matrix with a known minimal
+polynomial.  wide_rational_polys draws homogeneous input with wide
+rational coefficients for the integer-row closure and quotient.
 """
 
 from __future__ import annotations
@@ -155,6 +159,74 @@ def span_rank(polys: list[Poly]) -> int:
     if not columns:
         return 0
     return DomainMatrix.from_list([[p.coeff(m) for m in columns] for p in polys], QQ).rank()
+
+
+def dense_nisan_rank(f: Poly, s) -> int:
+    """Rank of f's dense coefficient matrix over the bipartition (s, complement).
+
+    Rows and columns are every exponent tuple of individual degree at
+    most d (f's largest exponent) over the two variable groups; entry
+    (m, m') is the coefficient of m * m' in f.  sympy computes the rank.
+    """
+    s = sorted(set(s))
+    t = [i for i in range(f.arity) if i not in s]
+    d = f.max_individual_degree()
+
+    def coeff(row: tuple, col: tuple) -> Fraction:
+        mono = [0] * f.arity
+        for i, e in [*zip(s, row), *zip(t, col)]:
+            mono[i] = e
+        return f.coeff(tuple(mono))
+
+    rows = list(itertools.product(range(d + 1), repeat=len(s)))
+    cols = list(itertools.product(range(d + 1), repeat=len(t)))
+    return DomainMatrix.from_list([[coeff(r, c) for c in cols] for r in rows], QQ).rank()
+
+
+def boundary_vector_by_solve(abp, f: Poly) -> list[Fraction] | None:
+    """Some v with u^T * M_1 * ... * M_k * v = f, or None if there is none.
+
+    The symbolic row u^T * M_1 * ... * M_k is multiplied out with Poly
+    arithmetic from the dense view of each layer; its entries are matched
+    against f, one equation per monomial, and sympy's rref solves the
+    system with the free unknowns at 0.
+    """
+    vars, w = abp.vars, abp.width
+    row = [Poly.constant(vars, x) for x in abp.u]
+    for layer in abp.layers:
+        out = [Poly.zero(vars)] * w
+        for var, power, mat in layer.terms:
+            x = Poly.monomial(vars, tuple(power if i == var else 0 for i in range(len(vars))))
+            for i, mat_row in enumerate(mat.data):
+                for j, a in enumerate(mat_row):
+                    if a and row[i]:
+                        out[j] = out[j] + row[i] * x * a
+        row = out
+    monos = sorted({m for p in row for m in p.terms} | set(f.terms))
+    augmented = DomainMatrix.from_list([[p.coeff(m) for p in row] + [f.coeff(m)]
+                                        for m in monos], QQ)
+    reduced, pivots = augmented.rref()
+    if w in pivots:
+        return None
+    table = reduced.to_list()
+    v = [Fraction(0)] * w
+    for r, c in enumerate(pivots):
+        v[c] = sympy_fraction(table[r][w])
+    return v
+
+
+def companion_matrix(p: Poly) -> list[list[Fraction]]:
+    """Multiplication by t on Q[t]/<p>, for univariate p of degree >= 1.
+
+    Row i holds t^(i+1) mod p over 1, t, ..., t^(d-1): a shift for
+    i < d - 1, and the negated low coefficients of p made monic in the
+    last row.  Its minimal polynomial is p made monic.
+    """
+    d = p.total_degree()
+    lead = p.coeff((d,))
+    rows = [[Fraction(int(j == i + 1)) for j in range(d)] for i in range(d - 1)]
+    rows.append([-p.coeff((j,)) / lead for j in range(d)])
+    return rows
 
 
 def residue_by_pairing(g: Poly, q) -> list[Fraction]:

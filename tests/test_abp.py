@@ -9,12 +9,13 @@ from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
 from commro import (Abp, CapExceeded, Layer, Poly, QMatrix, check_kind,
-                    dpd, eval_abp, expand_abp, nisan_matrix, nisan_width,
-                    parse_poly, permute_order, rank)
+                    dpd, eval_abp, expand_abp, nisan_width, parse_poly,
+                    permute_order)
 from commro.construct import build_commro
 from commro.detspecial import det_polynomial, palindrome
 
-from helpers import all_pairs_commute, dense_eval_abp, random_point, random_poly
+from helpers import (all_pairs_commute, dense_eval_abp, dense_nisan_rank, random_point,
+                     random_poly)
 
 V2 = ("x1", "x2")
 
@@ -128,9 +129,10 @@ def matrix_families(draw):
         base = dense()
         mats = []
         for _ in range(count):
-            acc = QMatrix.zeros(n, n)
-            for k in range(draw(st.integers(0, 3)) + 1):
-                acc = acc + base.power(k).scale(draw(entry))
+            acc, power = QMatrix.zeros(n, n), ident
+            for _ in range(draw(st.integers(0, 3)) + 1):
+                acc = acc + power.scale(draw(entry))
+                power = power @ base
             mats.append(acc)
     elif family == "scalar":
         mats = [ident.scale(draw(entry)) for _ in range(count)]
@@ -171,25 +173,17 @@ def test_abp_validation():
 
 
 def test_nisan_matrix_examples():
+    # x1*x2 over {x1} | {x2}: the dense matrix [[0, 0], [0, 1]]
     f = parse_poly("x1*x2", V2)
-    m = nisan_matrix(f, [0])
-    assert m == QMatrix([[0, 0], [0, 1]])
-    assert rank(m) == 1
-
-    zero = Poly.zero(V2)
-    assert nisan_matrix(zero, [0]).is_zero()
+    assert dense_nisan_rank(f, [0]) == nisan_width(f, (0, 1)).cut_ranks[0] == 1
+    assert dense_nisan_rank(Poly.zero(V2), [0]) == 0
 
     # the {x1,y1} | {x2,y2} cut splits the two product factors, so the
     # matrix is an outer product of the factor coefficient vectors: rank 1
     pal2 = palindrome(2)
-    assert rank(nisan_matrix(pal2, [0, 2])) == 1
+    assert dense_nisan_rank(pal2, [0, 2]) == nisan_width(pal2, (0, 2, 1, 3)).cut_ranks[1] == 1
     # prefix cut {x1} of the interleaved order, by contrast, has rank 2
-    assert rank(nisan_matrix(pal2, [0])) == 2
-
-
-def test_nisan_matrix_cap():
-    with pytest.raises(CapExceeded):
-        nisan_matrix(palindrome(3), [0, 1, 2], max_entries=32)
+    assert dense_nisan_rank(pal2, [0]) == nisan_width(pal2, (0, 2, 1, 3)).cut_ranks[0] == 2
 
 
 def test_nisan_width_examples():
@@ -217,18 +211,20 @@ def test_nisan_width_cut_ranks_match_dense_matrix():
         rng.shuffle(order)
         cases.append((f, tuple(order)))
     for f, order in cases:
-        expected = tuple(rank(nisan_matrix(f, sorted(order[:i])))
-                         for i in range(1, f.arity + 1))
+        expected = tuple(dense_nisan_rank(f, order[:i]) for i in range(1, f.arity + 1))
         assert nisan_width(f, order).cut_ranks == expected
 
 
 def test_nisan_rank_symmetric_in_the_partition():
+    # the cut s | t is the |s|-th prefix cut of the order s + t and the
+    # |t|-th of t + s
     rng = random.Random(7)
     for _ in range(10):
         f = random_poly(rng, 4, 2, 6, homogeneous=False)
-        s = [i for i in range(4) if rng.random() < 0.5]
+        s = rng.sample(range(4), rng.randint(1, 3))
         t = [i for i in range(4) if i not in s]
-        assert rank(nisan_matrix(f, s)) == rank(nisan_matrix(f, t))
+        rank_st = nisan_width(f, s + t).cut_ranks[len(s) - 1]
+        assert rank_st == nisan_width(f, t + s).cut_ranks[len(t) - 1] == dense_nisan_rank(f, s)
 
 
 def test_nisan_width_bounded_by_dpd_exhaustive():

@@ -1,4 +1,5 @@
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -332,6 +333,24 @@ def test_build_diagro_from_waring_file(tmp_path, capsys):
     assert expand_abp(abp) == Poly.monomial(vars, (1, 1, 1))
 
 
+def test_build_diagro_caps_width_before_interpolating(tmp_path, capsys):
+    # x1*x2*x3 has 4 terms of degree 3 in 3 variables: width 4 * (3 * 3 + 1) = 40
+    waring_path = str(tmp_path / "mono3.waring")
+    assert run(["gen", "monomial-waring", "3", "-o", waring_path]) == 0
+    out = str(tmp_path / "mono3.abp")
+    assert run(["build", "diagro", waring_path, "-o", out, "--max-width", "39"]) == 3
+    assert "--max-width" in capsys.readouterr().err
+    assert run(["build", "diagro", waring_path, "-o", out, "--max-width", "40"]) == 0
+    assert parse_abp((tmp_path / "mono3.abp").read_text()).width == 40
+    # one term with d = 60, n = 8 needs 481 nodes, whose interpolation
+    # weights cost minutes; the cap refuses before computing any
+    big = tmp_path / "big.waring"
+    big.write_text("waring d=60 n=8\n1: 1 1 1 1 1 1 1 1\n")
+    start = time.perf_counter()
+    assert run(["build", "diagro", str(big), "-o", out, "--max-width", "5"]) == 3
+    assert time.perf_counter() - start < 1.0
+
+
 def test_gen_det_round_trips(tmp_path, capsys):
     path = tmp_path / "det3.poly"
     assert run(["gen", "det", "3", "-o", str(path)]) == 0
@@ -447,3 +466,23 @@ def test_smallest_caps_are_accepted(tmp_path, det2_file, capsys):
     assert "--max-power" in capsys.readouterr().err
     assert run(["verify", abp, "--against", det2_file, "--random-eval", "1",
                 "--max-power", "1"]) == 0
+
+
+def test_random_eval_caps_the_against_exponents(tmp_path, capsys):
+    # the width-1 program computes x; random evaluation of the polynomial
+    # raises each coordinate to its exponents, so they fall under --max-power too
+    program, against = tmp_path / "x.abp", tmp_path / "against.poly"
+    program.write_text(POWER_BOMB_ABP.replace("power 100000000", "power 1"))
+    argv = ["verify", str(program), "--against", str(against), "--random-eval", "1"]
+    against.write_text("vars: x\nx^3000000\n")
+    start = time.perf_counter()
+    assert run(argv + ["--max-power", "5"]) == 3
+    assert run(argv) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "--max-power" in err and "--against" in err and "Traceback" not in err
+    against.write_text("vars: x\nx^2\n")
+    assert run(argv + ["--max-power", "1"]) == 3
+    assert run(argv + ["--max-power", "2"]) == 1  # within the cap, and x differs from x^2
+    against.write_text("vars: x\nx\n")
+    assert run(argv + ["--max-power", "1"]) == 0

@@ -4,14 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from commro import (CapExceeded, Poly, WaringDecomposition, boundary_vector_by_solve,
-                    build_commro, build_commro_general, build_diagro_from_waring,
-                    build_smabp, check_kind, dpd, eval_abp, expand_abp,
-                    parse_poly, quotient, waring_expand, waring_of_monomial)
+from commro import (CapExceeded, Poly, WaringDecomposition, build_commro,
+                    build_commro_general, build_diagro_from_waring, build_smabp,
+                    check_kind, dpd, eval_abp, expand_abp, parse_poly, quotient,
+                    waring_expand, waring_of_monomial)
 from commro.detspecial import det2_golden, det_polynomial
 from commro.partials import DerivBasis
 
-from helpers import cofactor_det, random_poly
+from helpers import boundary_vector_by_solve, cofactor_det, random_poly
 
 V2 = ("x1", "x2")
 V3 = ("x1", "x2", "x3")
@@ -101,13 +101,6 @@ def test_closed_form_v_matches_linear_solve():
         solved = boundary_vector_by_solve(abp, f)
         assert solved is not None
         assert tuple(solved) == abp.v
-
-
-def test_boundary_vector_by_solve_respects_term_cap():
-    f = parse_poly("x1*x2", V2)
-    with pytest.raises(CapExceeded) as cap:
-        boundary_vector_by_solve(build_commro(f), f, max_terms=1)
-    assert cap.value.flag == "--max-terms"
 
 
 def test_general_is_identity_on_homogeneous():
@@ -266,6 +259,10 @@ def test_diagro_monomial_x1x2x3():
     assert abp.width <= 4 * (3 * 3 + 1) == 40
     assert abp.kind == "diagonal" and check_kind(abp)
     assert expand_abp(abp) == Poly.monomial(V3, (1, 1, 1))
+    assert build_diagro_from_waring(w, V3, max_width=40) == abp
+    with pytest.raises(CapExceeded) as cap:
+        build_diagro_from_waring(w, V3, max_width=39)
+    assert cap.value.flag == "--max-width"
 
 
 def test_diagro_rejects_degenerate_input():

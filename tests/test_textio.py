@@ -9,8 +9,8 @@ from commro import (QMatrix, WaringDecomposition, build_commro,
                     waring_of_monomial)
 from commro.detspecial import det_polynomial, palindrome
 from commro.textio import (format_abp, format_matrix, format_poly_file,
-                           format_waring_file, parse_abp, parse_matrix,
-                           parse_poly_file, parse_waring_file)
+                           format_waring_file, parse_abp, parse_poly_file,
+                           parse_waring_file)
 
 from helpers import random_poly
 
@@ -34,13 +34,9 @@ def test_poly_file_multiline_body():
 
 def test_matrix_round_trip():
     m = QMatrix([[Fraction(1, 2), 3], [-4, Fraction(0)]])
-    text = format_matrix(m)
-    assert text.splitlines()[0] == "2 2"
-    assert parse_matrix(text) == m
-    with pytest.raises(ValueError):
-        parse_matrix("2 2\n1 2 3")
-    with pytest.raises(ValueError, match="zero denominator"):
-        parse_matrix("1 1\n1/0")
+    header, *rows = format_matrix(m).splitlines()
+    assert header == "2 2"
+    assert QMatrix([[Fraction(x) for x in row.split()] for row in rows]) == m
 
 
 def test_waring_round_trip():
