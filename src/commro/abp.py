@@ -26,10 +26,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DEFAULT_TERM_CAP, CapExceeded
-from .linalg import Echelon, QMatrix, commute
+from .linalg import Echelon, QMatrix, commute, int_row
 from .poly import Mono, Poly
 
 KINDS = ("general", "commutative", "diagonal", "set_multilinear")
@@ -93,48 +94,62 @@ class Abp:
         return [mat for layer in self.layers for _, _, mat in layer.terms]
 
 
-def _sweep(abp: Abp, row: dict, power: Callable[[int, int], object]) -> Iterator[dict]:
-    """Yield the sparse row vector row * M_1 * ... * M_i after each layer in order.
+def _sweep(abp: Abp, row: dict, den: int,
+           power: Callable[[int, int], tuple[object, int]]) -> Iterator[tuple[dict, int]]:
+    """Yield (r, d) with r / d = (row / den) * M_1 * ... * M_i after each layer in order.
 
-    Row entries are Fractions or Polys; power(var, k) is x_var^k in the
-    same ring.  Each layer costs about the number of stored nonzeros its
-    matrices hold in the row's support.
+    Row entries are ints or Polys, and d is a positive int: the running
+    denominator of the whole program.  power(var, k) is x_var^k as
+    (numerator, positive int denominator), the numerator in the row's
+    ring.  A layer's terms are brought to the lcm L of their
+    denominators, so each term is one int (or Poly) scale of its
+    matrix's int rows and the layer multiplies d by L.  Each layer costs
+    about the number of stored nonzeros its matrices hold in the row's
+    support.
     """
     for layer in abp.layers:
-        out: dict = {}
+        terms = []
         for var, k, mat in layer.terms:
-            scale = power(var, k)
-            if not scale:
-                continue
+            num, d = power(var, k)
+            if num:
+                terms.append((num, d * mat.den, mat.entries))
+        common = lcm(*[d for _, d, _ in terms])
+        out: dict = {}
+        for num, d, entries in terms:
+            scale = num * (common // d)
             for i, x in row.items():
                 xs = x * scale
-                for j, a in mat.entries[i].items():
+                for j, a in entries[i].items():
                     y = xs * a
                     out[j] = out[j] + y if j in out else y
         row = {j: y for j, y in out.items() if y}
-        yield row
+        den *= common
+        yield row, den
 
 
 def eval_abp(abp: Abp, point: Sequence[Fraction | int]) -> Fraction:
-    """Exact value u^T * (product of specialized layers in order) * v."""
+    """Exact value u^T * (product of specialized layers in order) * v, swept in ints."""
     point = [Fraction(p) for p in point]
     if len(point) != len(abp.vars):
         raise ValueError(f"point has {len(point)} coordinates, expected {len(abp.vars)}")
-    row = {i: x for i, x in enumerate(abp.u) if x}
-    for row in _sweep(abp, row, lambda var, k: point[var] ** k):
+    nums = [p.numerator for p in point]
+    dens = [p.denominator for p in point]
+    row, den = int_row(dict(enumerate(abp.u)))
+    for row, den in _sweep(abp, row, den, lambda var, k: (nums[var] ** k, dens[var] ** k)):
         pass
-    return sum((x * abp.v[j] for j, x in row.items()), Fraction(0))
+    return sum((x * abp.v[j] for j, x in row.items()), Fraction(0)) / den
 
 
 def expand_abp(abp: Abp, max_terms: int = DEFAULT_TERM_CAP) -> Poly:
     """The exact polynomial computed by the program, via symbolic products."""
     arity = len(abp.vars)
 
-    def power(var: int, k: int) -> Poly:
-        return Poly.monomial(abp.vars, tuple(k if i == var else 0 for i in range(arity)))
+    def power(var: int, k: int) -> tuple[Poly, int]:
+        return Poly.monomial(abp.vars, tuple(k if i == var else 0 for i in range(arity))), 1
 
     row = {i: Poly.constant(abp.vars, x) for i, x in enumerate(abp.u) if x}
-    for row in _sweep(abp, row, power):
+    den = 1
+    for row, den in _sweep(abp, row, den, power):
         total = sum(len(p.terms) for p in row.values())
         if total > max_terms:
             raise CapExceeded(
@@ -145,7 +160,7 @@ def expand_abp(abp: Abp, max_terms: int = DEFAULT_TERM_CAP) -> Poly:
     for j, p in row.items():
         if abp.v[j]:
             out = out + p.scale(abp.v[j])
-    return out
+    return out.scale(Fraction(1, den))
 
 
 def permute_order(abp: Abp, new_order: Sequence[int]) -> Abp:

@@ -148,8 +148,8 @@ def multiplication_tables(q: QuotientStructure) -> QuotientStructure:
     tables = []
     for var in range(packing.arity):
         step = packing.step(var)
-        rows = (q._echelon.solve(q._columns.get(key + step, {})) for key in q._keys)
-        tables.append(QMatrix.sparse(w, w, rows))
+        rows = [q._echelon.solve_scaled(q._columns.get(key + step, {})) for key in q._keys]
+        tables.append(QMatrix.from_rows(w, rows))
     return replace(q, tables=tuple(tables))
 
 

@@ -97,11 +97,12 @@ def _closed_form_v(q: QuotientStructure, f: Poly) -> tuple[Fraction, ...]:
 
 
 def _block_diagonal(blocks: Sequence[QMatrix]) -> QMatrix:
-    entries: list[dict[int, Fraction]] = []
+    den = math.lcm(*[block.den for block in blocks])
+    entries: list[dict[int, int]] = []
     for block in blocks:
-        offset = len(entries)
-        entries.extend({offset + j: x for j, x in row.items()} for row in block.entries)
-    return QMatrix.sparse(len(entries), len(entries), entries)
+        offset, scale = len(entries), den // block.den
+        entries.extend({offset + j: x * scale for j, x in row.items()} for row in block.entries)
+    return QMatrix.sparse(len(entries), len(entries), entries, den)
 
 
 def _quotient_program(f: Poly, max_width: int | None) -> tuple[

@@ -154,7 +154,7 @@ def det_mult_tables(n: int) -> list[QMatrix]:
     tables = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            entries: list[dict[int, Fraction]] = [{} for _ in range(width)]
+            entries: list[dict[int, int]] = [{} for _ in range(width)]
             for s, t in index_sets:
                 if i in s or j in t:
                     continue
@@ -165,7 +165,7 @@ def det_mult_tables(n: int) -> list[QMatrix]:
                 target_pairs = _anti_diagonal_pairs(s2, t2)
                 col = position[_pairs_to_mono(n, target_pairs)]
                 sign = _pairs_sign(target_pairs) * _pairs_sign(base + [(i, j)])
-                entries[row] = {col: Fraction(sign)}
+                entries[row] = {col: sign}
             tables.append(QMatrix.sparse(width, width, entries))
     return tables
 

@@ -35,6 +35,20 @@ def _rational(token: str) -> Fraction:
         raise ValueError(f"rational {token!r} has a zero denominator") from None
 
 
+def _entry(token: str) -> int | Fraction:
+    """A matrix entry token: an int when int() reads it, else a rational as _rational reads it.
+
+    int() accepts a subset of Fraction's grammar (signs, leading zeros,
+    underscores between digits) with the same value, so the file grammar
+    is unchanged; only other tokens (`1/2`, `1.5`, `1e400`) build a
+    Fraction.
+    """
+    try:
+        return int(token)
+    except ValueError:
+        return _rational(token)
+
+
 def _variables(names: Sequence[str]) -> tuple[str, ...]:
     vars = tuple(names)
     for i, name in enumerate(vars):
@@ -75,11 +89,11 @@ def parse_poly_file(text: str, default_vars: Sequence[str] | None = None) -> Pol
 
 def _row_lines(m: QMatrix) -> list[str]:
     """One line of space-separated rationals per row, written from the stored nonzeros."""
-    lines = []
+    den, lines = m.den, []
     for row in m.entries:
         cells = ["0"] * m.cols
         for j, x in row.items():
-            cells[j] = str(x)
+            cells[j] = str(x) if den == 1 else str(Fraction(x, den))
         lines.append(" ".join(cells))
     return lines
 
@@ -201,9 +215,9 @@ def parse_abp(text: str) -> Abp:
                                  f"expected {width}")
             # layer rows are mostly zeros: build the sparse row without parsing them
             rows.append({j: x for j, tok in enumerate(tokens)
-                         if tok != "0" and (x := _rational(tok))})
+                         if tok != "0" and (x := _entry(tok))})
             at += 1
-        blocks.setdefault(var, []).append((power, QMatrix.sparse(width, width, rows)))
+        blocks.setdefault(var, []).append((power, QMatrix.rational(width, width, rows)))
 
     group_texts = headers["order"].split("|") if kind == "set_multilinear" \
         else headers["order"].split(",")

@@ -17,7 +17,9 @@ the reference that the key-driven, integer-row Echelon must reproduce
 row for row; sympy_minimal_polynomial factors the characteristic
 polynomial, and companion_matrix gives a matrix with a known minimal
 polynomial.  wide_rational_polys draws homogeneous input with wide
-rational coefficients for the integer-row closure and quotient.
+rational coefficients for the integer-row closure and quotient, and
+rational_commutative_programs draws commutative programs with rational
+(or wide rational) entries for the integer-row evaluation and writers.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from sympy import QQ, Symbol
 from sympy import Poly as SympyPoly
 from sympy.polys.matrices import DomainMatrix
 
-from commro import Poly, QMatrix, deglex_key, monomials_of_degree, pairing
+from commro import Abp, Layer, Poly, QMatrix, deglex_key, monomials_of_degree, pairing
 
 
 def var_names(n: int) -> tuple[str, ...]:
@@ -58,15 +60,42 @@ def random_poly(rng: random.Random, nvars: int, degree: int, max_terms: int,
     return p
 
 
+# nonzero rationals with numerators up to 10^18 and denominators up to 10^6
+WIDE_RATIONALS = st.builds(Fraction, st.integers(-10 ** 18, 10 ** 18).filter(bool),
+                           st.integers(1, 10 ** 6))
+
+
 @st.composite
 def wide_rational_polys(draw) -> Poly:
     """Nonzero homogeneous polynomial, numerators to 10^18, denominators to 10^6."""
     nvars, degree = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     pool = monomials_of_degree(nvars, degree)
     monos = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
-    coeffs = st.builds(Fraction, st.integers(-10 ** 18, 10 ** 18).filter(bool),
-                       st.integers(1, 10 ** 6))
-    return Poly(var_names(nvars), {m: draw(coeffs) for m in monos})
+    return Poly(var_names(nvars), {m: draw(WIDE_RATIONALS) for m in monos})
+
+
+@st.composite
+def rational_commutative_programs(draw, entry=st.fractions(min_value=-5, max_value=5,
+                                                             max_denominator=7)) -> Abp:
+    """Commutative program with entries drawn from entry: every matrix is a
+    polynomial in one random matrix M, and each layer has powers up to 4."""
+    n, arity = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    base = QMatrix([[draw(entry) for _ in range(n)] for _ in range(n)])
+    powers = [QMatrix.identity(n)]
+    for _ in range(2):
+        powers.append(powers[-1] @ base)
+    layers = []
+    for var in range(arity):
+        terms = []
+        for k in range(draw(st.integers(0, 4)) + 1):
+            mat = QMatrix.zeros(n, n)
+            for power in powers:
+                mat = mat + power.scale(draw(entry))
+            terms.append((var, k, mat))
+        layers.append(Layer(terms))
+    vector = st.tuples(*[entry] * n)
+    return Abp(kind="commutative", vars=var_names(arity), width=n,
+               u=draw(vector), v=draw(vector), layers=tuple(layers))
 
 
 def random_point(rng: random.Random, arity: int, bound: int = 10 ** 6) -> list[Fraction]:

@@ -15,7 +15,7 @@ from commro.construct import build_commro
 from commro.detspecial import det_polynomial, palindrome
 
 from helpers import (all_pairs_commute, dense_eval_abp, dense_nisan_rank, random_point,
-                     random_poly)
+                     random_poly, rational_commutative_programs)
 
 V2 = ("x1", "x2")
 
@@ -141,7 +141,7 @@ def matrix_families(draw):
         mats = [draw(st.sampled_from([base, base, base.scale(2), ident])) for _ in range(count)]
     if draw(st.booleans()):
         k, i, j = (draw(st.integers(0, bound - 1)) for bound in (count, n, n))
-        bump = QMatrix.sparse(n, n, ({j: Fraction(draw(st.sampled_from([-2, -1, 1, 3])))}
+        bump = QMatrix.sparse(n, n, ({j: draw(st.sampled_from([-2, -1, 1, 3]))}
                                      if r == i else {} for r in range(n)))
         mats[k] = mats[k] + bump
     return mats
@@ -245,6 +245,18 @@ def test_expand_matches_eval():
         for _ in range(5):
             point = random_point(rng, 3, bound=100)
             assert expanded.eval(point) == eval_abp(abp, point) == dense_eval_abp(abp, point)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_commutative_programs(),
+       st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=50), min_size=3,
+                max_size=3))
+def test_eval_at_rational_points_matches_expansion(abp, coords):
+    point = coords[:len(abp.vars)]
+    assert check_kind(abp)
+    value = eval_abp(abp, point)
+    assert type(value) is Fraction
+    assert value == expand_abp(abp).eval(point) == dense_eval_abp(abp, point)
 
 
 def test_any_order_evaluation():

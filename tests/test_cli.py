@@ -434,6 +434,51 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, suffix, text, fla
     assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
+ONE_LAYER_ABP = """abp v1
+kind: commutative
+width: 1
+vars: x
+order: x
+u: 1
+v: 1
+layer x power 0
+1
+layer x power 1
+{token}
+"""
+
+
+@pytest.mark.parametrize("token", ["1.5", "1e400", "1_000", "+3", "00", "-0", "0/5", "-7/2",
+                                   "12"])
+def test_abp_entry_tokens_keep_their_values(tmp_path, capsys, token):
+    # every token Fraction() reads keeps its value, plain integers included,
+    # and a zero-valued token stores nothing
+    value = Fraction(token)
+    text = ONE_LAYER_ABP.format(token=token)
+    mat = parse_abp(text).layers[0].terms[1][2]
+    assert mat[0, 0] == value
+    if not value:
+        assert mat.entries == ({},) and mat.den == 1
+    path, against = tmp_path / "one.abp", tmp_path / "one.poly"
+    path.write_text(text)
+    against.write_text(format_poly_file(Poly(("x",), {(0,): 1, (1,): value})))
+    assert run(["verify", str(path), "--against", str(against), "--expand"]) == 0
+    assert capsys.readouterr().out.endswith("verify OK\n")
+
+
+@pytest.mark.parametrize("token, message", [
+    ("1/0", "error: rational '1/0' has a zero denominator"),
+    ("nan", "error: Invalid literal for Fraction: 'nan'"),
+])
+def test_abp_entry_tokens_that_are_not_rationals_exit_2(tmp_path, capsys, token, message):
+    path, against = tmp_path / "one.abp", tmp_path / "one.poly"
+    path.write_text(ONE_LAYER_ABP.format(token=token))
+    against.write_text("vars: x\nx + 1\n")
+    assert run(["verify", str(path), "--against", str(against), "--expand"]) == 2
+    err = capsys.readouterr().err
+    assert err == message + "\n" and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command, flag, value", [
     (["dpd", "{poly}"], "--max-width", "0"),
     (["normal-set", "{poly}"], "--max-width", "-1"),

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -13,8 +14,8 @@ from commro import (Poly, PolyMatrix, QMatrix, commute, inverse,
 from commro.detspecial import det2_golden, det_polynomial
 from commro.linalg import Echelon, vec_mat
 
-from helpers import (AllPivotEchelon, random_point, random_poly, sympy_fraction,
-                     sympy_minimal_polynomial)
+from helpers import (WIDE_RATIONALS, AllPivotEchelon, random_point, random_poly,
+                     sympy_fraction, sympy_minimal_polynomial)
 
 # the worked 5x5 multiplication table with minimal polynomial
 # t^5 - 10 t^4 - 7 t^3 + 2 t^2 - 3
@@ -143,34 +144,39 @@ ENTRY = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
                   st.fractions(min_value=-3, max_value=3, max_denominator=3))
 
 
-def dense_lists(rows, cols):
-    return st.lists(st.lists(ENTRY, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+# wide rationals, zeros still common
+WIDE_ENTRY = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), WIDE_RATIONALS)
+
+
+def dense_lists(rows, cols, entry):
+    return st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
 
 
 @st.composite
-def qmatrix_operands(draw):
+def qmatrix_operands(draw, entry=ENTRY):
     rows, inner, cols = (draw(st.integers(1, 4)) for _ in range(3))
-    a = draw(dense_lists(rows, inner))
-    b = draw(st.one_of(st.just([list(row) for row in a]), dense_lists(rows, inner)))
-    c = draw(dense_lists(inner, cols))
-    return a, b, c, draw(ENTRY)
+    a = draw(dense_lists(rows, inner, entry))
+    b = draw(st.one_of(st.just([list(row) for row in a]), dense_lists(rows, inner, entry)))
+    c = draw(dense_lists(inner, cols, entry))
+    return a, b, c, draw(entry)
 
 
 def as_tuples(lists):
     return tuple(tuple(row) for row in lists)
 
 
-def stores_no_zero(m):
-    return len(m.entries) == m.rows and all(
-        x and 0 <= j < m.cols for row in m.entries for j, x in row.items())
+def in_normal_form(m):
+    """Int rows of nonzeros inside the shape, over a positive den sharing no factor with them."""
+    values = [x for row in m.entries for x in row.values()]
+    return (len(m.entries) == m.rows and type(m.den) is int and m.den > 0
+            and all(type(x) is int and x for x in values)
+            and all(0 <= j < m.cols for row in m.entries for j in row)
+            and math.gcd(m.den, *values) == 1)
 
 
-@settings(max_examples=100, deadline=None)
-@given(qmatrix_operands())
-def test_qmatrix_operations_match_nested_lists(operands):
-    # the oracle is plain nested lists of Fractions; every result must
-    # also store no zero, since == compares the stored entries
-    a, b, c, factor = operands
+def check_against_nested_lists(a, b, c, factor):
+    # the oracle is plain nested lists of Fractions; every result must also
+    # be in normal form, since == compares the stored rows and den
     rows, inner, cols = len(a), len(c), len(c[0])
     ma, mb, mc = QMatrix(a), QMatrix(b), QMatrix(c)
     product = [[sum((a[i][k] * c[k][j] for k in range(inner)), Fraction(0))
@@ -179,20 +185,45 @@ def test_qmatrix_operations_match_nested_lists(operands):
     scaled = [[x * factor for x in row] for row in a]
     for result, expected in ((ma @ mc, product), (ma + mb, total), (ma.scale(factor), scaled),
                              (ma, a)):
-        assert stores_no_zero(result)
+        assert in_normal_form(result)
         assert result.data == as_tuples(expected)
+        assert all(type(x) is Fraction for row in result.data for x in row)
         assert (result.rows, result.cols) == (len(expected), len(expected[0]))
         assert result == QMatrix(expected)
+        width = len(expected[0])
+        assert {k: Fraction(x, result.den) for k, x in result.flat().items()} == {
+            i * width + j: x for i, row in enumerate(expected) for j, x in enumerate(row) if x}
     cancelled = ma + ma.scale(-1)
-    assert stores_no_zero(cancelled) and cancelled == QMatrix.zeros(rows, inner)
+    assert in_normal_form(cancelled) and cancelled == QMatrix.zeros(rows, inner)
+    assert cancelled.den == 1
     assert ma.scale(0) == QMatrix.zeros(rows, inner)
+    if factor:
+        assert ma.scale(factor).scale(1 / factor) == ma
     assert ma.is_zero() == all(x == 0 for row in a for x in row)
     assert ma.is_diagonal() == all(a[i][j] == 0 for i in range(rows)
                                    for j in range(inner) if i != j)
-    assert all(ma[i, j] == a[i][j] for i in range(rows) for j in range(inner))
+    assert all(ma[i, j] == a[i][j] and type(ma[i, j]) is Fraction
+               for i in range(rows) for j in range(inner))
     assert (ma == mb) == (a == b)
-    sparse = QMatrix.sparse(rows, inner, ({j: x for j, x in enumerate(row) if x} for row in a))
-    assert sparse == ma
+    # sparse divides out a common factor of den and the rows
+    den = math.lcm(*(x.denominator for row in a for x in row))
+    ints = [{j: x.numerator * (den // x.denominator) for j, x in enumerate(row) if x}
+            for row in a]
+    assert QMatrix.sparse(rows, inner, ints, den) == ma
+    assert QMatrix.sparse(rows, inner, [{j: 6 * x for j, x in row.items()} for row in ints],
+                          6 * den) == ma
+
+
+@settings(max_examples=100, deadline=None)
+@given(qmatrix_operands())
+def test_qmatrix_operations_match_nested_lists(operands):
+    check_against_nested_lists(*operands)
+
+
+@settings(max_examples=100, deadline=None)
+@given(qmatrix_operands(WIDE_ENTRY))
+def test_qmatrix_operations_on_wide_rationals(operands):
+    check_against_nested_lists(*operands)
 
 
 KEY_SETS = {
@@ -206,8 +237,7 @@ NONZERO = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool
 
 # denominators up to 10^6 and numerators up to 10^18, so stored pivots are
 # rarely 1 and the integer rows carry wide common denominators
-WIDE = st.builds(Fraction, st.integers(-10 ** 18, 10 ** 18).filter(bool),
-                 st.integers(1, 10 ** 6))
+WIDE = WIDE_RATIONALS
 
 
 @st.composite
@@ -304,6 +334,24 @@ def test_echelon_on_wide_rationals_matches_sympy(key_kind, data):
     expected_rank = DomainMatrix.from_list(
         [[row.get(k, Fraction(0)) for k in columns] for row in rows], QQ).rank()
     assert echelon.rank == expected_rank == len(added)
+
+
+@pytest.mark.parametrize("key_kind", sorted(KEY_SETS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_echelon_int_rows_match_fraction_rows(key_kind, data):
+    # rows of ints skip the denominator rebuild; they must give exactly what
+    # the same values as Fractions give
+    rows = data.draw(echelon_rows(KEY_SETS[key_kind], coeffs=st.integers(-5, 5).filter(bool)
+                                  .map(Fraction)))
+    as_fractions, as_ints = Echelon(), Echelon()
+    for row in rows:
+        ints = {k: int(x) for k, x in row.items()}
+        assert as_ints.solve(ints) == as_fractions.solve(row)
+        assert as_ints.add(ints) == as_fractions.add(row)
+        assert all(type(x) is int for x in ints.values())  # the caller's row is not changed
+        assert as_ints._rows == as_fractions._rows
+    assert as_ints.rank == as_fractions.rank
 
 
 @st.composite

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commro import (QMatrix, WaringDecomposition, build_commro,
                     build_commro_general, build_diagro_from_waring,
@@ -12,7 +14,7 @@ from commro.textio import (format_abp, format_matrix, format_poly_file,
                            format_waring_file, parse_abp, parse_poly_file,
                            parse_waring_file)
 
-from helpers import random_poly
+from helpers import WIDE_RATIONALS, random_poly, rational_commutative_programs
 
 
 def test_poly_file_round_trip():
@@ -114,6 +116,22 @@ def test_format_abp_reproduces_its_text_with_dense_rows():
         assert [line for line in text.splitlines()[7:] if not line.startswith("layer ")] == dense
     m = QMatrix([[0, Fraction(-1, 3), 0], [0, 0, 0]])
     assert format_matrix(m) == "2 3\n0 -1/3 0\n0 0 0\n"
+
+
+SMALL = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([WIDE_RATIONALS, SMALL]).flatmap(rational_commutative_programs))
+def test_abp_text_round_trip_on_wide_rationals(abp):
+    # the writer prints each stored int over the matrix's den as the Fraction
+    # it stands for, so the text is that of the dense Fraction rows
+    text = format_abp(abp)
+    assert parse_abp(text) == abp
+    assert format_abp(parse_abp(text)) == text
+    dense = [" ".join(str(x) for x in row) for layer in abp.layers
+             for _, _, mat in layer.terms for row in mat.data]
+    assert [line for line in text.splitlines()[7:] if not line.startswith("layer ")] == dense
 
 
 def test_abp_rejects_malformed():
