@@ -1,36 +1,38 @@
-"""Quotient structure of the apolar ideal, via exact linear algebra.
+"""Quotient structure of the apolar ideal, read off one reduced echelon form.
 
 The apolar ideal of f collects every polynomial h whose derivative
 operator annihilates f.  For nonzero f its quotient ring is finite
 dimensional with dimension equal to the derivative-span dimension of f,
 and a polynomial lies in the ideal exactly when its pairing against a
-derivative basis of f vanishes.  That makes the whole quotient
-computable with rank/solve alone, no general Groebner machinery:
+derivative basis of f vanishes.  The pairing <x^m, g> is m! *
+coeff_g(m), the entry at m of g in divided powers, so the closure's
+rows (partials.derivative_basis) are the transposed pairing columns:
+column m of that matrix is x^m's pairing vector.  Its reduced echelon
+form, pivoting on the smallest key, gives the whole quotient with no
+further elimination:
 
-* the normal set is found greedily over monomials in ascending deg-lex,
-  keeping a monomial iff its pairing vector against the basis grows the
-  rank (a monomial is a leading monomial of the ideal exactly when its
-  vector depends on those of smaller monomials);
-* that elimination is kept, and a residue is one solve against it: the
-  input's pairing vector (a combination of the stored columns) written
-  over the normal-set columns;
-* the per-variable multiplication tables are the residues of t_l * m_i
-  written over the normal set.
+* the pivots are the columns that grow the rank in ascending deg-lex,
+  i.e. the greedy normal set (a monomial is a leading monomial of the
+  ideal exactly when its column depends on those of smaller monomials);
+* reduced row i at key k, divided by its pivot entry, is the
+  coefficient of column k over normal-set column m_i, so a residue is a
+  sum of such entries, one per term;
+* row i of the table of variable l is the residue of t_l * m_i: column
+  key(m_i) + step(l) of the reduced form.
 
-Monomials are packed keys here (poly.MonoPacking): the scan runs in
-their integer order, and t_l * m is the key of m plus a constant.  The
-pairing columns have integer entries, taken from the derivative basis's
-integer rows; only the tuple normal set and the tables leave the module.
+Monomials are packed keys here (poly.MonoPacking); only the tuple
+normal set and the tables leave the module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import lcm
 
-from .linalg import Echelon, QMatrix
+from .linalg import QMatrix
 from .partials import DerivBasis, derivative_basis
-from .poly import Mono, Poly, mono_factorial
+from .poly import Mono, Poly
 
 
 @dataclass(frozen=True)
@@ -45,13 +47,8 @@ class QuotientStructure:
     basis: DerivBasis
     normal_set: tuple[Mono, ...]
     tables: tuple[QMatrix, ...] | None = None
-    # the normal set's pairing columns, eliminated once; added row i is column m_i
-    _echelon: Echelon = field(repr=False, compare=False, default=None)
-    # {packed m: {j: <x^m, L * g_j>}} for each monomial m of the basis support, zeros
-    # left out (L is the basis scale, the same for every column)
-    _columns: dict[int, dict[int, int]] = field(repr=False, compare=False, default=None)
-    # the packed keys of normal_set
-    _keys: tuple[int, ...] = field(repr=False, compare=False, default=())
+    # the reduced echelon form of the basis rows, {packed m_i: int row}, ascending
+    _reduced: dict[int, dict[int, int]] = field(repr=False, compare=False, default=None)
 
     @property
     def dimension(self) -> int:
@@ -65,40 +62,20 @@ class QuotientStructure:
 def normal_set(b: DerivBasis) -> QuotientStructure:
     """Greedy normal-set selection for the apolar ideal of a homogeneous source.
 
-    The monomials of the basis support are scanned in deg-lex order (the
-    integer order of their packed keys) and kept iff their pairing
-    column against the derivative basis increases the rank; exactly
-    w = dim(b) monomials get selected, their columns independent, and
-    the elimination that chose them is kept for every later residue
-    solve.  Any other monomial pairs to the zero vector against every
-    basis element, so it could never be selected.  The columns pair
-    against the basis's integer rows, a common multiple L of the basis,
-    which scales every column alike and so changes no choice and no
-    solve.  The choice depends only on the span of b, not on its basis
-    order.
+    The normal set is the pivots of the reduced echelon form of the
+    basis rows: the monomials of the basis support whose pairing column
+    grows the rank when scanned in deg-lex order.  Exactly w = dim(b)
+    monomials get selected, their columns independent; any other
+    monomial pairs to the zero vector against every basis element, so
+    it could never be selected.  The choice depends only on the span of
+    b, not on its basis order or scale.
     """
-    f = b.source
-    if not f.is_homogeneous():
+    if not b.source.is_homogeneous():
         raise ValueError("normal set requires a homogeneous polynomial; "
                          "route general inputs through the homogeneous components")
-    w, unpack = b.dimension, b.packing.unpack
-    # <x^m, L * g_j> = m! * (L * coeff_{g_j}(m)): one pass over the integer rows
-    factorials = {k: mono_factorial(unpack(k)) for k in b.keys}
-    columns: dict[int, dict[int, int]] = {k: {} for k in b.keys}
-    for j, row in enumerate(b.rows):
-        for key, coeff in row.items():
-            columns[key][j] = factorials[key] * coeff
-    keys: list[int] = []
-    echelon = Echelon()
-    for key in b.keys:
-        if echelon.add(columns[key]):
-            keys.append(key)
-            if len(keys) == w:
-                break
-    if len(keys) != w:
-        raise AssertionError("normal set selection did not reach full dimension")
-    return QuotientStructure(basis=b, normal_set=tuple(map(unpack, keys)), _echelon=echelon,
-                             _columns=columns, _keys=tuple(keys))
+    reduced = b.echelon.reduced()
+    return QuotientStructure(basis=b, normal_set=tuple(map(b.packing.unpack, reduced)),
+                             _reduced=reduced)
 
 
 def reduce_mod_apolar(g: Poly, q: QuotientStructure) -> Poly:
@@ -117,39 +94,43 @@ def residue_coefficients(g: Poly, q: QuotientStructure) -> list[Fraction]:
 
     c is the combination of the normal set's pairing columns that sums
     to g's pairing vector: sum_i c_i <m_i, g_j> = <g, g_j> for every j.
-    That vector is itself sum_m coeff_g(m) * (column of x^m), so it is
-    built from the stored columns (which pair against L * g_j, a scaling
-    the solve does not see).  A monomial outside the basis support has
-    no column and pairs to zero; one above deg f is skipped before it is
-    packed, since its exponents need not fit the packing's fields.
+    That vector is sum_m coeff_g(m) * (column of x^m), so c_i is the sum
+    of coeff_g(m) times reduced row i at m, over its pivot entry.  A
+    monomial outside the basis support has no column and pairs to zero;
+    one above deg f is skipped before it is packed, since its exponents
+    need not fit the packing's fields.
     """
     b = q.basis
     if g.arity != b.source.arity:
         raise ValueError(f"arity mismatch: {g.arity} vs {b.source.arity}")
     degree = b.source.total_degree()
-    vector: dict[int, Fraction] = {}
-    for mono, coeff in g.terms.items():
-        if sum(mono) <= degree:
-            for j, x in q._columns.get(b.packing.pack(mono), {}).items():
-                vector[j] = vector.get(j, 0) + coeff * x
-    solution = q._echelon.solve(vector)
-    return [solution.get(i, Fraction(0)) for i in range(q.dimension)]
+    terms = [(b.packing.pack(mono), coeff) for mono, coeff in g.terms.items()
+             if sum(mono) <= degree]
+    return [sum((coeff * Fraction(row[key], row[pivot]) for key, coeff in terms if key in row),
+                Fraction(0)) for pivot, row in q._reduced.items()]
 
 
 def multiplication_tables(q: QuotientStructure) -> QuotientStructure:
     """Fill the per-variable multiplication tables.
 
     Row i of table l is the residue of t_l * m_i written over the normal
-    set: the solve of t_l * m_i's pairing column against the normal
-    set's columns (an empty row when t_l * m_i is outside the basis
-    support, since it then lies in the apolar ideal).
+    set: column key(m_i) + step(l) of the reduced echelon form (an empty
+    row when t_l * m_i is outside the basis support, since it then lies
+    in the apolar ideal).  The reduced rows are brought to one
+    denominator, the lcm of their pivot entries, and transposed once.
     """
     w, packing = q.dimension, q.basis.packing
+    den = lcm(*[row[pivot] for pivot, row in q._reduced.items()])
+    columns: dict[int, dict[int, int]] = {}
+    for i, (pivot, row) in enumerate(q._reduced.items()):
+        a = den // row[pivot]
+        for key, x in row.items():
+            columns.setdefault(key, {})[i] = a * x
     tables = []
     for var in range(packing.arity):
         step = packing.step(var)
-        rows = [q._echelon.solve_scaled(q._columns.get(key + step, {})) for key in q._keys]
-        tables.append(QMatrix.from_rows(w, rows))
+        tables.append(QMatrix.sparse(w, w, [columns.get(key + step, {}) for key in q._reduced],
+                                     den))
     return replace(q, tables=tuple(tables))
 
 

@@ -321,6 +321,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
+    # exact numbers of any length are valid input and output; Python's default
+    # int <-> str limit of 4300 digits (3.11, 3.10.7) would turn them into exit 2
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -11,13 +11,15 @@ entries, kept for the printed det2 layers (detspecial.det2_golden) and
 their product.  Every elimination in the package runs through one
 kernel, Echelon: an incremental echelon form over sparse rows keyed by
 any sortable column key (ints for vectors, packed monomials, exponent
-tuples).  It reduces a row by the row's own keys, so a row pays for the
-pivots it meets, not for every stored row.  It eliminates on integer
-rows (fraction-free): a row enters scaled by the lcm of its
-denominators, so no elimination step builds a Fraction, and only
-Echelon.solve's results are Fractions.  QMatrix rows go to it as they
-are; rank, inverse and minimal_polynomial are short calls on it, and
-the product, the sum and sparse_vec_mat reuse its integer row update
+tuples), pivoting on each row's smallest key.  It reduces a row by the
+row's own keys, so a row pays for the pivots it meets, not for every
+stored row.  It eliminates on integer rows (fraction-free): a row enters
+scaled by the lcm of its denominators, so no elimination step builds a
+Fraction.  Echelon has three parts: add, rank and reduced(), one
+back-substitution that gives the reduced row echelon form.  QMatrix
+rows go to it as they are; rank is the rank of m's rows, and inverse
+and minimal_polynomial read the reduced form of augmented rows.  The
+product, the sum and sparse_vec_mat reuse its integer row update
 (_axpy).  Arithmetic is exact, so no result depends on the pivot
 choice; rank sees only stored nonzeros, so it takes no size cap.
 """
@@ -86,14 +88,6 @@ class QMatrix:
         return cls.sparse(rows, cols, (
             {j: x.numerator * (den // x.denominator) for j, x in row.items()} if row else row
             for row in entries
-        ), den)
-
-    @classmethod
-    def from_rows(cls, cols: int, rows: Sequence[tuple[dict[int, int], int]]) -> QMatrix:
-        """The matrix whose row i is rows[i][0] / rows[i][1] (nonzero ints, positive int)."""
-        den = lcm(*[s for _, s in rows])
-        return cls.sparse(len(rows), cols, (
-            row if s == den else {j: x * (den // s) for j, x in row.items()} for row, s in rows
         ), den)
 
     @classmethod
@@ -208,89 +202,90 @@ class Echelon:
     """Incremental exact echelon form over sparse rows, computed on integers.
 
     A row is a mapping {column key: rational}; zero entries are ignored
-    and keys may be any mutually sortable values.  Each stored row
-    pivots on its largest key and carries its combination of the rows
-    added so far (numbered 0, 1, ... in the order add accepted them).
-    Both are stored as ints, divided by their joint content and with a
-    positive pivot entry; the row equals that combination of added rows.
+    and keys may be any mutually sortable values.  A row enters scaled by
+    the lcm of its denominators, so no elimination step builds a
+    Fraction.  Each stored row pivots on its smallest key and is kept as
+    ints divided by their content, with a positive pivot entry.
 
-    A row is reduced by repeatedly eliminating its largest key that is a
-    stored pivot, until no such key is left.  A stored row's keys all lie
-    at or below its pivot, so each elimination only changes smaller keys
-    and the pivots are met in descending order; stored pivots the row
-    never reaches cost nothing.  The row enters scaled by the lcm s of
-    its denominators, and the reduction keeps s * row = work + sum_i
-    comb[i] * added_i in ints.  A pivot p that divides the entry w to
-    eliminate (always so for p = 1, the usual case for 0/+-1 data) costs
-    one integer row update; otherwise work, comb and s are first scaled
-    by p / gcd(p, w), and their content is divided out afterwards.
-    solve divides by s once, at the end.
+    add reduces a row by repeatedly eliminating its smallest key that is
+    a stored pivot, until no such key is left.  A stored row's keys all
+    lie at or above its pivot, so each elimination only changes larger
+    keys and the pivots are met in ascending order; stored pivots the
+    row never reaches cost nothing.  A pivot p that divides the entry w
+    to eliminate (always so for p = 1, the usual case for 0/+-1 data)
+    costs one integer row update; otherwise the row is first scaled by
+    p / gcd(p, w), and its content is divided out afterwards.
+
+    reduced() back-substitutes once, from the largest pivot down, so
+    each stored row becomes zero at every other pivot: row / row[pivot]
+    is then the row of the reduced row echelon form.
     """
 
     def __init__(self):
         self.rank = 0
-        self._rows: dict = {}  # pivot -> (int row, {added index: int coeff})
-
-    def _reduce(self, row) -> tuple[dict, dict, int]:
-        # returns (work, comb, s) with s * row = work + sum_i comb[i] * added_i,
-        # all ints, s > 0, and no key of work a stored pivot
-        work, s = int_row(row)
-        comb: dict[int, int] = {}
-        rows = self._rows
-        while pivots := rows.keys() & work.keys():
-            pivot = max(pivots)
-            prow, pcomb = rows[pivot]
-            w, p = work[pivot], prow[pivot]
-            g = gcd(p, w)
-            if g != p:
-                m = p // g
-                s *= m
-                for k in work:
-                    work[k] *= m
-                for i in comb:
-                    comb[i] *= m
-            _axpy(work, -(w // g), prow)
-            _axpy(comb, w // g, pcomb)
-            if g != p:
-                content = gcd(s, *work.values(), *comb.values())
-                if content != 1:
-                    s //= content
-                    work, comb = _exact_div(work, content), _exact_div(comb, content)
-        return work, comb, s
+        self._rows: dict = {}  # pivot -> int row
 
     def add(self, row) -> bool:
         """Store the row iff it is independent of the rows stored so far."""
-        work, comb, s = self._reduce(row)
+        work = int_row(row)[0]
+        rows = self._rows
+        while hits := rows.keys() & work.keys():
+            pivot = min(hits)
+            _eliminate(work, pivot, rows[pivot])
         if not work:
             return False
-        # work = s * added_rank - sum_i comb[i] * added_i
-        comb = {i: -c for i, c in comb.items()}
-        comb[self.rank] = s
-        pivot = max(work)
-        content = gcd(*work.values(), *comb.values())
+        pivot = min(work)
+        content = gcd(*work.values())
         if work[pivot] < 0:
             content = -content
-        if content != 1:
-            work, comb = _exact_div(work, content), _exact_div(comb, content)
-        self._rows[pivot] = (work, comb)
+        rows[pivot] = work if content == 1 else _exact_div(work, content)
         self.rank += 1
         return True
 
-    def solve(self, row) -> dict[int, Fraction] | None:
-        """{added-row index: coeff} summing to the row, or None if it is independent."""
-        solution = self.solve_scaled(row)
-        return None if solution is None else {i: Fraction(c, solution[1])
-                                              for i, c in solution[0].items()}
+    def reduced(self) -> dict:
+        """{pivot: int row} in ascending pivot order, each row zero at every other pivot.
 
-    def solve_scaled(self, row) -> tuple[dict[int, int], int] | None:
-        """(comb, s), s > 0, with s * row = sum_i comb[i] * added_i in ints; None if independent."""
-        work, comb, s = self._reduce(row)
-        return None if work else (comb, s)
+        The stored rows are replaced by these, so add keeps working; the
+        caller must not change them.
+        """
+        done: dict = {}
+        for pivot in sorted(self._rows, reverse=True):
+            work = self._rows[pivot]
+            # the larger pivots' rows are reduced already, so clearing one adds no pivot
+            if hits := work.keys() & done.keys():
+                work = dict(work)
+                for key in hits:
+                    _eliminate(work, key, done[key])
+                content = gcd(*work.values())
+                if content != 1:
+                    work = _exact_div(work, content)
+            done[pivot] = work
+        self._rows = dict(reversed(done.items()))
+        return dict(self._rows)
 
 
 def _exact_div(row: dict, d: int) -> dict:
     """The int row divided by d, which divides every entry."""
     return {k: x // d for k, x in row.items()}
+
+
+def _eliminate(work: dict, key, prow: dict) -> None:
+    """Clear work[key] with prow in place, fraction-free (prow[key] > 0).
+
+    work becomes (p / g) * work - (w / g) * prow for p = prow[key], w =
+    work[key] and g = gcd(p, w); when p does not divide w, the content
+    of the result is divided out.
+    """
+    w, p = work[key], prow[key]
+    g = gcd(p, w)
+    if g != p:
+        m = p // g
+        for k in work:
+            work[k] *= m
+    _axpy(work, -(w // g), prow)
+    if g != p and (content := gcd(*work.values())) > 1:
+        for k in work:
+            work[k] //= content
 
 
 def _axpy(target: dict, a: Fraction | int, source: dict) -> None:
@@ -314,17 +309,21 @@ def rank(m: QMatrix) -> int:
 def inverse(m: QMatrix) -> QMatrix | None:
     """Exact inverse, or None when m is singular (m must be square).
 
-    Row j of the inverse is the combination of m's rows that gives the
-    unit vector e_j.
+    The reduced echelon form of [den * m | I] is [I | (den * m)^-1] when
+    every pivot lies in the first block.
     """
     if m.rows != m.cols:
         raise ValueError("square matrix required")
+    n = m.rows
     echelon = Echelon()
-    if not all(echelon.add(row) for row in m.entries):
+    for i, row in enumerate(m.entries):
+        echelon.add({**row, n + i: 1})
+    reduced = echelon.reduced()
+    if any(pivot >= n for pivot in reduced):
         return None
-    # the stored rows are den * m, so the combinations give (den * m)^-1
-    return QMatrix.from_rows(m.rows, [echelon.solve_scaled({j: 1})
-                                      for j in range(m.rows)]).scale(m.den)
+    return QMatrix.rational(n, n, [{k - n: Fraction(x * m.den, row[pivot])
+                                    for k, x in row.items() if k >= n}
+                                   for pivot, row in reduced.items()])
 
 
 def commute(a: QMatrix, b: QMatrix) -> bool:
@@ -341,26 +340,29 @@ def commute(a: QMatrix, b: QMatrix) -> bool:
 def minimal_polynomial(m: QMatrix) -> Poly:
     """Monic least-degree univariate p (in the variable t) with p(m) = 0.
 
-    Found as the first linear dependence among I, m, m^2, ... in the
-    flattened w^2-dimensional coordinate space.  flat() is den * m^j, so
-    each coefficient is rescaled by the two powers' denominators.
+    The rows [den_j * m^j | tag j] (flat() is den_j * m^j, the tags
+    after every flat key) are added for j = 0, 1, ... until one pivots
+    on its tag: then I, m, ..., m^k first depend linearly, and the one
+    reduced row with no flat part has tag entries c_j with sum_j c_j *
+    den_j * m^j = 0.
     """
     if m.rows != m.cols:
         raise ValueError("square matrix required")
-    echelon = Echelon()
+    tag = m.rows * m.cols
+    echelon, dens = Echelon(), []
     power = QMatrix.identity(m.rows)
-    dens: list[int] = []
     while True:
-        flat = power.flat()
-        if not echelon.add(flat):
-            # I, m, ..., m^(k-1) were all added, so index j is the power j
-            k = len(dens)
-            terms = {(j,): -c * Fraction(dens[j], power.den)
-                     for j, c in echelon.solve(flat).items()}
-            terms[(k,)] = Fraction(1)
-            return Poly(("t",), terms)
+        echelon.add({**power.flat(), tag + len(dens): 1})
         dens.append(power.den)
+        # the new row pivots on its tag exactly when its flat part reduced to zero
+        if max(echelon._rows) >= tag:
+            break
         power = power @ m
+    # every key of the relation is a tag: its flat part is zero
+    relation = next(row for pivot, row in echelon.reduced().items() if pivot >= tag)
+    lead = relation[tag + len(dens) - 1] * dens[-1]
+    return Poly(("t",), {(j - tag,): Fraction(c * dens[j - tag], lead)
+                         for j, c in relation.items()})
 
 
 class PolyMatrix:

@@ -12,11 +12,13 @@ which is the value at 0 of the derivative operator of g applied to h
 (symmetric in g and h).  A polynomial lies in the apolar ideal of f
 exactly when it pairs to zero with every basis element.  The closure
 runs on packed monomial keys (poly.MonoPacking) and integer
-coefficients: f is scaled by the lcm of its denominators first, and
-the basis is kept as those integer rows; the quotient stages read
-nothing else.  apolar.normal_set builds its pairing columns from those
-rows itself, so `pairing` on Polys is the reference the tests check
-the quotient against.
+coefficients in divided powers: row g holds m! * coeff_g(m) at m,
+times one scale common to all rows, so the entry at m is the pairing
+<x^m, g> times that scale, and d/dx_i is a contraction that changes no
+coefficient.  The basis is kept as
+those rows together with the closure's echelon form, whose reduced
+form apolar reads the whole quotient from; `pairing` on Polys is the
+reference the tests check the quotient against.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 from .errors import CapExceeded
 from .linalg import Echelon
@@ -37,17 +39,17 @@ class DerivBasis:
 
     g_1 is always the source polynomial itself; the rest follow in the
     order the breadth-first closure kept them (level by level, each kept
-    element differentiated by x_1, ..., x_r in turn).  Row i is g_i
-    scaled by `scale` (the lcm of the source's denominators) as
-    {packed key: int}; `keys` is the union support of the rows,
-    ascending (integer order is deg-lex), under `packing`.
+    element differentiated by x_1, ..., x_r in turn).  Row i is g_i in
+    divided powers times `scale`, as {packed key: int} under `packing`:
+    the entry at monomial m is scale * m! * coeff_{g_i}(m).  `echelon`
+    is the closure's elimination of those rows.
     """
 
     source: Poly
     rows: tuple[dict[int, int], ...]
-    scale: int
-    keys: tuple[int, ...]
+    scale: Fraction
     packing: MonoPacking = field(repr=False, compare=False)
+    echelon: Echelon = field(repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
@@ -55,10 +57,12 @@ class DerivBasis:
 
     @cached_property
     def basis(self) -> tuple[Poly, ...]:
-        """The g_i as exact Polys, the rows divided by scale; built on first read."""
-        monos = {k: self.packing.unpack(k) for k in self.keys}
-        return tuple(Poly.sparse(self.source.vars,
-                                 {monos[k]: Fraction(c, self.scale) for k, c in row.items()})
+        """The g_i as exact Polys, the rows divided by scale * m!; built on first read."""
+        keys = set().union(*self.rows)
+        monos = {k: self.packing.unpack(k) for k in keys}
+        weights = {k: mono_factorial(monos[k]) * self.scale for k in keys}
+        return tuple(Poly.sparse(self.source.vars, {monos[k]: c / weights[k]
+                                                    for k, c in row.items()})
                      for row in self.rows)
 
 
@@ -70,22 +74,32 @@ def derivative_basis(f: Poly, max_width: int | None = None) -> DerivBasis:
     order, iff it is independent of everything kept so far.  Every
     derivative of a kept element lies in the kept span, so that span is
     closed under each d/dx_i and is the whole derivative span.  Degrees
-    drop along levels, so the loop ends.  The closure runs on L * f, L
-    the lcm of f's denominators, as integer rows keyed by packed
-    monomials: a derivative visits only the terms containing x_i, and
-    the independence test reduces only by the pivots its terms reach.
-    Scaling changes no independence test, and the basis keeps the rows,
-    L * g_i.  Once the span exceeds max_width dimensions, CapExceeded
-    (naming --max-width) is raised.
+    drop along levels, so the loop ends.
+
+    The closure runs on integer rows keyed by packed monomials, in
+    divided powers (Macaulay's inverse systems): the seed holds m! *
+    L * coeff_f(m) at m, L the lcm of f's denominators, divided by its
+    content.  There d/dx_i is a contraction, which moves each term
+    containing x_i down one step and changes no coefficient.  Scaling
+    changes no independence test.  Once the span exceeds max_width
+    dimensions, CapExceeded (naming --max-width) is raised; f of degree
+    d has d + 1 derivatives of distinct degrees, so a degree of at least
+    max_width is refused before any m! is formed.
     """
     if f.is_zero():
         raise ValueError("zero polynomial has no derivative basis")
-    scale = lcm(*(c.denominator for c in f.terms.values()))
-    packing = MonoPacking(f.arity, f.total_degree())
+    degree = f.total_degree()
+    if max_width is not None and degree >= max_width:
+        raise CapExceeded(f"derivative span has more than {max_width} dimensions",
+                          flag="--max-width")
+    packing = MonoPacking(f.arity, degree)
+    lcd = lcm(*(c.denominator for c in f.terms.values()))
+    seed = {packing.pack(m): mono_factorial(m) * c.numerator * (lcd // c.denominator)
+            for m, c in f.terms.items()}
+    content = gcd(*seed.values())
     echelon = Echelon()
     rows: list[dict[int, int]] = []
-    candidates = [{packing.pack(m): c.numerator * (scale // c.denominator)
-                   for m, c in f.terms.items()}]
+    candidates = [{k: c // content for k, c in seed.items()}]
     while candidates:
         level = []
         for row in candidates:
@@ -96,8 +110,8 @@ def derivative_basis(f: Poly, max_width: int | None = None) -> DerivBasis:
                 level.append(row)
         rows.extend(level)
         candidates = [packing.derive(row, i) for row in level for i in range(f.arity)]
-    keys = tuple(sorted({k for row in rows for k in row}))
-    return DerivBasis(source=f, rows=tuple(rows), scale=scale, keys=keys, packing=packing)
+    return DerivBasis(source=f, rows=tuple(rows), scale=Fraction(lcd, content),
+                      packing=packing, echelon=echelon)
 
 
 def dpd(f: Poly) -> int:

@@ -13,9 +13,10 @@ reads as an ascending chain v1 < v2 < ... < vr, the constant monomial
 1 is the least monomial, and the order refines divisibility.
 
 MonoPacking packs the monomials of a bounded degree into single ints
-whose integer order is that deg-lex order, with multiplication and
-differentiation by a variable as one addition or subtraction on the
-key; the derivative-span and quotient stages run on such keys.
+whose integer order is that deg-lex order, with multiplication by a
+variable as one addition on the key and differentiation of a row in
+divided powers as one subtraction; the derivative-span and quotient
+stages run on such keys.
 
 All values are immutable after construction and safe to share across
 threads; arithmetic returns new objects.
@@ -63,8 +64,8 @@ class MonoPacking:
     fields are compared most significant first, so integer order on keys
     is exactly the deg-lex order.  The extra guard bit lets a field hold
     d + 1, so multiplying a degree-d monomial by a variable stays exact.
-    Multiplying by x_i adds step(i) to the key; d/dx_i subtracts it and
-    multiplies the coefficient by e_i.
+    Multiplying by x_i adds step(i) to the key; d/dx_i on a row in
+    divided powers subtracts it.
     """
 
     __slots__ = ("arity", "bits", "mask", "top")
@@ -90,13 +91,15 @@ class MonoPacking:
         return self.top | 1 << (index * self.bits)
 
     def derive(self, row: dict[int, int], index: int) -> dict[int, int]:
-        """d/dx_index of a packed row {key: coefficient}; Poly.derive at a unit index.
+        """d/dx_index of a packed row in divided powers: a contraction.
 
-        Terms free of x_index drop out; distinct keys stay distinct, so
-        the result needs no merging.
+        The row holds m! * coeff(m) at key m, so the derivative moves
+        each term containing x_index down one step and keeps its
+        coefficient; terms free of x_index drop out.  Distinct keys stay
+        distinct, so the result needs no merging.
         """
         shift, mask, step = index * self.bits, self.mask, self.step(index)
-        return {k - step: c * e for k, c in row.items() if (e := k >> shift & mask)}
+        return {k - step: c for k, c in row.items() if k >> shift & mask}
 
 
 def mono_str(mono: Mono, var_names: tuple[str, ...]) -> str:

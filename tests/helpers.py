@@ -10,21 +10,20 @@ solves come from sympy, not from the library's own elimination kernel:
 span_rank, dense_nisan_rank (the dense coefficient matrix over a
 variable bipartition, which nisan_width never builds),
 boundary_vector_by_solve (v from the symbolic row u^T * M_1 * ... * M_k
-and f) and residue_by_pairing (a residue from the pairing of Polys,
-without the quotient's stored columns or its elimination).
-AllPivotEchelon keeps the elimination walk over every stored pivot as
-the reference that the key-driven, integer-row Echelon must reproduce
-row for row; sympy_minimal_polynomial factors the characteristic
-polynomial, and companion_matrix gives a matrix with a known minimal
-polynomial.  wide_rational_polys draws homogeneous input with wide
-rational coefficients for the integer-row closure and quotient, and
-rational_commutative_programs draws commutative programs with rational
-(or wide rational) entries for the integer-row evaluation and writers.
+and f), residue_by_pairing (a residue from the pairing of Polys,
+without the quotient's reduced echelon form) and ColumnScanQuotient
+(the normal set, tables and residues by a greedy scan of pairing
+columns and one solve per row).  sympy_minimal_polynomial factors the
+characteristic polynomial, and companion_matrix gives a matrix with a
+known minimal polynomial.  wide_rational_polys draws homogeneous input
+with wide rational coefficients, of degree up to max_degree, for the
+integer-row closure and quotient, and rational_commutative_programs
+draws commutative programs with rational (or wide rational) entries
+for the integer-row evaluation and writers.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import random
 from fractions import Fraction
@@ -66,9 +65,9 @@ WIDE_RATIONALS = st.builds(Fraction, st.integers(-10 ** 18, 10 ** 18).filter(boo
 
 
 @st.composite
-def wide_rational_polys(draw) -> Poly:
+def wide_rational_polys(draw, max_degree: int = 3) -> Poly:
     """Nonzero homogeneous polynomial, numerators to 10^18, denominators to 10^6."""
-    nvars, degree = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    nvars, degree = draw(st.integers(1, 3)), draw(st.integers(1, max_degree))
     pool = monomials_of_degree(nvars, degree)
     monos = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
     return Poly(var_names(nvars), {m: draw(WIDE_RATIONALS) for m in monos})
@@ -272,6 +271,44 @@ def residue_by_pairing(g: Poly, q) -> list[Fraction]:
     return [sympy_fraction(x) for x in system.lu_solve(rhs).to_Matrix()]
 
 
+class ColumnScanQuotient:
+    """The apolar quotient by a greedy scan of pairing columns plus solves.
+
+    Column m is x^m's pairing vector against the Poly basis b.basis.  The
+    monomials of the basis support are scanned in ascending deg-lex, and
+    m joins the normal set iff its column grows the rank (sympy's).  A
+    residue solves the normal set's columns against the pairing vector
+    of g, and row i of table l is the residue of t_l * m_i; sympy's
+    lu_solve does the solves.  Neither the reduced echelon form nor
+    divided powers are used.
+    """
+
+    def __init__(self, b):
+        self.basis = b.basis
+        vars = b.source.vars
+        support = sorted({m for g in self.basis for m in g.terms}, key=deglex_key)
+        self.normal_set: list[tuple[int, ...]] = []
+        columns: list[list[Fraction]] = []
+        for mono in support:
+            column = self.column(Poly.monomial(vars, mono))
+            if DomainMatrix.from_list(columns + [column], QQ).rank() > len(columns):
+                columns.append(column)
+                self.normal_set.append(mono)
+        self.system = DomainMatrix.from_list(columns, QQ).transpose()
+        self.tables = []
+        for var in range(len(vars)):
+            shift = tuple(int(k == var) for k in range(len(vars)))
+            self.tables.append([self.residue(Poly.monomial(vars, tuple(
+                e + s for e, s in zip(mono, shift)))) for mono in self.normal_set])
+
+    def column(self, g: Poly) -> list[Fraction]:
+        return [pairing(g, gj) for gj in self.basis]
+
+    def residue(self, g: Poly) -> list[Fraction]:
+        rhs = DomainMatrix.from_list([[x] for x in self.column(g)], QQ)
+        return [sympy_fraction(x) for x in self.system.lu_solve(rhs).to_Matrix()]
+
+
 def sympy_fraction(x) -> Fraction:
     """A sympy rational (domain element or expression) as a Fraction."""
     q = QQ.convert(x)
@@ -305,53 +342,3 @@ def sympy_minimal_polynomial(data: list[list[Fraction]]) -> list[Fraction]:
                 entry[1] += 1
                 break
     return [sympy_fraction(c) for c in product().all_coeffs()]
-
-
-class AllPivotEchelon:
-    """Echelon form that reduces a row by walking every stored pivot, largest first.
-
-    Rows pivot on their largest key, are scaled to pivot coefficient 1 and
-    carry their combination of the added rows.  linalg.Echelon pivots the
-    same way, so its stored rows divided by their pivot values must equal
-    these; the walk differs (this one visits the pivots a row lacks too),
-    and so does the arithmetic (Fractions here, integer rows there).
-    """
-
-    def __init__(self):
-        self.rank = 0
-        self.pivots: list = []  # ascending
-        self.rows: dict = {}    # pivot -> (scaled row, {added index: coeff})
-
-    def reduce(self, row) -> tuple[dict, dict]:
-        work = {k: x for k, x in row.items() if x}
-        comb: dict = {}
-        for pivot in reversed(self.pivots):
-            f = work.get(pivot)
-            if f is None:
-                continue
-            prow, pcomb = self.rows[pivot]
-            _add_multiple(work, -f, prow)
-            _add_multiple(comb, f, pcomb)
-        return work, comb
-
-    def add(self, row) -> bool:
-        work, comb = self.reduce(row)
-        if not work:
-            return False
-        pivot = max(work)
-        scale = 1 / Fraction(work[pivot])
-        combination = {i: -c * scale for i, c in comb.items()}
-        combination[self.rank] = scale
-        self.rows[pivot] = ({k: x * scale for k, x in work.items()}, combination)
-        bisect.insort(self.pivots, pivot)
-        self.rank += 1
-        return True
-
-
-def _add_multiple(target: dict, a: Fraction, source: dict) -> None:
-    for k, x in source.items():
-        acc = target.get(k, 0) + a * x
-        if acc:
-            target[k] = acc
-        else:
-            target.pop(k, None)

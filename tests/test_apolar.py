@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commro import (Poly, QMatrix, apolar_member, commute, derivative_basis,
-                    dpd, minimal_polynomial, normal_set, pairing, parse_poly,
-                    quotient, reduce_mod_apolar)
+                    dpd, minimal_polynomial, multiplication_tables, normal_set, pairing,
+                    parse_poly, quotient, reduce_mod_apolar)
 from commro.apolar import residue_coefficients
 from commro.detspecial import det_polynomial, palindrome, perm_polynomial
 
-from helpers import (companion_matrix, poly_at_matrices, random_poly, residue_by_pairing,
-                     wide_rational_polys)
+from helpers import (ColumnScanQuotient, companion_matrix, poly_at_matrices, random_poly,
+                     residue_by_pairing, wide_rational_polys)
 
 V2 = ("x1", "x2")
 
@@ -252,11 +252,11 @@ def test_quotient_of_rational_input(f):
 
 
 @st.composite
-def residue_cases(draw):
+def residue_cases(draw, max_degree=3):
     """A quotient and a g mixing support monomials, other monomials of
     degree up to deg f + 1, and monomials with one exponent too wide for
     a packed field (at least 2^bits)."""
-    f = draw(wide_rational_polys())
+    f = draw(wide_rational_polys(max_degree))
     q = normal_set(derivative_basis(f))
     d, r = f.total_degree(), f.arity
     support = sorted({m for g in q.basis.basis for m in g.terms})
@@ -276,3 +276,18 @@ def residue_cases(draw):
 def test_residues_match_the_pairing_oracle(case):
     q, g = case
     assert residue_coefficients(g, q) == residue_by_pairing(g, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(residue_cases(max_degree=5))
+def test_quotient_matches_the_column_scan_oracle(case):
+    # exponents up to 5, where the divided powers and the per-pivot
+    # denominators of the reduced form differ most from the pairing
+    # columns' own arithmetic
+    q, g = case
+    q = multiplication_tables(q)
+    oracle = ColumnScanQuotient(q.basis)
+    assert list(q.normal_set) == oracle.normal_set
+    for table, rows in zip(q.tables, oracle.tables):
+        assert [list(row) for row in table.data] == rows
+    assert residue_coefficients(g, q) == oracle.residue(g)

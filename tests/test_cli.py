@@ -1,4 +1,7 @@
+import hashlib
+import math
 import re
+import sys
 import time
 from fractions import Fraction
 
@@ -466,6 +469,37 @@ def test_abp_entry_tokens_keep_their_values(tmp_path, capsys, token):
     assert capsys.readouterr().out.endswith("verify OK\n")
 
 
+@pytest.fixture()
+def default_int_digit_limit():
+    """Python's default limit on int <-> str conversion (4300 digits), restored afterwards."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+def test_abp_entries_beyond_the_int_string_limit_are_read(tmp_path, capsys,
+                                                          default_int_digit_limit):
+    digits = "1" + "0" * 4998 + "7"  # 5000 digits
+    path, against = tmp_path / "wide.abp", tmp_path / "wide.poly"
+    path.write_text(ONE_LAYER_ABP.format(token=digits))
+    against.write_text(f"vars: x\n{digits}*x + 1\n")
+    assert run(["verify", str(path), "--against", str(against), "--expand"]) == 0
+    assert capsys.readouterr().out.endswith("verify OK\n")
+
+
+def test_dpd_basis_beyond_the_int_string_limit(tmp_path, capsys, default_int_digit_limit):
+    # the k-th derivative of x^1600 has the coefficient 1600!/(1600 - k)!, and
+    # 1600! has 4434 digits
+    path = tmp_path / "power.poly"
+    path.write_text("vars: x y\nx^1600\n")
+    assert run(["dpd", str(path), "--basis"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "1601" and len(lines) == 1602
+    assert lines[-1] == str(math.factorial(1600))
+    assert lines[-2] == f"{math.factorial(1600)}*x"
+
+
 @pytest.mark.parametrize("token, message", [
     ("1/0", "error: rational '1/0' has a zero denominator"),
     ("nan", "error: Invalid literal for Fraction: 'nan'"),
@@ -531,3 +565,63 @@ def test_random_eval_caps_the_against_exponents(tmp_path, capsys):
     assert run(argv + ["--max-power", "2"]) == 1  # within the cap, and x differs from x^2
     against.write_text("vars: x\nx\n")
     assert run(argv + ["--max-power", "1"]) == 0
+
+
+# dpd --basis of a rational input that is not multilinear, as the closure
+# printed it before it ran in divided powers
+RATIONAL_QUARTIC = ("vars: a b c\n2/3*a^4 + 5/11*a^3*b - 7/2*a*b^2*c + 1/13*b^4 + 3/8*c^4 "
+                    "- 9/10*a^2*c^2 + 4/15*b*c^3\n")
+RATIONAL_QUARTIC_BASIS = """\
+14
+3/8*c^4 + 4/15*b*c^3 - 9/10*a^2*c^2 - 7/2*a*b^2*c + 1/13*b^4 + 5/11*a^3*b + 2/3*a^4
+-9/5*a*c^2 - 7/2*b^2*c + 15/11*a^2*b + 8/3*a^3
+4/15*c^3 - 7*a*b*c + 4/13*b^3 + 5/11*a^3
+3/2*c^3 + 4/5*b*c^2 - 9/5*a^2*c - 7/2*a*b^2
+-9/5*c^2 + 30/11*a*b + 8*a^2
+-7*b*c + 15/11*a^2
+-18/5*a*c - 7/2*b^2
+-7*a*c + 12/13*b^2
+4/5*c^2 - 7*a*b
+9/2*c^2 + 8/5*b*c - 9/5*a^2
+30/11*b + 16*a
+30/11*a
+-18/5*c
+16
+"""
+
+
+def test_dpd_basis_of_rational_input_is_pinned(tmp_path, capsys):
+    path = tmp_path / "quartic.poly"
+    path.write_text(RATIONAL_QUARTIC)
+    assert run(["dpd", str(path), "--basis"]) == 0
+    assert capsys.readouterr().out == RATIONAL_QUARTIC_BASIS
+
+
+# SHA-256 of the .abp text built from rational inputs with exponents up to
+# 4 (the first one not homogeneous), as recorded before the quotient was
+# read off the reduced echelon form; the benchmark's corpus has integer
+# coefficients only
+RATIONAL_BUILDS = [
+    ("commro", "vars: x y z\n3/4*x^4 - 5/7*x^2*y*z + 2/9*y^3 + 1/6*x*z^2 - 11/5*z + 7/3\n", None,
+     "a765307b81151ee05c2bb5db3dd3a9b7e2ee8b07244f8906e0bcd59c422533b2"),
+    ("commro", RATIONAL_QUARTIC, None,
+     "829230076b292ad4e96737b2187e196e85ead27a4f4ad86fc390c89d3acf9967"),
+    ("commro", "vars: x1 x2 y1 y2 z1\n1/2*x1*y1*z1 - 3/5*x1*y2*z1 + 7/4*x2*y1*z1 "
+     "+ 2/9*x2*y2*z1\n", None,
+     "fcd78c494f388a481418f8f3b1737c279c601b1da12ee07bf86ecad641eaf24b"),
+    ("smabp", "vars: x1 x2 y1 y2 z1\n1/2*x1*y1*z1 - 3/5*x1*y2*z1 + 7/4*x2*y1*z1 "
+     "+ 2/9*x2*y2*z1\n", "x1,x2|y1,y2|z1",
+     "4c8b268143853e40fa558166918d6d29ada82eddcc424f25394e3c6d3f025d39"),
+]
+
+
+@pytest.mark.parametrize("target, text, partition, sha256", RATIONAL_BUILDS,
+                         ids=["commro-nonhomogeneous", "commro-quartic", "commro-multilinear",
+                              "smabp-multilinear"])
+def test_build_of_rational_input_is_byte_identical(tmp_path, capsys, target, text, partition,
+                                                   sha256):
+    path, abp = tmp_path / "input.poly", tmp_path / "out.abp"
+    path.write_text(text)
+    argv = ["build", target, str(path), "-o", str(abp)]
+    assert run(argv + (["--partition", partition] if partition else [])) == 0
+    assert hashlib.sha256(abp.read_bytes()).hexdigest() == sha256

@@ -14,8 +14,8 @@ from commro import (Poly, PolyMatrix, QMatrix, commute, inverse,
 from commro.detspecial import det2_golden, det_polynomial
 from commro.linalg import Echelon, vec_mat
 
-from helpers import (WIDE_RATIONALS, AllPivotEchelon, random_point, random_poly,
-                     sympy_fraction, sympy_minimal_polynomial)
+from helpers import (WIDE_RATIONALS, random_point, random_poly, sympy_fraction,
+                     sympy_minimal_polynomial)
 
 # the worked 5x5 multiplication table with minimal polynomial
 # t^5 - 10 t^4 - 7 t^3 + 2 t^2 - 3
@@ -261,57 +261,53 @@ def echelon_rows(draw, keys, coeffs=NONZERO):
     return rows
 
 
-def nonzero(row: dict) -> dict:
-    return {k: x for k, x in row.items() if x}
+def sympy_rank(rows: list[dict], columns: list) -> int:
+    if not rows or not columns:
+        return 0
+    return DomainMatrix.from_list([[row.get(k, Fraction(0)) for k in columns] for row in rows],
+                                  QQ).rank()
 
 
-def pivot_normalized(echelon: Echelon) -> dict:
-    """pivot -> (row, combination), both divided by the stored pivot value."""
-    out = {}
-    for pivot, (row, comb) in echelon._rows.items():
-        p = row[pivot]
-        out[pivot] = ({k: Fraction(x, p) for k, x in row.items()},
-                      {i: Fraction(c, p) for i, c in comb.items()})
-    return out
+def sympy_rref(rows: list[dict], columns: list) -> list[dict]:
+    """The nonzero rows of sympy's reduced row echelon form, columns in the given order."""
+    if not rows or not columns:
+        return []
+    reduced, pivots = DomainMatrix.from_list(
+        [[row.get(k, Fraction(0)) for k in columns] for row in rows], QQ).rref()
+    table = reduced.to_list()
+    return [{k: sympy_fraction(x) for k, x in zip(columns, table[r]) if x}
+            for r in range(len(pivots))]
+
+
+def check_reduced_form(reduced: dict, rows: list[dict]) -> None:
+    """Pivots ascending, each row of content 1 with a positive pivot entry, and
+    the rows divided by their pivot entries equal to sympy's rref."""
+    assert list(reduced) == sorted(reduced)
+    for pivot, row in reduced.items():
+        assert min(row) == pivot and row[pivot] > 0
+        assert all(type(x) is int and x for x in row.values())
+        assert math.gcd(*row.values()) == 1
+    divided = [{k: Fraction(x, row[pivot]) for k, x in row.items()}
+               for pivot, row in reduced.items()]
+    assert divided == sympy_rref(rows, sorted({k for row in rows for k in row}))
 
 
 @pytest.mark.parametrize("key_kind", sorted(KEY_SETS))
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_echelon_matches_all_pivot_walk_and_sympy(key_kind, data):
-    rows = data.draw(echelon_rows(KEY_SETS[key_kind]))
-    echelon, oracle = Echelon(), AllPivotEchelon()
-    added: list[dict] = []
-    for row in rows:
-        before = echelon.solve(row)
-        accepted = echelon.add(row)
-        assert accepted == oracle.add(row) == (before is None)
-        if accepted:
-            added.append(row)
-        else:
-            rebuilt: dict = {}
-            for i, c in before.items():
-                for k, x in added[i].items():
-                    rebuilt[k] = rebuilt.get(k, Fraction(0)) + c * x
-            assert nonzero(rebuilt) == nonzero(row)
-        assert pivot_normalized(echelon) == oracle.rows
+def test_echelon_add_matches_sympy_rank_growth(key_kind, data):
+    # add accepts a row exactly when the rank grows; a reduced() call between
+    # adds leaves an echelon form that later adds keep extending
+    coeffs = data.draw(st.sampled_from([NONZERO, WIDE]))
+    rows = data.draw(echelon_rows(KEY_SETS[key_kind], coeffs=coeffs))
     columns = sorted({k for row in rows for k in row})
-    expected = DomainMatrix.from_list(
-        [[row.get(k, Fraction(0)) for k in columns] for row in rows], QQ).rank() if columns else 0
-    assert echelon.rank == oracle.rank == expected == len(added)
-
-
-def sympy_combination(added: list[dict], row: dict, columns: list) -> dict | None:
-    """{added index: coeff} summing to the row, by sympy's rref, or None if independent."""
-    augmented = DomainMatrix.from_list(
-        [[r.get(k, Fraction(0)) for r in added] + [row.get(k, Fraction(0))] for k in columns], QQ)
-    reduced, pivots = augmented.rref()
-    n = len(added)
-    if n in pivots:
-        return None
-    # the added rows are independent, so column i pivots in row i
-    table = reduced.to_list()
-    return {i: sympy_fraction(table[i][n]) for i in range(n) if table[i][n]}
+    ranks = [sympy_rank(rows[:i], columns) for i in range(len(rows) + 1)]
+    echelon = Echelon()
+    for i, row in enumerate(rows):
+        assert echelon.add(row) == (ranks[i + 1] > ranks[i])
+        assert echelon.rank == ranks[i + 1]
+        if data.draw(st.booleans()):
+            check_reduced_form(echelon.reduced(), rows[:i + 1])
 
 
 @pytest.mark.parametrize("key_kind", sorted(KEY_SETS))
@@ -319,21 +315,13 @@ def sympy_combination(added: list[dict], row: dict, columns: list) -> dict | Non
 @given(data=st.data())
 def test_echelon_on_wide_rationals_matches_sympy(key_kind, data):
     rows = data.draw(echelon_rows(KEY_SETS[key_kind], coeffs=WIDE))
-    columns = sorted({k for row in rows for k in row})
     echelon = Echelon()
-    added: list[dict] = []
     for row in rows:
-        expected = sympy_combination(added, row, columns)
-        assert echelon.solve(row) == expected
-        assert echelon.add(row) == (expected is None)
-        if expected is None:
-            added.append(row)
-            assert echelon.solve(row) == {len(added) - 1: 1}
-        assert all(type(x) is int for prow, pcomb in echelon._rows.values()
-                   for x in (*prow.values(), *pcomb.values()))
-    expected_rank = DomainMatrix.from_list(
-        [[row.get(k, Fraction(0)) for k in columns] for row in rows], QQ).rank()
-    assert echelon.rank == expected_rank == len(added)
+        echelon.add(row)
+    reduced = echelon.reduced()
+    check_reduced_form(reduced, rows)
+    assert len(reduced) == echelon.rank
+    assert echelon.reduced() == reduced  # a second call finds nothing left to clear
 
 
 @pytest.mark.parametrize("key_kind", sorted(KEY_SETS))
@@ -347,11 +335,11 @@ def test_echelon_int_rows_match_fraction_rows(key_kind, data):
     as_fractions, as_ints = Echelon(), Echelon()
     for row in rows:
         ints = {k: int(x) for k, x in row.items()}
-        assert as_ints.solve(ints) == as_fractions.solve(row)
         assert as_ints.add(ints) == as_fractions.add(row)
         assert all(type(x) is int for x in ints.values())  # the caller's row is not changed
-        assert as_ints._rows == as_fractions._rows
+        assert ints == row
     assert as_ints.rank == as_fractions.rank
+    assert as_ints.reduced() == as_fractions.reduced()
 
 
 @st.composite
