@@ -167,23 +167,6 @@ def _cmd_verify(args) -> int:
         print(f"verify FAILED: variable mismatch {f.vars} vs {abp.vars}")
         return 1
 
-    def check(program, label: str) -> bool:
-        if args.expand:
-            computed = expand_abp(program, max_terms=args.max_terms)
-            if computed != f:
-                print(f"verify FAILED: {label} expansion differs")
-                return False
-            print(f"{label} expand: ok")
-        else:
-            rng = random.Random(args.seed)
-            for k in range(args.random_eval):
-                point = _random_point(rng, f.arity)
-                if eval_abp(program, point) != f.eval(point):
-                    print(f"verify FAILED: {label} differs at random point #{k}")
-                    return False
-            print(f"{label} random-eval: {args.random_eval} points ok (seed={args.seed})")
-        return True
-
     kind = check_kind(abp)
     if not kind:
         print(f"verify FAILED: structural invariant of kind {abp.kind!r} violated")
@@ -195,6 +178,30 @@ def _cmd_verify(args) -> int:
     else:
         print(f"kind {abp.kind}: ok ({kind.matrices} matrices; their span with I has "
               f"dimension {kind.span}; {kind.pairs} basis pairs multiplied)")
+
+    # f's value at each seeded point, evaluated once for every layer order
+    expected: list[tuple[list[Fraction], Fraction]] = []
+    if args.random_eval is not None:
+        rng = random.Random(args.seed)
+        for _ in range(args.random_eval):
+            point = _random_point(rng, f.arity)
+            expected.append((point, f.eval(point)))
+
+    def check(program, label: str) -> bool:
+        if args.expand:
+            computed = expand_abp(program, max_terms=args.max_terms)
+            if computed != f:
+                print(f"verify FAILED: {label} expansion differs")
+                return False
+            print(f"{label} expand: ok")
+        else:
+            for k, (point, value) in enumerate(expected):
+                if eval_abp(program, point) != value:
+                    print(f"verify FAILED: {label} differs at random point #{k}")
+                    return False
+            print(f"{label} random-eval: {args.random_eval} points ok (seed={args.seed})")
+        return True
+
     if not check(abp, "program"):
         return 1
     if args.any_order:

@@ -112,8 +112,7 @@ def _quotient_program(f: Poly, max_width: int | None) -> tuple[
     A block is the component's apolar quotient with u = e_0 and the
     closed-form v; a constant's quotient is 1x1 with zero tables.
     """
-    blocks = [(quotient(fk, max_width), fk) for fk in f.homogeneous_components()
-              if not fk.is_zero()]
+    blocks = [(quotient(fk, max_width), fk) for fk in f.components_by_degree().values()]
     tables = tuple(_block_diagonal([q.tables[var] for q, _ in blocks]) for var in range(f.arity))
     u = tuple(Fraction(int(i == 0)) for q, _ in blocks for i in range(q.dimension))
     v = tuple(x for q, fk in blocks for x in _closed_form_v(q, fk))

@@ -3,8 +3,15 @@
 A polynomial is a finite map from monomials to nonzero rational
 coefficients.  Monomials are dense exponent tuples, one entry per
 variable of the ambient ring; the ring itself is fixed by an ordered
-tuple of variable names.  Coefficients are `fractions.Fraction`
-values, so every operation here is exact and no rounding ever happens.
+tuple of variable names.  Coefficients are exact rationals, ints or
+`fractions.Fraction` values, so every operation here is exact and no
+rounding ever happens.
+
+Parsing and evaluation run in ints.  `parse_poly` keeps integer
+coefficients as ints and builds a Fraction only for a `p/q`;
+`Poly.eval` splits the point into integer numerators and denominators
+and sums integer terms over one common denominator, so it builds a
+single Fraction, the value.
 
 Monomials are compared in the degree-lexicographic order ("deg-lex"):
 first by total degree, ties broken lexicographically with the *last*
@@ -27,6 +34,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import getitem
 from typing import Iterable, Iterator, Mapping
 
 Rational = Fraction
@@ -142,7 +150,7 @@ def monomials_upto(arity: int, degree: int) -> Iterator[Mono]:
 # ---------------------------------------------------------------------------
 
 class Poly:
-    """Immutable sparse polynomial over Fraction coefficients.
+    """Immutable sparse polynomial over exact rational (int or Fraction) coefficients.
 
     `vars` fixes both the arity and the deg-lex variable chain.  The
     term map never stores zero coefficients, and every exponent tuple
@@ -178,7 +186,7 @@ class Poly:
         """Wrap a term dict that is already clean, without copying or checking.
 
         The keys must be exponent tuples of arity len(vars) and the values
-        nonzero Fractions; the dict becomes the polynomial's storage, so
+        nonzero ints or Fractions; the dict becomes the polynomial's storage, so
         the caller must not change it afterwards.
         """
         p = cls.__new__(cls)
@@ -302,26 +310,47 @@ class Poly:
         return Poly(self.vars, out)
 
     def eval(self, point: Iterable[Fraction | int]) -> Fraction:
+        """Exact value at a rational point, summed in ints over one denominator.
+
+        With x_i = n_i / d_i, E_i the largest exponent of x_i and L the
+        lcm of the coefficient denominators, the value is the sum of the
+        int terms c * L * prod n_i^e_i * d_i^(E_i - e_i) over
+        L * prod d_i^E_i.  The factor n_i^e * d_i^(E_i - e) is formed
+        once for each exponent e of x_i that occurs, never for the
+        others up to E_i.
+        """
         point = [Fraction(p) for p in point]
         if len(point) != self.arity:
             raise ValueError(f"arity mismatch: point has {len(point)} coordinates, expected {self.arity}")
-        total = Fraction(0)
-        for mono, coeff in self.terms.items():
-            value = coeff
-            for p, e in zip(point, mono):
-                if e:
-                    value *= p ** e
-            total += value
-        return total
-
-    def homogeneous_components(self) -> list[Poly]:
-        """Degree-k slices, indexed 0..deg; empty list for the zero polynomial."""
         if not self.terms:
-            return []
+            return Fraction(0)
+        lcd = math.lcm(*[c.denominator for c in self.terms.values()])
+        den, factors = lcd, []
+        for exponents, p in zip(zip(*self.terms), point):
+            exponents = set(exponents)
+            top, n, d = max(exponents), p.numerator, p.denominator
+            den *= d ** top
+            factors.append({e: n ** e * d ** (top - e) for e in exponents})
+        total = 0
+        for mono, c in self.terms.items():
+            total += math.prod(map(getitem, factors, mono),
+                               start=c.numerator * (lcd // c.denominator))
+        return Fraction(total, den)
+
+    def components_by_degree(self) -> dict[int, Poly]:
+        """The nonzero homogeneous components, keyed by degree in ascending order.
+
+        Only the degrees that occur get a component: x^d has one, not d + 1.
+        """
         buckets: dict[int, dict[Mono, Fraction]] = {}
         for mono, coeff in self.terms.items():
             buckets.setdefault(sum(mono), {})[mono] = coeff
-        return [Poly(self.vars, buckets.get(d, {})) for d in range(self.total_degree() + 1)]
+        return {d: Poly.sparse(self.vars, buckets[d]) for d in sorted(buckets)}
+
+    def homogeneous_components(self) -> list[Poly]:
+        """Degree-k slices, indexed 0..deg; empty list for the zero polynomial."""
+        parts = self.components_by_degree()
+        return [parts.get(d, Poly(self.vars)) for d in range(self.total_degree() + 1)]
 
     # -- comparison and rendering ---------------------------------------------
 
@@ -365,20 +394,16 @@ class Poly:
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"(\d+)|([A-Za-z][A-Za-z0-9_]*)|([+\-*/^])|(\S)")
+_TOKEN_KINDS = (None, "num", "ident", "op")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
     for m in _TOKEN_RE.finditer(text):
-        pos = m.start()
-        if m.group(1) is not None:
-            tokens.append(("num", m.group(1), pos))
-        elif m.group(2) is not None:
-            tokens.append(("ident", m.group(2), pos))
-        elif m.group(3) is not None:
-            tokens.append(("op", m.group(3), pos))
-        else:
-            raise PolyParseError(f"unexpected character {m.group(4)!r}", pos)
+        group = m.lastindex  # the one alternative that matched
+        if group == 4:
+            raise PolyParseError(f"unexpected character {m[4]!r}", m.start())
+        tokens.append((_TOKEN_KINDS[group], m[group], m.start()))
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -388,77 +413,61 @@ def parse_poly(text: str, var_order: Iterable[str]) -> Poly:
 
     Grammar: terms joined by '+'/'-'; each term is an optional rational
     coefficient and '*'-separated factors `var` or `var^nat`.  A leading
-    sign on the first term is accepted.
+    sign on the first term is accepted.  Coefficients stay ints; only a
+    `p/q` builds a Fraction.
     """
     vars = tuple(var_order)
     index = {name: i for i, name in enumerate(vars)}
     tokens = _tokenize(text)
-    pos = 0
-
-    def peek() -> tuple[str, str, int]:
-        return tokens[pos]
-
-    def take() -> tuple[str, str, int]:
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def parse_nat(what: str) -> int:
-        kind, value, at = take()
-        if kind != "num":
-            raise PolyParseError(f"expected {what}", at)
-        return int(value)
-
-    def parse_factor(mono: list[int]) -> None:
-        kind, value, at = take()
-        if kind != "ident":
-            raise PolyParseError("expected a variable", at)
-        if value not in index:
-            raise PolyParseError(f"unknown variable {value!r}", at)
-        exp = 1
-        if peek()[:2] == ("op", "^"):
-            take()
-            exp = parse_nat("an exponent")
-        mono[index[value]] += exp
-
-    def parse_term() -> tuple[Mono, Fraction]:
-        coeff = Fraction(1)
-        mono = [0] * len(vars)
-        kind, value, at = peek()
+    terms: dict[Mono, int | Fraction] = {}
+    # only op tokens have the values + - * / ^, and the end token is ""
+    kind, value, at = tokens[0]
+    pos = 1 if kind == "op" and value in "+-" else 0
+    sign = -1 if pos and value == "-" else 1
+    while True:
+        coeff, mono = 1, [0] * len(vars)
+        kind, value, at = tokens[pos]
         if kind == "num":
-            take()
-            coeff = Fraction(int(value))
-            if peek()[:2] == ("op", "/"):
-                take()
-                dkind, dvalue, dat = take()
-                if dkind != "num" or int(dvalue) == 0:
-                    raise PolyParseError("expected a positive denominator", dat)
-                coeff /= int(dvalue)
-            while peek()[:2] == ("op", "*"):
-                take()
-                parse_factor(mono)
+            coeff = int(value)
+            pos += 1
+            if tokens[pos][1] == "/":
+                kind, value, at = tokens[pos + 1]
+                if kind != "num" or int(value) == 0:
+                    raise PolyParseError("expected a positive denominator", at)
+                coeff = Fraction(coeff, int(value))
+                pos += 2
+            more = tokens[pos][1] == "*"
+            pos += more
         elif kind == "ident":
-            parse_factor(mono)
-            while peek()[:2] == ("op", "*"):
-                take()
-                parse_factor(mono)
+            more = True
         else:
             raise PolyParseError("expected a term", at)
-        return tuple(mono), coeff
-
-    terms: dict[Mono, Fraction] = {}
-    sign = 1
-    if peek()[0] == "op" and peek()[1] in "+-":
-        sign = -1 if take()[1] == "-" else 1
-    while True:
-        mono, coeff = parse_term()
-        coeff *= sign
-        terms[mono] = terms.get(mono, Fraction(0)) + coeff
-        kind, value, at = take()
+        while more:  # one factor `var` or `var^nat`, then a '*' or not
+            kind, value, at = tokens[pos]
+            if kind != "ident":
+                raise PolyParseError("expected a variable", at)
+            var = index.get(value)
+            if var is None:
+                raise PolyParseError(f"unknown variable {value!r}", at)
+            pos += 1
+            if tokens[pos][1] == "^":
+                kind, value, at = tokens[pos + 1]
+                if kind != "num":
+                    raise PolyParseError("expected an exponent", at)
+                mono[var] += int(value)
+                pos += 2
+            else:
+                mono[var] += 1
+            more = tokens[pos][1] == "*"
+            pos += more
+        mono = tuple(mono)
+        terms[mono] = terms.get(mono, 0) + sign * coeff
+        kind, value, at = tokens[pos]
         if kind == "end":
             break
-        if kind != "op" or value not in "+-":
+        if value not in ("+", "-"):
             raise PolyParseError(f"expected '+', '-' or end of input, got {value!r}", at)
         sign = -1 if value == "-" else 1
-    return Poly(vars, terms)
+        pos += 1
+    # every exponent tuple has the arity and no negative entry by construction
+    return Poly.sparse(vars, {mono: c for mono, c in terms.items() if c})

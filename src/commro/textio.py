@@ -213,9 +213,13 @@ def parse_abp(text: str) -> Abp:
             if len(tokens) != width:
                 raise ValueError(f"row {i + 1} of {header!r} has {len(tokens)} entries, "
                                  f"expected {width}")
-            # layer rows are mostly zeros: build the sparse row without parsing them
-            rows.append({j: x for j, tok in enumerate(tokens)
-                         if tok != "0" and (x := _entry(tok))})
+            # layer rows are mostly zeros, and many rows are nothing else: build
+            # the sparse row without parsing them
+            if tokens.count("0") == width:
+                rows.append({})
+            else:
+                rows.append({j: x for j, tok in enumerate(tokens)
+                             if tok != "0" and (x := _entry(tok))})
             at += 1
         blocks.setdefault(var, []).append((power, QMatrix.rational(width, width, rows)))
 

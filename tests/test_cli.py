@@ -110,6 +110,17 @@ def test_default_max_width_refuses_runaway_span(tmp_path, capsys):
     assert "--max-width" in err and "8192" in err and "Traceback" not in err
 
 
+def test_build_refuses_high_degree_without_building_every_component(tmp_path, capsys):
+    # one homogeneous component, not 3000001 of them, reaches the degree cap
+    path = tmp_path / "high.poly"
+    path.write_text("vars: x y\nx^3000000\n")
+    start = time.perf_counter()
+    assert run(["build", "commro", str(path), "-o", str(tmp_path / "high.abp")]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "--max-width" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", [["dpd"], ["normal-set"], ["tables"], ["build"]])
 def test_max_width_default_is_stated_in_help(capsys, command):
     assert run(command + ["--help"]) == 0
@@ -155,6 +166,18 @@ def test_verify_any_order_names_each_order(det2_file, tmp_path, capsys):
         assert sorted(match.group(2).split(",")) == sorted(det_variables(2))
         orders.add(match.group(2))
     assert len(orders) > 1  # each line names the order it tried, not the file's
+
+
+def test_verify_any_order_evaluates_f_once_per_point(det2_file, tmp_path, capsys, monkeypatch):
+    out = str(tmp_path / "det2.abp")
+    assert run(["build", "commro", det2_file, "-o", out]) == 0
+    calls = []
+    evaluate = Poly.eval
+    monkeypatch.setattr(Poly, "eval", lambda f, point: calls.append(point) or evaluate(f, point))
+    assert run(["verify", out, "--against", det2_file, "--random-eval", "3",
+                "--any-order", "4"]) == 0
+    assert len(calls) == 3
+    assert capsys.readouterr().out.count("random-eval: 3 points ok (seed=0)") == 5
 
 
 def test_verify_any_order_names_set_multilinear_layers(det2_file, tmp_path, capsys):

@@ -47,6 +47,61 @@ def test_parse_errors_carry_position():
         parse_poly("1/0", V2)
 
 
+# every message and position is pinned: the position is the offending token's start
+MALFORMED = [
+    ("x1 + ^2", "expected a term", 5),
+    ("x1*y", "unknown variable 'y'", 3),
+    ("1/0", "expected a positive denominator", 2),
+    ("1/00", "expected a positive denominator", 2),
+    ("1/x1", "expected a positive denominator", 2),
+    ("2/-3", "expected a positive denominator", 2),
+    ("1/", "expected a positive denominator", 2),
+    ("x1^", "expected an exponent", 3),
+    ("x1^y", "expected an exponent", 3),
+    ("x1^-2", "expected an exponent", 3),
+    ("3*", "expected a variable", 2),
+    ("x1*", "expected a variable", 3),
+    ("x1**2", "expected a variable", 3),
+    ("x1 x2", "expected '+', '-' or end of input, got 'x2'", 3),
+    ("3 4", "expected '+', '-' or end of input, got '4'", 2),
+    ("2x1", "expected '+', '-' or end of input, got 'x1'", 1),
+    ("x1^2^3", "expected '+', '-' or end of input, got '^'", 4),
+    ("1/2/3", "expected '+', '-' or end of input, got '/'", 3),
+    ("x1/2", "expected '+', '-' or end of input, got '/'", 2),
+    ("x1 + $", "unexpected character '$'", 5),
+    ("", "expected a term", 0),
+    ("+", "expected a term", 1),
+    ("-", "expected a term", 1),
+    ("*x1", "expected a term", 0),
+    ("x1 +", "expected a term", 4),
+    ("x1 - - x2", "expected a term", 5),
+    ("  x1 ^ 2 * x2 +", "expected a term", 15),
+]
+
+
+@pytest.mark.parametrize("text, message, pos", MALFORMED)
+def test_parse_error_positions_are_unchanged(text, message, pos):
+    with pytest.raises(PolyParseError) as err:
+        parse_poly(text, V2)
+    assert err.value.pos == pos
+    assert str(err.value) == f"{message} (at position {pos})"
+
+
+def test_parse_cancelling_terms():
+    assert parse_poly("x1 - x1", V2).terms == {}
+    assert parse_poly("1/2*x1 + 1/2*x1", V2) == Poly.variable(V2, 0)
+    assert parse_poly("0*x1", V2).terms == {}
+    assert parse_poly("0*x1 + x2 - 3/4 + 3/4", V2) == Poly.variable(V2, 1)
+    # a cancelled monomial leaves no zero entry behind, whatever its order
+    assert parse_poly("x1*x2 + x2*x1 - 2*x1*x2 + x2^2", V2).terms == {(0, 2): 1}
+
+
+def test_parse_keeps_integer_coefficients_as_ints():
+    p = parse_poly("3*x1 - 4/2*x2 + 5/3", V2)
+    assert p.terms == {(1, 0): 3, (0, 1): -2, (0, 0): Fraction(5, 3)}
+    assert type(p.terms[(1, 0)]) is int
+
+
 def test_print_round_trip_fixed():
     for text in ("x1_1*x2_2 - x1_2*x2_1", "0", "-3/2*x1 + x2 - 1", "x1^4"):
         vars = ("x1_1", "x1_2", "x2_1", "x2_2") if "_" in text else V2
@@ -155,6 +210,58 @@ def test_eval_is_multiplicative():
         assert (a * b).eval(point) == a.eval(point) * b.eval(point)
 
 
+def fraction_eval(f: Poly, point) -> Fraction:
+    """f at point, one Fraction power and product per factor."""
+    total = Fraction(0)
+    for mono, coeff in f.terms.items():
+        value = Fraction(coeff)
+        for p, e in zip(point, mono):
+            value *= Fraction(p) ** e
+        total += value
+    return total
+
+
+def test_eval_matches_fraction_reference_on_seeded_corpus():
+    rng = random.Random(2024)
+    coords = [0, 1, -1, Fraction(-3, 7), Fraction(5, 2), 10 ** 6, -(10 ** 6)]
+    for trial in range(60):
+        arity = rng.randint(1, 4)
+        vars = tuple(f"x{i + 1}" for i in range(arity))
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            mono = tuple(rng.randint(0, 5) for _ in range(arity))
+            terms[mono] = Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 10 ** 4))
+        if trial % 3 == 0:
+            terms[(0,) * arity] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        f = Poly(vars, terms)
+        for _ in range(3):
+            point = [rng.choice(coords) if rng.random() < 0.4 else
+                     Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 3))
+                     for _ in range(arity)]
+            value = f.eval(point)
+            assert type(value) is Fraction and value == fraction_eval(f, point)
+
+
+def test_eval_edge_cases():
+    assert Poly.zero(V2).eval([3, Fraction(1, 2)]) == 0
+    assert Poly.constant(V2, Fraction(-7, 3)).eval([0, 0]) == Fraction(-7, 3)
+    assert parse_poly("x1^2*x2 - 1/2", V2).eval([0, Fraction(-5, 3)]) == Fraction(-1, 2)
+    f = parse_poly("x1^4096*x2 + 1", V2)
+    assert f.eval([10 ** 6, -1]) == 1 - 10 ** (6 * 4096)
+    g = parse_poly("x1^4096 + x2", V2)
+    assert g.eval([Fraction(10 ** 6, 7), 3]) == Fraction(10 ** (6 * 4096), 7 ** 4096) + 3
+    with pytest.raises(ValueError, match="arity"):
+        f.eval([1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys().flatmap(lambda f: st.tuples(st.just(f), st.lists(
+    st.fractions(max_denominator=10 ** 6), min_size=f.arity, max_size=f.arity))))
+def test_eval_matches_fraction_reference(case):
+    f, point = case
+    assert f.eval(point) == fraction_eval(f, point)
+
+
 def test_homogeneous_components():
     f = parse_poly("x1^2 + x1 + 1", ("x1",))
     assert f.homogeneous_components() == [
@@ -166,6 +273,16 @@ def test_homogeneous_components():
     comps = det2.homogeneous_components()
     assert comps[0].is_zero() and comps[1].is_zero() and comps[2] == det2
     assert Poly.zero(V2).homogeneous_components() == []
+
+
+def test_components_by_degree_keeps_only_the_degrees_that_occur():
+    f = parse_poly("x1^2*x2 - 3/4*x2^3 + 5 + x1", V2)
+    parts = f.components_by_degree()
+    assert list(parts) == [0, 1, 3]
+    assert parts == {d: g for d, g in enumerate(f.homogeneous_components()) if g}
+    assert parse_poly("x1^3000000", V2).components_by_degree() == {
+        3000000: Poly.monomial(V2, (3000000, 0))}
+    assert Poly.zero(V2).components_by_degree() == {}
 
 
 def test_components_sum_to_poly():

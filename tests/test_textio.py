@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commro import (QMatrix, WaringDecomposition, build_commro,
+from commro import (Poly, QMatrix, WaringDecomposition, build_commro,
                     build_commro_general, build_diagro_from_waring,
                     build_smabp, expand_abp, parse_poly, permute_order,
                     waring_of_monomial)
@@ -20,6 +20,25 @@ from helpers import WIDE_RATIONALS, random_poly, rational_commutative_programs
 def test_poly_file_round_trip():
     f = parse_poly("x1*x2^2 - 3/2*x3", ("x1", "x2", "x3"))
     assert parse_poly_file(format_poly_file(f)) == f
+
+
+@st.composite
+def wide_sparse_polys(draw) -> Poly:
+    """Polynomials of mixed degree, a constant term allowed, with wide p/q coefficients."""
+    arity = draw(st.integers(1, 4))
+    monos = st.tuples(*[st.integers(0, 6)] * arity)
+    coeffs = st.one_of(WIDE_RATIONALS, st.integers(-9, 9).map(Fraction))
+    terms = draw(st.dictionaries(monos, coeffs, max_size=8))
+    return Poly(tuple(f"v{i}" for i in range(arity)), terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_sparse_polys())
+def test_poly_file_round_trip_on_wide_rationals(f):
+    text = format_poly_file(f)
+    parsed = parse_poly_file(text)
+    assert parsed == f
+    assert format_poly_file(parsed) == text
 
 
 def test_poly_file_headerless_needs_default():
