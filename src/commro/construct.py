@@ -22,9 +22,10 @@ Four builders live here:
 
 * build_diagro_from_waring: a diagonal ROABP from a Waring
   decomposition.  For a degree-d term c * l(x)^d, the power l^d / d! is
-  the z^d coefficient of prod_j exp_d(a_j x_j z), extracted exactly by
-  Lagrange interpolation over nd+1 integer nodes; each node occupies
-  one diagonal slot and the interpolation weights fold into u.
+  the z^d coefficient of prod_j exp_d(a_j x_j z), a polynomial in z of
+  degree at most nd, read off its values at the nodes 1..nd+1 by row d
+  of the inverse Vandermonde matrix; each node occupies one diagonal
+  slot and the weights of that row fold into u.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Sequence
 from .abp import Abp, Layer
 from .apolar import QuotientStructure, quotient
 from .errors import CapExceeded
-from .linalg import QMatrix
+from .linalg import QMatrix, inverse
 from .poly import Poly, mono_factorial
 
 __all__ = [
@@ -82,10 +83,8 @@ def waring_expand(w: WaringDecomposition, vars: Sequence[str]) -> Poly:
         raise ValueError("variable list does not match the decomposition arity")
     total = Poly.zero(vars)
     for coeff, form in w.terms:
-        linear = Poly.zero(vars)
-        for i, a in enumerate(form):
-            if a:
-                linear = linear + Poly.variable(vars, i).scale(a)
+        linear = Poly(vars, {tuple(int(j == i) for j in range(w.arity)): a
+                             for i, a in enumerate(form)})
         total = total + (linear ** w.degree).scale(coeff)
     return total
 
@@ -203,28 +202,6 @@ def build_smabp(f: Poly, partition: Sequence[Sequence[int]],
     return Abp(kind="set_multilinear", vars=f.vars, width=len(u), u=u, v=v, layers=tuple(layers))
 
 
-def _lagrange_coefficient_weights(nodes: Sequence[Fraction], degree: int) -> list[Fraction]:
-    """Weights w_i so that sum_i w_i * p(z_i) is the z^degree coefficient of p.
-
-    Valid for any polynomial p of degree < len(nodes); w_i is the
-    z^degree coefficient of the i-th Lagrange basis polynomial.
-    """
-    weights = []
-    for i, zi in enumerate(nodes):
-        numerator = [Fraction(1)]  # coefficients of prod_{j != i} (z - z_j), low to high
-        denominator = Fraction(1)
-        for j, zj in enumerate(nodes):
-            if j == i:
-                continue
-            denominator *= zi - zj
-            shifted = [Fraction(0)] + numerator
-            for k in range(len(numerator)):
-                shifted[k] -= zj * numerator[k]
-            numerator = shifted
-        weights.append(numerator[degree] / denominator)
-    return weights
-
-
 def build_diagro_from_waring(w: WaringDecomposition, vars: Sequence[str],
                              max_width: int | None = None) -> Abp:
     """Diagonal ROABP computing the expansion of a Waring decomposition.
@@ -244,8 +221,12 @@ def build_diagro_from_waring(w: WaringDecomposition, vars: Sequence[str],
     if max_width is not None and width > max_width:
         raise CapExceeded(f"diagonal program needs width {width}, cap is {max_width}",
                           flag="--max-width")
-    nodes = [Fraction(k) for k in range(1, t + 1)]
-    weights = _lagrange_coefficient_weights(nodes, d)
+    # p(z) = sum_k c_k z^k takes the values V c at the nodes, V[i][k] = z_i^k,
+    # so c_d = sum_i inverse(V)[d, i] * p(z_i)
+    nodes = range(1, t + 1)
+    vandermonde = QMatrix.sparse(t, t, [{k: z ** k for k in range(t)} for z in nodes])
+    inv = inverse(vandermonde)
+    weights = [inv[d, i] for i in range(t)]
     d_fact = math.factorial(d)
 
     u = []
@@ -281,10 +262,7 @@ def waring_of_monomial(n: int) -> WaringDecomposition:
     terms = []
     for bits in range(2 ** (n - 1)):
         signs = [1] + [1 if (bits >> i) & 1 == 0 else -1 for i in range(n - 1)]
-        sign_product = 1
-        for s in signs[1:]:
-            sign_product *= s
-        terms.append((scale * sign_product, tuple(Fraction(s) for s in signs)))
+        terms.append((scale * math.prod(signs), tuple(Fraction(s) for s in signs)))
     decomposition = WaringDecomposition(degree=n, terms=tuple(terms))
     vars = tuple(f"x{i + 1}" for i in range(n))
     expected = Poly.monomial(vars, (1,) * n)

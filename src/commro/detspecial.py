@@ -16,7 +16,6 @@ the generic quotient pipeline against them entrywise.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .linalg import PolyMatrix, QMatrix
 from .poly import Mono, Poly, deglex_key
@@ -40,44 +39,39 @@ def _perm_sign(perm: tuple[int, ...]) -> int:
     return sign
 
 
-def det_polynomial(n: int) -> Poly:
-    """The n^2-variable determinant via signed permutation expansion."""
+def _permutation_expansion(n: int, signed: bool) -> Poly:
+    """Sum over the permutations p of (sign(p) if signed else 1) * x1_p(1) * ... * xn_p(n)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    vars = det_variables(n)
     terms = {}
     for perm in itertools.permutations(range(1, n + 1)):
         mono = [0] * (n * n)
         for i, j in enumerate(perm, start=1):
             mono[_var_index(n, i, j)] = 1
-        terms[tuple(mono)] = Fraction(_perm_sign(perm))
-    return Poly(vars, terms)
+        terms[tuple(mono)] = _perm_sign(perm) if signed else 1
+    return Poly.sparse(det_variables(n), terms)
+
+
+def det_polynomial(n: int) -> Poly:
+    """The n^2-variable determinant via signed permutation expansion."""
+    return _permutation_expansion(n, signed=True)
 
 
 def perm_polynomial(n: int) -> Poly:
     """The n^2-variable permanent: the determinant expansion without signs."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    vars = det_variables(n)
-    terms = {}
-    for perm in itertools.permutations(range(1, n + 1)):
-        mono = [0] * (n * n)
-        for i, j in enumerate(perm, start=1):
-            mono[_var_index(n, i, j)] = 1
-        terms[tuple(mono)] = Fraction(1)
-    return Poly(vars, terms)
+    return _permutation_expansion(n, signed=False)
 
 
 def palindrome(n: int) -> Poly:
-    """(x1 + y1)(x2 + y2)...(xn + yn), expanded over vars x1..xn, y1..yn."""
+    """(x1 + y1)(x2 + y2)...(xn + yn), expanded over vars x1..xn, y1..yn.
+
+    Each of the 2^n terms picks x_i or y_i from the i-th factor.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     vars = tuple(f"x{i}" for i in range(1, n + 1)) + tuple(f"y{i}" for i in range(1, n + 1))
-    out = Poly.constant(vars, 1)
-    for i in range(n):
-        factor = Poly.variable(vars, i) + Poly.variable(vars, n + i)
-        out = out * factor
-    return out
+    return Poly.sparse(vars, {tuple(1 - y for y in picks) + picks: 1
+                              for picks in itertools.product((0, 1), repeat=n)})
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,11 @@ threads; arithmetic returns new objects.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from fractions import Fraction
-from operator import getitem
+from operator import add, ge, getitem, sub
 from typing import Iterable, Iterator, Mapping
 
 Rational = Fraction
@@ -122,21 +123,17 @@ def mono_str(mono: Mono, var_names: tuple[str, ...]) -> str:
 
 
 def monomials_of_degree(arity: int, degree: int) -> list[Mono]:
-    """All monomials of the given total degree, ascending deg-lex."""
+    """All monomials of the given total degree, ascending deg-lex.
+
+    Stars and bars: arity - 1 bars among degree + arity - 1 slots cut
+    the stars into the exponents.
+    """
     if arity == 0:
         return [()] if degree == 0 else []
-    out: list[Mono] = []
-
-    def rec(prefix: list[int], remaining: int, slot: int) -> None:
-        if slot == arity - 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e, slot + 1)
-
-    rec([], degree, 0)
-    out.sort(key=deglex_key)
-    return out
+    slots = degree + arity - 1
+    return sorted((tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
+                   for bars in itertools.combinations(range(slots), arity - 1)),
+                  key=deglex_key)
 
 
 def monomials_upto(arity: int, degree: int) -> Iterator[Mono]:
@@ -250,29 +247,29 @@ class Poly:
         self._check_ring(other)
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + coeff
-        return Poly(self.vars, out)
+            acc = out.get(mono, 0) + coeff
+            if acc:
+                out[mono] = acc
+            else:
+                del out[mono]
+        return Poly.sparse(self.vars, out)
 
     def __sub__(self, other: Poly) -> Poly:
-        self._check_ring(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) - coeff
-        return Poly(self.vars, out)
+        return self + -other
 
     def __neg__(self) -> Poly:
-        return Poly(self.vars, {m: -c for m, c in self.terms.items()})
+        return Poly.sparse(self.vars, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other: Poly | Fraction | int) -> Poly:
         if isinstance(other, (Fraction, int)):
             return self.scale(other)
         self._check_ring(other)
-        out: dict[Mono, Fraction] = {}
+        out: dict[Mono, Fraction | int] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
-                mono = tuple(x + y for x, y in zip(ma, mb))
-                out[mono] = out.get(mono, Fraction(0)) + ca * cb
-        return Poly(self.vars, out)
+                mono = tuple(map(add, ma, mb))
+                out[mono] = out.get(mono, 0) + ca * cb
+        return Poly.sparse(self.vars, {m: c for m, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -286,28 +283,25 @@ class Poly:
 
     def scale(self, factor: Fraction | int) -> Poly:
         factor = Fraction(factor)
-        return Poly(self.vars, {m: c * factor for m, c in self.terms.items()})
+        terms = {m: c * factor for m, c in self.terms.items()} if factor else {}
+        return Poly.sparse(self.vars, terms)
 
     # -- calculus and evaluation ---------------------------------------------
 
     def derive(self, mono: Mono) -> Poly:
         """Iterated exact partial derivative with respect to x^mono.
 
-        derive(f, (0,...,0)) is f itself; the result may be zero.
+        derive(f, (0,...,0)) is f itself; the result may be zero.  A term
+        x^e with e >= mono becomes x^(e - mono) times the falling
+        factorials perm(e_i, m_i); e -> e - mono is one-to-one, so no two
+        terms merge.
         """
         mono = tuple(mono)
         if len(mono) != self.arity:
             raise ValueError(f"arity mismatch: {len(mono)} vs {self.arity}")
-        out: dict[Mono, Fraction] = {}
-        for e, c in self.terms.items():
-            if all(ei >= mi for ei, mi in zip(e, mono)):
-                # falling factorial e_i * (e_i - 1) * ... * (e_i - m_i + 1)
-                fall = 1
-                for ei, mi in zip(e, mono):
-                    fall *= math.perm(ei, mi)
-                ne = tuple(ei - mi for ei, mi in zip(e, mono))
-                out[ne] = out.get(ne, Fraction(0)) + c * fall
-        return Poly(self.vars, out)
+        return Poly.sparse(self.vars, {
+            tuple(map(sub, e, mono)): c * math.prod(map(math.perm, e, mono))
+            for e, c in self.terms.items() if all(map(ge, e, mono))})
 
     def eval(self, point: Iterable[Fraction | int]) -> Fraction:
         """Exact value at a rational point, summed in ints over one denominator.

@@ -18,6 +18,7 @@ abp file:          `abp v1` magic, `kind:`/`width:`/`vars:`/`order:`/
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Sequence
 
@@ -27,8 +28,21 @@ from .linalg import QMatrix
 from .poly import Poly, parse_poly
 
 
+# Fraction() expands an exponent form such as `1e10000000` into a number of
+# that many digits; no writer emits exponents, and 4300 is Python's default
+# limit on the digits of an int read from text
+_MAX_EXPONENT = 4300
+_EXPONENT_RE = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
 def _rational(token: str) -> Fraction:
-    """A rational token such as `-3/4`; a zero denominator is a ValueError."""
+    """A rational token such as `-3/4` or `1.5e3`, read exactly.
+
+    A zero denominator or an exponent beyond +-_MAX_EXPONENT is a ValueError.
+    """
+    exponent = _EXPONENT_RE.search(token)
+    if exponent and abs(int(exponent[1])) > _MAX_EXPONENT:
+        raise ValueError(f"rational {token!r} has an exponent beyond +-{_MAX_EXPONENT}")
     try:
         return Fraction(token)
     except ZeroDivisionError:

@@ -377,6 +377,23 @@ def test_build_diagro_caps_width_before_interpolating(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
 
 
+# SHA-256 of the generated files, as recorded before the generators wrote
+# their terms directly
+GEN_OUTPUTS = [
+    (["det", "4"], "b8a0d4cb09481559a275f62a2d596b9d6f90fe29d4123eb7deb49e797e00beba"),
+    (["perm", "4"], "c453335b587ec81cf9761c1b79ca1cebfcedc9ac3eb21df34afb8786f41d6f66"),
+    (["palindrome", "10"], "c2ea8ae2cbab557c248f18401f704e9f212388ef62c9bc15d6dd35a0bfdd07e4"),
+    (["monomial-waring", "4"], "2e578503884e218e46e8f75a0eeed1239512c3b9daf375d831b04dde3ea2cde5"),
+]
+
+
+@pytest.mark.parametrize("gen, sha256", GEN_OUTPUTS, ids=[" ".join(g) for g, _ in GEN_OUTPUTS])
+def test_gen_output_is_byte_identical(tmp_path, gen, sha256):
+    path = tmp_path / "out.txt"
+    assert run(["gen", *gen, "-o", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+
 def test_gen_det_round_trips(tmp_path, capsys):
     path = tmp_path / "det3.poly"
     assert run(["gen", "det", "3", "-o", str(path)]) == 0
@@ -490,6 +507,25 @@ def test_abp_entry_tokens_keep_their_values(tmp_path, capsys, token):
     against.write_text(format_poly_file(Poly(("x",), {(0,): 1, (1,): value})))
     assert run(["verify", str(path), "--against", str(against), "--expand"]) == 0
     assert capsys.readouterr().out.endswith("verify OK\n")
+
+
+@pytest.mark.parametrize("name, text, argv", [
+    ("huge.abp", ONE_LAYER_ABP.format(token="1e10000000"),
+     ["verify", "{path}", "--against", "{against}", "--random-eval", "1"]),
+    ("huge.waring", "waring d=2 n=2\n1e10000000: 1 1\n",
+     ["build", "diagro", "{path}", "-o", "{out}"]),
+], ids=["abp-entry", "waring-coefficient"])
+def test_huge_exponent_tokens_are_refused_at_once(tmp_path, capsys, name, text, argv):
+    # Fraction() would expand the token into a 10^7-digit number
+    path, against = tmp_path / name, tmp_path / "x.poly"
+    path.write_text(text)
+    against.write_text("vars: x\nx + 1\n")
+    names = {"path": str(path), "against": str(against), "out": str(tmp_path / "out.abp")}
+    start = time.perf_counter()
+    assert run([arg.format(**names) for arg in argv]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "'1e10000000'" in err and "exponent" in err and "Traceback" not in err
 
 
 @pytest.fixture()
@@ -635,12 +671,16 @@ RATIONAL_BUILDS = [
     ("smabp", "vars: x1 x2 y1 y2 z1\n1/2*x1*y1*z1 - 3/5*x1*y2*z1 + 7/4*x2*y1*z1 "
      "+ 2/9*x2*y2*z1\n", "x1,x2|y1,y2|z1",
      "4c8b268143853e40fa558166918d6d29ada82eddcc424f25394e3c6d3f025d39"),
+    # recorded before the diagonal weights were read off the Vandermonde inverse
+    ("diagro", "waring d=3 n=4\n3/4: 1 -2/5 0 5\n-5/7: 0 1 3 -1\n2/9: -1 1/2 -7/3 0\n"
+     "-11/6: 2/3 0 -1 1/4\n", None,
+     "d1f872aaba5fa332195c49072fa2019e7e7351101f74ebf2ddf5982eb726b800"),
 ]
 
 
 @pytest.mark.parametrize("target, text, partition, sha256", RATIONAL_BUILDS,
                          ids=["commro-nonhomogeneous", "commro-quartic", "commro-multilinear",
-                              "smabp-multilinear"])
+                              "smabp-multilinear", "diagro-rational"])
 def test_build_of_rational_input_is_byte_identical(tmp_path, capsys, target, text, partition,
                                                    sha256):
     path, abp = tmp_path / "input.poly", tmp_path / "out.abp"

@@ -47,6 +47,15 @@ def test_palindrome_examples():
     assert all(sum(m) == 3 for m in p3.terms)
 
 
+def test_palindrome_is_the_product_of_its_factors():
+    for n in range(1, 9):
+        pal = palindrome(n)
+        product = Poly.constant(pal.vars, 1)
+        for i in range(n):
+            product = product * (Poly.variable(pal.vars, i) + Poly.variable(pal.vars, n + i))
+        assert pal == product
+
+
 def test_det_normal_set_small():
     assert det_normal_set(1) == [(0,), (1,)]
     names = [mono_str(m, det_variables(2)) for m in det_normal_set(2)]

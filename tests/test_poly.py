@@ -4,13 +4,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import QQ, Symbol
+from sympy import Poly as SympyPoly
 
 from commro import (Poly, PolyParseError, deglex_key, mono_factorial,
                     monomials_of_degree, monomials_upto, parse_poly)
 from commro.detspecial import det_polynomial
 from commro.poly import MonoPacking
 
-from helpers import random_poly, random_point
+from helpers import WIDE_RATIONALS, random_poly, random_point, sympy_fraction, wide_rational_polys
 
 V3 = ("x1", "x2", "x3")
 V2 = ("x1", "x2")
@@ -180,6 +182,56 @@ def polys(draw):
     coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
     terms = draw(st.dictionaries(monos, coeffs, max_size=6))
     return Poly(tuple(f"x{i + 1}" for i in range(arity)), terms)
+
+
+def to_sympy(f: Poly) -> SympyPoly:
+    return SympyPoly.from_dict({m: QQ(c.numerator, c.denominator) for m, c in f.terms.items()},
+                               [Symbol(v) for v in f.vars], domain=QQ)
+
+
+def sympy_terms(p: SympyPoly) -> dict:
+    return {m: sympy_fraction(c) for m, c in p.terms() if c}
+
+
+@st.composite
+def arithmetic_cases(draw):
+    """Two polynomials on one ring, a rational factor, a power and a derivative index."""
+    f = draw(wide_rational_polys())
+    g = draw(wide_rational_polys().filter(lambda g: g.vars == f.vars))
+    # a term of f with a negated coefficient makes a sum cancel
+    mono, coeff = draw(st.sampled_from(sorted(f.terms.items())))
+    g = Poly(g.vars, {**g.terms, mono: -coeff})
+    factor = draw(st.one_of(st.just(0), WIDE_RATIONALS))
+    index = draw(st.tuples(*[st.integers(0, 3)] * f.arity))
+    return f, g, factor, draw(st.integers(0, 3)), index
+
+
+@settings(max_examples=100, deadline=None)
+@given(arithmetic_cases())
+def test_arithmetic_matches_sympy(case):
+    f, g, factor, power, index = case
+    sf, sg = to_sympy(f), to_sympy(g)
+    results = [
+        (f + g, sf + sg),
+        (f - g, sf - sg),
+        (-f, -sf),
+        (f * g, sf * sg),
+        ((f + g) * (f - g), sf ** 2 - sg ** 2),  # the cross terms cancel
+        (f ** power, sf ** power),
+        (f.scale(factor), sf * QQ(factor.numerator, factor.denominator)),
+        (f.derive(index), sf.diff(*[(Symbol(v), k) for v, k in zip(f.vars, index)])),
+    ]
+    for ours, theirs in results:
+        assert ours.vars == f.vars
+        assert all(ours.terms.values()), "a zero coefficient is stored"
+        assert ours.terms == sympy_terms(theirs)
+    assert (f - f).is_zero() and f - g + g == f
+
+
+def test_scale_reads_a_float_factor_exactly():
+    f = parse_poly("x1 + 3*x2", V2)
+    assert f.scale(0.1) == f.scale(Fraction(0.1)) != f.scale(Fraction(1, 10))
+    assert f.scale(0.0).is_zero()
 
 
 @settings(max_examples=100, deadline=None)
