@@ -128,7 +128,11 @@ def _sweep(abp: Abp, row: dict, den: int,
 
 
 def eval_abp(abp: Abp, point: Sequence[Fraction | int]) -> Fraction:
-    """Exact value u^T * (product of specialized layers in order) * v, swept in ints."""
+    """Exact value u^T * (product of specialized layers in order) * v, swept in ints.
+
+    u and v enter as int rows over the lcm of their denominators, so the
+    value is one Fraction built at the end.
+    """
     point = [Fraction(p) for p in point]
     if len(point) != len(abp.vars):
         raise ValueError(f"point has {len(point)} coordinates, expected {len(abp.vars)}")
@@ -137,7 +141,8 @@ def eval_abp(abp: Abp, point: Sequence[Fraction | int]) -> Fraction:
     row, den = int_row(dict(enumerate(abp.u)))
     for row, den in _sweep(abp, row, den, lambda var, k: (nums[var] ** k, dens[var] ** k)):
         pass
-    return sum((x * abp.v[j] for j, x in row.items()), Fraction(0)) / den
+    v, v_den = int_row(dict(enumerate(abp.v)))
+    return Fraction(sum(x * v[j] for j, x in row.items() if j in v), den * v_den)
 
 
 def expand_abp(abp: Abp, max_terms: int = DEFAULT_TERM_CAP) -> Poly:

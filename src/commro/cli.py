@@ -218,12 +218,23 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    n = args.n
-    if args.what == "det":
+    # n! terms for det and perm, 2^n for palindrome, 2^(n-1) for
+    # monomial-waring: the count is multiplied out only until it passes the
+    # cap, before any term is built
+    what, n = args.what, args.n
+    factors = range(1, n + 1) if what in ("det", "perm") else \
+        itertools.repeat(2, n - 1 if what == "monomial-waring" else n)
+    terms = 1
+    for factor in factors:
+        terms *= factor
+        if terms > args.max_terms:
+            raise CapExceeded(f"gen {what} {n} has more than {args.max_terms} terms",
+                              flag="--max-terms")
+    if what == "det":
         text = format_poly_file(det_polynomial(n))
-    elif args.what == "perm":
+    elif what == "perm":
         text = format_poly_file(perm_polynomial(n))
-    elif args.what == "palindrome":
+    elif what == "palindrome":
         text = format_poly_file(palindrome(n))
     else:  # monomial-waring
         text = format_waring_file(waring_of_monomial(n))
@@ -322,6 +333,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("what", choices=("det", "perm", "palindrome", "monomial-waring"))
     p.add_argument("n", type=int)
     p.add_argument("-o", "--output")
+    p.add_argument("--max-terms", type=_POSITIVE, default=DEFAULT_TERM_CAP,
+                   help="refuse (exit 3) to write more than this many terms: n! for det "
+                        "and perm, 2^n for palindrome, 2^(n-1) for monomial-waring "
+                        "(default: %(default)s)")
     p.set_defaults(func=_cmd_gen)
 
     return parser

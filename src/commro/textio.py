@@ -14,6 +14,17 @@ abp file:          `abp v1` magic, `kind:`/`width:`/`vars:`/`order:`/
                    line lists the layers in multiplication order, one
                    layer per group; for set-multilinear programs it
                    groups part variables with '|': `order: a,b|c,d`.
+
+An abp row is read as str.split() reads it, in whatever layout.  Format
+v1 writes every zero, but reading and writing cost about one step per
+stored nonzero: the writer sets a row's nonzeros into one precomputed
+row of zeros (`0 0 ... 0`, column j at character 2j), and the reader
+takes a row equal to that zero row as empty.  It reads any other row
+only at the tokens with a character other than 0 (a token of zeros
+only is 0), each at the column counted from the spaces before it.  That
+needs the writer's layout, tokens split by single spaces, so a row
+with a leading space, a run of spaces or other whitespace is first
+rewritten as its split() tokens joined by single spaces.
 """
 
 from __future__ import annotations
@@ -35,6 +46,11 @@ _MAX_EXPONENT = 4300
 _EXPONENT_RE = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
+# the rest of a token from its first character other than 0
+_NONZERO = re.compile(r"[^0 ][^ ]*")
+_ZERO = Fraction(0)
+
+
 def _rational(token: str) -> Fraction:
     """A rational token such as `-3/4` or `1.5e3`, read exactly.
 
@@ -54,12 +70,22 @@ def _entry(token: str) -> int | Fraction:
 
     int() accepts a subset of Fraction's grammar (signs, leading zeros,
     underscores between digits) with the same value, so the file grammar
-    is unchanged; only other tokens (`1/2`, `1.5`, `1e400`) build a
-    Fraction.
+    is unchanged.  A `p/q` token whose q starts with a digit is read by
+    two int() calls, which accept exactly the p and q Fraction's pattern
+    does; only other tokens (`1.5`, `1e400`, errors) go through _rational.
     """
     try:
         return int(token)
     except ValueError:
+        num, slash, den = token.partition("/")
+        if slash and den[:1].isdecimal():
+            try:
+                p, q = int(num), int(den)
+            except ValueError:
+                pass
+            else:
+                if q:
+                    return Fraction(p, q)
         return _rational(token)
 
 
@@ -102,13 +128,19 @@ def parse_poly_file(text: str, default_vars: Sequence[str] | None = None) -> Pol
 # ---------------------------------------------------------------------------
 
 def _row_lines(m: QMatrix) -> list[str]:
-    """One line of space-separated rationals per row, written from the stored nonzeros."""
-    den, lines = m.den, []
+    """One line of space-separated rationals per row: the zero row, stored nonzeros set in.
+
+    Column j of the zero row is its character 2j, so a row is the slices
+    of the zero row between its sorted nonzeros, and an empty row is the
+    zero row itself.
+    """
+    den, zero, lines = m.den, " ".join(["0"] * m.cols), []
     for row in m.entries:
-        cells = ["0"] * m.cols
-        for j, x in row.items():
-            cells[j] = str(x) if den == 1 else str(Fraction(x, den))
-        lines.append(" ".join(cells))
+        parts, at = [], 0
+        for j in sorted(row):
+            parts += zero[at:2 * j], str(row[j]) if den == 1 else str(Fraction(row[j], den))
+            at = 2 * j + 1
+        lines.append("".join(parts) + zero[at:] if parts else zero)
     return lines
 
 
@@ -178,7 +210,7 @@ def format_abp(abp: Abp) -> str:
 
 
 def parse_abp(text: str) -> Abp:
-    lines = [line.rstrip() for line in text.splitlines() if line.strip()]
+    lines = [line for line in map(str.rstrip, text.splitlines()) if line]
     if not lines or lines[0].strip() != "abp v1":
         raise ValueError("not an abp v1 file")
 
@@ -202,10 +234,16 @@ def parse_abp(text: str) -> Abp:
     width = int(headers["width"])
     vars = _variables(headers["vars"].split())
     index = {name: i for i, name in enumerate(vars)}
-    u = tuple(_rational(x) for x in headers["u"].split())
-    v = tuple(_rational(x) for x in headers["v"].split())
+    u = tuple(_ZERO if x == "0" else Fraction(_entry(x)) for x in headers["u"].split())
+    v = tuple(_ZERO if x == "0" else Fraction(_entry(x)) for x in headers["v"].split())
 
-    # layer blocks, grouped by variable
+    # layer blocks, grouped by variable, their rows read as the module
+    # docstring says.  zero_row is built only if the text can hold it.  In a
+    # text that is not ASCII, or holds a tab or \x1f (the whitespace other
+    # than spaces that an ASCII line keeps after splitlines), every row but
+    # the zero row is rewritten
+    zero_row = " ".join(["0"] * width) if 0 < 2 * width - 1 <= len(text) else None
+    spaced = text.isascii() and "\t" not in text and "\x1f" not in text
     blocks: dict[int, list[tuple[int, QMatrix]]] = {}
     while at < len(lines):
         header = lines[at]
@@ -219,23 +257,36 @@ def parse_abp(text: str) -> Abp:
         if any(p == power for p, _ in blocks.get(var, [])):
             raise ValueError(f"repeated layer block {header!r}")
         at += 1
-        rows = []
+        rows, ints = [], True
         for i in range(width):
             if at >= len(lines):
                 raise ValueError("truncated layer block")
-            tokens = lines[at].split()
-            if len(tokens) != width:
-                raise ValueError(f"row {i + 1} of {header!r} has {len(tokens)} entries, "
-                                 f"expected {width}")
-            # layer rows are mostly zeros, and many rows are nothing else: build
-            # the sparse row without parsing them
-            if tokens.count("0") == width:
-                rows.append({})
-            else:
-                rows.append({j: x for j, tok in enumerate(tokens)
-                             if tok != "0" and (x := _entry(tok))})
+            line = lines[at]
             at += 1
-        blocks.setdefault(var, []).append((power, QMatrix.rational(width, width, rows)))
+            if line == zero_row:
+                rows.append({})
+                continue
+            if not (spaced and line[0] != " " and "  " not in line):
+                # not the writer's layout: read the tokens split() gives
+                line = " ".join(line.split())
+            entries = line.count(" ") + 1
+            if entries != width:
+                raise ValueError(f"row {i + 1} of {header!r} has {entries} entries, "
+                                 f"expected {width}")
+            # single spaces: a token's column is the number of spaces before it
+            row, j, last = {}, 0, 0
+            for found in _NONZERO.finditer(line):
+                start = line.rfind(" ", 0, found.start()) + 1
+                j += line.count(" ", last, start)
+                last = start
+                x = _entry(line[start:found.end()])
+                if x:
+                    row[j] = x
+                    ints = ints and type(x) is int
+            rows.append(row)
+        blocks.setdefault(var, []).append(
+            (power, QMatrix.sparse(width, width, rows) if ints
+             else QMatrix.rational(width, width, rows)))
 
     group_texts = headers["order"].split("|") if kind == "set_multilinear" \
         else headers["order"].split(",")

@@ -15,7 +15,10 @@ without the quotient's reduced echelon form) and ColumnScanQuotient
 (the normal set, tables and residues by a greedy scan of pairing
 columns and one solve per row).  sympy_minimal_polynomial factors the
 characteristic polynomial, and companion_matrix gives a matrix with a
-known minimal polynomial.  wide_rational_polys draws homogeneous input
+known minimal polynomial.  reference_parse_abp and reference_row_lines
+are the `.abp` v1 reader and row writer that split every row into
+tokens and write every zero, kept as oracles for textio's codec, which
+reads and writes in place.  wide_rational_polys draws homogeneous input
 with wide rational coefficients, of degree up to max_degree, for the
 integer-row closure and quotient, and rational_commutative_programs
 draws commutative programs with rational (or wide rational) entries
@@ -34,6 +37,7 @@ from sympy import Poly as SympyPoly
 from sympy.polys.matrices import DomainMatrix
 
 from commro import Abp, Layer, Poly, QMatrix, deglex_key, monomials_of_degree, pairing
+from commro.textio import _rational, _variables
 
 
 def var_names(n: int) -> tuple[str, ...]:
@@ -342,3 +346,110 @@ def sympy_minimal_polynomial(data: list[list[Fraction]]) -> list[Fraction]:
                 entry[1] += 1
                 break
     return [sympy_fraction(c) for c in product().all_coeffs()]
+
+
+# ---------------------------------------------------------------------------
+# the `.abp` v1 codec token by token
+# ---------------------------------------------------------------------------
+
+def _entry(token: str) -> int | Fraction:
+    try:
+        return int(token)
+    except ValueError:
+        return _rational(token)
+
+
+def reference_row_lines(m: QMatrix) -> list[str]:
+    """One line of space-separated rationals per row, written from the stored nonzeros."""
+    den, lines = m.den, []
+    for row in m.entries:
+        cells = ["0"] * m.cols
+        for j, x in row.items():
+            cells[j] = str(x) if den == 1 else str(Fraction(x, den))
+        lines.append(" ".join(cells))
+    return lines
+
+
+def reference_parse_abp(text: str) -> Abp:
+    lines = [line.rstrip() for line in text.splitlines() if line.strip()]
+    if not lines or lines[0].strip() != "abp v1":
+        raise ValueError("not an abp v1 file")
+
+    header_keys = ("kind", "width", "vars", "order", "u", "v")
+    headers: dict[str, str] = {}
+    at = 1
+    while at < len(lines) and not lines[at].startswith("layer "):
+        key, colon, value = lines[at].partition(":")
+        key = key.strip()
+        if not colon or key not in header_keys:
+            raise ValueError(f"unexpected abp header line {lines[at]!r}")
+        if key in headers:
+            raise ValueError(f"repeated abp header line {lines[at]!r}")
+        headers[key] = value.strip()
+        at += 1
+    for required in header_keys:
+        if required not in headers:
+            raise ValueError(f"abp file lacks the {required!r} header")
+
+    kind = headers["kind"]
+    width = int(headers["width"])
+    vars = _variables(headers["vars"].split())
+    index = {name: i for i, name in enumerate(vars)}
+    u = tuple(_rational(x) for x in headers["u"].split())
+    v = tuple(_rational(x) for x in headers["v"].split())
+
+    # layer blocks, grouped by variable
+    blocks: dict[int, list[tuple[int, QMatrix]]] = {}
+    while at < len(lines):
+        header = lines[at]
+        parts = header.split()
+        if len(parts) != 4 or parts[0] != "layer" or parts[2] != "power":
+            raise ValueError(f"malformed layer header {header!r}")
+        name, power = parts[1], int(parts[3])
+        if name not in index:
+            raise ValueError(f"layer for unknown variable {name!r}")
+        var = index[name]
+        if any(p == power for p, _ in blocks.get(var, [])):
+            raise ValueError(f"repeated layer block {header!r}")
+        at += 1
+        rows = []
+        for i in range(width):
+            if at >= len(lines):
+                raise ValueError("truncated layer block")
+            tokens = lines[at].split()
+            if len(tokens) != width:
+                raise ValueError(f"row {i + 1} of {header!r} has {len(tokens)} entries, "
+                                 f"expected {width}")
+            # layer rows are mostly zeros, and many rows are nothing else: build
+            # the sparse row without parsing them
+            if tokens.count("0") == width:
+                rows.append({})
+            else:
+                rows.append({j: x for j, tok in enumerate(tokens)
+                             if tok != "0" and (x := _entry(tok))})
+            at += 1
+        blocks.setdefault(var, []).append((power, QMatrix.rational(width, width, rows)))
+
+    group_texts = headers["order"].split("|") if kind == "set_multilinear" \
+        else headers["order"].split(",")
+    order_groups: list[list[int]] = []
+    for group in group_texts:
+        names = [name.strip() for name in group.split(",") if name.strip()]
+        if not names:
+            raise ValueError("empty group in order header")
+        try:
+            order_groups.append([index[name] for name in names])
+        except KeyError as bad:
+            raise ValueError(f"order header names unknown variable {bad.args[0]!r}") from None
+    ordered = {var for group in order_groups for var in group}
+    for var, powers in blocks.items():
+        if var not in ordered:
+            raise ValueError(f"layer block 'layer {vars[var]} power {powers[0][0]}' "
+                             "is for a variable the order header does not list")
+
+    # one layer per group, in multiplication order; a variable listed twice
+    # gives both its layers its blocks, which Abp rejects
+    layers = tuple(Layer([(var, power, mat) for var in group
+                          for power, mat in blocks.get(var, [])])
+                   for group in order_groups)
+    return Abp(kind=kind, vars=vars, width=width, u=u, v=v, layers=layers)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,8 +15,8 @@ from commro import (Abp, CapExceeded, Layer, Poly, QMatrix, check_kind,
 from commro.construct import build_commro
 from commro.detspecial import det_polynomial, palindrome
 
-from helpers import (all_pairs_commute, dense_eval_abp, dense_nisan_rank, random_point,
-                     random_poly, rational_commutative_programs)
+from helpers import (WIDE_RATIONALS, all_pairs_commute, dense_eval_abp, dense_nisan_rank,
+                     random_point, random_poly, rational_commutative_programs)
 
 V2 = ("x1", "x2")
 
@@ -257,6 +258,24 @@ def test_eval_at_rational_points_matches_expansion(abp, coords):
     value = eval_abp(abp, point)
     assert type(value) is Fraction
     assert value == expand_abp(abp).eval(point) == dense_eval_abp(abp, point)
+
+
+SMALL = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([WIDE_RATIONALS, SMALL]).flatmap(rational_commutative_programs),
+       st.data())
+def test_eval_with_wide_rational_boundary_matches_dense_fractions(abp, data):
+    # u and v mix zeros, ints and wide p/q entries; the point is integer or rational
+    entry = st.one_of(st.just(Fraction(0)), st.integers(-9, 9).map(Fraction), WIDE_RATIONALS)
+    vector = st.lists(entry, min_size=abp.width, max_size=abp.width).map(tuple)
+    abp = replace(abp, u=data.draw(vector), v=data.draw(vector))
+    coordinate = st.one_of(st.integers(-10 ** 6, 10 ** 6), WIDE_RATIONALS, SMALL)
+    point = data.draw(st.lists(coordinate, min_size=len(abp.vars), max_size=len(abp.vars)))
+    value = eval_abp(abp, point)
+    assert type(value) is Fraction
+    assert value == dense_eval_abp(abp, point)
 
 
 def test_any_order_evaluation():

@@ -1,9 +1,11 @@
 import hashlib
+import json
 import math
 import re
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -394,6 +396,29 @@ def test_gen_output_is_byte_identical(tmp_path, gen, sha256):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize("gen", [["det", "10"], ["perm", "10"], ["palindrome", "30"],
+                                 ["monomial-waring", "40"], ["det", "1000000000"]],
+                         ids=lambda gen: " ".join(gen))
+def test_gen_refuses_above_the_term_cap_at_once(tmp_path, capsys, gen):
+    out = tmp_path / "out.txt"
+    start = time.perf_counter()
+    assert run(["gen", *gen, "-o", str(out)]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--max-terms" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("gen, terms", [(["det", "4"], 24), (["perm", "3"], 6),
+                                        (["palindrome", "5"], 32),
+                                        (["monomial-waring", "4"], 8)],
+                         ids=["det", "perm", "palindrome", "monomial-waring"])
+def test_gen_term_cap_is_the_term_count(tmp_path, capsys, gen, terms):
+    out = str(tmp_path / "out.txt")
+    assert run(["gen", *gen, "-o", out, "--max-terms", str(terms - 1)]) == 3
+    assert run(["gen", *gen, "-o", out, "--max-terms", str(terms)]) == 0
+
+
 def test_gen_det_round_trips(tmp_path, capsys):
     path = tmp_path / "det3.poly"
     assert run(["gen", "det", "3", "-o", str(path)]) == 0
@@ -475,6 +500,41 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, suffix, text, fla
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+def _row_edit(k: int, edit) -> str:
+    """X1X2_ABP with row k of its `layer x1 power 1` block passed through edit."""
+    lines = X1X2_ABP.splitlines()
+    at = lines.index("layer x1 power 1") + 1 + k
+    lines[at] = edit(lines[at])
+    return "\n".join(lines) + "\n"
+
+
+# each message is the one helpers.reference_parse_abp, which splits every row, gives
+@pytest.mark.parametrize("text, message", [
+    (X1X2_ABP.replace("abp v1", "abp\tv1"), "not an abp v1 file"),
+    (X1X2_ABP.replace("width: 4", "width: 0"), "malformed layer header '1 0 0 0'"),
+    (X1X2_ABP.replace("width: 4", "width: -4"), "malformed layer header '1 0 0 0'"),
+    (X1X2_ABP.replace("width: 4", "width: 99999999999"),
+     "row 1 of 'layer x1 power 0' has 4 entries, expected 99999999999"),
+    *[(_row_edit(k, lambda row: row[:-2]),
+       f"row {k + 1} of 'layer x1 power 1' has 3 entries, expected 4") for k in (0, 2, 3)],
+    *[(_row_edit(k, lambda row: row + " 5"),
+       f"row {k + 1} of 'layer x1 power 1' has 5 entries, expected 4") for k in (0, 2, 3)],
+    ("\n".join(X1X2_ABP.splitlines()[:-2]) + "\n", "truncated layer block"),
+    (_row_edit(2, lambda row: "layer x2 power 1\n" + row), "Invalid literal for Fraction: 'layer'"),
+    (_row_edit(0, lambda row: row.replace("1", "1/0")), "rational '1/0' has a zero denominator"),
+], ids=["tab-magic", "width-0", "width-negative", "width-huge", "short-first-row",
+        "short-middle-row", "short-last-row", "long-first-row", "long-middle-row",
+        "long-last-row", "truncated-block", "layer-header-in-block", "zero-denominator"])
+def test_malformed_abp_exits_2_with_its_message(tmp_path, capsys, text, message):
+    path, against = tmp_path / "bad.abp", tmp_path / "x1x2.poly"
+    path.write_text(text)
+    against.write_text("vars: x1 x2\nx1*x2\n")
+    start = time.perf_counter()
+    assert run(["verify", str(path), "--against", str(against), "--random-eval", "1"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 ONE_LAYER_ABP = """abp v1
@@ -562,6 +622,9 @@ def test_dpd_basis_beyond_the_int_string_limit(tmp_path, capsys, default_int_dig
 @pytest.mark.parametrize("token, message", [
     ("1/0", "error: rational '1/0' has a zero denominator"),
     ("nan", "error: Invalid literal for Fraction: 'nan'"),
+    ("1/-2", "error: Invalid literal for Fraction: '1/-2'"),
+    ("1/+2", "error: Invalid literal for Fraction: '1/+2'"),
+    ("1/_2", "error: Invalid literal for Fraction: '1/_2'"),
 ])
 def test_abp_entry_tokens_that_are_not_rationals_exit_2(tmp_path, capsys, token, message):
     path, against = tmp_path / "one.abp", tmp_path / "one.poly"
@@ -687,4 +750,28 @@ def test_build_of_rational_input_is_byte_identical(tmp_path, capsys, target, tex
     path.write_text(text)
     argv = ["build", target, str(path), "-o", str(abp)]
     assert run(argv + (["--partition", partition] if partition else [])) == 0
+    assert hashlib.sha256(abp.read_bytes()).hexdigest() == sha256
+
+
+BENCHMARK_GOLDENS = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "goldens.json").read_text())
+CORPUS_BUILDS = [("det4", name, gen, "commro", []) for name, gen in
+                 [("det3", ["det", "3"]), ("perm3", ["perm", "3"]), ("det4", ["det", "4"])]]
+CORPUS_BUILDS += [("palindrome", f"pal{n}", ["palindrome", str(n)], target, extra)
+                  for n in (5, 6)
+                  for target, extra in [("commro", []), ("smabp", [
+                      "--partition", "|".join(f"x{i},y{i}" for i in range(1, n + 1))])]]
+
+
+@pytest.mark.parametrize("workload, name, gen, target, extra", CORPUS_BUILDS,
+                         ids=[f"{name}.{target}" for _, name, _, target, _ in CORPUS_BUILDS])
+def test_benchmark_corpus_builds_match_its_goldens(tmp_path, capsys, workload, name, gen,
+                                                   target, extra):
+    # the det4 and palindrome corpora's programs, built as the benchmark builds
+    # them, against the SHA-256 it records for each
+    poly, abp = tmp_path / f"{name}.poly", tmp_path / f"{name}.{target}.abp"
+    assert run(["gen", *gen, "-o", str(poly)]) == 0
+    assert run(["build", target, str(poly), "-o", str(abp), *extra]) == 0
+    sha256, width = BENCHMARK_GOLDENS[workload][abp.name]
+    assert parse_abp(abp.read_text()).width == width
     assert hashlib.sha256(abp.read_bytes()).hexdigest() == sha256

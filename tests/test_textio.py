@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commro import (Poly, QMatrix, WaringDecomposition, build_commro,
@@ -10,11 +10,12 @@ from commro import (Poly, QMatrix, WaringDecomposition, build_commro,
                     build_smabp, expand_abp, parse_poly, permute_order,
                     waring_of_monomial)
 from commro.detspecial import det_polynomial, palindrome
-from commro.textio import (format_abp, format_matrix, format_poly_file,
+from commro.textio import (_row_lines, format_abp, format_matrix, format_poly_file,
                            format_waring_file, parse_abp, parse_poly_file,
                            parse_waring_file)
 
-from helpers import WIDE_RATIONALS, random_poly, rational_commutative_programs
+from helpers import (WIDE_RATIONALS, random_poly, rational_commutative_programs,
+                     reference_parse_abp, reference_row_lines)
 
 
 def test_poly_file_round_trip():
@@ -160,3 +161,89 @@ def test_abp_rejects_malformed():
     text = format_abp(abp).replace("width: 4\n", "")
     with pytest.raises(ValueError, match="width"):
         parse_abp(text)
+
+
+@st.composite
+def sparse_matrices(draw) -> QMatrix:
+    """Up to 7x7, empty rows allowed, entries ints, small p/q or wide rationals."""
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    value = st.one_of(st.integers(-10 ** 20, 10 ** 20).filter(bool).map(Fraction),
+                      SMALL.filter(bool), WIDE_RATIONALS)
+    return QMatrix.rational(rows, cols, [draw(st.dictionaries(st.integers(0, cols - 1), value,
+                                                              max_size=cols))
+                                         for _ in range(rows)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices())
+@example(QMatrix([[Fraction(5, 3)]]))
+@example(QMatrix([[0]]))
+@example(QMatrix([[Fraction(-1, 2), 0, 0], [0, 0, 0], [0, 0, 7]]))
+@example(QMatrix([[0, 0, Fraction(10 ** 18 + 1, 999_983)], [0, 0, 0], [3, 0, 0]]))
+def test_row_writer_matches_the_token_writer(m):
+    assert _row_lines(m) == reference_row_lines(m)
+
+
+# whitespace the reader must treat as split() does, and token spellings
+# other than the writer's
+SPACINGS = ["  ", "   ", "\t", " \t ", "\xa0", " \u3000", "\x1f"]
+SPELLINGS = ["00", "-0", "0/5", "+3", "1_000", "1e400", "-7/2", "1/-2", "\u0663", "1/0",
+             "0/0", "3/06", "+0/1", "1\t/2", "\u0663/\u0664"]
+
+
+@st.composite
+def edited_abp_texts(draw) -> str:
+    """A formatted program with some spaces, tokens and lines changed."""
+    abp = draw(st.sampled_from([WIDE_RATIONALS, SMALL]).flatmap(rational_commutative_programs))
+    lines = format_abp(abp).splitlines()
+    for _ in range(draw(st.integers(0, 6))):
+        at = draw(st.integers(0, len(lines) - 1))
+        line = lines[at]
+        edit = draw(st.sampled_from(["spacing", "token", "lead", "trail", "blank", "drop",
+                                     "insert"]))
+        spaces = [k for k, c in enumerate(line) if c == " "]
+        if edit == "spacing" and spaces:
+            k = draw(st.sampled_from(spaces))
+            lines[at] = line[:k] + draw(st.sampled_from(SPACINGS)) + line[k + 1:]
+        elif edit == "token":
+            tokens = line.split(" ")
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(SPELLINGS))
+            lines[at] = " ".join(tokens)
+        elif edit == "lead":
+            lines[at] = draw(st.sampled_from(SPACINGS)) + line
+        elif edit == "trail":
+            lines[at] = line + draw(st.sampled_from(SPACINGS))
+        elif edit == "blank":
+            lines.insert(at, draw(st.sampled_from(["", " ", "\t"])))
+        elif edit == "drop" and spaces:
+            lines[at] = line[:draw(st.sampled_from(spaces))]
+        elif edit == "insert":
+            k = draw(st.integers(0, len(line)))
+            lines[at] = line[:k] + draw(st.sampled_from(SPACINGS + SPELLINGS)) + line[k:]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + newline
+
+
+def _read(parse, text):
+    try:
+        return parse(text)
+    except ValueError as bad:
+        return f"ValueError: {bad}"
+
+
+X1X2_ABP = format_abp(build_commro(parse_poly("x1*x2", ("x1", "x2"))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(edited_abp_texts())
+@example(X1X2_ABP.replace("power 1\n0 1 0 0", "power 1\n00  1 0"))
+@example(X1X2_ABP.replace("power 1\n0 1 0 0", "power 1\n0 1  0"))
+@example(X1X2_ABP.replace("power 1\n0 1 0 0", "power 1\n0 \t1 0 0"))
+@example(X1X2_ABP.replace("power 1\n0 1 0 0", "power 1\n0 1\t/2 0 0"))
+@example(X1X2_ABP.replace("power 1\n0 1 0 0", "power 1\n0 1\xa0/2 0"))
+@example(X1X2_ABP.replace("power 1\n0 1 0 0", "power 1\n 0 1 0 0 "))
+@example(X1X2_ABP.replace("power 1\n0 1 0 0", "power 1\n0 1/-2 0 0"))
+@example(X1X2_ABP.replace("power 1\n0 1 0 0", "power 1\n0 -0/7 +3/06 \u0663/\u0664"))
+def test_reader_matches_the_token_reader(text):
+    # the same program, or a ValueError with the same message
+    assert _read(parse_abp, text) == _read(reference_parse_abp, text)
