@@ -83,7 +83,13 @@ class QMatrix:
     @classmethod
     def rational(cls, rows: int, cols: int,
                  entries: Sequence[dict[int, int | Fraction]]) -> QMatrix:
-        """The matrix of row dicts whose values are nonzero ints and Fractions."""
+        """The matrix of row dicts whose values are nonzero ints and Fractions.
+
+        Rows of ints only are handed to sparse as they are, so they become
+        the matrix's storage as sparse says.
+        """
+        if all(type(x) is int for row in entries for x in row.values()):
+            return cls.sparse(rows, cols, entries)
         den = lcm(*[x.denominator for row in entries for x in row.values()])
         return cls.sparse(rows, cols, (
             {j: x.numerator * (den // x.denominator) for j, x in row.items()} if row else row

@@ -23,8 +23,9 @@ takes a row equal to that zero row as empty.  It reads any other row
 only at the tokens with a character other than 0 (a token of zeros
 only is 0), each at the column counted from the spaces before it.  That
 needs the writer's layout, tokens split by single spaces, so a row
-with a leading space, a run of spaces or other whitespace is first
-rewritten as its split() tokens joined by single spaces.
+with a leading space, a run of spaces, other whitespace or a character
+that is not ASCII is first rewritten as its split() tokens joined by
+single spaces.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ _EXPONENT_RE = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 # the rest of a token from its first character other than 0
 _NONZERO = re.compile(r"[^0 ][^ ]*")
-_ZERO = Fraction(0)
 
 
 def _rational(token: str) -> Fraction:
@@ -70,22 +70,12 @@ def _entry(token: str) -> int | Fraction:
 
     int() accepts a subset of Fraction's grammar (signs, leading zeros,
     underscores between digits) with the same value, so the file grammar
-    is unchanged.  A `p/q` token whose q starts with a digit is read by
-    two int() calls, which accept exactly the p and q Fraction's pattern
-    does; only other tokens (`1.5`, `1e400`, errors) go through _rational.
+    is unchanged; only other tokens (`1/2`, `1.5`, `1e400`) build a
+    Fraction.
     """
     try:
         return int(token)
     except ValueError:
-        num, slash, den = token.partition("/")
-        if slash and den[:1].isdecimal():
-            try:
-                p, q = int(num), int(den)
-            except ValueError:
-                pass
-            else:
-                if q:
-                    return Fraction(p, q)
         return _rational(token)
 
 
@@ -234,16 +224,12 @@ def parse_abp(text: str) -> Abp:
     width = int(headers["width"])
     vars = _variables(headers["vars"].split())
     index = {name: i for i, name in enumerate(vars)}
-    u = tuple(_ZERO if x == "0" else Fraction(_entry(x)) for x in headers["u"].split())
-    v = tuple(_ZERO if x == "0" else Fraction(_entry(x)) for x in headers["v"].split())
+    u = tuple(Fraction(_entry(x)) for x in headers["u"].split())
+    v = tuple(Fraction(_entry(x)) for x in headers["v"].split())
 
     # layer blocks, grouped by variable, their rows read as the module
-    # docstring says.  zero_row is built only if the text can hold it.  In a
-    # text that is not ASCII, or holds a tab or \x1f (the whitespace other
-    # than spaces that an ASCII line keeps after splitlines), every row but
-    # the zero row is rewritten
+    # docstring says.  zero_row is built only if the text can hold it
     zero_row = " ".join(["0"] * width) if 0 < 2 * width - 1 <= len(text) else None
-    spaced = text.isascii() and "\t" not in text and "\x1f" not in text
     blocks: dict[int, list[tuple[int, QMatrix]]] = {}
     while at < len(lines):
         header = lines[at]
@@ -257,7 +243,7 @@ def parse_abp(text: str) -> Abp:
         if any(p == power for p, _ in blocks.get(var, [])):
             raise ValueError(f"repeated layer block {header!r}")
         at += 1
-        rows, ints = [], True
+        rows = []
         for i in range(width):
             if at >= len(lines):
                 raise ValueError("truncated layer block")
@@ -266,7 +252,10 @@ def parse_abp(text: str) -> Abp:
             if line == zero_row:
                 rows.append({})
                 continue
-            if not (spaced and line[0] != " " and "  " not in line):
+            # a tab and \x1f are the whitespace other than spaces that an
+            # ASCII line keeps after splitlines
+            if not (line.isascii() and line[0] != " " and "  " not in line
+                    and "\t" not in line and "\x1f" not in line):
                 # not the writer's layout: read the tokens split() gives
                 line = " ".join(line.split())
             entries = line.count(" ") + 1
@@ -282,11 +271,8 @@ def parse_abp(text: str) -> Abp:
                 x = _entry(line[start:found.end()])
                 if x:
                     row[j] = x
-                    ints = ints and type(x) is int
             rows.append(row)
-        blocks.setdefault(var, []).append(
-            (power, QMatrix.sparse(width, width, rows) if ints
-             else QMatrix.rational(width, width, rows)))
+        blocks.setdefault(var, []).append((power, QMatrix.rational(width, width, rows)))
 
     group_texts = headers["order"].split("|") if kind == "set_multilinear" \
         else headers["order"].split(",")

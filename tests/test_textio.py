@@ -244,6 +244,10 @@ X1X2_ABP = format_abp(build_commro(parse_poly("x1*x2", ("x1", "x2"))))
 @example(X1X2_ABP.replace("power 1\n0 1 0 0", "power 1\n 0 1 0 0 "))
 @example(X1X2_ABP.replace("power 1\n0 1 0 0", "power 1\n0 1/-2 0 0"))
 @example(X1X2_ABP.replace("power 1\n0 1 0 0", "power 1\n0 -0/7 +3/06 \u0663/\u0664"))
+# a character outside the rows that is not ASCII, or a tab in a header line
+@example(X1X2_ABP.replace("vars: x1 x2", "vars: x1 x2 \u03be"))
+@example(X1X2_ABP.replace("order: x1,x2", "order:\tx1,x2").replace("power 1\n0 1 0 0",
+                                                                  "power 1\n0 1/2 0 0"))
 def test_reader_matches_the_token_reader(text):
     # the same program, or a ValueError with the same message
     assert _read(parse_abp, text) == _read(reference_parse_abp, text)
