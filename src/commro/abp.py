@@ -30,7 +30,7 @@ from math import lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DEFAULT_TERM_CAP, CapExceeded
-from .linalg import Echelon, QMatrix, commute, int_row
+from .linalg import Echelon, QMatrix, commute
 from .poly import Mono, Poly
 
 KINDS = ("general", "commutative", "diagonal", "set_multilinear")
@@ -138,11 +138,12 @@ def eval_abp(abp: Abp, point: Sequence[Fraction | int]) -> Fraction:
         raise ValueError(f"point has {len(point)} coordinates, expected {len(abp.vars)}")
     nums = [p.numerator for p in point]
     dens = [p.denominator for p in point]
-    row, den = int_row(dict(enumerate(abp.u)))
+    u, v = (QMatrix.rational(1, abp.width, [{j: x for j, x in enumerate(vec) if x}])
+            for vec in (abp.u, abp.v))
+    (row,), (v_row,), den = u.entries, v.entries, u.den
     for row, den in _sweep(abp, row, den, lambda var, k: (nums[var] ** k, dens[var] ** k)):
         pass
-    v, v_den = int_row(dict(enumerate(abp.v)))
-    return Fraction(sum(x * v[j] for j, x in row.items() if j in v), den * v_den)
+    return Fraction(sum(x * v_row[j] for j, x in row.items() if j in v_row), den * v.den)
 
 
 def expand_abp(abp: Abp, max_terms: int = DEFAULT_TERM_CAP) -> Poly:
@@ -240,16 +241,19 @@ def nisan_width(f: Poly, order: Sequence[int]) -> NisanCutReport:
     of the rest, and entry (m, m') is the coefficient of m * m' in f.
     Each cut is gathered from f's support, one sparse row per prefix
     exponent that occurs; zero rows and columns add no rank, so the
-    dense matrix over every exponent is never built.
+    dense matrix over every exponent is never built.  The rows hold
+    the integer coefficients of L * f, L the lcm of f's denominators,
+    which have the same ranks.
     """
     order = tuple(order)
     if sorted(order) != list(range(f.arity)):
         raise ValueError("order is not a permutation of the variables")
+    terms = f.integer_terms()[1]
     ranks = []
     for i in range(1, f.arity + 1):
         prefix, suffix = order[:i], order[i:]
-        rows: dict[Mono, dict[Mono, Fraction]] = {}
-        for mono, coeff in f.terms.items():
+        rows: dict[Mono, dict[Mono, int]] = {}
+        for mono, coeff in terms.items():
             row = rows.setdefault(tuple(mono[k] for k in prefix), {})
             row[tuple(mono[k] for k in suffix)] = coeff
         echelon = Echelon()

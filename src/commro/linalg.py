@@ -13,15 +13,16 @@ kernel, Echelon: an incremental echelon form over sparse rows keyed by
 any sortable column key (ints for vectors, packed monomials, exponent
 tuples), pivoting on each row's smallest key.  It reduces a row by the
 row's own keys, so a row pays for the pivots it meets, not for every
-stored row.  It eliminates on integer rows (fraction-free): a row enters
-scaled by the lcm of its denominators, so no elimination step builds a
-Fraction.  Echelon has three parts: add, rank and reduced(), one
-back-substitution that gives the reduced row echelon form.  QMatrix
-rows go to it as they are; rank is the rank of m's rows, and inverse
-and minimal_polynomial read the reduced form of augmented rows.  The
-product, the sum and sparse_vec_mat reuse its integer row update
-(_axpy).  Arithmetic is exact, so no result depends on the pivot
-choice; rank sees only stored nonzeros, so it takes no size cap.
+stored row.  It takes integer rows only and eliminates fraction-free,
+so no elimination step builds a Fraction; a caller that holds
+rationals brings them to integers once, where it holds them.  Echelon
+has three parts: add, rank and reduced(), one back-substitution that
+gives the reduced row echelon form.  QMatrix rows go to it as they
+are; rank is the rank of m's rows, and inverse and minimal_polynomial
+read the reduced form of augmented rows.  The product, the sum and
+sparse_vec_mat reuse its integer row update (_axpy).  Arithmetic is
+exact, so no result depends on the pivot choice; rank sees only stored
+nonzeros, so it takes no size cap.
 """
 
 from __future__ import annotations
@@ -188,30 +189,18 @@ def vec_mat(vec: Sequence[Fraction], m: QMatrix) -> list[Fraction]:
     """Dense row vector times matrix; skips zero entries of the vector."""
     if len(vec) != m.rows:
         raise ValueError("dimension mismatch")
-    acc = sparse_vec_mat({k: a for k, a in enumerate(vec) if a}, m)
-    return [Fraction(acc.get(j, 0)) / m.den for j in range(m.cols)]
-
-
-def int_row(row) -> tuple[dict, int]:
-    """(r, s) with s > 0 the lcm of the row's denominators and r = s * row, zeros left out.
-
-    A row of ints, the common case, is only copied without its zeros.
-    """
-    for x in row.values():
-        if type(x) is not int:
-            s = lcm(*[x.denominator for x in row.values()])
-            return {k: x.numerator * (s // x.denominator) for k, x in row.items() if x}, s
-    return {k: x for k, x in row.items() if x}, 1
+    row = QMatrix.rational(1, m.rows, [{k: a for k, a in enumerate(vec) if a}])
+    return list((row @ m).data[0])
 
 
 class Echelon:
     """Incremental exact echelon form over sparse rows, computed on integers.
 
-    A row is a mapping {column key: rational}; zero entries are ignored
-    and keys may be any mutually sortable values.  A row enters scaled by
-    the lcm of its denominators, so no elimination step builds a
-    Fraction.  Each stored row pivots on its smallest key and is kept as
-    ints divided by their content, with a positive pivot entry.
+    A row is a mapping {column key: nonzero int}, and keys may be any
+    mutually sortable values; a caller with rational entries scales them
+    to integers first, which changes no rank.  Each stored row pivots on
+    its smallest key and is kept as ints divided by their content, with
+    a positive pivot entry.
 
     add reduces a row by repeatedly eliminating its smallest key that is
     a stored pivot, until no such key is left.  A stored row's keys all
@@ -232,8 +221,11 @@ class Echelon:
         self._rows: dict = {}  # pivot -> int row
 
     def add(self, row) -> bool:
-        """Store the row iff it is independent of the rows stored so far."""
-        work = int_row(row)[0]
+        """Store the row iff it is independent of the rows stored so far.
+
+        The row is copied, not changed.
+        """
+        work = dict(row)
         rows = self._rows
         while hits := rows.keys() & work.keys():
             pivot = min(hits)
@@ -294,8 +286,8 @@ def _eliminate(work: dict, key, prow: dict) -> None:
             work[k] //= content
 
 
-def _axpy(target: dict, a: Fraction | int, source: dict) -> None:
-    """target += a * source on sparse rows (Fractions or ints), dropping entries that cancel."""
+def _axpy(target: dict, a: int, source: dict) -> None:
+    """target += a * source on sparse int rows, dropping entries that cancel."""
     for k, x in source.items():
         acc = target.get(k, 0) + a * x
         if acc:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 
 from .errors import CapExceeded
 from .linalg import Echelon
@@ -93,9 +93,8 @@ def derivative_basis(f: Poly, max_width: int | None = None) -> DerivBasis:
         raise CapExceeded(f"derivative span has more than {max_width} dimensions",
                           flag="--max-width")
     packing = MonoPacking(f.arity, degree)
-    lcd = lcm(*(c.denominator for c in f.terms.values()))
-    seed = {packing.pack(m): mono_factorial(m) * c.numerator * (lcd // c.denominator)
-            for m, c in f.terms.items()}
+    lcd, terms = f.integer_terms()
+    seed = {packing.pack(m): mono_factorial(m) * c for m, c in terms.items()}
     content = gcd(*seed.values())
     echelon = Echelon()
     rows: list[dict[int, int]] = []

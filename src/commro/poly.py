@@ -8,10 +8,12 @@ tuple of variable names.  Coefficients are exact rationals, ints or
 rounding ever happens.
 
 Parsing and evaluation run in ints.  `parse_poly` keeps integer
-coefficients as ints and builds a Fraction only for a `p/q`;
-`Poly.eval` splits the point into integer numerators and denominators
-and sums integer terms over one common denominator, so it builds a
-single Fraction, the value.
+coefficients as ints and builds a Fraction only for a `p/q`.
+`Poly.integer_terms` gives L * f in ints, L the lcm of the coefficient
+denominators; evaluation, the derivative closure and the Nisan cuts
+start from it.  `Poly.eval` splits the point into integer numerators
+and denominators and sums integer terms over one common denominator,
+so it builds a single Fraction, the value.
 
 Monomials are compared in the degree-lexicographic order ("deg-lex"):
 first by total degree, ties broken lexicographically with the *last*
@@ -237,6 +239,11 @@ class Poly:
         degrees = {sum(m) for m in self.terms}
         return len(degrees) <= 1
 
+    def integer_terms(self) -> tuple[int, dict[Mono, int]]:
+        """(L, {m: L * c}) with L the lcm of the coefficient denominators: L * self in ints."""
+        lcd = math.lcm(*[c.denominator for c in self.terms.values()])
+        return lcd, {m: c.numerator * (lcd // c.denominator) for m, c in self.terms.items()}
+
     # -- arithmetic ----------------------------------------------------------
 
     def _check_ring(self, other: Poly) -> None:
@@ -318,17 +325,16 @@ class Poly:
             raise ValueError(f"arity mismatch: point has {len(point)} coordinates, expected {self.arity}")
         if not self.terms:
             return Fraction(0)
-        lcd = math.lcm(*[c.denominator for c in self.terms.values()])
-        den, factors = lcd, []
-        for exponents, p in zip(zip(*self.terms), point):
+        den, terms = self.integer_terms()
+        factors = []
+        for exponents, p in zip(zip(*terms), point):
             exponents = set(exponents)
             top, n, d = max(exponents), p.numerator, p.denominator
             den *= d ** top
             factors.append({e: n ** e * d ** (top - e) for e in exponents})
         total = 0
-        for mono, c in self.terms.items():
-            total += math.prod(map(getitem, factors, mono),
-                               start=c.numerator * (lcd // c.denominator))
+        for mono, c in terms.items():
+            total += math.prod(map(getitem, factors, mono), start=c)
         return Fraction(total, den)
 
     def components_by_degree(self) -> dict[int, Poly]:

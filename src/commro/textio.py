@@ -8,9 +8,10 @@ matrix block:      `rows cols` line, then row-major rationals (written by
                    `commro tables`; nothing reads it back)
 waring file:       `waring d=<d> n=<n>` header, lines `c: a1 a2 ... an`
 abp file:          `abp v1` magic, `kind:`/`width:`/`vars:`/`order:`/
-                   `u:`/`v:` headers once each, then `layer <var> power
-                   <k>` blocks, each for a variable of the order line and
-                   followed by width rows of width rationals.  The order
+                   `u:`/`v:` headers once each (a positive width), then
+                   `layer <var> power <k>` blocks, each for a variable of
+                   the order line and followed by width rows of width
+                   rationals.  The order
                    line lists the layers in multiplication order, one
                    layer per group; for set-multilinear programs it
                    groups part variables with '|': `order: a,b|c,d`.
@@ -222,6 +223,8 @@ def parse_abp(text: str) -> Abp:
 
     kind = headers["kind"]
     width = int(headers["width"])
+    if width < 1:
+        raise ValueError(f"abp width must be positive, got {width}")
     vars = _variables(headers["vars"].split())
     index = {name: i for i, name in enumerate(vars)}
     u = tuple(Fraction(_entry(x)) for x in headers["u"].split())
@@ -229,7 +232,7 @@ def parse_abp(text: str) -> Abp:
 
     # layer blocks, grouped by variable, their rows read as the module
     # docstring says.  zero_row is built only if the text can hold it
-    zero_row = " ".join(["0"] * width) if 0 < 2 * width - 1 <= len(text) else None
+    zero_row = " ".join(["0"] * width) if 2 * width - 1 <= len(text) else None
     blocks: dict[int, list[tuple[int, QMatrix]]] = {}
     while at < len(lines):
         header = lines[at]

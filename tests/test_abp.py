@@ -16,7 +16,8 @@ from commro.construct import build_commro
 from commro.detspecial import det_polynomial, palindrome
 
 from helpers import (WIDE_RATIONALS, all_pairs_commute, dense_eval_abp, dense_nisan_rank,
-                     random_point, random_poly, rational_commutative_programs)
+                     random_point, random_poly, rational_commutative_programs, var_names,
+                     wide_rational_polys)
 
 V2 = ("x1", "x2")
 
@@ -214,6 +215,34 @@ def test_nisan_width_cut_ranks_match_dense_matrix():
     for f, order in cases:
         expected = tuple(dense_nisan_rank(f, order[:i]) for i in range(1, f.arity + 1))
         assert nisan_width(f, order).cut_ranks == expected
+
+
+@st.composite
+def rational_nisan_inputs(draw) -> Poly:
+    """A wide rational polynomial, a random one with each coefficient divided by a
+    drawn q, or g * h for wide rational g and h in disjoint variables: a cut between
+    g's and h's variables has rank 1 at the exact coefficients only."""
+    kind = draw(st.sampled_from(["wide", "random", "product"]))
+    if kind == "wide":
+        return draw(wide_rational_polys())
+    if kind == "product":
+        g, h = draw(wide_rational_polys(2)), draw(wide_rational_polys(2))
+        return Poly(var_names(g.arity + h.arity), {a + b: c * d for a, c in g.terms.items()
+                                                   for b, d in h.terms.items()})
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    f = random_poly(rng, 4, rng.randint(1, 3), 7, homogeneous=False)
+    return Poly(f.vars, {m: c / draw(st.integers(1, 10 ** 6)) for m, c in f.terms.items()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_nisan_inputs(), WIDE_RATIONALS, st.data())
+def test_nisan_cuts_of_rational_coefficients_match_dense_matrix(f, scale, data):
+    # the cuts are ranked on f's coefficients brought to integers; the ranks
+    # are f's own, and scaling f by p/q changes none of them
+    order = tuple(data.draw(st.permutations(range(f.arity))))
+    expected = tuple(dense_nisan_rank(f, order[:i]) for i in range(1, f.arity + 1))
+    assert nisan_width(f, order).cut_ranks == expected
+    assert nisan_width(f.scale(scale), order).cut_ranks == expected
 
 
 def test_nisan_rank_symmetric_in_the_partition():

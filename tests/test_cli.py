@@ -510,11 +510,13 @@ def _row_edit(k: int, edit) -> str:
     return "\n".join(lines) + "\n"
 
 
-# each message is the one helpers.reference_parse_abp, which splits every row, gives
+# each message is the one helpers.reference_parse_abp, which splits every row, gives,
+# except for width-0 and width-negative on purpose: parse_abp refuses a width below 1
+# as soon as it reads it, where the reference first fails at a matrix row
 @pytest.mark.parametrize("text, message", [
     (X1X2_ABP.replace("abp v1", "abp\tv1"), "not an abp v1 file"),
-    (X1X2_ABP.replace("width: 4", "width: 0"), "malformed layer header '1 0 0 0'"),
-    (X1X2_ABP.replace("width: 4", "width: -4"), "malformed layer header '1 0 0 0'"),
+    (X1X2_ABP.replace("width: 4", "width: 0"), "abp width must be positive, got 0"),
+    (X1X2_ABP.replace("width: 4", "width: -4"), "abp width must be positive, got -4"),
     (X1X2_ABP.replace("width: 4", "width: 99999999999"),
      "row 1 of 'layer x1 power 0' has 4 entries, expected 99999999999"),
     *[(_row_edit(k, lambda row: row[:-2]),
