@@ -30,7 +30,7 @@ from math import lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DEFAULT_TERM_CAP, CapExceeded
-from .linalg import Echelon, QMatrix, commute
+from .linalg import Echelon, QMatrix, commute, sparse_vec_mat
 from .poly import Mono, Poly
 
 KINDS = ("general", "commutative", "diagonal", "set_multilinear")
@@ -182,9 +182,10 @@ class KindCheck:
     """What check_kind checked; true iff the declared invariant holds."""
 
     ok: bool
-    matrices: int  # coefficient matrices inspected
-    span: int      # dimension of the span of I and the matrices (commuting kinds)
-    pairs: int     # pairs to multiply both ways; all were when ok
+    matrices: int     # coefficient matrices inspected
+    span: int         # dimension of the span of I and the matrices (commuting kinds)
+    pairs: int        # pairs to multiply both ways; all were when ok
+    power_steps: int  # span-basis matrices k * A_k = A_(k-1) * A_1, one product each
 
     def __bool__(self) -> bool:
         return self.ok
@@ -198,19 +199,54 @@ def check_kind(abp: Abp) -> KindCheck:
 
     The commutator is bilinear, so matrices commute pairwise iff a basis
     of their linear span does, and the identity commutes with everything.
-    Each matrix is therefore flattened into an echelon seeded with I, and
-    only the matrices that grow its rank are multiplied, pair by pair.
+    Each matrix is therefore flattened, in multiplication order, into an
+    echelon seeded with I, and only the matrices that grow its rank form
+    the basis.
+
+    The layer of a commutative program is usually an exponential, I +
+    T x + T^2 x^2 / 2! + ..., whose powers need no pair of their own.  A
+    basis matrix A_k (k >= 2) is a power step when its variable's A_1 and
+    A_(k-1) came before it and k * A_k = A_(k-1) * A_1; one product tests
+    that.  The rest of the basis, S, is multiplied pair by pair.  This is
+    still exact and an iff.  Taken in order, every matrix lies in the
+    algebra generated by I and S: one outside the basis lies in the span
+    of I and the basis matrices before it, and a power step is a product
+    of two matrices before it.  If S commutes pairwise, that algebra is
+    commutative, so all the matrices commute; if they all do, so does S.
     """
     if abp.kind == "general":
-        return KindCheck(True, 0, 0, 0)
+        return KindCheck(True, 0, 0, 0, 0)
     mats = abp.coefficient_matrices()
     if abp.kind == "diagonal":
-        return KindCheck(all(m.is_diagonal() for m in mats), len(mats), 0, 0)
+        return KindCheck(all(m.is_diagonal() for m in mats), len(mats), 0, 0, 0)
     span = Echelon()
     span.add(QMatrix.identity(abp.width).flat())
-    basis = [m for m in mats if span.add(m.flat())]
+    before: dict[tuple[int, int], QMatrix] = {}  # (var, power) -> a matrix met already
+    basis, steps = [], 0
+    for layer in abp.layers:
+        for var, k, m in layer.terms:
+            if span.add(m.flat()):
+                if (k >= 2 and (var, 1) in before and (var, k - 1) in before
+                        and _power_step(k, m, before[var, k - 1], before[var, 1])):
+                    steps += 1
+                else:
+                    basis.append(m)
+            before[var, k] = m
     ok = all(commute(a, b) for a, b in itertools.combinations(basis, 2))
-    return KindCheck(ok, len(mats), span.rank, len(basis) * (len(basis) - 1) // 2)
+    return KindCheck(ok, len(mats), span.rank, len(basis) * (len(basis) - 1) // 2, steps)
+
+
+def _power_step(k: int, a_k: QMatrix, a_prev: QMatrix, a_1: QMatrix) -> bool:
+    """k * a_k == a_prev @ a_1 exactly, by one product.
+
+    The product's int rows are over a_prev.den * a_1.den, so both sides
+    are compared as int rows cross-multiplied by the denominators, row by
+    row up to the first that differs.
+    """
+    left, right = k * a_prev.den * a_1.den, a_k.den
+    return all({j: x * left for j, x in row.items()}
+               == {j: y * right for j, y in sparse_vec_mat(prev, a_1).items()}
+               for row, prev in zip(a_k.entries, a_prev.entries))
 
 
 # ---------------------------------------------------------------------------

@@ -176,8 +176,10 @@ def _cmd_verify(args) -> int:
     elif abp.kind == "diagonal":
         print(f"kind diagonal: ok ({kind.matrices} matrices diagonal)")
     else:
+        steps = (f"{kind.power_steps} power steps k*A_k = A_(k-1)*A_1, one product each; "
+                 if kind.power_steps else "")
         print(f"kind {abp.kind}: ok ({kind.matrices} matrices; their span with I has "
-              f"dimension {kind.span}; {kind.pairs} basis pairs multiplied)")
+              f"dimension {kind.span}; {steps}{kind.pairs} basis pairs multiplied)")
 
     # f's value at each seeded point, evaluated once for every layer order
     expected: list[tuple[list[Fraction], Fraction]] = []

@@ -38,7 +38,7 @@ from typing import Sequence
 from .abp import Abp, Layer
 from .apolar import QuotientStructure, quotient
 from .errors import CapExceeded
-from .linalg import QMatrix, inverse
+from .linalg import QMatrix
 from .poly import Poly, mono_factorial
 
 __all__ = [
@@ -224,9 +224,7 @@ def build_diagro_from_waring(w: WaringDecomposition, vars: Sequence[str],
     # p(z) = sum_k c_k z^k takes the values V c at the nodes, V[i][k] = z_i^k,
     # so c_d = sum_i inverse(V)[d, i] * p(z_i)
     nodes = range(1, t + 1)
-    vandermonde = QMatrix.sparse(t, t, [{k: z ** k for k in range(t)} for z in nodes])
-    inv = inverse(vandermonde)
-    weights = [inv[d, i] for i in range(t)]
+    weights = _inverse_vandermonde_row(nodes, d)
     d_fact = math.factorial(d)
 
     u = []
@@ -247,6 +245,28 @@ def build_diagro_from_waring(w: WaringDecomposition, vars: Sequence[str],
         layers.append(Layer(terms))
     return Abp(kind="diagonal", vars=vars, width=width, u=tuple(u), v=tuple(v),
                layers=tuple(layers))
+
+
+def _inverse_vandermonde_row(nodes: Sequence[int], d: int) -> list[Fraction]:
+    """Row d of the inverse of the Vandermonde matrix V[i][k] = z_i^k over distinct int nodes.
+
+    Entry i is the z^d coefficient of the Lagrange basis polynomial
+    L_i(z) = prod_{j != i} (z - z_j) / (z_i - z_j).  Its numerator is
+    M(z) / (z - z_i) for the master polynomial M(z) = prod_j (z - z_j),
+    found by synthetic division from the top coefficient down to z^d, so
+    the row costs O(t^2) int operations for t nodes, not an inversion.
+    """
+    master = [1]  # coefficients of M, lowest degree first
+    for z in nodes:
+        master = [a - z * b for a, b in zip([0, *master], [*master, 0])]
+    row = []
+    for zi in nodes:
+        # quotient coefficients q_(k-1) = m_k + z_i q_k, from q_(t-1) = m_t = 1
+        q = 1
+        for k in range(len(master) - 2, d, -1):
+            q = master[k] + zi * q
+        row.append(Fraction(q, math.prod(zi - z for z in nodes if z != zi)))
+    return row
 
 
 def waring_of_monomial(n: int) -> WaringDecomposition:

@@ -168,13 +168,9 @@ class QMatrix:
     def __matmul__(self, other: QMatrix) -> QMatrix:
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch: {self.cols} vs {other.rows}")
-        return QMatrix.sparse(self.rows, other.cols, _product_rows(self, other),
+        return QMatrix.sparse(self.rows, other.cols,
+                              (sparse_vec_mat(row, other) for row in self.entries),
                               self.den * other.den)
-
-
-def _product_rows(a: QMatrix, b: QMatrix) -> tuple[dict[int, int], ...]:
-    """The int rows of a.den * b.den * (a @ b), before the common factor is divided out."""
-    return tuple(sparse_vec_mat(row, b) if row else {} for row in a.entries)
 
 
 def sparse_vec_mat(row: dict[int, int], m: QMatrix) -> dict[int, int]:
@@ -328,11 +324,14 @@ def commute(a: QMatrix, b: QMatrix) -> bool:
     """True iff a @ b == b @ a exactly (both square, equal dimension).
 
     Both products have the denominator a.den * b.den, so their int rows
-    are compared as they come.
+    are compared as they come, row by row up to the first that differs.
+    Row i of a @ b is empty when a's row i is, and likewise for b @ a, so
+    only the rows where either operand's row is nonempty are multiplied.
     """
     if a.rows != a.cols or b.rows != b.cols or a.rows != b.rows:
         raise ValueError("dimension mismatch")
-    return _product_rows(a, b) == _product_rows(b, a)
+    return all(sparse_vec_mat(ra, b) == sparse_vec_mat(rb, a)
+               for ra, rb in zip(a.entries, b.entries) if ra or rb)
 
 
 def minimal_polynomial(m: QMatrix) -> Poly:

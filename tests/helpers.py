@@ -393,6 +393,8 @@ def reference_parse_abp(text: str) -> Abp:
 
     kind = headers["kind"]
     width = int(headers["width"])
+    if width < 1:
+        raise ValueError(f"abp width must be positive, got {width}")
     vars = _variables(headers["vars"].split())
     index = {name: i for i, name in enumerate(vars)}
     u = tuple(_rational(x) for x in headers["u"].split())

@@ -149,19 +149,83 @@ def matrix_families(draw):
     return mats
 
 
-@settings(max_examples=200, deadline=None)
-@given(matrix_families(), st.sampled_from(["commutative", "set_multilinear"]))
-def test_check_kind_agrees_with_all_pairs_oracle(mats, kind):
-    n = mats[0].rows
-    abp = Abp(kind=kind, vars=tuple(f"x{k}" for k in range(len(mats))), width=n,
+@st.composite
+def exponential_layers(draw):
+    """Layers [I, T, T^2/2!, ..., T^d/d!], one per variable, with at most one power tampered.
+
+    The T are polynomials in one base matrix, so that they commute, or
+    drawn apart.  A tampered power gets one entry bumped, or is replaced
+    by a polynomial in the base (which commutes with the T when they are
+    polynomials in the base) or by a matrix drawn apart.
+    """
+    n = draw(st.integers(1, 4))
+    entry = st.integers(-3, 3)
+    ident = QMatrix.identity(n)
+
+    def dense():
+        return QMatrix([[draw(entry) for _ in range(n)] for _ in range(n)])
+
+    base = dense()
+
+    def in_base():
+        acc, power = QMatrix.zeros(n, n), ident
+        for _ in range(draw(st.integers(1, 3))):
+            acc = acc + power.scale(draw(entry))
+            power = power @ base
+        return acc
+
+    common = draw(st.booleans())
+    layers = []
+    for _ in range(draw(st.integers(1, 3))):
+        t = in_base() if common else dense()
+        powers = [ident]
+        for k in range(1, draw(st.integers(1, 4)) + 1):
+            powers.append((powers[-1] @ t).scale(Fraction(1, k)))
+        layers.append(powers)
+    tamper = draw(st.sampled_from(["none", "bump", "in-base", "apart"]))
+    if tamper != "none":
+        powers = draw(st.sampled_from(layers))
+        k = draw(st.integers(1, len(powers) - 1))
+        if tamper == "bump":
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            powers[k] = powers[k] + QMatrix.sparse(n, n, ({j: draw(st.sampled_from([-1, 1, 3]))}
+                                                         if r == i else {} for r in range(n)))
+        else:
+            powers[k] = in_base() if tamper == "in-base" else dense()
+    return layers
+
+
+def _single_power_layers(mats):
+    return [[None, m] for m in mats]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(matrix_families().map(_single_power_layers),
+                           st.sampled_from(["commutative", "set_multilinear"])),
+                 st.tuples(exponential_layers(), st.just("commutative"))))
+def test_check_kind_agrees_with_all_pairs_oracle(layers_and_kind):
+    # layers[l][k] is the matrix of x_l^k (None: no such term)
+    layers, kind = layers_and_kind
+    n = next(m for m in layers[0] if m is not None).rows
+    abp = Abp(kind=kind, vars=tuple(f"x{l}" for l in range(len(layers))), width=n,
               u=(Fraction(1),) * n, v=(Fraction(1),) * n,
-              layers=tuple(Layer([(k, 1, m)]) for k, m in enumerate(mats)))
+              layers=tuple(Layer([(l, k, m) for k, m in enumerate(powers) if m is not None])
+                           for l, powers in enumerate(layers)))
+    mats = abp.coefficient_matrices()
     report = check_kind(abp)
     assert bool(report) == all_pairs_commute(mats)
     assert report.matrices == len(mats)
     flat = [[x for row in m.data for x in row] for m in (QMatrix.identity(n), *mats)]
     assert report.span == DomainMatrix.from_list(flat, QQ).rank()
-    assert report.pairs == (report.span - 1) * (report.span - 2) // 2
+    # the basis (span - 1 matrices besides I) less its power steps is multiplied pair by pair
+    multiplied = report.span - 1 - report.power_steps
+    assert report.pairs == multiplied * (multiplied - 1) // 2
+    # a power step has a power of 2 or more, and an untouched exponential layer
+    # leaves at most its T to multiply
+    assert report.power_steps <= sum(max(len(powers) - 2, 0) for powers in layers)
+    if all(m is None or m == (powers[1] @ powers[k - 1]).scale(Fraction(1, k))
+           for powers in layers for k, m in enumerate(powers) if k >= 2):
+        assert multiplied <= len(layers)
 
 
 def test_abp_validation():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 import re
 import sys
 import time
@@ -9,14 +10,15 @@ from pathlib import Path
 
 import pytest
 
-from commro import Poly, QMatrix, build_commro, expand_abp, parse_poly, waring_expand
+from commro import (Poly, QMatrix, build_commro, check_kind, expand_abp, parse_poly,
+                    waring_expand)
 from commro import cli
 from commro.cli import run
 from commro.detspecial import det_polynomial, det_variables, palindrome
 from commro.textio import (format_abp, format_poly_file, parse_abp,
                            parse_poly_file, parse_waring_file)
 
-from helpers import all_pairs_commute
+from helpers import all_pairs_commute, random_poly
 
 
 @pytest.fixture()
@@ -281,6 +283,37 @@ def test_verify_kind_line_states_what_was_checked(det2_file, tmp_path, capsys):
             "6 basis pairs multiplied)") in capsys.readouterr().out.splitlines()
 
 
+def test_verify_kind_line_names_the_power_steps(tmp_path, capsys):
+    # both layers are exponentials up to power 3: the span's basis holds the two T
+    # and four higher powers, each of those tested by one product
+    poly, out = tmp_path / "f.poly", str(tmp_path / "f.abp")
+    poly.write_text("vars: x1 x2\nx1^3*x2 + 2*x1*x2^2 - x2^3\n")
+    assert run(["build", "commro", str(poly), "-o", out]) == 0
+    capsys.readouterr()
+    assert run(["verify", out, "--against", str(poly), "--random-eval", "1"]) == 0
+    assert ("kind commutative: ok (8 matrices; their span with I has dimension 7; "
+            "4 power steps k*A_k = A_(k-1)*A_1, one product each; "
+            "1 basis pairs multiplied)") in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("i, j", [(0, 0), (1, 0)])
+def test_verify_detects_a_tampered_power_step(tmp_path, capsys, i, j):
+    # a built random input whose power-2 blocks pass as power steps until one is bumped
+    f = random_poly(random.Random(5), 3, 4, 6, homogeneous=False)
+    poly_path, abp_path = tmp_path / "f.poly", tmp_path / "f.abp"
+    poly_path.write_text(format_poly_file(f))
+    assert run(["build", "commro", str(poly_path), "-o", str(abp_path)]) == 0
+    built = parse_abp(abp_path.read_text())
+    assert check_kind(built).power_steps > 0
+    tampered = _bump_entry(abp_path.read_text(), "layer x3 power 2", i, j)
+    assert not all_pairs_commute(parse_abp(tampered).coefficient_matrices())
+    abp_path.write_text(tampered)
+    capsys.readouterr()
+    assert run(["verify", str(abp_path), "--against", str(poly_path), "--random-eval", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "structural invariant" in out and "verify OK" not in out
+
+
 POWER_BOMB_ABP = ("abp v1\nkind: commutative\nwidth: 1\nvars: x\norder: x\n"
                   "u: 1\nv: 1\nlayer x power 100000000\n1\n")
 
@@ -510,9 +543,7 @@ def _row_edit(k: int, edit) -> str:
     return "\n".join(lines) + "\n"
 
 
-# each message is the one helpers.reference_parse_abp, which splits every row, gives,
-# except for width-0 and width-negative on purpose: parse_abp refuses a width below 1
-# as soon as it reads it, where the reference first fails at a matrix row
+# each message is the one helpers.reference_parse_abp, which splits every row, gives
 @pytest.mark.parametrize("text, message", [
     (X1X2_ABP.replace("abp v1", "abp\tv1"), "not an abp v1 file"),
     (X1X2_ABP.replace("width: 4", "width: 0"), "abp width must be positive, got 0"),

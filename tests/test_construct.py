@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from commro import (CapExceeded, Poly, WaringDecomposition, build_commro,
+from commro import (CapExceeded, Poly, QMatrix, WaringDecomposition, build_commro,
                     build_commro_general, build_diagro_from_waring, build_smabp,
-                    check_kind, dpd, eval_abp, expand_abp, parse_poly, quotient,
+                    check_kind, dpd, eval_abp, expand_abp, inverse, parse_poly, quotient,
                     waring_expand, waring_of_monomial)
+from commro.construct import _inverse_vandermonde_row
 from commro.detspecial import det2_golden, det_polynomial
 from commro.partials import DerivBasis
 
@@ -263,6 +264,16 @@ def test_diagro_monomial_x1x2x3():
     with pytest.raises(CapExceeded) as cap:
         build_diagro_from_waring(w, V3, max_width=39)
     assert cap.value.flag == "--max-width"
+
+
+def test_diagro_weights_are_row_d_of_the_inverse_vandermonde_matrix():
+    node_sets = [range(1, t + 1) for t in range(1, 41)] + [(-3, 0, 2, 5, 7), (4, -1)]
+    for nodes in node_sets:
+        t = len(nodes)
+        inv = inverse(QMatrix.sparse(t, t, [{k: z ** k for k in range(t) if z ** k}
+                                            for z in nodes]))
+        for d in range(t):
+            assert _inverse_vandermonde_row(nodes, d) == [inv[d, i] for i in range(t)]
 
 
 def test_diagro_rejects_degenerate_input():

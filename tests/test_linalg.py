@@ -69,6 +69,10 @@ def test_commute_examples():
     d1 = QMatrix.diagonal([1, 2, 3])
     d2 = QMatrix.diagonal([-5, 0, 7])
     assert commute(d1, d2)
+    # the products differ only in a row where the first operand's row is empty,
+    # both ways round
+    proj, lower = QMatrix([[1, 0], [0, 0]]), QMatrix([[0, 0], [1, 0]])
+    assert not commute(proj, lower) and not commute(lower, proj)
     with pytest.raises(ValueError):
         commute(QMatrix.identity(2), QMatrix.identity(3))
 

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from commro import (Poly, QMatrix, WaringDecomposition, build_commro,
+from commro import (Abp, Layer, Poly, QMatrix, WaringDecomposition, build_commro,
                     build_commro_general, build_diagro_from_waring,
-                    build_smabp, expand_abp, parse_poly, permute_order,
-                    waring_of_monomial)
+                    build_smabp, check_kind, eval_abp, expand_abp, parse_poly,
+                    permute_order, rank, waring_of_monomial)
 from commro.detspecial import det_polynomial, palindrome
 from commro.textio import (_row_lines, format_abp, format_matrix, format_poly_file,
                            format_waring_file, parse_abp, parse_poly_file,
@@ -248,6 +248,68 @@ X1X2_ABP = format_abp(build_commro(parse_poly("x1*x2", ("x1", "x2"))))
 @example(X1X2_ABP.replace("vars: x1 x2", "vars: x1 x2 \u03be"))
 @example(X1X2_ABP.replace("order: x1,x2", "order:\tx1,x2").replace("power 1\n0 1 0 0",
                                                                   "power 1\n0 1/2 0 0"))
+# a width of 0 or below, spelled as the token edits spell it
+@example(X1X2_ABP.replace("width: 4", "width: -01"))
+@example(X1X2_ABP.replace("width: 4", "width: 00"))
 def test_reader_matches_the_token_reader(text):
     # the same program, or a ValueError with the same message
     assert _read(parse_abp, text) == _read(reference_parse_abp, text)
+
+
+@st.composite
+def repeated_row_texts(draw) -> str:
+    """A program built from a few distinct rows, some blocks repeated whole, some lines respelled.
+
+    A respelled line reads as the same row as the writer's line, or, with
+    one token too many, as a malformed one.
+    """
+    width = draw(st.integers(1, 4))
+    entry = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-7, 3), 10 ** 20 + 1])
+    pool = [{}] + [draw(st.dictionaries(st.integers(0, width - 1), entry, min_size=1))
+                   for _ in range(draw(st.integers(1, 3)))]
+    blocks, layers = [], []
+    for var in range(draw(st.integers(1, 3))):
+        terms = []
+        for power in range(draw(st.integers(1, 3))):
+            if blocks and draw(st.booleans()):
+                mat = draw(st.sampled_from(blocks))
+            else:
+                mat = QMatrix.rational(width, width,
+                                       [dict(draw(st.sampled_from(pool))) for _ in range(width)])
+            blocks.append(mat)
+            terms.append((var, power, mat))
+        layers.append(Layer(terms))
+    abp = Abp(kind="general", vars=tuple(f"x{k}" for k in range(len(layers))), width=width,
+              u=(Fraction(1),) * width, v=(Fraction(1),) * width, layers=tuple(layers))
+    lines = format_abp(abp).splitlines()
+    rows = [k for k, line in enumerate(lines) if k > 6 and not line.startswith("layer")]
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.sampled_from(rows))
+        respell = draw(st.sampled_from(["double", "lead", "zeros", "extra"]))
+        line = lines[at]
+        lines[at] = {"double": line.replace(" ", "  ", 1), "lead": " " + line,
+                     "zeros": " ".join("00" if t == "0" else t for t in line.split(" ")),
+                     "extra": line + " 0"}[respell]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(repeated_row_texts())
+def test_reader_matches_the_token_reader_on_repeated_rows(text):
+    # equal lines are read once and share one row dict; respelled ones read alike
+    assert _read(parse_abp, text) == _read(reference_parse_abp, text)
+
+
+def test_shared_rows_are_left_unchanged_by_the_checks():
+    f = random_poly(random.Random(5), 3, 4, 6, homogeneous=False)
+    texts = [format_abp(build_commro(det_polynomial(3))), format_abp(build_commro_general(f))]
+    for text in texts:
+        abp = parse_abp(text)
+        rows = [row for m in abp.coefficient_matrices() for row in m.entries if row]
+        # the tables repeat rows, and equal lines share one dict
+        assert len({id(row) for row in rows}) < len(rows)
+        assert check_kind(abp)
+        eval_abp(abp, [Fraction(k + 2, 3) for k in range(len(abp.vars))])
+        for m in abp.coefficient_matrices():
+            rank(m)
+        assert abp == parse_abp(text)
