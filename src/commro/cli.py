@@ -23,7 +23,7 @@ from .errors import DEFAULT_ENTRY_CAP, DEFAULT_TERM_CAP, CapExceeded
 from .partials import derivative_basis
 from .poly import Poly, PolyParseError, mono_str
 from .textio import (format_abp, format_matrix, format_order, format_poly_file,
-                     format_waring_file, parse_abp, parse_poly_file,
+                     format_waring_file, parse_abp, parse_groups, parse_poly_file,
                      parse_waring_file)
 
 RANDOM_COORD_BOUND = 10 ** 6
@@ -54,18 +54,6 @@ def _load_poly(path: str, vars_flag: str | None) -> Poly:
 def _random_point(rng: random.Random, arity: int) -> list[Fraction]:
     return [Fraction(rng.randint(-RANDOM_COORD_BOUND, RANDOM_COORD_BOUND))
             for _ in range(arity)]
-
-
-def _parse_partition(text: str, vars: tuple[str, ...]) -> list[list[int]]:
-    index = {name: i for i, name in enumerate(vars)}
-    parts = []
-    for group in text.split("|"):
-        names = [name.strip() for name in group.split(",") if name.strip()]
-        try:
-            parts.append([index[name] for name in names])
-        except KeyError as bad:
-            raise ValueError(f"unknown variable {bad.args[0]!r} in partition") from None
-    return parts
 
 
 def _cmd_dpd(args) -> int:
@@ -115,7 +103,8 @@ def _cmd_build(args) -> int:
         else:
             if not args.partition:
                 raise ValueError("smabp requires --partition")
-            abp = build_smabp(f, _parse_partition(args.partition, f.vars), args.max_width)
+            partition = parse_groups(args.partition, f.vars, "|", "--partition")
+            abp = build_smabp(f, partition, args.max_width)
     Path(args.output).write_text(format_abp(abp))
     print(f"wrote {args.output} (kind={abp.kind} width={abp.width})")
     return 0
@@ -123,7 +112,6 @@ def _cmd_build(args) -> int:
 
 def _cmd_nisan(args) -> int:
     f = _load_poly(args.poly, args.vars)
-    index = {name: i for i, name in enumerate(f.vars)}
 
     def report(order_indices: list[int]) -> None:
         cut = nisan_width(f, order_indices)
@@ -132,11 +120,7 @@ def _cmd_nisan(args) -> int:
         print(f"order: {names} cut-ranks: {ranks} width: {cut.width} size: {cut.size}")
 
     if args.order:
-        names = [name.strip() for name in args.order.split(",")]
-        try:
-            order = [index[name] for name in names]
-        except KeyError as bad:
-            raise ValueError(f"unknown variable {bad.args[0]!r} in --order") from None
+        order = [var for (var,) in parse_groups(args.order, f.vars, ",", "--order")]
         if sorted(order) != list(range(f.arity)):
             raise ValueError("--order must list every variable exactly once")
         report(order)

@@ -16,20 +16,11 @@ abp file:          `abp v1` magic, `kind:`/`width:`/`vars:`/`order:`/
                    layer per group; for set-multilinear programs it
                    groups part variables with '|': `order: a,b|c,d`.
 
-An abp row is read as str.split() reads it, in whatever layout.  Format
-v1 writes every zero, but reading and writing cost about one step per
-stored nonzero: the writer sets a row's nonzeros into one precomputed
-row of zeros (`0 0 ... 0`, column j at character 2j), and the reader
-takes a row equal to that zero row as empty.  It reads any other row
-only at the tokens with a character other than 0 (a token of zeros
-only is 0), each at the column counted from the spaces before it.  That
-needs the writer's layout, tokens split by single spaces, so a row
-with a leading space, a run of spaces, other whitespace or a character
-that is not ASCII is first rewritten as its split() tokens joined by
-single spaces.  Each distinct row line is read once per file: a line
-met again (det4's 1 440 nonzero rows are 123 distinct lines) reuses the
-dict read the first time, so equal rows of a parsed program share one
-dict, which nothing changes afterwards.
+Format v1 writes every zero of a layer row.  An abp row is read as
+str.split() reads it, in whatever layout, and each distinct row line
+once per file: a line met again (det4's 1 440 nonzero rows are 123
+distinct lines) reuses the dict read the first time, so equal rows of a
+parsed program share one dict, which nothing changes afterwards.
 """
 
 from __future__ import annotations
@@ -49,10 +40,6 @@ from .poly import Poly, parse_poly
 # limit on the digits of an int read from text
 _MAX_EXPONENT = 4300
 _EXPONENT_RE = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
-
-
-# the rest of a token from its first character other than 0
-_NONZERO = re.compile(r"[^0 ][^ ]*")
 
 
 def _rational(token: str) -> Fraction:
@@ -89,6 +76,28 @@ def _variables(names: Sequence[str]) -> tuple[str, ...]:
         if name in vars[:i]:
             raise ValueError(f"variable {name!r} is declared twice")
     return vars
+
+
+def parse_groups(text: str, vars: Sequence[str], separator: str,
+                 where: str) -> list[list[int]]:
+    """Variable groups such as `a,b|c,d` as lists of indices into vars.
+
+    The text splits into groups at separator and each group into names at
+    commas, blanks around a name ignored.  An empty group or a name not in
+    vars is a ValueError naming where, the text's source (`order header`,
+    `--partition`, `--order`).
+    """
+    index = {name: i for i, name in enumerate(vars)}
+    groups = []
+    for group in text.split(separator):
+        names = [name.strip() for name in group.split(",") if name.strip()]
+        if not names:
+            raise ValueError(f"empty group in {where}")
+        try:
+            groups.append([index[name] for name in names])
+        except KeyError as bad:
+            raise ValueError(f"{where} names unknown variable {bad.args[0]!r}") from None
+    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +242,8 @@ def parse_abp(text: str) -> Abp:
     u = tuple(Fraction(_entry(x)) for x in headers["u"].split())
     v = tuple(Fraction(_entry(x)) for x in headers["v"].split())
 
-    # layer blocks, grouped by variable, their rows read as the module
-    # docstring says, each distinct line once: memo maps a row's line to
-    # its dict, seeded with the zero row, which is built only if the text
-    # can hold it (a None key matches no line)
-    zero_row = " ".join(["0"] * width) if 2 * width - 1 <= len(text) else None
-    memo: dict[str | None, dict[int, int | Fraction]] = {zero_row: {}}
+    # layer blocks, grouped by variable; memo maps a row's line to its dict
+    memo: dict[str, dict[int, int | Fraction]] = {}
     blocks: dict[int, list[tuple[int, QMatrix]]] = {}
     while at < len(lines):
         header = lines[at]
@@ -256,45 +261,20 @@ def parse_abp(text: str) -> Abp:
         for i in range(width):
             if at >= len(lines):
                 raise ValueError("truncated layer block")
-            key = line = lines[at]
+            line = lines[at]
             at += 1
-            if (row := memo.get(key)) is not None:
-                rows.append(row)
-                continue
-            # a tab and \x1f are the whitespace other than spaces that an
-            # ASCII line keeps after splitlines
-            if not (line.isascii() and line[0] != " " and "  " not in line
-                    and "\t" not in line and "\x1f" not in line):
-                # not the writer's layout: read the tokens split() gives
-                line = " ".join(line.split())
-            entries = line.count(" ") + 1
-            if entries != width:
-                raise ValueError(f"row {i + 1} of {header!r} has {entries} entries, "
-                                 f"expected {width}")
-            # single spaces: a token's column is the number of spaces before it
-            row, j, last = {}, 0, 0
-            for found in _NONZERO.finditer(line):
-                start = line.rfind(" ", 0, found.start()) + 1
-                j += line.count(" ", last, start)
-                last = start
-                x = _entry(line[start:found.end()])
-                if x:
-                    row[j] = x
+            if (row := memo.get(line)) is None:
+                tokens = line.split()
+                if len(tokens) != width:
+                    raise ValueError(f"row {i + 1} of {header!r} has {len(tokens)} entries, "
+                                     f"expected {width}")
+                row = memo[line] = {j: x for j, t in enumerate(tokens)
+                                    if t != "0" and (x := _entry(t))}
             rows.append(row)
-            memo[key] = row
         blocks.setdefault(var, []).append((power, QMatrix.rational(width, width, rows)))
 
-    group_texts = headers["order"].split("|") if kind == "set_multilinear" \
-        else headers["order"].split(",")
-    order_groups: list[list[int]] = []
-    for group in group_texts:
-        names = [name.strip() for name in group.split(",") if name.strip()]
-        if not names:
-            raise ValueError("empty group in order header")
-        try:
-            order_groups.append([index[name] for name in names])
-        except KeyError as bad:
-            raise ValueError(f"order header names unknown variable {bad.args[0]!r}") from None
+    separator = "|" if kind == "set_multilinear" else ","
+    order_groups = parse_groups(headers["order"], vars, separator, "order header")
     ordered = {var for group in order_groups for var in group}
     for var, powers in blocks.items():
         if var not in ordered:

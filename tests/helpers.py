@@ -16,9 +16,12 @@ without the quotient's reduced echelon form) and ColumnScanQuotient
 columns and one solve per row).  sympy_minimal_polynomial factors the
 characteristic polynomial, and companion_matrix gives a matrix with a
 known minimal polynomial.  reference_parse_abp and reference_row_lines
-are the `.abp` v1 reader and row writer that split every row into
-tokens and write every zero, kept as oracles for textio's codec, which
-reads and writes in place.  wide_rational_polys draws homogeneous input
+are the `.abp` v1 reader and row writer that split every row of every
+block into tokens and write every zero cell by cell, kept as oracles
+for textio's codec, which reads each distinct row line once and sets a
+row's nonzeros into one shared zero row; edited_abp_texts draws program
+texts with respaced, respelled, cut or inserted text for both readers
+and the CLI.  wide_rational_polys draws homogeneous input
 with wide rational coefficients, of degree up to max_degree, for the
 integer-row closure and quotient, and rational_commutative_programs
 draws commutative programs with rational (or wide rational) entries
@@ -37,7 +40,7 @@ from sympy import Poly as SympyPoly
 from sympy.polys.matrices import DomainMatrix
 
 from commro import Abp, Layer, Poly, QMatrix, deglex_key, monomials_of_degree, pairing
-from commro.textio import _rational, _variables
+from commro.textio import _rational, _variables, format_abp
 
 
 def var_names(n: int) -> tuple[str, ...]:
@@ -77,9 +80,12 @@ def wide_rational_polys(draw, max_degree: int = 3) -> Poly:
     return Poly(var_names(nvars), {m: draw(WIDE_RATIONALS) for m in monos})
 
 
+# rationals in [-5, 5] with denominators up to 7
+SMALL = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
 @st.composite
-def rational_commutative_programs(draw, entry=st.fractions(min_value=-5, max_value=5,
-                                                             max_denominator=7)) -> Abp:
+def rational_commutative_programs(draw, entry=SMALL) -> Abp:
     """Commutative program with entries drawn from entry: every matrix is a
     polynomial in one random matrix M, and each layer has powers up to 4."""
     n, arity = draw(st.integers(1, 3)), draw(st.integers(1, 3))
@@ -99,6 +105,47 @@ def rational_commutative_programs(draw, entry=st.fractions(min_value=-5, max_val
     vector = st.tuples(*[entry] * n)
     return Abp(kind="commutative", vars=var_names(arity), width=n,
                u=draw(vector), v=draw(vector), layers=tuple(layers))
+
+
+# whitespace the reader must treat as split() does, and token spellings
+# other than the writer's
+SPACINGS = ["  ", "   ", "\t", " \t ", "\xa0", " \u3000", "\x1f"]
+SPELLINGS = ["00", "-0", "0/5", "+3", "1_000", "1e400", "-7/2", "1/-2", "\u0663", "1/0",
+             "0/0", "3/06", "+0/1", "1\t/2", "\u0663/\u0664"]
+
+
+@st.composite
+def edited_abp_texts(draw, abp: Abp | None = None) -> str:
+    """The text of abp, or of a drawn program, with some spaces, tokens and lines changed."""
+    if abp is None:
+        abp = draw(st.sampled_from([WIDE_RATIONALS, SMALL]).flatmap(rational_commutative_programs))
+    lines = format_abp(abp).splitlines()
+    for _ in range(draw(st.integers(0, 6))):
+        at = draw(st.integers(0, len(lines) - 1))
+        line = lines[at]
+        edit = draw(st.sampled_from(["spacing", "token", "lead", "trail", "blank", "drop",
+                                     "insert"]))
+        spaces = [k for k, c in enumerate(line) if c == " "]
+        if edit == "spacing" and spaces:
+            k = draw(st.sampled_from(spaces))
+            lines[at] = line[:k] + draw(st.sampled_from(SPACINGS)) + line[k + 1:]
+        elif edit == "token":
+            tokens = line.split(" ")
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(SPELLINGS))
+            lines[at] = " ".join(tokens)
+        elif edit == "lead":
+            lines[at] = draw(st.sampled_from(SPACINGS)) + line
+        elif edit == "trail":
+            lines[at] = line + draw(st.sampled_from(SPACINGS))
+        elif edit == "blank":
+            lines.insert(at, draw(st.sampled_from(["", " ", "\t"])))
+        elif edit == "drop" and spaces:
+            lines[at] = line[:draw(st.sampled_from(spaces))]
+        elif edit == "insert":
+            k = draw(st.integers(0, len(line)))
+            lines[at] = line[:k] + draw(st.sampled_from(SPACINGS + SPELLINGS)) + line[k:]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + newline
 
 
 def random_point(rng: random.Random, arity: int, bound: int = 10 ** 6) -> list[Fraction]:

@@ -15,9 +15,9 @@ from commro import (Abp, CapExceeded, Layer, Poly, QMatrix, check_kind,
 from commro.construct import build_commro
 from commro.detspecial import det_polynomial, palindrome
 
-from helpers import (WIDE_RATIONALS, all_pairs_commute, dense_eval_abp, dense_nisan_rank,
-                     random_point, random_poly, rational_commutative_programs, var_names,
-                     wide_rational_polys)
+from helpers import (SMALL, WIDE_RATIONALS, all_pairs_commute, dense_eval_abp,
+                     dense_nisan_rank, random_point, random_poly, rational_commutative_programs,
+                     var_names, wide_rational_polys)
 
 V2 = ("x1", "x2")
 
@@ -351,9 +351,6 @@ def test_eval_at_rational_points_matches_expansion(abp, coords):
     value = eval_abp(abp, point)
     assert type(value) is Fraction
     assert value == expand_abp(abp).eval(point) == dense_eval_abp(abp, point)
-
-
-SMALL = st.fractions(min_value=-5, max_value=5, max_denominator=7)
 
 
 @settings(max_examples=100, deadline=None)

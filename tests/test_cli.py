@@ -9,6 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commro import (Poly, QMatrix, build_commro, check_kind, expand_abp, parse_poly,
                     waring_expand)
@@ -18,7 +20,8 @@ from commro.detspecial import det_polynomial, det_variables, palindrome
 from commro.textio import (format_abp, format_poly_file, parse_abp,
                            parse_poly_file, parse_waring_file)
 
-from helpers import all_pairs_commute, random_poly
+from helpers import (SMALL, WIDE_RATIONALS, all_pairs_commute, edited_abp_texts, random_poly,
+                     rational_commutative_programs)
 
 
 @pytest.fixture()
@@ -144,6 +147,22 @@ def test_nisan_orders(pal3_file, capsys):
 def test_nisan_rejects_bad_order(pal3_file, capsys):
     assert run(["nisan", pal3_file, "--order", "x1,x2"]) == 2
     assert "every variable" in capsys.readouterr().err
+
+
+# --partition and --order are read by the parser of the order header, and
+# each message names the flag
+@pytest.mark.parametrize("argv, message", [
+    (["build", "smabp", "POLY", "-o", "OUT", "--partition", "x1,zz|y1"],
+     "--partition names unknown variable 'zz'"),
+    (["build", "smabp", "POLY", "-o", "OUT", "--partition", "x1,y1||x2,y2"],
+     "empty group in --partition"),
+    (["nisan", "POLY", "--order", "x1,,y1"], "empty group in --order"),
+    (["nisan", "POLY", "--order", "x1,zz"], "--order names unknown variable 'zz'"),
+], ids=["partition-unknown", "partition-empty-group", "order-empty-group", "order-unknown"])
+def test_variable_groups_exit_2_naming_their_flag(pal3_file, tmp_path, capsys, argv, message):
+    files = {"POLY": pal3_file, "OUT": str(tmp_path / "out.abp")}
+    assert run([files.get(arg, arg) for arg in argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_build_and_verify_expand(det2_file, tmp_path, capsys):
@@ -568,6 +587,33 @@ def test_malformed_abp_exits_2_with_its_message(tmp_path, capsys, text, message)
     assert run(["verify", str(path), "--against", str(against), "--random-eval", "1"]) == 2
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.fixture(scope="module")
+def edited_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("edited")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_verify_exits_0_1_2_or_3_on_edited_programs(edited_dir, data):
+    # the exit-code contract: an exit code, never an exception.  Against
+    # the unedited program's polynomial, an edit can leave the program
+    # verifying (0), change it (1) or break the text (2)
+    abp = data.draw(st.sampled_from([WIDE_RATIONALS, SMALL]).flatmap(rational_commutative_programs))
+    path, against = edited_dir / "edited.abp", edited_dir / "against.poly"
+    path.write_bytes(data.draw(edited_abp_texts(abp)).encode())
+    against.write_text(format_poly_file(expand_abp(abp)))
+    assert run(["verify", str(path), "--against", str(against), "--random-eval", "2"]) in {0, 1, 2, 3}
+
+
+def test_verify_of_a_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path, against = tmp_path / "bad.abp", tmp_path / "x1x2.poly"
+    path.write_bytes(_row_edit(0, lambda row: row.replace("1", "\xff")).encode("latin-1"))
+    against.write_text("vars: x1 x2\nx1*x2\n")
+    assert run(["verify", str(path), "--against", str(against), "--random-eval", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 ONE_LAYER_ABP = """abp v1

@@ -14,8 +14,8 @@ from commro.textio import (_row_lines, format_abp, format_matrix, format_poly_fi
                            format_waring_file, parse_abp, parse_poly_file,
                            parse_waring_file)
 
-from helpers import (WIDE_RATIONALS, random_poly, rational_commutative_programs,
-                     reference_parse_abp, reference_row_lines)
+from helpers import (SMALL, WIDE_RATIONALS, edited_abp_texts, random_poly,
+                     rational_commutative_programs, reference_parse_abp, reference_row_lines)
 
 
 def test_poly_file_round_trip():
@@ -138,9 +138,6 @@ def test_format_abp_reproduces_its_text_with_dense_rows():
     assert format_matrix(m) == "2 3\n0 -1/3 0\n0 0 0\n"
 
 
-SMALL = st.fractions(min_value=-5, max_value=5, max_denominator=7)
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from([WIDE_RATIONALS, SMALL]).flatmap(rational_commutative_programs))
 def test_abp_text_round_trip_on_wide_rationals(abp):
@@ -182,46 +179,6 @@ def sparse_matrices(draw) -> QMatrix:
 @example(QMatrix([[0, 0, Fraction(10 ** 18 + 1, 999_983)], [0, 0, 0], [3, 0, 0]]))
 def test_row_writer_matches_the_token_writer(m):
     assert _row_lines(m) == reference_row_lines(m)
-
-
-# whitespace the reader must treat as split() does, and token spellings
-# other than the writer's
-SPACINGS = ["  ", "   ", "\t", " \t ", "\xa0", " \u3000", "\x1f"]
-SPELLINGS = ["00", "-0", "0/5", "+3", "1_000", "1e400", "-7/2", "1/-2", "\u0663", "1/0",
-             "0/0", "3/06", "+0/1", "1\t/2", "\u0663/\u0664"]
-
-
-@st.composite
-def edited_abp_texts(draw) -> str:
-    """A formatted program with some spaces, tokens and lines changed."""
-    abp = draw(st.sampled_from([WIDE_RATIONALS, SMALL]).flatmap(rational_commutative_programs))
-    lines = format_abp(abp).splitlines()
-    for _ in range(draw(st.integers(0, 6))):
-        at = draw(st.integers(0, len(lines) - 1))
-        line = lines[at]
-        edit = draw(st.sampled_from(["spacing", "token", "lead", "trail", "blank", "drop",
-                                     "insert"]))
-        spaces = [k for k, c in enumerate(line) if c == " "]
-        if edit == "spacing" and spaces:
-            k = draw(st.sampled_from(spaces))
-            lines[at] = line[:k] + draw(st.sampled_from(SPACINGS)) + line[k + 1:]
-        elif edit == "token":
-            tokens = line.split(" ")
-            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(SPELLINGS))
-            lines[at] = " ".join(tokens)
-        elif edit == "lead":
-            lines[at] = draw(st.sampled_from(SPACINGS)) + line
-        elif edit == "trail":
-            lines[at] = line + draw(st.sampled_from(SPACINGS))
-        elif edit == "blank":
-            lines.insert(at, draw(st.sampled_from(["", " ", "\t"])))
-        elif edit == "drop" and spaces:
-            lines[at] = line[:draw(st.sampled_from(spaces))]
-        elif edit == "insert":
-            k = draw(st.integers(0, len(line)))
-            lines[at] = line[:k] + draw(st.sampled_from(SPACINGS + SPELLINGS)) + line[k:]
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
-    return newline.join(lines) + newline
 
 
 def _read(parse, text):
