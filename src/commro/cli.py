@@ -9,6 +9,8 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import math
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -22,7 +24,7 @@ from .detspecial import det_polynomial, palindrome, perm_polynomial
 from .errors import DEFAULT_ENTRY_CAP, DEFAULT_TERM_CAP, CapExceeded
 from .partials import derivative_basis
 from .poly import Poly, PolyParseError, mono_str
-from .textio import (format_abp, format_matrix, format_order, format_poly_file,
+from .textio import (_variables, format_abp, format_matrix, format_order, format_poly_file,
                      format_waring_file, parse_abp, parse_groups, parse_poly_file,
                      parse_waring_file)
 
@@ -46,8 +48,17 @@ def _write_output(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
+def _vars_flag(text: str) -> tuple[str, ...]:
+    """The names of a --vars flag: distinct, each one word."""
+    vars = _variables(text.split(","))
+    for name in vars:
+        if name.split() != [name]:
+            raise ValueError(f"--vars name {name!r} is not one word")
+    return vars
+
+
 def _load_poly(path: str, vars_flag: str | None) -> Poly:
-    default = vars_flag.split(",") if vars_flag else None
+    default = _vars_flag(vars_flag) if vars_flag else None
     return parse_poly_file(_read(path), default_vars=default)
 
 
@@ -91,11 +102,23 @@ def _cmd_tables(args) -> int:
     return 0
 
 
+def _waring_vars(vars_flag: str | None, arity: int) -> tuple[str, ...]:
+    """The names --vars gives a Waring decomposition's variables, x1..xn without it."""
+    if not vars_flag:
+        return tuple(f"x{i + 1}" for i in range(arity))
+    vars = _vars_flag(vars_flag)
+    if len(vars) != arity:
+        raise ValueError(f"--vars gives {len(vars)} names for the decomposition's "
+                         f"{arity} variables")
+    return vars
+
+
 def _cmd_build(args) -> int:
+    if args.partition and args.target != "smabp":
+        raise ValueError(f"--partition applies to smabp only, not {args.target}")
     if args.target == "diagro":
         w = parse_waring_file(_read(args.input))
-        vars = tuple(f"x{i + 1}" for i in range(w.arity))
-        abp = build_diagro_from_waring(w, vars, args.max_width)
+        abp = build_diagro_from_waring(w, _waring_vars(args.vars, w.arity), args.max_width)
     else:
         f = _load_poly(args.input, args.vars)
         if args.target == "commro":
@@ -204,17 +227,20 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    # n! terms for det and perm, 2^n for palindrome, 2^(n-1) for
-    # monomial-waring: the count is multiplied out only until it passes the
-    # cap, before any term is built
+    # n! terms for det and perm, 2^n for palindrome; monomial-waring checks
+    # its 2^(n-1) powers by expanding each to its C(2n-1, n) monomials.  The
+    # count grows with n, so it is taken at k = 1, 2, ... only until it
+    # passes the cap, before any term is built
     what, n = args.what, args.n
-    factors = range(1, n + 1) if what in ("det", "perm") else \
-        itertools.repeat(2, n - 1 if what == "monomial-waring" else n)
-    terms = 1
-    for factor in factors:
-        terms *= factor
+    if what in ("det", "perm"):
+        counts = itertools.accumulate(range(1, n + 1), operator.mul)
+    elif what == "palindrome":
+        counts = (2 ** k for k in range(1, n + 1))
+    else:  # monomial-waring
+        counts = (2 ** (k - 1) * math.comb(2 * k - 1, k) for k in range(1, n + 1))
+    for terms in counts:
         if terms > args.max_terms:
-            raise CapExceeded(f"gen {what} {n} has more than {args.max_terms} terms",
+            raise CapExceeded(f"gen {what} {n} builds more than {args.max_terms} terms",
                               flag="--max-terms")
     if what == "det":
         text = format_poly_file(det_polynomial(n))
@@ -251,8 +277,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "branching programs and verify the artifacts.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_vars(p):
-        p.add_argument("--vars", help="comma-separated variable order for headerless files")
+    def add_vars(p, help="comma-separated variable order for headerless files"):
+        p.add_argument("--vars", help=help)
 
     def add_max_width(p):
         p.add_argument("--max-width", type=_POSITIVE, metavar="W", default=DEFAULT_WIDTH_CAP,
@@ -286,7 +312,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--partition", help="variable groups a,b|c,d (smabp only)")
     add_max_width(p)
-    add_vars(p)
+    add_vars(p, "comma-separated variable order for headerless .poly files; for diagro, "
+                "the names of the .waring file's variables (default: x1,...,xn)")
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("nisan", help="exact minimal ROABP width per variable order")
@@ -320,9 +347,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("-o", "--output")
     p.add_argument("--max-terms", type=_POSITIVE, default=DEFAULT_TERM_CAP,
-                   help="refuse (exit 3) to write more than this many terms: n! for det "
-                        "and perm, 2^n for palindrome, 2^(n-1) for monomial-waring "
-                        "(default: %(default)s)")
+                   help="refuse (exit 3) to build more than this many terms: n! for det "
+                        "and perm, 2^n for palindrome, and for monomial-waring the "
+                        "2^(n-1)*C(2n-1,n) of its expansion check (default: %(default)s)")
     p.set_defaults(func=_cmd_gen)
 
     return parser

@@ -25,7 +25,11 @@ Four builders live here:
   the z^d coefficient of prod_j exp_d(a_j x_j z), a polynomial in z of
   degree at most nd, read off its values at the nodes 1..nd+1 by row d
   of the inverse Vandermonde matrix; each node occupies one diagonal
-  slot and the weights of that row fold into u.
+  slot and the weights of that row fold into u.  Its layers are
+  build_commro's truncated exponentials, cut at d, over the diagonal
+  tables T_l = diag(a_(i,l) z) with one slot per term i and node z:
+  Saxena's duality trick is the commutative construction over tables
+  that are diagonal rather than nilpotent.
 """
 
 from __future__ import annotations
@@ -118,19 +122,16 @@ def _quotient_program(f: Poly, max_width: int | None) -> tuple[
     return tables, u, v
 
 
-def _truncated_exponential_layers(tables: Sequence[QMatrix], f: Poly) -> list[Layer]:
+def _exponential_layers(tables: Sequence[QMatrix], degrees: Sequence[int]) -> list[Layer]:
+    """Layer l = I + T_l x_l + T_l^2 x_l^2 / 2! + ... + T_l^(d_l) x_l^(d_l) / d_l!.
+
+    A_1 is the table itself and A_k = A_(k-1) T_l / k, one product per power.
+    """
     layers = []
-    for var, table in enumerate(tables):
-        d_var = f.individual_degree(var)
-        terms = [(var, 0, QMatrix.identity(table.rows))]
-        power = table
-        for k in range(1, d_var + 1):
-            terms.append((var, k, power.scale(Fraction(1, math.factorial(k))) if k > 1 else power))
-            power = power @ table
-        # the table is nilpotent past the individual degree; everything
-        # truncated away is exactly zero
-        if not power.is_zero():
-            raise AssertionError("multiplication table not nilpotent at the individual degree")
+    for var, (table, d) in enumerate(zip(tables, degrees)):
+        terms = [(var, 0, QMatrix.identity(table.rows)), (var, 1, table)][:d + 1]
+        for k in range(2, d + 1):
+            terms.append((var, k, (terms[-1][2] @ table).scale(Fraction(1, k))))
         layers.append(Layer(terms))
     return layers
 
@@ -160,7 +161,13 @@ def build_commro_general(f: Poly, max_width: int | None = None) -> Abp:
     if f.is_zero():
         raise ValueError("cannot build a branching program for the zero polynomial")
     tables, u, v = _quotient_program(f, max_width)
-    layers = _truncated_exponential_layers(tables, f)
+    layers = _exponential_layers(tables, [f.individual_degree(var) for var in range(f.arity)])
+    for layer, table in zip(layers, tables):
+        # T^(d+1) = d! A_d T: the table is nilpotent past the individual
+        # degree d, so everything truncated away is exactly zero
+        _, d, top = layer.terms[-1]
+        if not (top @ table if d else table).is_zero():
+            raise AssertionError("multiplication table not nilpotent at the individual degree")
     return Abp(kind="commutative", vars=f.vars, width=len(u), u=u, v=v, layers=tuple(layers))
 
 
@@ -226,24 +233,12 @@ def build_diagro_from_waring(w: WaringDecomposition, vars: Sequence[str],
     nodes = range(1, t + 1)
     weights = _inverse_vandermonde_row(nodes, d)
     d_fact = math.factorial(d)
+    u = tuple(coeff * d_fact * wt for coeff, _ in w.terms for wt in weights)
 
-    u = []
-    for coeff, _ in w.terms:
-        u.extend(coeff * d_fact * wt for wt in weights)
-    v = [Fraction(1)] * width
-
-    layers = []
-    for var in range(n):
-        terms = [(var, 0, QMatrix.identity(width))]
-        for k in range(1, d + 1):
-            inv_kfact = Fraction(1, math.factorial(k))
-            diag = []
-            for _, form in w.terms:
-                a = form[var]
-                diag.extend((a * z) ** k * inv_kfact for z in nodes)
-            terms.append((var, k, QMatrix.diagonal(diag)))
-        layers.append(Layer(terms))
-    return Abp(kind="diagonal", vars=vars, width=width, u=tuple(u), v=tuple(v),
+    tables = [QMatrix.diagonal([form[var] * z for _, form in w.terms for z in nodes])
+              for var in range(n)]
+    layers = _exponential_layers(tables, [d] * n)
+    return Abp(kind="diagonal", vars=vars, width=width, u=u, v=(Fraction(1),) * width,
                layers=tuple(layers))
 
 

@@ -6,7 +6,8 @@ string form), so emitted artifacts are stable golden files.
 polynomial file:   `vars: x1 x2 ...` header, then the expression text
 matrix block:      `rows cols` line, then row-major rationals (written by
                    `commro tables`; nothing reads it back)
-waring file:       `waring d=<d> n=<n>` header, lines `c: a1 a2 ... an`
+waring file:       `waring d=<d> n=<n>` header (each field once), lines
+                   `c: a1 a2 ... an`
 abp file:          `abp v1` magic, `kind:`/`width:`/`vars:`/`order:`/
                    `u:`/`v:` headers once each (a positive width), then
                    `layer <var> power <k>` blocks, each for a variable of
@@ -164,13 +165,20 @@ def format_waring_file(w: WaringDecomposition) -> str:
 
 def parse_waring_file(text: str) -> WaringDecomposition:
     lines = [line.strip() for line in text.splitlines() if line.strip()]
-    if not lines or not lines[0].startswith("waring"):
+    if not lines:
         raise ValueError("missing 'waring' header")
+    magic, *parts = lines[0].split()
+    if magic != "waring":
+        raise ValueError(f"missing 'waring' header: the file starts with {magic!r}")
     fields = {}
-    for part in lines[0].split()[1:]:
+    for part in parts:
         key, eq, value = part.partition("=")
         if not eq:
             raise ValueError(f"waring header field {part!r} is not of the form key=value")
+        if key not in ("d", "n"):
+            raise ValueError(f"unknown waring header field {part!r}")
+        if key in fields:
+            raise ValueError(f"repeated waring header field {part!r}")
         fields[key] = value
     try:
         degree, arity = int(fields["d"]), int(fields["n"])

@@ -431,6 +431,36 @@ def test_build_diagro_caps_width_before_interpolating(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
 
 
+def test_build_diagro_names_variables_by_the_vars_flag(tmp_path, capsys):
+    waring = tmp_path / "w.waring"
+    waring.write_text("waring d=2 n=2\n1/4: 1 1\n-1/4: 1 -1\n")
+    against = tmp_path / "ab.poly"
+    against.write_text("vars: a b\na*b\n")
+    out = str(tmp_path / "ab.abp")
+    assert run(["build", "diagro", str(waring), "-o", out, "--vars", "a,b"]) == 0
+    assert parse_abp(Path(out).read_text()).vars == ("a", "b")
+    assert run(["verify", out, "--against", str(against), "--expand"]) == 0
+    for flag, message in (("a", "--vars gives 1 names for the decomposition's 2 variables"),
+                          ("a,b,c", "--vars gives 3 names"), ("a,a", "'a' is declared twice"),
+                          ("a,", "'' is not one word"), ("a,b c", "'b c' is not one word")):
+        capsys.readouterr()
+        assert run(["build", "diagro", str(waring), "-o", out, "--vars", flag]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+def test_build_refuses_a_partition_it_would_ignore(tmp_path, capsys, det2_file):
+    waring = tmp_path / "w.waring"
+    waring.write_text("waring d=2 n=2\n1/4: 1 1\n-1/4: 1 -1\n")
+    out = tmp_path / "out.abp"
+    for target, path in (("commro", det2_file), ("diagro", str(waring))):
+        for partition in ("x1_1,x1_2|x2_1,x2_2", "no,such|names"):
+            assert run(["build", target, path, "-o", str(out), "--partition", partition]) == 2
+            err = capsys.readouterr().err
+            assert f"--partition applies to smabp only, not {target}" in err
+    assert not out.exists()
+
+
 # SHA-256 of the generated files, as recorded before the generators wrote
 # their terms directly
 GEN_OUTPUTS = [
@@ -449,7 +479,8 @@ def test_gen_output_is_byte_identical(tmp_path, gen, sha256):
 
 
 @pytest.mark.parametrize("gen", [["det", "10"], ["perm", "10"], ["palindrome", "30"],
-                                 ["monomial-waring", "40"], ["det", "1000000000"]],
+                                 ["monomial-waring", "40"], ["monomial-waring", "9"],
+                                 ["det", "1000000000"]],
                          ids=lambda gen: " ".join(gen))
 def test_gen_refuses_above_the_term_cap_at_once(tmp_path, capsys, gen):
     out = tmp_path / "out.txt"
@@ -461,10 +492,14 @@ def test_gen_refuses_above_the_term_cap_at_once(tmp_path, capsys, gen):
     assert not out.exists()
 
 
+# monomial-waring counts the terms of its expansion check: 2^(n-1) powers
+# of C(2n-1, n) monomials each, 823 680 at n = 8 and 6 223 360 at n = 9
 @pytest.mark.parametrize("gen, terms", [(["det", "4"], 24), (["perm", "3"], 6),
                                         (["palindrome", "5"], 32),
-                                        (["monomial-waring", "4"], 8)],
-                         ids=["det", "perm", "palindrome", "monomial-waring"])
+                                        (["monomial-waring", "4"], 2 ** 3 * math.comb(7, 4)),
+                                        (["monomial-waring", "5"], 2 ** 4 * math.comb(9, 5))],
+                         ids=["det", "perm", "palindrome", "monomial-waring",
+                              "monomial-waring-5"])
 def test_gen_term_cap_is_the_term_count(tmp_path, capsys, gen, terms):
     out = str(tmp_path / "out.txt")
     assert run(["gen", *gen, "-o", out, "--max-terms", str(terms - 1)]) == 3
@@ -535,12 +570,18 @@ X1X2_ABP = format_abp(build_commro(parse_poly("x1*x2", ("x1", "x2"))))
     ("waring", "waring d=2 n=2\n1/0: 1 1\n", [], "zero denominator"),
     ("waring", "waring d=2 n=2\n1: 1 1/0\n", [], "zero denominator"),
     ("waring", "waring d=2 n\n1: 1 1\n", [], "key=value"),
+    ("waring", "waring d=3 n=2 d=2\n1: 1 1\n", [], "repeated waring header field 'd=2'"),
+    ("waring", "waring d=2 n=2 foo=1\n1: 1 1\n", [], "unknown waring header field 'foo=1'"),
+    ("waring", "waringfoo d=2 n=2\n1: 1 1\n", [], "'waringfoo'"),
     ("poly", "vars: x x\nx^2\n", [], "declared twice"),
     ("poly", "x^2\n", ["--vars", "x,x"], "declared twice"),
+    ("poly", "x^2\n", ["--vars", "x,"], "--vars name '' is not one word"),
 ], ids=["abp-u", "abp-v", "abp-layer", "abp-duplicate-vars", "abp-order",
         "abp-repeated-layer", "abp-short-row", "abp-unordered-layer",
         "abp-repeated-header", "abp-stray-header", "abp-order-repeats", "waring-coeff",
-        "waring-form", "waring-header", "poly-duplicate-vars", "vars-flag-duplicate"])
+        "waring-form", "waring-header", "waring-repeated-field", "waring-unknown-field",
+        "waring-magic-suffix", "poly-duplicate-vars", "vars-flag-duplicate",
+        "vars-flag-empty-name"])
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, suffix, text, flags, message):
     path = tmp_path / f"input.{suffix}"
     path.write_text(text)

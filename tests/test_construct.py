@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commro import (CapExceeded, Poly, QMatrix, WaringDecomposition, build_commro,
                     build_commro_general, build_diagro_from_waring, build_smabp,
@@ -11,8 +13,9 @@ from commro import (CapExceeded, Poly, QMatrix, WaringDecomposition, build_commr
 from commro.construct import _inverse_vandermonde_row
 from commro.detspecial import det2_golden, det_polynomial
 from commro.partials import DerivBasis
+from commro.textio import format_waring_file, parse_waring_file
 
-from helpers import boundary_vector_by_solve, cofactor_det, random_poly
+from helpers import SMALL, WIDE_RATIONALS, boundary_vector_by_solve, cofactor_det, random_poly
 
 V2 = ("x1", "x2")
 V3 = ("x1", "x2", "x3")
@@ -274,6 +277,31 @@ def test_diagro_weights_are_row_d_of_the_inverse_vandermonde_matrix():
                                             for z in nodes]))
         for d in range(t):
             assert _inverse_vandermonde_row(nodes, d) == [inv[d, i] for i in range(t)]
+
+
+@st.composite
+def waring_decompositions(draw) -> WaringDecomposition:
+    """n <= 3, d <= 4 and r <= 3, entries SMALL or WIDE_RATIONALS, zero coordinates allowed."""
+    entry = draw(st.sampled_from([SMALL, WIDE_RATIONALS]))
+    coordinate = entry | st.just(Fraction(0))
+    n = draw(st.integers(1, 3))
+    form = st.tuples(*[coordinate] * n).filter(any)
+    terms = draw(st.lists(st.tuples(entry, form), min_size=1, max_size=3))
+    return WaringDecomposition(degree=draw(st.integers(1, 4)), terms=tuple(terms))
+
+
+@settings(max_examples=120, deadline=None)
+@given(waring_decompositions())
+def test_diagro_layers_are_exponentials_and_expand_to_the_waring_sum(w):
+    assert parse_waring_file(format_waring_file(w)) == w
+    vars = tuple(f"x{i + 1}" for i in range(w.arity))
+    abp = build_diagro_from_waring(w, vars)
+    assert expand_abp(abp) == waring_expand(w, vars)
+    for layer in abp.layers:
+        a = {k: mat for _, k, mat in layer.terms}
+        assert sorted(a) == list(range(w.degree + 1))
+        for k in range(2, w.degree + 1):
+            assert a[k].scale(k) == a[k - 1] @ a[1]
 
 
 def test_diagro_rejects_degenerate_input():
