@@ -116,9 +116,12 @@ def _waring_vars(vars_flag: str | None, arity: int) -> tuple[str, ...]:
 def _cmd_build(args) -> int:
     if args.partition and args.target != "smabp":
         raise ValueError(f"--partition applies to smabp only, not {args.target}")
+    if args.max_entries is not None and args.target != "diagro":
+        raise ValueError(f"--max-entries applies to diagro only, not {args.target}")
     if args.target == "diagro":
         w = parse_waring_file(_read(args.input))
-        abp = build_diagro_from_waring(w, _waring_vars(args.vars, w.arity), args.max_width)
+        abp = build_diagro_from_waring(w, _waring_vars(args.vars, w.arity), args.max_width,
+                                       args.max_entries or DEFAULT_ENTRY_CAP)
     else:
         f = _load_poly(args.input, args.vars)
         if args.target == "commro":
@@ -311,6 +314,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--partition", help="variable groups a,b|c,d (smabp only)")
+    p.add_argument("--max-entries", type=_POSITIVE, metavar="N",
+                   help="refuse (exit 3) to store more than N diagonal entries in the "
+                        "layers, n*d*width for degree d in n variables (diagro only; "
+                        f"default: {DEFAULT_ENTRY_CAP})")
     add_max_width(p)
     add_vars(p, "comma-separated variable order for headerless .poly files; for diagro, "
                 "the names of the .waring file's variables (default: x1,...,xn)")

@@ -100,6 +100,8 @@ def _closed_form_v(q: QuotientStructure, f: Poly) -> tuple[Fraction, ...]:
 
 
 def _block_diagonal(blocks: Sequence[QMatrix]) -> QMatrix:
+    if len(blocks) == 1:
+        return blocks[0]
     den = math.lcm(*[block.den for block in blocks])
     entries: list[dict[int, int]] = []
     for block in blocks:
@@ -125,11 +127,13 @@ def _quotient_program(f: Poly, max_width: int | None) -> tuple[
 def _exponential_layers(tables: Sequence[QMatrix], degrees: Sequence[int]) -> list[Layer]:
     """Layer l = I + T_l x_l + T_l^2 x_l^2 / 2! + ... + T_l^(d_l) x_l^(d_l) / d_l!.
 
-    A_1 is the table itself and A_k = A_(k-1) T_l / k, one product per power.
+    A_1 is the table itself and A_k = A_(k-1) T_l / k, one product per
+    power; every layer holds the same identity object as its A_0.
     """
+    identity = QMatrix.identity(tables[0].rows) if tables else None
     layers = []
     for var, (table, d) in enumerate(zip(tables, degrees)):
-        terms = [(var, 0, QMatrix.identity(table.rows)), (var, 1, table)][:d + 1]
+        terms = [(var, 0, identity), (var, 1, table)][:d + 1]
         for k in range(2, d + 1):
             terms.append((var, k, (terms[-1][2] @ table).scale(Fraction(1, k))))
         layers.append(Layer(terms))
@@ -210,14 +214,17 @@ def build_smabp(f: Poly, partition: Sequence[Sequence[int]],
 
 
 def build_diagro_from_waring(w: WaringDecomposition, vars: Sequence[str],
-                             max_width: int | None = None) -> Abp:
+                             max_width: int | None = None,
+                             max_entries: int | None = None) -> Abp:
     """Diagonal ROABP computing the expansion of a Waring decomposition.
 
     Each decomposition term contributes a block of nd+1 diagonal slots,
     one per interpolation node; slot i of layer j holds the truncated
     exponential univariate exp_d(a_j x_j z_i).  Width is exactly
     (number of terms) * (nd + 1); a width above max_width raises
-    CapExceeded (naming --max-width) before any weight is computed.
+    CapExceeded (naming --max-width), and more than max_entries diagonal
+    entries in the n * d layer powers above 0 raise CapExceeded (naming
+    --max-entries), both before any weight is computed.
     """
     vars = tuple(vars)
     if len(vars) != w.arity:
@@ -228,6 +235,9 @@ def build_diagro_from_waring(w: WaringDecomposition, vars: Sequence[str],
     if max_width is not None and width > max_width:
         raise CapExceeded(f"diagonal program needs width {width}, cap is {max_width}",
                           flag="--max-width")
+    if max_entries is not None and n * d * width > max_entries:
+        raise CapExceeded(f"diagonal program stores {n * d * width} layer entries, "
+                          f"cap is {max_entries}", flag="--max-entries")
     # p(z) = sum_k c_k z^k takes the values V c at the nodes, V[i][k] = z_i^k,
     # so c_d = sum_i inverse(V)[d, i] * p(z_i)
     nodes = range(1, t + 1)

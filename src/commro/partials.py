@@ -39,10 +39,11 @@ class DerivBasis:
 
     g_1 is always the source polynomial itself; the rest follow in the
     order the breadth-first closure kept them (level by level, each kept
-    element differentiated by x_1, ..., x_r in turn).  Row i is g_i in
-    divided powers times `scale`, as {packed key: int} under `packing`:
-    the entry at monomial m is scale * m! * coeff_{g_i}(m).  `echelon`
-    is the closure's elimination of those rows.
+    element differentiated by the variables occurring in it, in index
+    order).  Row i is g_i in divided powers times `scale`, as {packed
+    key: int} under `packing`: the entry at monomial m is scale * m! *
+    coeff_{g_i}(m).  `echelon` is the closure's elimination of those
+    rows.
     """
 
     source: Poly
@@ -71,10 +72,12 @@ def derivative_basis(f: Poly, max_width: int | None = None) -> DerivBasis:
 
     Breadth-first closure under single-variable derivatives: level 0 is
     [f], and level k+1 keeps each d/dx_i of a level-k element, i in index
-    order, iff it is independent of everything kept so far.  Every
-    derivative of a kept element lies in the kept span, so that span is
-    closed under each d/dx_i and is the whole derivative span.  Degrees
-    drop along levels, so the loop ends.
+    order, iff it is independent of everything kept so far.  Only the x_i
+    that occur in the element are tried, since the other derivatives are
+    zero, and each level's candidates are derived one at a time as the
+    elimination takes them.  Every derivative of a kept element lies in
+    the kept span, so that span is closed under each d/dx_i and is the
+    whole derivative span.  Degrees drop along levels, so the loop ends.
 
     The closure runs on integer rows keyed by packed monomials, in
     divided powers (Macaulay's inverse systems): the seed holds m! *
@@ -96,10 +99,14 @@ def derivative_basis(f: Poly, max_width: int | None = None) -> DerivBasis:
     lcd, terms = f.integer_terms()
     seed = {packing.pack(m): mono_factorial(m) * c for m, c in terms.items()}
     content = gcd(*seed.values())
+    level = [{k: c // content for k, c in seed.items()}]
     echelon = Echelon()
+    echelon.add(level[0])
     rows: list[dict[int, int]] = []
-    candidates = [{k: c // content for k, c in seed.items()}]
-    while candidates:
+    while level:
+        rows.extend(level)
+        # a derivative by a variable the row lacks is zero and adds nothing
+        candidates = (packing.derive(row, i) for row in level for i in packing.occurring(row))
         level = []
         for row in candidates:
             if echelon.add(row):
@@ -107,8 +114,6 @@ def derivative_basis(f: Poly, max_width: int | None = None) -> DerivBasis:
                     raise CapExceeded(f"derivative span has more than {max_width} dimensions",
                                       flag="--max-width")
                 level.append(row)
-        rows.extend(level)
-        candidates = [packing.derive(row, i) for row in level for i in range(f.arity)]
     return DerivBasis(source=f, rows=tuple(rows), scale=Fraction(lcd, content),
                       packing=packing, echelon=echelon)
 

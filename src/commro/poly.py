@@ -37,7 +37,8 @@ import itertools
 import math
 import re
 from fractions import Fraction
-from operator import add, ge, getitem, sub
+from functools import reduce
+from operator import add, ge, getitem, or_, sub
 from typing import Iterable, Iterator, Mapping
 
 Rational = Fraction
@@ -58,7 +59,7 @@ class PolyParseError(ValueError):
 
 def deglex_key(mono: Mono) -> tuple:
     """Sort key realizing the deg-lex order (ascending)."""
-    return (sum(mono), tuple(reversed(mono)))
+    return (sum(mono), *mono[::-1])
 
 
 def mono_factorial(mono: Mono) -> int:
@@ -101,6 +102,15 @@ class MonoPacking:
         """What multiplying by x_index adds to a key: one in the degree and in e_index."""
         return self.top | 1 << (index * self.bits)
 
+    def occurring(self, row: dict[int, int]) -> list[int]:
+        """The indices of the variables that occur in some key of the row.
+
+        An OR over the keys holds in each exponent field the OR of that
+        field over the row, which is nonzero iff the variable occurs.
+        """
+        keys, bits, mask = reduce(or_, row, 0), self.bits, self.mask
+        return [i for i in range(self.arity) if keys >> i * bits & mask]
+
     def derive(self, row: dict[int, int], index: int) -> dict[int, int]:
         """d/dx_index of a packed row in divided powers: a contraction.
 
@@ -115,13 +125,8 @@ class MonoPacking:
 
 def mono_str(mono: Mono, var_names: tuple[str, ...]) -> str:
     """Render a bare monomial, e.g. (1, 0, 2) -> 'x1*x3^2'; () exponents -> '1'."""
-    factors = []
-    for name, e in zip(var_names, mono):
-        if e == 1:
-            factors.append(name)
-        elif e > 1:
-            factors.append(f"{name}^{e}")
-    return "*".join(factors) if factors else "1"
+    return "*".join([name if e == 1 else f"{name}^{e}"
+                     for name, e in itertools.compress(zip(var_names, mono), mono)]) or "1"
 
 
 def monomials_of_degree(arity: int, degree: int) -> list[Mono]:
@@ -370,19 +375,11 @@ class Poly:
         pieces: list[str] = []
         for mono in sorted(self.terms, key=deglex_key, reverse=True):
             coeff = self.terms[mono]
-            sign = "-" if coeff < 0 else "+"
             mag = -coeff if coeff < 0 else coeff
             body = mono_str(mono, self.vars)
-            if body == "1":
-                text = str(mag)
-            elif mag == 1:
-                text = body
-            else:
-                text = f"{mag}*{body}"
-            if not pieces:
-                pieces.append(text if sign == "+" else f"-{text}")
-            else:
-                pieces.append(f" {sign} {text}")
+            text = str(mag) if body == "1" else body if mag == 1 else f"{mag}*{body}"
+            pieces += " - " if coeff < 0 else " + ", text
+        pieces[0] = "-" if pieces[0] == " - " else ""  # the first term's sign
         return "".join(pieces)
 
     def __repr__(self) -> str:

@@ -209,14 +209,19 @@ def format_order(abp: Abp) -> str:
 
 
 def format_abp(abp: Abp) -> str:
+    """The v1 text; a matrix object held by several blocks is formatted once."""
     lines = ["abp v1", f"kind: {abp.kind}", f"width: {abp.width}",
              f"vars: {' '.join(abp.vars)}", f"order: {format_order(abp)}"]
     lines.append(f"u: {' '.join(str(x) for x in abp.u)}")
     lines.append(f"v: {' '.join(str(x) for x in abp.v)}")
+    # keyed by id: every matrix stays alive in abp for the whole call
+    written: dict[int, list[str]] = {}
     for layer in abp.layers:
         for var, power, mat in layer.terms:
             lines.append(f"layer {abp.vars[var]} power {power}")
-            lines.extend(_row_lines(mat))
+            if (rows := written.get(id(mat))) is None:
+                rows = written[id(mat)] = _row_lines(mat)
+            lines.extend(rows)
     return "\n".join(lines) + "\n"
 
 

@@ -15,9 +15,12 @@ without the quotient's reduced echelon form) and ColumnScanQuotient
 (the normal set, tables and residues by a greedy scan of pairing
 columns and one solve per row).  sympy_minimal_polynomial factors the
 characteristic polynomial, and companion_matrix gives a matrix with a
-known minimal polynomial.  reference_parse_abp and reference_row_lines
-are the `.abp` v1 reader and row writer that split every row of every
-block into tokens and write every zero cell by cell, kept as oracles
+known minimal polynomial.  reference_derivative_basis is the derivative
+closure without its shortcuts: every kept row is differentiated by every
+variable, zero derivatives included, one whole level at a time.
+reference_parse_abp and reference_row_lines are the `.abp` v1 reader
+and row writer that split every row of every block into tokens and
+write every zero cell by cell, kept as oracles
 for textio's codec, which reads each distinct row line once and sets a
 row's nonzeros into one shared zero row; edited_abp_texts draws program
 texts with respaced, respelled, cut or inserted text for both readers
@@ -31,6 +34,7 @@ for the integer-row evaluation and writers.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -40,6 +44,8 @@ from sympy import Poly as SympyPoly
 from sympy.polys.matrices import DomainMatrix
 
 from commro import Abp, Layer, Poly, QMatrix, deglex_key, monomials_of_degree, pairing
+from commro.linalg import Echelon
+from commro.poly import MonoPacking, mono_factorial
 from commro.textio import _rational, _variables, format_abp
 
 
@@ -168,6 +174,26 @@ def brute_dpd(f: Poly) -> int:
         if not g.is_zero():
             derivatives.append(g)
     return span_rank(derivatives)
+
+
+def reference_derivative_basis(f: Poly) -> tuple[list[dict[int, int]], Fraction, Echelon]:
+    """(rows, scale, echelon) of the closure that tries every variable on every kept row.
+
+    The seed is f in divided powers, scaled to integers and divided by
+    its content, as derivative_basis seeds it; each level is a list of
+    every d/dx_i of every row kept at the level before, i in index order.
+    """
+    packing = MonoPacking(f.arity, f.total_degree())
+    lcd, terms = f.integer_terms()
+    seed = {packing.pack(m): mono_factorial(m) * c for m, c in terms.items()}
+    content = math.gcd(*seed.values())
+    echelon, rows = Echelon(), []
+    candidates = [{k: c // content for k, c in seed.items()}]
+    while candidates:
+        level = [row for row in candidates if echelon.add(row)]
+        rows += level
+        candidates = [packing.derive(row, i) for row in level for i in range(f.arity)]
+    return rows, Fraction(lcd, content), echelon
 
 
 def cofactor_det(matrix: list[list[Fraction]]) -> Fraction:

@@ -431,6 +431,27 @@ def test_build_diagro_caps_width_before_interpolating(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
 
 
+def test_build_diagro_caps_layer_entries_before_interpolating(tmp_path, capsys):
+    # width 3 * (4 * 300 + 1) = 3603 is under the default --max-width, but
+    # the 4 * 300 layer powers would store 4 323 600 diagonal entries
+    big = tmp_path / "big.waring"
+    big.write_text("waring d=300 n=4\n1: 1 2 3 4\n2: 1 -1 1 -1\n-1/3: 0 1 0 5\n")
+    out = tmp_path / "out.abp"
+    start = time.perf_counter()
+    assert run(["build", "diagro", str(big), "-o", str(out)]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "4323600" in err and "--max-entries" in err and "Traceback" not in err
+    assert not out.exists()
+    # x1*x2*x3: 3 variables times 3 powers times width 40 is 360 entries
+    waring_path = str(tmp_path / "mono3.waring")
+    assert run(["gen", "monomial-waring", "3", "-o", waring_path]) == 0
+    assert run(["build", "diagro", waring_path, "-o", str(out), "--max-entries", "359"]) == 3
+    assert run(["build", "diagro", waring_path, "-o", str(out), "--max-entries", "360"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "0fd2607f7638a6bdb19fc8c7e0349f23d36f266659f2a6c93a3972438b8a826f")
+
+
 def test_build_diagro_names_variables_by_the_vars_flag(tmp_path, capsys):
     waring = tmp_path / "w.waring"
     waring.write_text("waring d=2 n=2\n1/4: 1 1\n-1/4: 1 -1\n")
@@ -458,6 +479,13 @@ def test_build_refuses_a_partition_it_would_ignore(tmp_path, capsys, det2_file):
             assert run(["build", target, path, "-o", str(out), "--partition", partition]) == 2
             err = capsys.readouterr().err
             assert f"--partition applies to smabp only, not {target}" in err
+    assert not out.exists()
+
+
+def test_build_refuses_an_entry_cap_it_would_ignore(tmp_path, capsys, det2_file):
+    out = tmp_path / "out.abp"
+    assert run(["build", "commro", det2_file, "-o", str(out), "--max-entries", "5"]) == 2
+    assert "--max-entries applies to diagro only, not commro" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -761,13 +789,14 @@ def test_abp_entry_tokens_that_are_not_rationals_exit_2(tmp_path, capsys, token,
     (["build", "commro", "{poly}", "-o", "{abp}"], "--max-width", "-5"),
     (["tables", "{poly}"], "--max-entries", "0"),
     (["tables", "{poly}"], "--max-entries", "-1"),
+    (["build", "diagro", "{poly}", "-o", "{abp}"], "--max-entries", "0"),
     (["verify", "{abp}", "--against", "{poly}", "--expand"], "--max-terms", "0"),
     (["verify", "{abp}", "--against", "{poly}", "--random-eval", "1"], "--max-power", "-1"),
     (["verify", "{abp}", "--against", "{poly}", "--expand"], "--any-order", "-1"),
     (["dpd", "{poly}"], "--max-width", "x"),
 ], ids=["dpd-width-0", "normal-set-width-neg", "build-width-neg", "tables-entries-0",
-        "tables-entries-neg", "verify-terms-0", "verify-power-neg", "verify-any-order-neg",
-        "dpd-width-not-int"])
+        "tables-entries-neg", "build-entries-0", "verify-terms-0", "verify-power-neg",
+        "verify-any-order-neg", "dpd-width-not-int"])
 def test_nonsense_cap_exits_2_naming_the_flag(tmp_path, det2_file, capsys, command, flag, value):
     abp = str(tmp_path / "det2.abp")
     assert run(["build", "commro", det2_file, "-o", abp]) == 0

@@ -10,6 +10,7 @@ from commro import (CapExceeded, Poly, QMatrix, WaringDecomposition, build_commr
                     build_commro_general, build_diagro_from_waring, build_smabp,
                     check_kind, dpd, eval_abp, expand_abp, inverse, parse_poly, quotient,
                     waring_expand, waring_of_monomial)
+from commro import construct
 from commro.construct import _inverse_vandermonde_row
 from commro.detspecial import det2_golden, det_polynomial
 from commro.partials import DerivBasis
@@ -44,6 +45,28 @@ def test_builders_never_read_the_poly_basis(monkeypatch):
     assert expand_abp(build_commro_general(f)) == f
     det2 = det_polynomial(2)
     assert expand_abp(build_smabp(det2, [[0, 1], [2, 3]])) == det2
+
+
+def test_layers_share_one_identity_and_the_quotient_tables(monkeypatch):
+    # every layer's power 0 is one identity object, and a homogeneous f's
+    # power-1 matrices are its quotient's tables, not block-diagonal copies
+    quotients = []
+    real = construct.quotient
+
+    def recorded(f, max_width=None):
+        quotients.append(real(f, max_width))
+        return quotients[-1]
+
+    monkeypatch.setattr(construct, "quotient", recorded)
+    abp = build_commro_general(det_polynomial(3))
+    (q,) = quotients
+    assert all(layer.terms[1][2] is q.tables[var] for var, layer in enumerate(abp.layers))
+    programs = [abp, build_commro_general(parse_poly("x1^2*x2 + 3*x1 - 1/2", V2)),
+                build_diagro_from_waring(waring_of_monomial(3), V3)]
+    for program in programs:
+        identities = {id(mat) for layer in program.layers for _, k, mat in layer.terms if k == 0}
+        assert len(identities) == 1
+        assert program.layers[0].terms[0][2] == QMatrix.identity(program.width)
 
 
 def test_commro_univariate_power():

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 
 from commro import Poly, derivative_basis, dpd, monomials_upto, pairing, parse_poly
 from commro.detspecial import det_polynomial, palindrome, perm_polynomial
+from commro.poly import MonoPacking
 
-from helpers import brute_dpd, dilate, random_poly, span_rank, wide_rational_polys
+from helpers import (brute_dpd, dilate, random_poly, reference_derivative_basis, span_rank,
+                     wide_rational_polys)
 
 V2 = ("x1", "x2")
 
@@ -164,6 +166,44 @@ def test_closure_uses_only_single_variable_derivatives(monkeypatch):
     assert calls == []
     det_polynomial(2).derive((1, 0, 0, 0))
     assert len(calls) == 1
+
+
+def assert_closure_matches_the_reference(f):
+    b = derivative_basis(f)
+    rows, scale, echelon = reference_derivative_basis(f)
+    assert list(b.rows) == rows
+    assert b.scale == scale
+    assert list(b.echelon.reduced().items()) == list(echelon.reduced().items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_rational_polys())
+def test_closure_of_rational_input_matches_the_reference(f):
+    assert_closure_matches_the_reference(f)
+
+
+def test_closure_of_non_homogeneous_input_matches_the_reference():
+    rng = random.Random(23)
+    for _ in range(60):
+        assert_closure_matches_the_reference(
+            random_poly(rng, rng.randint(1, 5), rng.randint(0, 5), 8, homogeneous=False))
+
+
+def test_closure_derives_no_row_by_a_variable_it_lacks(monkeypatch):
+    # det4 has 16 variables and only 4 in each term, so most derivatives
+    # of its rows are zero; none of them may be formed
+    empty = []
+    derive = MonoPacking.derive
+
+    def counted(self, row, index):
+        out = derive(self, row, index)
+        empty.append(not out)
+        return out
+
+    monkeypatch.setattr(MonoPacking, "derive", counted)
+    assert derivative_basis(det_polynomial(4)).dimension == 70
+    assert derivative_basis(palindrome(5)).dimension == 32
+    assert empty and not any(empty)
 
 
 @settings(max_examples=40, deadline=None)

@@ -138,6 +138,38 @@ def test_format_abp_reproduces_its_text_with_dense_rows():
     assert format_matrix(m) == "2 3\n0 -1/3 0\n0 0 0\n"
 
 
+def test_format_abp_writes_a_shared_matrix_as_equal_copies():
+    # a matrix object held by several blocks is formatted once; the text
+    # must be that of equal but distinct copies, and block by block that
+    # of the token writer
+    rng = random.Random(31)
+    vars = ("a", "b", "c")
+    identity, m = QMatrix.identity(3), QMatrix.rational(3, 3, [{0: Fraction(1, 2)}, {},
+                                                               {1: 3, 2: Fraction(-7, 4)}])
+    handmade = Abp(kind="general", vars=vars, width=3, u=(1, 0, 0), v=(0, 1, 1),
+                   layers=(Layer([(0, 0, identity), (0, 1, m)]),
+                           Layer([(1, 0, identity), (1, 1, m), (1, 2, m)]),
+                           Layer([(2, 3, m)])))
+    programs = [handmade, build_commro(det_polynomial(3)),
+                build_commro_general(random_poly(rng, 3, 3, 6, homogeneous=False)),
+                build_diagro_from_waring(waring_of_monomial(3), vars)]
+    for abp in programs:
+        mats = abp.coefficient_matrices()
+        assert len({id(mat) for mat in mats}) < len(mats)
+        copies = Abp(kind=abp.kind, vars=abp.vars, width=abp.width, u=abp.u, v=abp.v,
+                     layers=tuple(Layer([(var, k, QMatrix.sparse(mat.rows, mat.cols,
+                                                                 map(dict, mat.entries), mat.den))
+                                         for var, k, mat in layer.terms])
+                                  for layer in abp.layers))
+        assert copies == abp
+        assert len({id(mat) for mat in copies.coefficient_matrices()}) == len(mats)
+        text = format_abp(abp)
+        assert text == format_abp(copies)
+        blocks = [line for layer in abp.layers for var, k, mat in layer.terms
+                  for line in (f"layer {abp.vars[var]} power {k}", *reference_row_lines(mat))]
+        assert text.splitlines()[7:] == blocks
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from([WIDE_RATIONALS, SMALL]).flatmap(rational_commutative_programs))
 def test_abp_text_round_trip_on_wide_rationals(abp):
