@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DEFAULT_TERM_CAP, CapExceeded
 from .linalg import Echelon, QMatrix, commute, sparse_vec_mat
-from .poly import Mono, Poly
+from .poly import MonoPacking, Poly
 
 KINDS = ("general", "commutative", "diagonal", "set_multilinear")
 ROABP_KINDS = ("general", "commutative", "diagonal")
@@ -279,19 +279,26 @@ def nisan_width(f: Poly, order: Sequence[int]) -> NisanCutReport:
     exponent that occurs; zero rows and columns add no rank, so the
     dense matrix over every exponent is never built.  The rows hold
     the integer coefficients of L * f, L the lcm of f's denominators,
-    which have the same ranks.
+    which have the same ranks.  Each term is packed once
+    (poly.MonoPacking, exponent fields only); a cut's prefix is the
+    OR of its variables' fields, and it splits a key into its row and
+    column label with two ANDs.  The labels differ from exponent
+    tuples, but a rank does not depend on how rows and columns are
+    labelled.
     """
     order = tuple(order)
     if sorted(order) != list(range(f.arity)):
         raise ValueError("order is not a permutation of the variables")
-    terms = f.integer_terms()[1]
-    ranks = []
-    for i in range(1, f.arity + 1):
-        prefix, suffix = order[:i], order[i:]
-        rows: dict[Mono, dict[Mono, int]] = {}
-        for mono, coeff in terms.items():
-            row = rows.setdefault(tuple(mono[k] for k in prefix), {})
-            row[tuple(mono[k] for k in suffix)] = coeff
+    packing = MonoPacking(f.arity, f.total_degree())
+    # the degree field dropped, a key is its exponent fields alone
+    terms = {packing.pack(m) & (packing.top - 1): c for m, c in f.integer_terms()[1].items()}
+    ranks, prefix = [], 0
+    for i in order:
+        prefix |= packing.field(i)
+        suffix = ~prefix
+        rows: dict[int, dict[int, int]] = {}
+        for key, coeff in terms.items():
+            rows.setdefault(key & prefix, {})[key & suffix] = coeff
         echelon = Echelon()
         for row in rows.values():
             echelon.add(row)

@@ -78,6 +78,10 @@ def derivative_basis(f: Poly, max_width: int | None = None) -> DerivBasis:
     elimination takes them.  Every derivative of a kept element lies in
     the kept span, so that span is closed under each d/dx_i and is the
     whole derivative span.  Degrees drop along levels, so the loop ends.
+    Each kept row is d^m f for a multi-index m, carried as a packed key
+    (the candidate d/dx_i of it has m + step(i)); a candidate whose m was
+    already tried in its level is that same row, kept or rejected, so it
+    would be rejected and is skipped before it is derived.
 
     The closure runs on integer rows keyed by packed monomials, in
     divided powers (Macaulay's inverse systems): the seed holds m! *
@@ -99,21 +103,26 @@ def derivative_basis(f: Poly, max_width: int | None = None) -> DerivBasis:
     lcd, terms = f.integer_terms()
     seed = {packing.pack(m): mono_factorial(m) * c for m, c in terms.items()}
     content = gcd(*seed.values())
-    level = [{k: c // content for k, c in seed.items()}]
+    level = [(0, {k: c // content for k, c in seed.items()})]
     echelon = Echelon()
-    echelon.add(level[0])
+    echelon.add(level[0][1])
     rows: list[dict[int, int]] = []
     while level:
-        rows.extend(level)
+        rows.extend(row for _, row in level)
         # a derivative by a variable the row lacks is zero and adds nothing
-        candidates = (packing.derive(row, i) for row in level for i in packing.occurring(row))
-        level = []
-        for row in candidates:
+        candidates = ((m + packing.step(i), row, i) for m, row in level
+                      for i in packing.occurring(row))
+        level, tried = [], set()
+        for m, row, i in candidates:
+            if m in tried:
+                continue
+            tried.add(m)
+            row = packing.derive(row, i)
             if echelon.add(row):
                 if max_width is not None and echelon.rank > max_width:
                     raise CapExceeded(f"derivative span has more than {max_width} dimensions",
                                       flag="--max-width")
-                level.append(row)
+                level.append((m, row))
     return DerivBasis(source=f, rows=tuple(rows), scale=Fraction(lcd, content),
                       packing=packing, echelon=echelon)
 

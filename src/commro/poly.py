@@ -102,6 +102,10 @@ class MonoPacking:
         """What multiplying by x_index adds to a key: one in the degree and in e_index."""
         return self.top | 1 << (index * self.bits)
 
+    def field(self, index: int) -> int:
+        """The bits of e_index in a key."""
+        return self.mask << (index * self.bits)
+
     def occurring(self, row: dict[int, int]) -> list[int]:
         """The indices of the variables that occur in some key of the row.
 
@@ -119,8 +123,8 @@ class MonoPacking:
         coefficient; terms free of x_index drop out.  Distinct keys stay
         distinct, so the result needs no merging.
         """
-        shift, mask, step = index * self.bits, self.mask, self.step(index)
-        return {k - step: c for k, c in row.items() if k >> shift & mask}
+        field, step = self.field(index), self.step(index)
+        return {k - step: c for k, c in row.items() if k & field}
 
 
 def mono_str(mono: Mono, var_names: tuple[str, ...]) -> str:

@@ -264,6 +264,8 @@ def test_nisan_width_examples():
     assert nisan_width(pal3, interleaved).width == 2
     assert nisan_width(pal3, separated).width == 8
 
+    assert nisan_width(Poly.zero(V2), (1, 0)).cut_ranks == (0, 0)
+
 
 def test_nisan_width_cut_ranks_match_dense_matrix():
     # the dense coefficient matrix is the oracle for every sparse cut rank
@@ -284,11 +286,27 @@ def test_nisan_width_cut_ranks_match_dense_matrix():
 @st.composite
 def rational_nisan_inputs(draw) -> Poly:
     """A wide rational polynomial, a random one with each coefficient divided by a
-    drawn q, or g * h for wide rational g and h in disjoint variables: a cut between
-    g's and h's variables has rank 1 at the exact coefficients only."""
-    kind = draw(st.sampled_from(["wide", "random", "product"]))
+    drawn q, g * h for wide rational g and h in disjoint variables (a cut between
+    g's and h's variables has rank 1 at the exact coefficients only), or terms of a
+    total degree d where d.bit_length() steps, among them a pure power x_i^d, mixed
+    with low-degree terms and a constant: the packed key's fields are sized by d."""
+    kind = draw(st.sampled_from(["wide", "random", "product", "boundary"]))
     if kind == "wide":
         return draw(wide_rational_polys())
+    if kind == "boundary":
+        arity, d = draw(st.integers(1, 3)), draw(st.sampled_from([1, 3, 4, 7, 8, 15, 16]))
+
+        def term(degree: int) -> tuple[int, ...]:
+            indices = draw(st.lists(st.integers(0, arity - 1), min_size=degree,
+                                    max_size=degree))
+            return tuple(indices.count(k) for k in range(arity))
+
+        power = draw(st.integers(0, arity - 1))
+        monos = [tuple(d if k == power else 0 for k in range(arity)), (0,) * arity]
+        monos += [term(d) for _ in range(draw(st.integers(0, 2)))]
+        monos += [term(draw(st.integers(1, min(d - 1, 2))))
+                  for _ in range(draw(st.integers(0, 3)) if d > 1 else 0)]
+        return Poly(var_names(arity), {m: draw(WIDE_RATIONALS) for m in monos})
     if kind == "product":
         g, h = draw(wide_rational_polys(2)), draw(wide_rational_polys(2))
         return Poly(var_names(g.arity + h.arity), {a + b: c * d for a, c in g.terms.items()
