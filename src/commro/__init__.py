@@ -8,7 +8,7 @@ verification of every artifact.
 """
 
 from .abp import (Abp, KindCheck, Layer, NisanCutReport, check_kind, eval_abp,
-                  expand_abp, nisan_width, permute_order)
+                  expand_abp, nisan_width, nisan_widths, permute_order)
 from .apolar import (QuotientStructure, apolar_member, multiplication_tables,
                      normal_set, quotient, reduce_mod_apolar)
 from .construct import (WaringDecomposition, build_commro, build_commro_general,

@@ -23,7 +23,6 @@ size in that order.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
@@ -184,11 +183,17 @@ class KindCheck:
     ok: bool
     matrices: int     # coefficient matrices inspected
     span: int         # dimension of the span of I and the matrices (commuting kinds)
-    pairs: int        # pairs to multiply both ways; all were when ok
+    pairs: int        # basis pairs the packed products check; all were when ok
+    products: int     # packed products commute(m, P) that check them; all were made when ok
     power_steps: int  # span-basis matrices k * A_k = A_(k-1) * A_1, one product each
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+# most bits of packed digits in an entry of a packed sum, by measurement: 1024 to 4096
+# ran alike on det4, det5 and random-small, and 8192 was slower on rational input
+_PACK_BITS = 2048
 
 
 def check_kind(abp: Abp) -> KindCheck:
@@ -207,33 +212,74 @@ def check_kind(abp: Abp) -> KindCheck:
     T x + T^2 x^2 / 2! + ..., whose powers need no pair of their own.  A
     basis matrix A_k (k >= 2) is a power step when its variable's A_1 and
     A_(k-1) came before it and k * A_k = A_(k-1) * A_1; one product tests
-    that.  The rest of the basis, S, is multiplied pair by pair.  This is
+    that.  The rest of the basis, S, must commute pair by pair.  This is
     still exact and an iff.  Taken in order, every matrix lies in the
     algebra generated by I and S: one outside the basis lies in the span
     of I and the basis matrices before it, and a power step is a product
     of two matrices before it.  If S commutes pairwise, that algebra is
     commutative, so all the matrices commute; if they all do, so does S.
+
+    The pairs of S are checked in packed products (Kronecker
+    substitution).  With E_a the int rows of S's matrices, top the
+    largest |entry| of any of them and w the width, every entry of a
+    commutator [E_m, E_a] is a sum of 2w products of two entries, so it
+    lies strictly between -z and z for z = 2^slot > 2 * w * top^2.  A
+    matrix m is then commuted with P = sum_a z^a E_a over a group of the
+    matrices before it: [E_m, P] = sum_a z^a [E_m, E_a] has each entry
+    written in base z with digits below z in size, so it is zero iff
+    every [E_m, E_a] is.  Long packed entries cost more bit work than the
+    pairs they replace, so a group holds at most _PACK_BITS // slot
+    matrices; wide entries (slot > _PACK_BITS) give groups of one matrix,
+    which are the pairs themselves.
     """
     if abp.kind == "general":
-        return KindCheck(True, 0, 0, 0, 0)
+        return KindCheck(True, 0, 0, 0, 0, 0)
     mats = abp.coefficient_matrices()
     if abp.kind == "diagonal":
-        return KindCheck(all(m.is_diagonal() for m in mats), len(mats), 0, 0, 0)
+        return KindCheck(all(m.is_diagonal() for m in mats), len(mats), 0, 0, 0, 0)
     span = Echelon()
     span.add(QMatrix.identity(abp.width).flat())
     before: dict[tuple[int, int], QMatrix] = {}  # (var, power) -> a matrix met already
-    basis, steps = [], 0
+    basis, steps, top = [], 0, 1
     for layer in abp.layers:
         for var, k, m in layer.terms:
-            if span.add(m.flat()):
+            flat = m.flat()
+            if span.add(flat):
                 if (k >= 2 and (var, 1) in before and (var, k - 1) in before
                         and _power_step(k, m, before[var, k - 1], before[var, 1])):
                     steps += 1
                 else:
                     basis.append(m)
+                    top = max(top, max(map(abs, flat.values())))
             before[var, k] = m
-    ok = all(commute(a, b) for a, b in itertools.combinations(basis, 2))
-    return KindCheck(ok, len(mats), span.rank, len(basis) * (len(basis) - 1) // 2, steps)
+    slot = (2 * abp.width * top * top).bit_length()
+    size = max(1, _PACK_BITS // slot)
+    packed: list[QMatrix] = []  # the groups' sums P; a group's first matrix stands for itself
+    ok, products = True, 0
+    for i, m in enumerate(basis):
+        products += len(packed)
+        ok = ok and all(commute(m, p) for p in packed)
+        if i % size:
+            packed[-1] = _pack(packed[-1], m, 1 << (slot * (i % size)))
+        else:
+            packed.append(m)
+    return KindCheck(ok, len(mats), span.rank, len(basis) * (len(basis) - 1) // 2, products, steps)
+
+
+def _pack(p: QMatrix, m: QMatrix, scale: int) -> QMatrix:
+    """The int rows of p plus scale times m's, sharing p's rows where m's are empty.
+
+    scale exceeds every |entry| of p, so no entry cancels; the
+    denominators play no part, as commute compares int rows.
+    """
+    rows = []
+    for rp, rm in zip(p.entries, m.entries):
+        if rm:
+            rp = dict(rp)
+            for j, x in rm.items():
+                rp[j] = rp.get(j, 0) + scale * x
+        rows.append(rp)
+    return QMatrix.sparse(p.rows, p.cols, rows)
 
 
 def _power_step(k: int, a_k: QMatrix, a_prev: QMatrix, a_1: QMatrix) -> bool:
@@ -241,12 +287,13 @@ def _power_step(k: int, a_k: QMatrix, a_prev: QMatrix, a_1: QMatrix) -> bool:
 
     The product's int rows are over a_prev.den * a_1.den, so both sides
     are compared as int rows cross-multiplied by the denominators, row by
-    row up to the first that differs.
+    row up to the first that differs.  A row empty in both a_k and a_prev
+    is empty on both sides, so it is skipped.
     """
     left, right = k * a_prev.den * a_1.den, a_k.den
     return all({j: x * left for j, x in row.items()}
                == {j: y * right for j, y in sparse_vec_mat(prev, a_1).items()}
-               for row, prev in zip(a_k.entries, a_prev.entries))
+               for row, prev in zip(a_k.entries, a_prev.entries) if row or prev)
 
 
 # ---------------------------------------------------------------------------
@@ -286,21 +333,34 @@ def nisan_width(f: Poly, order: Sequence[int]) -> NisanCutReport:
     tuples, but a rank does not depend on how rows and columns are
     labelled.
     """
-    order = tuple(order)
-    if sorted(order) != list(range(f.arity)):
-        raise ValueError("order is not a permutation of the variables")
+    return next(nisan_widths(f, [order]))
+
+
+def nisan_widths(f: Poly, orders: Iterable[Sequence[int]]) -> Iterator[NisanCutReport]:
+    """nisan_width(f, order) for each order in turn, f packed once.
+
+    A cut's rank depends only on its set of prefix variables, so each
+    distinct set is ranked once, however many orders share it.
+    """
     packing = MonoPacking(f.arity, f.total_degree())
     # the degree field dropped, a key is its exponent fields alone
     terms = {packing.pack(m) & (packing.top - 1): c for m, c in f.integer_terms()[1].items()}
-    ranks, prefix = [], 0
-    for i in order:
-        prefix |= packing.field(i)
-        suffix = ~prefix
-        rows: dict[int, dict[int, int]] = {}
-        for key, coeff in terms.items():
-            rows.setdefault(key & prefix, {})[key & suffix] = coeff
-        echelon = Echelon()
-        for row in rows.values():
-            echelon.add(row)
-        ranks.append(echelon.rank)
-    return NisanCutReport(order=order, cut_ranks=tuple(ranks))
+    ranks: dict[int, int] = {}  # prefix mask -> rank of its cut
+    for order in orders:
+        order = tuple(order)
+        if sorted(order) != list(range(f.arity)):
+            raise ValueError("order is not a permutation of the variables")
+        cut_ranks, prefix = [], 0
+        for i in order:
+            prefix |= packing.field(i)
+            if prefix not in ranks:
+                suffix = ~prefix
+                rows: dict[int, dict[int, int]] = {}
+                for key, coeff in terms.items():
+                    rows.setdefault(key & prefix, {})[key & suffix] = coeff
+                echelon = Echelon()
+                for row in rows.values():
+                    echelon.add(row)
+                ranks[prefix] = echelon.rank
+            cut_ranks.append(ranks[prefix])
+        yield NisanCutReport(order=order, cut_ranks=tuple(cut_ranks))

@@ -16,7 +16,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .abp import check_kind, eval_abp, expand_abp, nisan_width, permute_order
+from .abp import (NisanCutReport, check_kind, eval_abp, expand_abp, nisan_width, nisan_widths,
+                  permute_order)
 from .apolar import multiplication_tables, normal_set
 from .construct import (build_commro_general, build_diagro_from_waring,
                         build_smabp, waring_of_monomial)
@@ -139,9 +140,8 @@ def _cmd_build(args) -> int:
 def _cmd_nisan(args) -> int:
     f = _load_poly(args.poly, args.vars)
 
-    def report(order_indices: list[int]) -> None:
-        cut = nisan_width(f, order_indices)
-        names = ",".join(f.vars[i] for i in order_indices)
+    def report(cut: NisanCutReport) -> None:
+        names = ",".join(f.vars[i] for i in cut.order)
         ranks = " ".join(str(r) for r in cut.cut_ranks)
         print(f"order: {names} cut-ranks: {ranks} width: {cut.width} size: {cut.size}")
 
@@ -149,12 +149,12 @@ def _cmd_nisan(args) -> int:
         order = [var for (var,) in parse_groups(args.order, f.vars, ",", "--order")]
         if sorted(order) != list(range(f.arity)):
             raise ValueError("--order must list every variable exactly once")
-        report(order)
+        report(nisan_width(f, order))
     else:
         if f.arity > 6:
             raise ValueError("--all-orders is limited to 6 variables (720 orders)")
-        for perm in itertools.permutations(range(f.arity)):
-            report(list(perm))
+        for cut in nisan_widths(f, itertools.permutations(range(f.arity))):
+            report(cut)
     return 0
 
 
@@ -189,7 +189,8 @@ def _cmd_verify(args) -> int:
         steps = (f"{kind.power_steps} power steps k*A_k = A_(k-1)*A_1, one product each; "
                  if kind.power_steps else "")
         print(f"kind {abp.kind}: ok ({kind.matrices} matrices; their span with I has "
-              f"dimension {kind.span}; {steps}{kind.pairs} basis pairs multiplied)")
+              f"dimension {kind.span}; {steps}{kind.pairs} basis pairs checked by "
+              f"{kind.products} packed products)")
 
     # f's value at each seeded point, evaluated once for every layer order
     expected: list[tuple[list[Fraction], Fraction]] = []

@@ -4,14 +4,15 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
-from commro import (Abp, CapExceeded, Layer, Poly, QMatrix, check_kind,
+from commro import (Abp, CapExceeded, Layer, Poly, QMatrix, check_kind, commute,
                     dpd, eval_abp, expand_abp, nisan_width, parse_poly,
                     permute_order)
+from commro import abp as abp_module
 from commro.construct import build_commro
 from commro.detspecial import det_polynomial, palindrome
 
@@ -112,20 +113,20 @@ def test_check_kind():
 
 
 @st.composite
-def matrix_families(draw):
+def matrix_families(draw, entry=st.integers(-3, 3), max_n=4, max_count=6):
     """Square matrices that commute by construction, optionally with one entry perturbed.
 
     Families: polynomials in one random matrix, scalar multiples of I,
-    and one random matrix repeated (with scalar multiples and I mixed in).
+    diagonal matrices, and one random matrix repeated (with scalar
+    multiples and I mixed in).
     """
-    n = draw(st.integers(1, 4))
-    entry = st.integers(-3, 3)
-    count = draw(st.integers(1, 6))
+    n = draw(st.integers(1, max_n))
+    count = draw(st.integers(1, max_count))
 
     def dense():
         return QMatrix([[draw(entry) for _ in range(n)] for _ in range(n)])
 
-    family = draw(st.sampled_from(["polynomial", "scalar", "repeated"]))
+    family = draw(st.sampled_from(["polynomial", "scalar", "diagonal", "repeated"]))
     ident = QMatrix.identity(n)
     if family == "polynomial":
         base = dense()
@@ -138,6 +139,8 @@ def matrix_families(draw):
             mats.append(acc)
     elif family == "scalar":
         mats = [ident.scale(draw(entry)) for _ in range(count)]
+    elif family == "diagonal":
+        mats = [QMatrix.diagonal([draw(entry) for _ in range(n)]) for _ in range(count)]
     else:
         base = dense()
         mats = [draw(st.sampled_from([base, base, base.scale(2), ident])) for _ in range(count)]
@@ -199,10 +202,40 @@ def _single_power_layers(mats):
     return [[None, m] for m in mats]
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(st.tuples(matrix_families().map(_single_power_layers),
+def _cancelling_family(scale: int, spare: bool) -> list[QMatrix]:
+    """E0, E1, A with [E0, E1] = 0 and [A, E1] != 0 but [A, E0 + 2 * E1] = 0.
+
+    scale multiplies E0, so E0 and E1 cancel under the base 2 * scale; spare
+    adds a 1 x 1 block, read by a first matrix that commutes with the rest.
+    """
+    e0 = [[-scale, 0, 0], [0, 0, scale], [0, scale, 0]]
+    e1 = [[-1, 0, 0], [0, -1, -1], [0, -1, -1]]
+    a = [[1, 0, 0], [-1, -1, -1], [-1, -1, -1]]
+    if not spare:
+        return [QMatrix(m) for m in (e0, e1, a)]
+    grown = [QMatrix([[0] * 4] * 3 + [[0, 0, 0, 1]])]
+    return grown + [QMatrix([row + [0] for row in m] + [[0] * 4]) for m in (e0, e1, a)]
+
+
+# Packed under too small a base, these non-commuting families pass: the first
+# (top 1, w 3; bound 2 * 3 * 1 = 6, z = 8) cancels under z = 2, the base the bound
+# would give without its factor 2 * w; the second (top 8, w 4; z = 1024) cancels
+# under z = 16, the base its first basis matrix alone (top 1) would give.
+CANCELLING = [_cancelling_family(1, False), _cancelling_family(8, True)]
+
+# entries of 300 to 400 bits pack at most 3 matrices to a group, so a family of
+# more than 4 fills more than one group
+HUGE = st.integers(2 ** 300, 2 ** 400).map(lambda x: x if x % 3 else -x)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.tuples(st.one_of(matrix_families(), matrix_families(WIDE_RATIONALS),
+                                     matrix_families(HUGE, max_n=8, max_count=10))
+                           .map(_single_power_layers),
                            st.sampled_from(["commutative", "set_multilinear"])),
                  st.tuples(exponential_layers(), st.just("commutative"))))
+@example((_single_power_layers(CANCELLING[0]), "commutative"))
+@example((_single_power_layers(CANCELLING[1]), "set_multilinear"))
 def test_check_kind_agrees_with_all_pairs_oracle(layers_and_kind):
     # layers[l][k] is the matrix of x_l^k (None: no such term)
     layers, kind = layers_and_kind
@@ -217,15 +250,38 @@ def test_check_kind_agrees_with_all_pairs_oracle(layers_and_kind):
     assert report.matrices == len(mats)
     flat = [[x for row in m.data for x in row] for m in (QMatrix.identity(n), *mats)]
     assert report.span == DomainMatrix.from_list(flat, QQ).rank()
-    # the basis (span - 1 matrices besides I) less its power steps is multiplied pair by pair
+    # the basis (span - 1 matrices besides I) less its power steps is checked pair by pair,
+    # each matrix by one packed product per group of the matrices before it
     multiplied = report.span - 1 - report.power_steps
     assert report.pairs == multiplied * (multiplied - 1) // 2
+    assert any(report.products == sum(-(-i // size) for i in range(multiplied))
+               for size in range(1, multiplied + 2))
     # a power step has a power of 2 or more, and an untouched exponential layer
     # leaves at most its T to multiply
     assert report.power_steps <= sum(max(len(powers) - 2, 0) for powers in layers)
     if all(m is None or m == (powers[1] @ powers[k - 1]).scale(Fraction(1, k))
            for powers in layers for k, m in enumerate(powers) if k >= 2):
         assert multiplied <= len(layers)
+
+
+def test_check_kind_packs_the_basis_pairs(monkeypatch):
+    calls = []
+    monkeypatch.setattr(abp_module, "commute", lambda a, b: calls.append(a) or commute(a, b))
+    # det4's 16 tables have 0/+-1 entries and fit one group: each is commuted
+    # with the packed sum of the tables before it, 15 products for 120 pairs
+    report = check_kind(build_commro(det_polynomial(4)))
+    assert report and (report.pairs, report.products, len(calls)) == (120, 15, 15)
+    # 8 diagonal matrices with 400-bit entries (slot 2 * 400 + 5 bits) fill more
+    # than one group: the 7 besides I need more products than one each, fewer than pairs
+    rng = random.Random(3)
+    mats = [QMatrix.diagonal([rng.randrange(2 ** 399, 2 ** 400) for _ in range(8)])
+            for _ in range(8)]
+    layers = tuple(Layer([(l, 1, m)]) for l, m in enumerate(mats))
+    program = Abp(kind="commutative", vars=tuple(f"x{l}" for l in range(8)), width=8,
+                  u=(Fraction(1),) * 8, v=(Fraction(1),) * 8, layers=layers)
+    report = check_kind(program)
+    assert report and (report.span, report.pairs) == (8, 21)
+    assert 6 < report.products < 21
 
 
 def test_abp_validation():

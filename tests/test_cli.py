@@ -144,6 +144,15 @@ def test_nisan_orders(pal3_file, capsys):
     assert "width: 2" in capsys.readouterr().out
 
 
+def test_nisan_all_orders_match_each_order(pal3_file, capsys):
+    assert run(["nisan", pal3_file, "--all-orders"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len({line.split()[1] for line in lines}) == len(lines) == 720
+    for line in lines:
+        assert run(["nisan", pal3_file, "--order", line.split()[1]]) == 0
+        assert capsys.readouterr().out == line + "\n"
+
+
 def test_nisan_rejects_bad_order(pal3_file, capsys):
     assert run(["nisan", pal3_file, "--order", "x1,x2"]) == 2
     assert "every variable" in capsys.readouterr().err
@@ -297,9 +306,10 @@ def test_verify_kind_line_states_what_was_checked(det2_file, tmp_path, capsys):
     assert run(["build", "commro", det2_file, "-o", out]) == 0
     capsys.readouterr()
     assert run(["verify", out, "--against", det2_file, "--random-eval", "1"]) == 0
-    # 4 identities and 4 independent tables: a span of dimension 5, C(4, 2) pairs
+    # 4 identities and 4 independent tables: a span of dimension 5, C(4, 2) pairs,
+    # each table commuted with one packed sum of the tables before it
     assert ("kind commutative: ok (8 matrices; their span with I has dimension 5; "
-            "6 basis pairs multiplied)") in capsys.readouterr().out.splitlines()
+            "6 basis pairs checked by 3 packed products)") in capsys.readouterr().out.splitlines()
 
 
 def test_verify_kind_line_names_the_power_steps(tmp_path, capsys):
@@ -312,7 +322,7 @@ def test_verify_kind_line_names_the_power_steps(tmp_path, capsys):
     assert run(["verify", out, "--against", str(poly), "--random-eval", "1"]) == 0
     assert ("kind commutative: ok (8 matrices; their span with I has dimension 7; "
             "4 power steps k*A_k = A_(k-1)*A_1, one product each; "
-            "1 basis pairs multiplied)") in capsys.readouterr().out.splitlines()
+            "1 basis pairs checked by 1 packed products)") in capsys.readouterr().out.splitlines()
 
 
 @pytest.mark.parametrize("i, j", [(0, 0), (1, 0)])
