@@ -102,10 +102,13 @@ def _sweep(abp: Abp, row: dict, den: int,
     (numerator, positive int denominator), the numerator in the row's
     ring.  A layer's terms are brought to the lcm L of their
     denominators, so each term is one int (or Poly) scale of its
-    matrix's int rows and the layer multiplies d by L.  Each layer costs
-    about the number of stored nonzeros its matrices hold in the row's
-    support.
+    matrix's int rows and the layer multiplies d by L.  A first term
+    whose int rows are I's (the power 0 of every built layer, or I / den)
+    is the scaled row itself, and a matrix row that is empty is skipped,
+    so each layer costs the number of stored nonzeros its other matrices
+    hold in the row's support.
     """
+    identity = QMatrix.identity(abp.width).entries
     for layer in abp.layers:
         terms = []
         for var, k, mat in layer.terms:
@@ -114,13 +117,18 @@ def _sweep(abp: Abp, row: dict, den: int,
                 terms.append((num, d * mat.den, mat.entries))
         common = lcm(*[d for _, d, _ in terms])
         out: dict = {}
-        for num, d, entries in terms:
+        for t, (num, d, entries) in enumerate(terms):
             scale = num * (common // d)
+            if not t and entries == identity:
+                # later layers usually hold these same rows, compared in one step
+                identity, out = entries, {i: x * scale for i, x in row.items()}
+                continue
             for i, x in row.items():
-                xs = x * scale
-                for j, a in entries[i].items():
-                    y = xs * a
-                    out[j] = out[j] + y if j in out else y
+                if source := entries[i]:
+                    xs = x * scale
+                    for j, a in source.items():
+                        y = xs * a
+                        out[j] = out[j] + y if j in out else y
         row = {j: y for j, y in out.items() if y}
         den *= common
         yield row, den
@@ -206,7 +214,8 @@ def check_kind(abp: Abp) -> KindCheck:
     of their linear span does, and the identity commutes with everything.
     Each matrix is therefore flattened, in multiplication order, into an
     echelon seeded with I, and only the matrices that grow its rank form
-    the basis.
+    the basis.  A matrix equal to I (every built layer's power 0) or an
+    object met before cannot grow it, so it is skipped unflattened.
 
     The layer of a commutative program is usually an exponential, I +
     T x + T^2 x^2 / 2! + ..., whose powers need no pair of their own.  A
@@ -237,14 +246,15 @@ def check_kind(abp: Abp) -> KindCheck:
     mats = abp.coefficient_matrices()
     if abp.kind == "diagonal":
         return KindCheck(all(m.is_diagonal() for m in mats), len(mats), 0, 0, 0, 0)
+    identity = QMatrix.identity(abp.width)
     span = Echelon()
-    span.add(QMatrix.identity(abp.width).flat())
+    span.add(identity.flat())
     before: dict[tuple[int, int], QMatrix] = {}  # (var, power) -> a matrix met already
+    met: set[int] = set()  # ids of the matrices met already, all alive in abp
     basis, steps, top = [], 0, 1
     for layer in abp.layers:
         for var, k, m in layer.terms:
-            flat = m.flat()
-            if span.add(flat):
+            if id(m) not in met and m != identity and span.add(flat := m.flat()):
                 if (k >= 2 and (var, 1) in before and (var, k - 1) in before
                         and _power_step(k, m, before[var, k - 1], before[var, 1])):
                     steps += 1
@@ -252,6 +262,7 @@ def check_kind(abp: Abp) -> KindCheck:
                     basis.append(m)
                     top = max(top, max(map(abs, flat.values())))
             before[var, k] = m
+            met.add(id(m))
     slot = (2 * abp.width * top * top).bit_length()
     size = max(1, _PACK_BITS // slot)
     packed: list[QMatrix] = []  # the groups' sums P; a group's first matrix stands for itself

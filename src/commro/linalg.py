@@ -169,15 +169,21 @@ class QMatrix:
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch: {self.cols} vs {other.rows}")
         return QMatrix.sparse(self.rows, other.cols,
-                              (sparse_vec_mat(row, other) for row in self.entries),
+                              (sparse_vec_mat(row, other) if row else row for row in self.entries),
                               self.den * other.den)
 
 
 def sparse_vec_mat(row: dict[int, int], m: QMatrix) -> dict[int, int]:
-    """Sparse row {index: nonzero} times m's stored int rows (so den times row @ m)."""
+    """Sparse row {index: nonzero} times m's stored int rows (so den times row @ m).
+
+    An empty row of m adds nothing, so it costs no row update: the
+    product pays for the stored nonzeros of the rows it meets.
+    """
     acc: dict[int, int] = {}
+    entries = m.entries
     for k, a in row.items():
-        _axpy(acc, a, m.entries[k])
+        if source := entries[k]:
+            _axpy(acc, a, source)
     return acc
 
 
@@ -219,11 +225,16 @@ class Echelon:
     def add(self, row) -> bool:
         """Store the row iff it is independent of the rows stored so far.
 
-        The row is copied, not changed.
+        The row is not changed: it is copied once it meets a stored
+        pivot.  A row that nothing eliminates in (content 1, positive
+        pivot entry) is stored as it is, so it becomes the echelon's
+        storage and the caller must not change it afterwards.
         """
-        work = dict(row)
+        work = row
         rows = self._rows
         while hits := rows.keys() & work.keys():
+            if work is row:
+                work = dict(row)
             pivot = min(hits)
             _eliminate(work, pivot, rows[pivot])
         if not work:

@@ -21,7 +21,11 @@ Format v1 writes every zero of a layer row.  An abp row is read as
 str.split() reads it, in whatever layout, and each distinct row line
 once per file: a line met again (det4's 1 440 nonzero rows are 123
 distinct lines) reuses the dict read the first time, so equal rows of a
-parsed program share one dict, which nothing changes afterwards.
+parsed program share one dict, which nothing changes afterwards.  The
+first block that reads as I (every built layer's power 0) is kept with
+its lines, and a later block whose lines equal them, by one list
+compare, is that same matrix object, read no further.  Nothing is sized
+by the `width:` header before a block of that many rows has been read.
 """
 
 from __future__ import annotations
@@ -255,9 +259,11 @@ def parse_abp(text: str) -> Abp:
     u = tuple(Fraction(_entry(x)) for x in headers["u"].split())
     v = tuple(Fraction(_entry(x)) for x in headers["v"].split())
 
-    # layer blocks, grouped by variable; memo maps a row's line to its dict
+    # layer blocks, grouped by variable; memo maps a row's line to its dict,
+    # and identity is the first block read as I, with its lines
     memo: dict[str, dict[int, int | Fraction]] = {}
     blocks: dict[int, list[tuple[int, QMatrix]]] = {}
+    identity = identity_lines = None
     while at < len(lines):
         header = lines[at]
         parts = header.split()
@@ -270,21 +276,28 @@ def parse_abp(text: str) -> Abp:
         if any(p == power for p, _ in blocks.get(var, [])):
             raise ValueError(f"repeated layer block {header!r}")
         at += 1
-        rows = []
-        for i in range(width):
-            if at >= len(lines):
-                raise ValueError("truncated layer block")
-            line = lines[at]
-            at += 1
-            if (row := memo.get(line)) is None:
-                tokens = line.split()
-                if len(tokens) != width:
-                    raise ValueError(f"row {i + 1} of {header!r} has {len(tokens)} entries, "
-                                     f"expected {width}")
-                row = memo[line] = {j: x for j, t in enumerate(tokens)
-                                    if t != "0" and (x := _entry(t))}
-            rows.append(row)
-        blocks.setdefault(var, []).append((power, QMatrix.rational(width, width, rows)))
+        if lines[at:at + width] == identity_lines:
+            mat, at = identity, at + width
+        else:
+            rows, start = [], at
+            for i in range(width):
+                if at >= len(lines):
+                    raise ValueError("truncated layer block")
+                line = lines[at]
+                at += 1
+                if (row := memo.get(line)) is None:
+                    tokens = line.split()
+                    if len(tokens) != width:
+                        raise ValueError(f"row {i + 1} of {header!r} has {len(tokens)} entries, "
+                                         f"expected {width}")
+                    row = memo[line] = {j: x for j, t in enumerate(tokens)
+                                        if t != "0" and (x := _entry(t))}
+                rows.append(row)
+            mat = QMatrix.rational(width, width, rows)
+            # the test of row 0 first keeps the identity unbuilt for the other blocks
+            if identity is None and rows[0] == {0: 1} and mat == QMatrix.identity(width):
+                identity, identity_lines = mat, lines[start:at]
+        blocks.setdefault(var, []).append((power, mat))
 
     separator = "|" if kind == "set_multilinear" else ","
     order_groups = parse_groups(headers["order"], vars, separator, "order header")

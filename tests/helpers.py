@@ -3,9 +3,12 @@
 The oracles here deliberately avoid the library's own pipeline:
 brute_dpd enumerates every derivative directly, cofactor_det expands a
 numeric determinant recursively, poly_at_matrices substitutes matrices
-into a polynomial the long way, dense_eval_abp evaluates a program
-from the dense view of its matrices alone, and all_pairs_commute
-multiplies every pair of matrices densely, both ways.  Ranks and
+into a polynomial the long way, dense_eval_abp and dense_expand_abp
+evaluate and expand a program from the dense view of its matrices
+alone, and all_pairs_commute multiplies every pair of matrices densely,
+both ways.  flattened_kind_check is check_kind without its skips: every
+coefficient matrix, the identities and repeated objects included, is
+flattened into the span echelon.  Ranks and
 solves come from sympy, not from the library's own elimination kernel:
 span_rank, dense_nisan_rank (the dense coefficient matrix over a
 variable bipartition, which nisan_width never builds),
@@ -44,6 +47,7 @@ from sympy import Poly as SympyPoly
 from sympy.polys.matrices import DomainMatrix
 
 from commro import Abp, Layer, Poly, QMatrix, deglex_key, monomials_of_degree, pairing
+from commro.abp import _PACK_BITS, KindCheck
 from commro.linalg import Echelon
 from commro.poly import MonoPacking, mono_factorial
 from commro.textio import _rational, _variables, format_abp
@@ -244,6 +248,50 @@ def dense_eval_abp(abp, point) -> Fraction:
                     layer[i][j] += x * scale
         row = [sum((row[k] * layer[k][j] for k in range(w)), Fraction(0)) for j in range(w)]
     return sum((x * y for x, y in zip(row, abp.v)), Fraction(0))
+
+
+def dense_expand_abp(abp) -> Poly:
+    """u^T * M_1 * ... * M_k * v as a Poly, each layer a dense matrix of Polys from mat.data."""
+    w, vars = abp.width, abp.vars
+    zero = Poly.zero(vars)
+    row = [Poly.constant(vars, x) for x in abp.u]
+    for abp_layer in abp.layers:
+        layer = [[zero] * w for _ in range(w)]
+        for var, power, mat in abp_layer.terms:
+            mono = Poly.monomial(vars, tuple(power if i == var else 0 for i in range(len(vars))))
+            for i, mat_row in enumerate(mat.data):
+                for j, x in enumerate(mat_row):
+                    layer[i][j] = layer[i][j] + mono.scale(x)
+        row = [sum((row[k] * layer[k][j] for k in range(w)), zero) for j in range(w)]
+    return sum((p.scale(x) for p, x in zip(row, abp.v)), zero)
+
+
+def flattened_kind_check(abp) -> KindCheck:
+    """check_kind's report on a commutative or set-multilinear program, every matrix flattened.
+
+    Every coefficient matrix, I and repeated objects included, is
+    offered to the span echelon in multiplication order; the power steps
+    are tested by a product and a scale, the pairs and the packed
+    products are counted by check_kind's documented rules, and ok is
+    whether every pair of the multiplied basis commutes.
+    """
+    span, before, basis, steps = Echelon(), {}, [], 0
+    span.add(QMatrix.identity(abp.width).flat())
+    for layer in abp.layers:
+        for var, k, m in layer.terms:
+            if span.add(m.flat()):
+                if (k >= 2 and (var, 1) in before and (var, k - 1) in before
+                        and m.scale(k) == before[var, k - 1] @ before[var, 1]):
+                    steps += 1
+                else:
+                    basis.append(m)
+            before[var, k] = m
+    top = max([1] + [abs(x) for m in basis for x in m.flat().values()])
+    size = max(1, _PACK_BITS // (2 * abp.width * top * top).bit_length())
+    ok = all(a @ b == b @ a for a, b in itertools.combinations(basis, 2))
+    return KindCheck(ok, len(abp.coefficient_matrices()), span.rank,
+                     len(basis) * (len(basis) - 1) // 2,
+                     sum(-(-i // size) for i in range(len(basis))), steps)
 
 
 def all_pairs_commute(mats: list[QMatrix]) -> bool:

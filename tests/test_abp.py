@@ -1,7 +1,9 @@
 import itertools
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,12 +15,20 @@ from commro import (Abp, CapExceeded, Layer, Poly, QMatrix, check_kind, commute,
                     dpd, eval_abp, expand_abp, nisan_width, parse_poly,
                     permute_order)
 from commro import abp as abp_module
+from commro.cli import run
 from commro.construct import build_commro
 from commro.detspecial import det_polynomial, palindrome
+from commro.textio import parse_abp
 
 from helpers import (SMALL, WIDE_RATIONALS, all_pairs_commute, dense_eval_abp,
-                     dense_nisan_rank, random_point, random_poly, rational_commutative_programs,
-                     var_names, wide_rational_polys)
+                     dense_expand_abp, dense_nisan_rank, flattened_kind_check, random_point,
+                     random_poly, rational_commutative_programs, var_names,
+                     wide_rational_polys)
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import corpus as bench_corpus  # noqa: E402
+
+FLAT = QMatrix.flat
 
 V2 = ("x1", "x2")
 
@@ -198,6 +208,29 @@ def exponential_layers(draw):
     return layers
 
 
+@st.composite
+def reshaped_layers(draw):
+    """Exponential layers with one matrix object shared, I at a power >= 1 or I / 3 as a power 0.
+
+    A shared object replaces a power >= 1 of one layer by a matrix of
+    another (or the same) layer; I at a power >= 1 is a new object, equal
+    to the shared power 0 but not it.
+    """
+    layers = draw(exponential_layers())
+    n = layers[0][0].rows
+    at = draw(st.integers(0, len(layers) - 1))
+    how = draw(st.sampled_from(["share", "identity", "third"]))
+    if how == "share":
+        source = draw(st.sampled_from(layers))
+        k = draw(st.integers(1, len(layers[at]) - 1))
+        layers[at][k] = source[draw(st.integers(0, len(source) - 1))]
+    elif how == "identity":
+        layers[at][draw(st.integers(1, len(layers[at]) - 1))] = QMatrix.identity(n)
+    else:
+        layers[at][0] = QMatrix.identity(n).scale(Fraction(1, 3))
+    return layers
+
+
 def _single_power_layers(mats):
     return [[None, m] for m in mats]
 
@@ -233,7 +266,8 @@ HUGE = st.integers(2 ** 300, 2 ** 400).map(lambda x: x if x % 3 else -x)
                                      matrix_families(HUGE, max_n=8, max_count=10))
                            .map(_single_power_layers),
                            st.sampled_from(["commutative", "set_multilinear"])),
-                 st.tuples(exponential_layers(), st.just("commutative"))))
+                 st.tuples(st.one_of(exponential_layers(), reshaped_layers()),
+                           st.just("commutative"))))
 @example((_single_power_layers(CANCELLING[0]), "commutative"))
 @example((_single_power_layers(CANCELLING[1]), "set_multilinear"))
 def test_check_kind_agrees_with_all_pairs_oracle(layers_and_kind):
@@ -247,6 +281,8 @@ def test_check_kind_agrees_with_all_pairs_oracle(layers_and_kind):
     mats = abp.coefficient_matrices()
     report = check_kind(abp)
     assert bool(report) == all_pairs_commute(mats)
+    # skipping I and the objects met before changes nothing it reports
+    assert report == flattened_kind_check(abp)
     assert report.matrices == len(mats)
     flat = [[x for row in m.data for x in row] for m in (QMatrix.identity(n), *mats)]
     assert report.span == DomainMatrix.from_list(flat, QQ).rank()
@@ -262,6 +298,38 @@ def test_check_kind_agrees_with_all_pairs_oracle(layers_and_kind):
     if all(m is None or m == (powers[1] @ powers[k - 1]).scale(Fraction(1, k))
            for powers in layers for k, m in enumerate(powers) if k >= 2):
         assert multiplied <= len(layers)
+
+
+@pytest.mark.parametrize("seed", [1, 11])
+@pytest.mark.parametrize("workload", ["det4", "palindrome", "random-small"])
+def test_check_kind_on_the_benchmark_corpora_matches_flattening(tmp_path, capsys, workload,
+                                                                seed):
+    # the verify kind line is written from the KindCheck alone, so equal
+    # reports give byte-identical lines
+    corpus = bench_corpus.make_corpus(workload, seed, tmp_path, run)
+    checked = 0
+    for op in corpus.ops:
+        if op.command == "build":
+            assert run(list(op.argv)) == 0
+            program = parse_abp(op.artifact.read_text())
+            if program.kind in ("commutative", "set_multilinear"):
+                assert check_kind(program) == flattened_kind_check(program)
+                checked += 1
+    assert checked >= 3
+
+
+def test_check_kind_flattens_no_identity_and_no_object_twice(monkeypatch):
+    program = build_commro(det_polynomial(3))
+    expected = flattened_kind_check(program)
+    flattened = []
+    monkeypatch.setattr(QMatrix, "flat", lambda m: flattened.append(m) or FLAT(m))
+    assert check_kind(program) == expected
+    # the seed I, then each matrix other than I once, in multiplication order
+    identity = QMatrix.identity(program.width)
+    distinct = {id(m): m for m in program.coefficient_matrices() if m != identity}
+    assert flattened[0] == identity
+    assert [id(m) for m in flattened[1:]] == list(distinct)
+    assert len(distinct) < len(program.coefficient_matrices()) - 1
 
 
 def test_check_kind_packs_the_basis_pairs(monkeypatch):
@@ -440,6 +508,50 @@ def test_eval_with_wide_rational_boundary_matches_dense_fractions(abp, data):
     value = eval_abp(abp, point)
     assert type(value) is Fraction
     assert value == dense_eval_abp(abp, point)
+
+
+@st.composite
+def sweep_programs(draw):
+    """General programs whose layers hold I shared, I unshared, I / den, I past the first term.
+
+    Every other matrix has rows left empty at random, and a layer may
+    have no power 0 at all.
+    """
+    n, count = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    entry = st.integers(-3, 3)
+    shared = QMatrix.identity(n)
+
+    def sparse():
+        return QMatrix([[draw(entry) for _ in range(n)] if draw(st.booleans()) else [0] * n
+                        for _ in range(n)])
+
+    layers = []
+    for var in range(count):
+        powers = {k: sparse() for k in range(1, draw(st.integers(1, 3)) + 1)}
+        how = draw(st.sampled_from(["shared", "unshared", "over-den", "later", "none"]))
+        if how == "shared":
+            powers[0] = shared
+        elif how == "unshared":
+            powers[0] = QMatrix.identity(n)
+        elif how == "over-den":
+            powers[0] = shared.scale(Fraction(1, draw(st.integers(2, 5))))
+        elif how == "later":
+            powers[0] = sparse()
+            powers[draw(st.integers(1, len(powers) - 1))] = shared
+        layers.append(Layer([(var, k, m) for k, m in powers.items()]))
+    vector = st.lists(st.fractions(-3, 3, max_denominator=4), min_size=n, max_size=n)
+    return Abp(kind="general", vars=var_names(count), width=n, u=tuple(draw(vector)),
+               v=tuple(draw(vector)), layers=tuple(layers))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sweep_programs(), st.data())
+def test_sweep_matches_the_dense_references(abp, data):
+    # zero coordinates drop a layer's powers >= 1, so I may come first only then
+    coordinate = st.one_of(st.integers(-3, 3), st.fractions(-5, 5, max_denominator=7))
+    point = data.draw(st.lists(coordinate, min_size=len(abp.vars), max_size=len(abp.vars)))
+    assert eval_abp(abp, point) == dense_eval_abp(abp, point)
+    assert expand_abp(abp) == dense_expand_abp(abp)
 
 
 def test_any_order_evaluation():

@@ -641,6 +641,12 @@ def _row_edit(k: int, edit) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _truncated_identity_copy() -> str:
+    """X1X2_ABP cut one row short inside its later I block, `layer x2 power 0`."""
+    lines = X1X2_ABP.splitlines()
+    return "\n".join(lines[:lines.index("layer x2 power 0") + 4]) + "\n"
+
+
 # each message is the one helpers.reference_parse_abp, which splits every row, gives
 @pytest.mark.parametrize("text, message", [
     (X1X2_ABP.replace("abp v1", "abp\tv1"), "not an abp v1 file"),
@@ -653,11 +659,13 @@ def _row_edit(k: int, edit) -> str:
     *[(_row_edit(k, lambda row: row + " 5"),
        f"row {k + 1} of 'layer x1 power 1' has 5 entries, expected 4") for k in (0, 2, 3)],
     ("\n".join(X1X2_ABP.splitlines()[:-2]) + "\n", "truncated layer block"),
+    (_truncated_identity_copy(), "truncated layer block"),
     (_row_edit(2, lambda row: "layer x2 power 1\n" + row), "Invalid literal for Fraction: 'layer'"),
     (_row_edit(0, lambda row: row.replace("1", "1/0")), "rational '1/0' has a zero denominator"),
 ], ids=["tab-magic", "width-0", "width-negative", "width-huge", "short-first-row",
         "short-middle-row", "short-last-row", "long-first-row", "long-middle-row",
-        "long-last-row", "truncated-block", "layer-header-in-block", "zero-denominator"])
+        "long-last-row", "truncated-block", "truncated-identity-copy", "layer-header-in-block",
+        "zero-denominator"])
 def test_malformed_abp_exits_2_with_its_message(tmp_path, capsys, text, message):
     path, against = tmp_path / "bad.abp", tmp_path / "x1x2.poly"
     path.write_text(text)

@@ -316,15 +316,40 @@ def test_echelon_add_matches_sympy_rank_growth(key_kind, data):
     rows = data.draw(echelon_rows(KEY_SETS[key_kind], coeffs=coeffs))
     columns = sorted({k for row in rows for k in row})
     ranks = [sympy_rank(rows[:i], columns) for i in range(len(rows) + 1)]
-    echelon = Echelon()
+    echelon, added = Echelon(), []
     for i, row in enumerate(rows):
         ints = scaled_to_ints(row)
-        before = dict(ints)
+        added.append((ints, dict(ints)))
         assert echelon.add(ints) == (ranks[i + 1] > ranks[i])
-        assert ints == before  # the caller's row is not changed
         assert echelon.rank == ranks[i + 1]
         if data.draw(st.booleans()):
             check_reduced_form(echelon.reduced(), rows[:i + 1])
+        # no caller's row is changed, also one the echelon stores as it is
+        assert all(ints == before for ints, before in added)
+
+
+def test_echelon_add_keeps_the_callers_rows():
+    echelon = Echelon()
+    kept, met, negative, dependent = {0: 1, 2: 3}, {0: 2, 1: 4}, {3: -3, 4: 6}, {0: 1, 1: 2}
+    rows = [kept, met, negative, dependent]
+    copies = [dict(row) for row in rows]
+    assert [echelon.add(row) for row in rows] == [True, True, True, False]
+    # a row nothing eliminates in, of content 1 and a positive pivot, is stored
+    # as it is; a row that meets a pivot, or needs dividing, is not
+    assert echelon._rows[0] is kept
+    assert echelon._rows[1] == {1: 2, 2: -3} and echelon._rows[3] == {3: 1, 4: -2}
+    echelon.reduced()
+    assert rows == copies
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.sampled_from([0, 0, 1, -2, 3]), min_size=4, max_size=4),
+                min_size=1, max_size=5))
+def test_rank_leaves_the_matrix_unchanged(data):
+    m = QMatrix(data)
+    rows = [dict(row) for row in m.entries]
+    assert rank(m) == DomainMatrix.from_list(data, QQ).rank()
+    assert [dict(row) for row in m.entries] == rows and m == QMatrix(data)
 
 
 @pytest.mark.parametrize("key_kind", sorted(KEY_SETS))

@@ -302,3 +302,62 @@ def test_shared_rows_are_left_unchanged_by_the_checks():
         for m in abp.coefficient_matrices():
             rank(m)
         assert abp == parse_abp(text)
+
+
+def _power0_headers(text: str) -> list[str]:
+    return [line for line in text.splitlines() if line.startswith("layer ")
+            and line.endswith(" power 0")]
+
+
+def _edit_block(text: str, header: str, edit) -> str:
+    """The text with each row line of the block under header passed through edit(k, line)."""
+    lines = text.splitlines()
+    at = lines.index(header) + 1
+    width = int(next(line for line in lines if line.startswith("width:")).split()[1])
+    lines[at:at + width] = [edit(k, line) for k, line in enumerate(lines[at:at + width])]
+    return "\n".join(lines) + "\n"
+
+
+def test_reader_reads_every_canonical_identity_block_as_one_object():
+    for program in (build_commro(det_polynomial(3)), build_commro(palindrome(5))):
+        text = format_abp(program)
+        parsed = parse_abp(text)
+        power0 = [mat for layer in parsed.layers for _, k, mat in layer.terms if k == 0]
+        assert len(power0) == len(parsed.layers) == len(_power0_headers(text)) > 1
+        assert len({id(mat) for mat in power0}) == 1
+        assert power0[0] == QMatrix.identity(parsed.width)
+        assert parsed == program == reference_parse_abp(text)
+
+
+@pytest.mark.parametrize("which", [0, -1], ids=["first", "last"])
+@pytest.mark.parametrize("respell", [lambda k, line: "  " + line.replace(" ", "\t"),
+                                     lambda k, line: line.replace(" ", "   ") + " \t "],
+                         ids=["tabs", "runs-of-spaces"])
+def test_identity_with_other_whitespace_reads_as_an_equal_program(which, respell):
+    program = build_commro(det_polynomial(3))
+    text = format_abp(program)
+    text = _edit_block(text, _power0_headers(text)[which], respell)
+    assert parse_abp(text) == program == reference_parse_abp(text)
+
+
+@pytest.mark.parametrize("entry", [(8, 8, "2"), (0, 3, "1"), (4, 4, "1/2")],
+                         ids=["diagonal", "off-diagonal", "rational"])
+def test_a_block_one_entry_off_the_identity_reads_as_its_own_matrix(entry):
+    i, j, token = entry
+    program = build_commro(det_polynomial(3))
+    text = format_abp(program)
+    header = _power0_headers(text)[1]
+
+    def edit(k, line):
+        tokens = line.split(" ")
+        if k == i:
+            tokens[j] = token
+        return " ".join(tokens)
+
+    parsed = parse_abp(_edit_block(text, header, edit))
+    assert parsed == reference_parse_abp(_edit_block(text, header, edit))
+    power0 = [mat for layer in parsed.layers for _, k, mat in layer.terms if k == 0]
+    identity = QMatrix.identity(parsed.width)
+    assert power0[1] != identity and power0[1][i, j] == Fraction(token)
+    assert len({id(mat) for mat in power0}) == 2
+    assert power0[0] == identity and all(mat is power0[0] for mat in power0[2:])

@@ -1,6 +1,10 @@
-"""tools/code_lines.py, whose counts the roadmap records, on a fixture of known counts."""
+"""tools/code_lines.py on a fixture of known counts, and tools/ab.py on the tiny corpus."""
 
 import importlib.util
+import json
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
@@ -39,3 +43,27 @@ def test_code_lines_counts_code_only(tmp_path):
     path = tmp_path / "fixture.py"
     path.write_text(FIXTURE)
     assert code_lines.count(path) == (8, 21)
+
+
+def test_ab_compares_the_checkout_with_itself_on_the_tiny_corpus():
+    # two alternating rounds of verify; the last line is the JSON report
+    root = SCRIPT.parent.parent
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "tools/ab.py", ".", ".", "--workload", "tiny",
+                           "--seed", "1", "--command", "verify", "--rounds", "2"],
+                          cwd=root, capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 2.0
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == ["round 1", "round 2"]
+    report = json.loads(lines[-1])
+    assert list(report) == ["workload", "seed", "command", "rounds", "ops", "parent", "change",
+                            "ratio"]
+    assert (report["workload"], report["seed"], report["command"], report["rounds"]) == (
+        "tiny", 1, "verify", 2)
+    assert report["ops"] > 0
+    for side in ("parent", "change"):
+        assert list(report[side]) == ["median_s", "min_s", "wins"]
+        assert 0 < report[side]["min_s"] <= report[side]["median_s"]
+    assert report["parent"]["wins"] + report["change"]["wins"] == 2
+    assert report["ratio"] == report["change"]["median_s"] / report["parent"]["median_s"]
