@@ -286,8 +286,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_max_width(p):
         p.add_argument("--max-width", type=_POSITIVE, metavar="W", default=DEFAULT_WIDTH_CAP,
-                       help="refuse (exit 3) once the derivative span exceeds W dimensions "
-                            "(default: %(default)s)")
+                       help="refuse (exit 3) once the derivative span (for build, the "
+                            "program's width) exceeds W (default: %(default)s)")
 
     p = sub.add_parser("dpd", help="dimension of the span of all partial derivatives")
     p.add_argument("poly")
@@ -305,7 +305,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tables", help="apolar multiplication tables")
     p.add_argument("poly")
     p.add_argument("-o", "--output")
-    p.add_argument("--max-entries", type=_POSITIVE, default=DEFAULT_ENTRY_CAP)
+    p.add_argument("--max-entries", type=_POSITIVE, metavar="N", default=DEFAULT_ENTRY_CAP,
+                   help="refuse (exit 3) to write tables of w*w > N entries (default: %(default)s)")
     add_max_width(p)
     add_vars(p)
     p.set_defaults(func=_cmd_tables)
@@ -342,7 +343,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--any-order", type=_int_at_least(0), metavar="M", default=0,
                    help="also verify M random layer permutations, naming each order")
-    p.add_argument("--max-terms", type=_POSITIVE, default=DEFAULT_TERM_CAP)
+    p.add_argument("--max-terms", type=_POSITIVE, metavar="N", default=DEFAULT_TERM_CAP,
+                   help="refuse (exit 3) once --expand holds over N terms (default: %(default)s)")
     p.add_argument("--max-power", type=_int_at_least(0), metavar="P", default=DEFAULT_POWER_CAP,
                    help="refuse (exit 3) to --random-eval when a layer power or an "
                         "exponent of the --against polynomial is above P "
@@ -354,8 +356,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("what", choices=("det", "perm", "palindrome", "monomial-waring"))
     p.add_argument("n", type=int)
     p.add_argument("-o", "--output")
-    p.add_argument("--max-terms", type=_POSITIVE, default=DEFAULT_TERM_CAP,
-                   help="refuse (exit 3) to build more than this many terms: n! for det "
+    p.add_argument("--max-terms", type=_POSITIVE, metavar="N", default=DEFAULT_TERM_CAP,
+                   help="refuse (exit 3) to build more than N terms: n! for det "
                         "and perm, 2^n for palindrome, and for monomial-waring the "
                         "2^(n-1)*C(2n-1,n) of its expansion check (default: %(default)s)")
     p.set_defaults(func=_cmd_gen)

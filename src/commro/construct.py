@@ -115,13 +115,21 @@ def _quotient_program(f: Poly, max_width: int | None) -> tuple[
     """Block-diagonal tables, u and v: one block per nonzero homogeneous component of f.
 
     A block is the component's apolar quotient with u = e_0 and the
-    closed-form v; a constant's quotient is 1x1 with zero tables.
+    closed-form v; a constant's quotient is 1x1 with zero tables.  Each
+    component's closure is capped by what the blocks before it leave of
+    max_width, so a summed width above max_width raises CapExceeded.
     """
-    blocks = [(quotient(fk, max_width), fk) for fk in f.components_by_degree().values()]
-    tables = tuple(_block_diagonal([q.tables[var] for q, _ in blocks]) for var in range(f.arity))
-    u = tuple(Fraction(int(i == 0)) for q, _ in blocks for i in range(q.dimension))
-    v = tuple(x for q, fk in blocks for x in _closed_form_v(q, fk))
-    return tables, u, v
+    quotients, u, v = [], [], []
+    for fk in f.components_by_degree().values():
+        try:
+            q = quotient(fk, None if max_width is None else max_width - len(u))
+        except CapExceeded:
+            raise CapExceeded(f"program width exceeds {max_width}", flag="--max-width") from None
+        quotients.append(q)
+        u += [Fraction(int(i == 0)) for i in range(q.dimension)]
+        v += _closed_form_v(q, fk)
+    tables = tuple(_block_diagonal([q.tables[var] for q in quotients]) for var in range(f.arity))
+    return tables, tuple(u), tuple(v)
 
 
 def _exponential_layers(tables: Sequence[QMatrix], degrees: Sequence[int]) -> list[Layer]:
@@ -160,7 +168,7 @@ def build_commro_general(f: Poly, max_width: int | None = None) -> Abp:
     component's degrees, so one truncated exponential at f's individual
     degrees builds every block's layers.  Width is the sum of the
     components' derivative-span dimensions, at most (d+1)^2 dpd(f);
-    max_width caps each block.
+    a width above max_width raises CapExceeded (naming --max-width).
     """
     if f.is_zero():
         raise ValueError("cannot build a branching program for the zero polynomial")

@@ -16,13 +16,13 @@ row's own keys, so a row pays for the pivots it meets, not for every
 stored row.  It takes integer rows only and eliminates fraction-free,
 so no elimination step builds a Fraction; a caller that holds
 rationals brings them to integers once, where it holds them.  Echelon
-has three parts: add, rank and reduced(), one back-substitution that
-gives the reduced row echelon form.  QMatrix rows go to it as they
-are; rank is the rank of m's rows, and inverse and minimal_polynomial
-read the reduced form of augmented rows.  The product, the sum and
-sparse_vec_mat reuse its integer row update (_axpy).  Arithmetic is
-exact, so no result depends on the pivot choice; rank sees only stored
-nonzeros, so it takes no size cap.
+has three parts: add, which works on a copy of each row it takes, rank
+and reduced(), one back-substitution that gives the reduced row echelon
+form.  QMatrix rows go to it as they are; rank is the rank of m's rows,
+and inverse and minimal_polynomial read the reduced form of augmented
+rows.  The product, the sum and sparse_vec_mat reuse its integer row
+update (_axpy).  Arithmetic is exact, so no result depends on the pivot
+choice; rank sees only stored nonzeros, so it takes no size cap.
 """
 
 from __future__ import annotations
@@ -223,18 +223,13 @@ class Echelon:
         self._rows: dict = {}  # pivot -> int row
 
     def add(self, row) -> bool:
-        """Store the row iff it is independent of the rows stored so far.
+        """Store the reduced row iff it is independent of the rows stored so far.
 
-        The row is not changed: it is copied once it meets a stored
-        pivot.  A row that nothing eliminates in (content 1, positive
-        pivot entry) is stored as it is, so it becomes the echelon's
-        storage and the caller must not change it afterwards.
+        The row is copied on entry, so the caller's row is never changed
+        and never stored.
         """
-        work = row
-        rows = self._rows
+        work, rows = dict(row), self._rows
         while hits := rows.keys() & work.keys():
-            if work is row:
-                work = dict(row)
             pivot = min(hits)
             _eliminate(work, pivot, rows[pivot])
         if not work:

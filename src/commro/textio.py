@@ -18,14 +18,15 @@ abp file:          `abp v1` magic, `kind:`/`width:`/`vars:`/`order:`/
                    groups part variables with '|': `order: a,b|c,d`.
 
 Format v1 writes every zero of a layer row.  An abp row is read as
-str.split() reads it, in whatever layout, and each distinct row line
-once per file: a line met again (det4's 1 440 nonzero rows are 123
-distinct lines) reuses the dict read the first time, so equal rows of a
-parsed program share one dict, which nothing changes afterwards.  The
-first block that reads as I (every built layer's power 0) is kept with
-its lines, and a later block whose lines equal them, by one list
-compare, is that same matrix object, read no further.  Nothing is sized
-by the `width:` header before a block of that many rows has been read.
+str.split() reads it, in whatever layout.  The reader reads each
+distinct row line and each distinct block once per file: a row line met
+again (det4's 1 440 nonzero rows are 123 distinct lines) reuses the dict
+read the first time, and a block whose width lines equal an earlier
+block's, as text, is that block's QMatrix object, read no further.  So
+equal rows of a parsed program share one dict, which nothing changes
+afterwards, and every repeated block (each layer's power-0 I, equal
+tables) is one matrix.  Nothing is sized by the `width:` header before
+a block of that many rows has been read.
 """
 
 from __future__ import annotations
@@ -259,32 +260,26 @@ def parse_abp(text: str) -> Abp:
     u = tuple(Fraction(_entry(x)) for x in headers["u"].split())
     v = tuple(Fraction(_entry(x)) for x in headers["v"].split())
 
-    # layer blocks, grouped by variable; memo maps a row's line to its dict,
-    # and identity is the first block read as I, with its lines
+    # layer blocks, grouped by variable; memo maps a row's line to its dict
+    # and mats a block's lines to its matrix
     memo: dict[str, dict[int, int | Fraction]] = {}
+    mats: dict[tuple[str, ...], QMatrix] = {}
     blocks: dict[int, list[tuple[int, QMatrix]]] = {}
-    identity = identity_lines = None
     while at < len(lines):
         header = lines[at]
         parts = header.split()
         if len(parts) != 4 or parts[0] != "layer" or parts[2] != "power":
             raise ValueError(f"malformed layer header {header!r}")
         name, power = parts[1], int(parts[3])
-        if name not in index:
+        if (var := index.get(name)) is None:
             raise ValueError(f"layer for unknown variable {name!r}")
-        var = index[name]
         if any(p == power for p, _ in blocks.get(var, [])):
             raise ValueError(f"repeated layer block {header!r}")
-        at += 1
-        if lines[at:at + width] == identity_lines:
-            mat, at = identity, at + width
-        else:
-            rows, start = [], at
-            for i in range(width):
-                if at >= len(lines):
-                    raise ValueError("truncated layer block")
-                line = lines[at]
-                at += 1
+        key = tuple(lines[at + 1:at + 1 + width])
+        at += 1 + width
+        if (mat := mats.get(key)) is None:
+            rows = []
+            for i, line in enumerate(key):
                 if (row := memo.get(line)) is None:
                     tokens = line.split()
                     if len(tokens) != width:
@@ -293,10 +288,9 @@ def parse_abp(text: str) -> Abp:
                     row = memo[line] = {j: x for j, t in enumerate(tokens)
                                         if t != "0" and (x := _entry(t))}
                 rows.append(row)
-            mat = QMatrix.rational(width, width, rows)
-            # the test of row 0 first keeps the identity unbuilt for the other blocks
-            if identity is None and rows[0] == {0: 1} and mat == QMatrix.identity(width):
-                identity, identity_lines = mat, lines[start:at]
+            if len(rows) < width:
+                raise ValueError("truncated layer block")
+            mat = mats[key] = QMatrix.rational(width, width, rows)
         blocks.setdefault(var, []).append((power, mat))
 
     separator = "|" if kind == "set_multilinear" else ","

@@ -108,6 +108,22 @@ def test_max_width_cap(tmp_path, capsys, command):
     assert run(argv + ["--max-width", "20"]) == 0
 
 
+@pytest.mark.parametrize("cap", [4, 5, 6])
+def test_max_width_caps_the_summed_width_of_the_components(tmp_path, capsys, cap):
+    # c has a span of 2 dimensions and a*b one of 4: the program has width 6
+    path, abp = tmp_path / "abc.poly", tmp_path / "abc.abp"
+    path.write_text("vars: a b c\na*b + c\n")
+    code = run(["build", "commro", str(path), "-o", str(abp), "--max-width", str(cap)])
+    if cap < 6:
+        assert code == 3 and not abp.exists()
+        err = capsys.readouterr().err
+        assert err == f"error: program width exceeds {cap} (raise --max-width)\n"
+    else:
+        assert code == 0
+        assert hashlib.sha256(abp.read_bytes()).hexdigest() == (
+            "fa373f1c62b2cc93485e996a9e83b6c9996980d6e36685e93278b6c7e2c8fa52")
+
+
 def test_default_max_width_refuses_runaway_span(tmp_path, capsys):
     # w = 10^8, and the coefficients of the span grow factorially
     path = tmp_path / "huge.poly"
@@ -128,12 +144,34 @@ def test_build_refuses_high_degree_without_building_every_component(tmp_path, ca
     assert "--max-width" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", [["dpd"], ["normal-set"], ["tables"], ["build"]])
-def test_max_width_default_is_stated_in_help(capsys, command):
-    assert run(command + ["--help"]) == 0
-    help_text = " ".join(capsys.readouterr().out.split())
-    assert "--max-width W refuse (exit 3)" in help_text
-    assert "W dimensions (default: 8192)" in help_text
+# every cap flag of every subcommand: (command, flag, metavar, default)
+CAP_FLAGS = [
+    ("dpd", "--max-width", "W", 8192), ("normal-set", "--max-width", "W", 8192),
+    ("tables", "--max-entries", "N", 1 << 20), ("tables", "--max-width", "W", 8192),
+    ("build", "--max-entries", "N", 1 << 20), ("build", "--max-width", "W", 8192),
+    ("verify", "--max-terms", "N", 1 << 20), ("verify", "--max-power", "P", 4096),
+    ("gen", "--max-terms", "N", 1 << 20),
+]
+
+
+def _help_text(capsys, command: str) -> str:
+    assert run([command, "--help"]) == 0
+    return " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize("command", ["dpd", "normal-set", "tables", "build", "nisan", "verify",
+                                     "gen"])
+def test_cap_flags_are_the_listed_ones(capsys, command):
+    flags = {flag for name, flag, _, _ in CAP_FLAGS if name == command}
+    assert set(re.findall(r"--max-[a-z]+", _help_text(capsys, command))) == flags
+
+
+@pytest.mark.parametrize("command, flag, metavar, default", CAP_FLAGS,
+                         ids=[f"{command}{flag}" for command, flag, _, _ in CAP_FLAGS])
+def test_cap_default_is_stated_in_help(capsys, command, flag, metavar, default):
+    help_text = _help_text(capsys, command)
+    at = help_text.index(f"{flag} {metavar} refuse (exit 3) ")
+    assert help_text[at:].split("default: ", 1)[1].startswith(f"{default})")
 
 
 def test_nisan_orders(pal3_file, capsys):
@@ -647,6 +685,13 @@ def _truncated_identity_copy() -> str:
     return "\n".join(lines[:lines.index("layer x2 power 0") + 4]) + "\n"
 
 
+def _truncated_block_copy() -> str:
+    """X1X2_ABP whose last block, `layer x2 power 1`, is `layer x1 power 1` one row short."""
+    lines = X1X2_ABP.splitlines()
+    at = lines.index("layer x1 power 1") + 1
+    return "\n".join(lines[:lines.index("layer x2 power 1") + 1] + lines[at:at + 3]) + "\n"
+
+
 # each message is the one helpers.reference_parse_abp, which splits every row, gives
 @pytest.mark.parametrize("text, message", [
     (X1X2_ABP.replace("abp v1", "abp\tv1"), "not an abp v1 file"),
@@ -660,11 +705,13 @@ def _truncated_identity_copy() -> str:
        f"row {k + 1} of 'layer x1 power 1' has 5 entries, expected 4") for k in (0, 2, 3)],
     ("\n".join(X1X2_ABP.splitlines()[:-2]) + "\n", "truncated layer block"),
     (_truncated_identity_copy(), "truncated layer block"),
+    (_truncated_block_copy(), "truncated layer block"),
     (_row_edit(2, lambda row: "layer x2 power 1\n" + row), "Invalid literal for Fraction: 'layer'"),
     (_row_edit(0, lambda row: row.replace("1", "1/0")), "rational '1/0' has a zero denominator"),
 ], ids=["tab-magic", "width-0", "width-negative", "width-huge", "short-first-row",
         "short-middle-row", "short-last-row", "long-first-row", "long-middle-row",
-        "long-last-row", "truncated-block", "truncated-identity-copy", "layer-header-in-block",
+        "long-last-row", "truncated-block", "truncated-identity-copy", "truncated-block-copy",
+        "layer-header-in-block",
         "zero-denominator"])
 def test_malformed_abp_exits_2_with_its_message(tmp_path, capsys, text, message):
     path, against = tmp_path / "bad.abp", tmp_path / "x1x2.poly"

@@ -280,6 +280,29 @@ def test_diagro_two_term_square():
     assert abp.width == 2 * (2 * 2 + 1)
 
 
+def test_max_width_caps_the_summed_width_of_the_components(monkeypatch):
+    # the closure of a*b gets what c's 2 dimensions leave of the cap, so at
+    # a cap of 4 it is refused by its degree before it runs
+    caps = []
+    real = construct.quotient
+
+    def recorded(f, max_width=None):
+        caps.append(max_width)
+        return real(f, max_width)
+
+    monkeypatch.setattr(construct, "quotient", recorded)
+    f = parse_poly("a*b + c", ("a", "b", "c"))
+    for cap in (4, 5):
+        caps.clear()
+        with pytest.raises(CapExceeded, match=f"program width exceeds {cap}$") as refused:
+            build_commro_general(f, max_width=cap)
+        assert refused.value.flag == "--max-width"
+        assert caps == [cap, cap - 2]
+    caps.clear()
+    assert build_commro_general(f, max_width=6) == build_commro_general(f)
+    assert caps == [6, 4, None, None]
+
+
 def test_diagro_monomial_x1x2x3():
     w = waring_of_monomial(3)
     abp = build_diagro_from_waring(w, V3)

@@ -324,22 +324,25 @@ def test_echelon_add_matches_sympy_rank_growth(key_kind, data):
         assert echelon.rank == ranks[i + 1]
         if data.draw(st.booleans()):
             check_reduced_form(echelon.reduced(), rows[:i + 1])
-        # no caller's row is changed, also one the echelon stores as it is
+        # no caller's row is changed
         assert all(ints == before for ints, before in added)
 
 
 def test_echelon_add_keeps_the_callers_rows():
+    # a row nothing eliminates in (content 1, positive pivot) is stored as a
+    # copy too, so changing any caller's row after add changes nothing
     echelon = Echelon()
     kept, met, negative, dependent = {0: 1, 2: 3}, {0: 2, 1: 4}, {3: -3, 4: 6}, {0: 1, 1: 2}
     rows = [kept, met, negative, dependent]
     copies = [dict(row) for row in rows]
     assert [echelon.add(row) for row in rows] == [True, True, True, False]
-    # a row nothing eliminates in, of content 1 and a positive pivot, is stored
-    # as it is; a row that meets a pivot, or needs dividing, is not
-    assert echelon._rows[0] is kept
-    assert echelon._rows[1] == {1: 2, 2: -3} and echelon._rows[3] == {3: 1, 4: -2}
-    echelon.reduced()
     assert rows == copies
+    assert not {id(row) for row in echelon._rows.values()} & {id(row) for row in rows}
+    for row in rows:
+        row.clear()
+    kept[1] = 1
+    assert echelon.rank == 3
+    assert echelon.reduced() == {0: {0: 1, 2: 3}, 1: {1: 2, 2: -3}, 3: {3: 1, 4: -2}}
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,7 +14,7 @@ from commro.textio import (_row_lines, format_abp, format_matrix, format_poly_fi
                            format_waring_file, parse_abp, parse_poly_file,
                            parse_waring_file)
 
-from helpers import (SMALL, WIDE_RATIONALS, edited_abp_texts, random_poly,
+from helpers import (SMALL, WIDE_RATIONALS, edited_abp_texts, flattened_kind_check, random_poly,
                      rational_commutative_programs, reference_parse_abp, reference_row_lines)
 
 
@@ -361,3 +361,62 @@ def test_a_block_one_entry_off_the_identity_reads_as_its_own_matrix(entry):
     assert power0[1] != identity and power0[1][i, j] == Fraction(token)
     assert len({id(mat) for mat in power0}) == 2
     assert power0[0] == identity and all(mat is power0[0] for mat in power0[2:])
+
+
+# x and y read the same tables: I, T and T^2/2 for T = [[0, 1/2, 0], [0, 0, 1/2], [0, 0, 0]]
+TWIN_BLOCKS_ABP = """abp v1
+kind: commutative
+width: 3
+vars: x y
+order: x,y
+u: 1 0 0
+v: 0 0 1
+layer x power 0
+1 0 0
+0 1 0
+0 0 1
+layer x power 1
+0 1/2 0
+0 0 1/2
+0 0 0
+layer x power 2
+0 0 1/8
+0 0 0
+0 0 0
+layer y power 0
+1 0 0
+0 1 0
+0 0 1
+layer y power 1
+0 1/2 0
+0 0 1/2
+0 0 0
+layer y power 2
+0 0 1/8
+0 0 0
+0 0 0
+"""
+
+
+def test_blocks_with_the_same_lines_read_as_one_matrix_object():
+    parsed = parse_abp(TWIN_BLOCKS_ABP)
+    x, y = ([mat for _, _, mat in layer.terms] for layer in parsed.layers)
+    assert all(a is b for a, b in zip(x, y)) and len({id(mat) for mat in x}) == 3
+    assert parsed == reference_parse_abp(TWIN_BLOCKS_ABP)
+    assert check_kind(parsed) == flattened_kind_check(parsed)
+    assert format_abp(parsed) == TWIN_BLOCKS_ABP
+
+
+@pytest.mark.parametrize("power, edit", [
+    (1, lambda k, line: line.replace("1/2", "2/4") if k == 0 else line),
+    (2, lambda k, line: "\t" + line.replace(" ", "  ") + " "),
+],
+                         ids=["2/4", "blanks"])
+def test_equal_blocks_written_differently_read_as_equal_separate_objects(power, edit):
+    text = _edit_block(TWIN_BLOCKS_ABP, f"layer y power {power}", edit)
+    assert text != TWIN_BLOCKS_ABP
+    parsed = parse_abp(text)
+    x, y = ([mat for _, _, mat in layer.terms] for layer in parsed.layers)
+    assert x == y and parsed == parse_abp(TWIN_BLOCKS_ABP) == reference_parse_abp(text)
+    assert [a is b for a, b in zip(x, y)] == [k != power for k in range(3)]
+    assert check_kind(parsed) == flattened_kind_check(parsed)

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import shutil
 import subprocess
 import sys
 import time
@@ -67,3 +68,24 @@ def test_ab_compares_the_checkout_with_itself_on_the_tiny_corpus():
         assert 0 < report[side]["min_s"] <= report[side]["median_s"]
     assert report["parent"]["wins"] + report["change"]["wins"] == 2
     assert report["ratio"] == report["change"]["median_s"] / report["parent"]["median_s"]
+
+
+def test_ab_fails_a_round_whose_verify_fails_on_both_sides(tmp_path):
+    # both trees print the same output and exit 1 on every verify: that is
+    # a failed round, not a timing
+    root = SCRIPT.parent.parent
+    cli = (root / "src" / "commro" / "cli.py").read_text()
+    passed = '    print("verify OK")\n    return 0\n'
+    assert cli.count(passed) == 1
+    for side in ("parent", "change"):
+        shutil.copytree(root / "src" / "commro", tmp_path / side / "src" / "commro",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        (tmp_path / side / "src" / "commro" / "cli.py").write_text(
+            cli.replace(passed, '    print("verify FAILED: forced")\n    return 1\n'))
+    done = subprocess.run([sys.executable, "tools/ab.py", str(tmp_path / "parent"),
+                           str(tmp_path / "change"), "--workload", "tiny", "--seed", "1",
+                           "--command", "verify", "--rounds", "2"],
+                          cwd=root, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.startswith("round 1, parent: ") and "failed (exit 1)" in done.stderr
+    assert "verify FAILED: forced" in done.stderr

@@ -10,7 +10,9 @@ directory, and one full pass of the parent writes the `.abp` files
 that verify reads; one untimed pass of the command's ops warms the
 change.  Then each round runs the ops of the command once
 on each side, the side that goes first alternating, and asserts that
-both printed the same output (for build, also the same `.abp` bytes).
+every op passed (exit 0, and for verify a `verify OK` line, as
+perfbench/run.py's Checker requires) and that both sides printed the
+same output (for build, also the same `.abp` bytes).
 A pass's time is the sum of its ops' wall seconds, the CLI driven
 in-process as perfbench/run.py drives it.
 
@@ -52,10 +54,17 @@ def load_cli(root: Path):
     return cli
 
 
-def timed_pass(cli, corpus) -> tuple[float, list]:
-    """(seconds, what the pass printed and wrote) of one pass over the corpus."""
+def timed_pass(cli, corpus, where: str) -> tuple[float, list]:
+    """(seconds, what the pass printed and wrote) of one pass over the corpus.
+
+    An op that failed ends the run with a message that begins with where.
+    """
     gc.collect()
     outcomes = run_pass(cli, corpus)
+    for o in outcomes:
+        if o.code != 0 or o.op.command == "verify" and "verify OK" not in o.output.splitlines():
+            raise SystemExit(f"{where}: {o.op.input.name} {o.op.label} failed (exit {o.code}): "
+                             f"{o.output.strip()[-200:]}")
     seen = [(o.code, o.output, o.op.artifact.read_bytes() if o.op.command == "build" else None)
             for o in outcomes]
     return sum(o.seconds for o in outcomes), seen
@@ -85,7 +94,8 @@ def main(argv: list[str] | None = None) -> int:
         wins = dict.fromkeys(sides, 0)
         for r in range(args.rounds):
             order = ["parent", "change"] if r % 2 == 0 else ["change", "parent"]
-            passes = {side: timed_pass(sides[side], corpus) for side in order}
+            passes = {side: timed_pass(sides[side], corpus, f"round {r + 1}, {side}")
+                      for side in order}
             if passes["parent"][1] != passes["change"][1]:
                 raise SystemExit(f"round {r + 1}: the two sides' output differs")
             for side in sides:
