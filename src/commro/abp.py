@@ -360,7 +360,7 @@ def nisan_widths(f: Poly, orders: Iterable[Sequence[int]]) -> Iterator[NisanCutR
     for order in orders:
         order = tuple(order)
         if sorted(order) != list(range(f.arity)):
-            raise ValueError("order is not a permutation of the variables")
+            raise ValueError("order must list every variable exactly once")
         cut_ranks, prefix = [], 0
         for i in order:
             prefix |= packing.field(i)

@@ -61,7 +61,7 @@ class WaringDecomposition:
     """A sum of scaled d-th powers of linear forms: sum_i c_i * l_i(x)^d."""
 
     degree: int
-    terms: tuple[tuple[Fraction, tuple[Fraction, ...]], ...]
+    terms: tuple[tuple[int | Fraction, tuple[int | Fraction, ...]], ...]
 
     def __post_init__(self):
         if self.degree < 1:
@@ -117,8 +117,11 @@ def _quotient_program(f: Poly, max_width: int | None) -> tuple[
     A block is the component's apolar quotient with u = e_0 and the
     closed-form v; a constant's quotient is 1x1 with zero tables.  Each
     component's closure is capped by what the blocks before it leave of
-    max_width, so a summed width above max_width raises CapExceeded.
+    max_width, so a summed width above max_width raises CapExceeded.  The
+    zero polynomial has no component, and no program: it is a ValueError.
     """
+    if f.is_zero():
+        raise ValueError("cannot build a branching program for the zero polynomial")
     quotients, u, v = [], [], []
     for fk in f.components_by_degree().values():
         try:
@@ -168,10 +171,9 @@ def build_commro_general(f: Poly, max_width: int | None = None) -> Abp:
     component's degrees, so one truncated exponential at f's individual
     degrees builds every block's layers.  Width is the sum of the
     components' derivative-span dimensions, at most (d+1)^2 dpd(f);
-    a width above max_width raises CapExceeded (naming --max-width).
+    a width above max_width raises CapExceeded (naming --max-width), and
+    the zero polynomial is a ValueError (_quotient_program refuses it).
     """
-    if f.is_zero():
-        raise ValueError("cannot build a branching program for the zero polynomial")
     tables, u, v = _quotient_program(f, max_width)
     layers = _exponential_layers(tables, [f.individual_degree(var) for var in range(f.arity)])
     for layer, table in zip(layers, tables):
@@ -213,9 +215,10 @@ def build_smabp(f: Poly, partition: Sequence[Sequence[int]],
     Layer j is sum of A_k x_k over the variables k of part j, built from
     the same apolar multiplication tables as the read-once construction;
     width equals the derivative-span dimension of f, capped by max_width.
+    A partition that does not split f's variables into disjoint nonempty
+    parts, or an f that is not set-multilinear in it, is a ValueError, and
+    so is the zero polynomial (_quotient_program refuses it).
     """
-    if f.is_zero():
-        raise ValueError("cannot build a branching program for the zero polynomial")
     _validate_set_multilinear(f, partition)
     tables, u, v = _quotient_program(f, max_width)
     layers = [Layer([(var, 1, tables[var]) for var in part]) for part in partition]

@@ -131,10 +131,9 @@ def det_mult_tables(n: int) -> list[QMatrix]:
     variable order.  Row (S, T) is zero when i is in S or j is in T;
     otherwise it carries a single signed 1 at the anti-diagonal monomial
     of the (S + i, T + j) minor.  Must agree entrywise with the generic
-    quotient pipeline applied to det_polynomial(n).
+    quotient pipeline applied to det_polynomial(n); det_normal_set
+    refuses n < 1.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
     normal = det_normal_set(n)
     position = {mono: idx for idx, mono in enumerate(normal)}
     width = len(normal)

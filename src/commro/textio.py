@@ -1,7 +1,10 @@
 """Versioned ASCII file formats: polynomials, matrices, Waring data, ABPs.
 
 Every format is line oriented with bit-exact rationals (`Fraction`
-string form), so emitted artifacts are stable golden files.
+string form), so emitted artifacts are stable golden files.  One token
+reader, _rational, reads every rational of an abp row, of the `u:` and
+`v:` headers and of a waring term: a token that int() reads is an int,
+and only the others (`1/2`, `1.5`, `1e3`) build a Fraction.
 
 polynomial file:   `vars: x1 x2 ...` header, then the expression text
 matrix block:      `rows cols` line, then row-major rationals (written by
@@ -48,11 +51,19 @@ _MAX_EXPONENT = 4300
 _EXPONENT_RE = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
-def _rational(token: str) -> Fraction:
-    """A rational token such as `-3/4` or `1.5e3`, read exactly.
+def _rational(token: str) -> int | Fraction:
+    """A rational token such as `12`, `-3/4` or `1.5e3`, read exactly.
 
-    A zero denominator or an exponent beyond +-_MAX_EXPONENT is a ValueError.
+    A token that int() reads is that int: int() accepts a subset of
+    Fraction's grammar (signs, leading zeros, underscores between digits)
+    with the same value, so only other tokens (`1/2`, `1.5`, `1e400`)
+    build a Fraction.  A zero denominator or an exponent beyond
+    +-_MAX_EXPONENT is a ValueError.
     """
+    try:
+        return int(token)
+    except ValueError:
+        pass
     exponent = _EXPONENT_RE.search(token)
     if exponent and abs(int(exponent[1])) > _MAX_EXPONENT:
         raise ValueError(f"rational {token!r} has an exponent beyond +-{_MAX_EXPONENT}")
@@ -60,20 +71,6 @@ def _rational(token: str) -> Fraction:
         return Fraction(token)
     except ZeroDivisionError:
         raise ValueError(f"rational {token!r} has a zero denominator") from None
-
-
-def _entry(token: str) -> int | Fraction:
-    """A matrix entry token: an int when int() reads it, else a rational as _rational reads it.
-
-    int() accepts a subset of Fraction's grammar (signs, leading zeros,
-    underscores between digits) with the same value, so the file grammar
-    is unchanged; only other tokens (`1/2`, `1.5`, `1e400`) build a
-    Fraction.
-    """
-    try:
-        return int(token)
-    except ValueError:
-        return _rational(token)
 
 
 def _variables(names: Sequence[str]) -> tuple[str, ...]:
@@ -257,8 +254,8 @@ def parse_abp(text: str) -> Abp:
         raise ValueError(f"abp width must be positive, got {width}")
     vars = _variables(headers["vars"].split())
     index = {name: i for i, name in enumerate(vars)}
-    u = tuple(Fraction(_entry(x)) for x in headers["u"].split())
-    v = tuple(Fraction(_entry(x)) for x in headers["v"].split())
+    u = tuple(Fraction(_rational(x)) for x in headers["u"].split())
+    v = tuple(Fraction(_rational(x)) for x in headers["v"].split())
 
     # layer blocks, grouped by variable; memo maps a row's line to its dict
     # and mats a block's lines to its matrix
@@ -286,7 +283,7 @@ def parse_abp(text: str) -> Abp:
                         raise ValueError(f"row {i + 1} of {header!r} has {len(tokens)} entries, "
                                          f"expected {width}")
                     row = memo[line] = {j: x for j, t in enumerate(tokens)
-                                        if t != "0" and (x := _entry(t))}
+                                        if t != "0" and (x := _rational(t))}
                 rows.append(row)
             if len(rows) < width:
                 raise ValueError("truncated layer block")

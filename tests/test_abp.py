@@ -362,6 +362,30 @@ def test_abp_validation():
             layers=(Layer([(0, 1, one)]), Layer([(0, 1, one)])))
 
 
+_ONE, _TWO = QMatrix([[1]]), QMatrix.identity(2)
+
+
+@pytest.mark.parametrize("kind, layers, message", [
+    ("general", [[(2, 1, _ONE)]], "variable index 2 out of range"),
+    ("general", [[(0, -1, _ONE)]], "negative power"),
+    ("commutative", [[(0, 1, _TWO)]], "coefficient matrix does not match width"),
+    ("commutative", [[(0, 1, _ONE), (1, 1, _ONE)]],
+     "read-once layer reads more than one variable"),
+    ("set_multilinear", [[(0, 0, _ONE), (0, 1, _ONE)], [(1, 1, _ONE)]],
+     "set-multilinear layers must be linear with no constant term"),
+], ids=["var-out-of-range", "negative-power", "wrong-size", "commutative-two-vars",
+        "set-multilinear-power-0"])
+def test_abp_rejects_each_broken_invariant(kind, layers, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Abp(kind=kind, vars=V2, width=1, u=(Fraction(1),), v=(Fraction(1),),
+            layers=tuple(Layer(terms) for terms in layers))
+
+
+def test_nisan_width_rejects_an_order_that_repeats_a_variable():
+    with pytest.raises(ValueError, match="^order must list every variable exactly once$"):
+        nisan_width(parse_poly("x1*x2", V2), (0, 0))
+
+
 def test_nisan_matrix_examples():
     # x1*x2 over {x1} | {x2}: the dense matrix [[0, 0], [0, 1]]
     f = parse_poly("x1*x2", V2)

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import random
@@ -276,17 +278,6 @@ def test_verify_random_eval_reproducible(det2_file, tmp_path, capsys):
     first = capsys.readouterr().out
     assert run(argv) == 0
     assert capsys.readouterr().out == first
-
-
-@pytest.mark.parametrize("k", ["0", "-3"])
-def test_verify_refuses_to_check_nothing(det2_file, tmp_path, capsys, k):
-    out = str(tmp_path / "det2.abp")
-    run(["build", "commro", det2_file, "-o", out])
-    capsys.readouterr()
-    assert run(["verify", out, "--against", det2_file, "--random-eval", k]) == 2
-    captured = capsys.readouterr()
-    assert "verify OK" not in captured.out
-    assert "check nothing" in captured.err
 
 
 def test_verify_detects_tampering(det2_file, tmp_path, capsys):
@@ -652,12 +643,27 @@ X1X2_ABP = format_abp(build_commro(parse_poly("x1*x2", ("x1", "x2"))))
     ("poly", "vars: x x\nx^2\n", [], "declared twice"),
     ("poly", "x^2\n", ["--vars", "x,x"], "declared twice"),
     ("poly", "x^2\n", ["--vars", "x,"], "--vars name '' is not one word"),
+    ("abp", X1X2_ABP.replace("layer x2 power 1", "layer c power 1"), [],
+     "layer for unknown variable 'c'"),
+    ("abp", X1X2_ABP.replace("layer x1 power 1", "layer x1 power -1"), [], "negative power"),
+    ("abp", X1X2_ABP.replace("kind: commutative", "kind: set_multilinear")
+     .replace("order: x1,x2", "order: x1|x2"), [],
+     "set-multilinear layers must be linear with no constant term"),
+    ("poly", "vars:\nx\n", [], "empty variable list"),
+    ("poly", "vars: x y\n", [], "polynomial file has no expression"),
+    ("waring", "", [], "missing 'waring' header"),
+    ("waring", "waring d=2\n1: 1 1\n", [], "waring header lacks 'n'"),
+    ("waring", "waring d=2 n=2\n1 1 1\n", [], "malformed waring term '1 1 1'"),
+    ("waring", "waring d=2 n=2\n1: 1\n", [], "term has 1 coordinates, expected 2"),
 ], ids=["abp-u", "abp-v", "abp-layer", "abp-duplicate-vars", "abp-order",
         "abp-repeated-layer", "abp-short-row", "abp-unordered-layer",
         "abp-repeated-header", "abp-stray-header", "abp-order-repeats", "waring-coeff",
         "waring-form", "waring-header", "waring-repeated-field", "waring-unknown-field",
         "waring-magic-suffix", "poly-duplicate-vars", "vars-flag-duplicate",
-        "vars-flag-empty-name"])
+        "vars-flag-empty-name", "abp-undeclared-variable", "abp-negative-power",
+        "abp-set-multilinear-power-0", "poly-empty-vars", "poly-no-expression",
+        "waring-empty", "waring-header-lacks-n", "waring-term-without-colon",
+        "waring-short-term"])
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, suffix, text, flags, message):
     path = tmp_path / f"input.{suffix}"
     path.write_text(text)
@@ -669,6 +675,68 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, suffix, text, fla
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+# refused argument values; each message is the whole of stderr
+@pytest.mark.parametrize("argv, message", [
+    (["build", "smabp", "AB", "-o", "OUT"], "smabp requires --partition"),
+    (["build", "smabp", "AB", "-o", "OUT", "--partition", "a,b|b"], "partition parts overlap"),
+    (["nisan", "SEVEN", "--all-orders"], "--all-orders is limited to 6 variables (720 orders)"),
+    (["nisan", "AB", "--order", "a,a"], "order must list every variable exactly once"),
+    (["gen", "det", "0"], "n must be at least 1"),
+    (["gen", "palindrome", "0"], "n must be at least 1"),
+    (["gen", "monomial-waring", "0"], "need at least one variable"),
+], ids=["smabp-without-partition", "partition-overlap", "all-orders-7-variables",
+        "order-repeats", "gen-det-0", "gen-palindrome-0", "gen-monomial-waring-0"])
+def test_refused_arguments_exit_2_with_their_message(tmp_path, capsys, argv, message):
+    files = {"AB": tmp_path / "ab.poly", "SEVEN": tmp_path / "seven.poly",
+             "OUT": tmp_path / "out.abp"}
+    files["AB"].write_text("vars: a b\na*b\n")
+    files["SEVEN"].write_text("vars: a b c d e f g\na*b*c*d*e*f*g\n")
+    assert run([str(files.get(arg, arg)) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_verify_fails_on_a_variable_order_other_than_the_programs(tmp_path, capsys):
+    path, against = tmp_path / "x1x2.abp", tmp_path / "x2x1.poly"
+    path.write_text(X1X2_ABP)
+    against.write_text("vars: x2 x1\nx1*x2\n")
+    assert run(["verify", str(path), "--against", str(against), "--expand"]) == 1
+    assert capsys.readouterr().out == (
+        "verify FAILED: variable mismatch ('x2', 'x1') vs ('x1', 'x2')\n")
+
+
+# a width-2 general program for a*b whose layers do not commute: u^T A B v
+# = 1 in the order a, b and u^T B A v = 0 in the order b, a
+AB_GENERAL_ABP = """abp v1
+kind: general
+width: 2
+vars: a b
+order: a,b
+u: 1 0
+v: 1 0
+layer a power 1
+0 1
+0 0
+layer b power 1
+0 0
+1 0
+"""
+
+
+def test_verify_any_order_fails_on_a_program_that_holds_in_one_order(tmp_path, capsys):
+    path, against = tmp_path / "ab.abp", tmp_path / "ab.poly"
+    path.write_text(AB_GENERAL_ABP)
+    against.write_text("vars: a b\na*b\n")
+    argv = ["verify", str(path), "--against", str(against), "--expand"]
+    assert run(argv) == 0
+    assert capsys.readouterr().out == ("kind general: ok (no invariant to check)\n"
+                                       "program expand: ok\nverify OK\n")
+    assert run(argv + ["--any-order", "1"]) == 1
+    assert capsys.readouterr().out == ("kind general: ok (no invariant to check)\n"
+                                       "program expand: ok\n"
+                                       "verify FAILED: order-0 (b,a) expansion differs\n")
 
 
 def _row_edit(k: int, edit) -> str:
@@ -739,6 +807,66 @@ def test_verify_exits_0_1_2_or_3_on_edited_programs(edited_dir, data):
     path.write_bytes(data.draw(edited_abp_texts(abp)).encode())
     against.write_text(format_poly_file(expand_abp(abp)))
     assert run(["verify", str(path), "--against", str(against), "--random-eval", "2"]) in {0, 1, 2, 3}
+
+
+# the exit-code contract of every subcommand on any input file: IN is the
+# fuzzed file, the other inputs are valid and every cap is small.  A
+# fuzzed file is bytes, text, or text of the format: its alphabet, or
+# terms of its grammar, after a header that leads into the format (a
+# headerless .poly, whose variables --vars names a, b and c, has none)
+_RATIONALS = st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 9))
+POLY_TEXTS = st.one_of(
+    st.text("abc0123456789+-*/^ \n"),
+    st.lists(st.builds("{}*a^{}*b^{}*c^{}".format, st.integers(-9, 9),
+                       *[st.integers(0, 12)] * 3), min_size=1, max_size=6).map(" + ".join))
+WARING_TEXTS = st.one_of(
+    st.text("0123456789/-: \n"),
+    st.lists(st.builds("{}: {} {} {}".format, *[_RATIONALS] * 4), min_size=1,
+             max_size=6).map("\n".join)).map("waring d=2 n=3\n".__add__)
+A_ABP = "abp v1\nkind: commutative\nwidth: 1\nvars: a b c\norder: a,b,c\nu: 1\nv: 1\n"
+ABP_TEXTS = st.one_of(st.text("0123456789/- \n"), _RATIONALS).map(
+    (A_ABP + "layer a power 1\n").__add__)
+FUZZED = [
+    (["dpd", "IN", "--vars", "a,b,c", "--max-width", "32"], POLY_TEXTS),
+    (["normal-set", "IN", "--vars", "a,b,c", "--max-width", "32"], POLY_TEXTS),
+    (["tables", "IN", "-o", "OUT", "--vars", "a,b,c", "--max-width", "32",
+      "--max-entries", "4096"], POLY_TEXTS),
+    (["build", "commro", "IN", "-o", "OUT", "--vars", "a,b,c", "--max-width", "32"], POLY_TEXTS),
+    (["build", "smabp", "IN", "-o", "OUT", "--vars", "a,b,c", "--partition", "a|b|c",
+      "--max-width", "32"], POLY_TEXTS),
+    (["build", "diagro", "IN", "-o", "OUT", "--max-width", "32", "--max-entries", "4096"],
+     WARING_TEXTS),
+    (["nisan", "IN", "--vars", "a,b,c", "--order", "a,b,c"], POLY_TEXTS),
+    (["nisan", "IN", "--vars", "a,b,c", "--all-orders"], POLY_TEXTS),
+    (["verify", "IN", "--against", "A_POLY", "--expand", "--max-terms", "4096"], ABP_TEXTS),
+    (["verify", "A_ABP", "--against", "IN", "--vars", "a,b,c", "--random-eval", "2",
+      "--max-power", "32"], POLY_TEXTS),
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fuzzed")
+    (directory / "a.poly").write_text("vars: a b c\na\n")
+    (directory / "a.abp").write_text(A_ABP + "layer a power 1\n1\n")
+    return directory
+
+
+@pytest.mark.parametrize("argv, texts", FUZZED,
+                         ids=["dpd", "normal-set", "tables", "build-commro", "build-smabp",
+                              "build-diagro", "nisan-order", "nisan-all-orders",
+                              "verify-expand", "verify-random-eval"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_every_subcommand_exits_0_1_2_or_3_on_any_input(fuzz_dir, argv, texts, data):
+    content = data.draw(st.one_of(st.binary(), st.text().map(str.encode), texts.map(str.encode)))
+    (fuzz_dir / "in").write_bytes(content)
+    files = {"IN": fuzz_dir / "in", "OUT": fuzz_dir / "out", "A_POLY": fuzz_dir / "a.poly",
+             "A_ABP": fuzz_dir / "a.abp"}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        code = run([str(files.get(arg, arg)) for arg in argv])
+    assert code in {0, 1, 2, 3} and "Traceback" not in out.getvalue()
 
 
 def test_verify_of_a_file_that_is_not_utf8_exits_2(tmp_path, capsys):
@@ -858,18 +986,23 @@ def test_abp_entry_tokens_that_are_not_rationals_exit_2(tmp_path, capsys, token,
     (["verify", "{abp}", "--against", "{poly}", "--expand"], "--max-terms", "0"),
     (["verify", "{abp}", "--against", "{poly}", "--random-eval", "1"], "--max-power", "-1"),
     (["verify", "{abp}", "--against", "{poly}", "--expand"], "--any-order", "-1"),
+    # a random evaluation at no point would check nothing
+    (["verify", "{abp}", "--against", "{poly}"], "--random-eval", "0"),
+    (["verify", "{abp}", "--against", "{poly}"], "--random-eval", "-3"),
     (["dpd", "{poly}"], "--max-width", "x"),
 ], ids=["dpd-width-0", "normal-set-width-neg", "build-width-neg", "tables-entries-0",
         "tables-entries-neg", "build-entries-0", "verify-terms-0", "verify-power-neg",
-        "verify-any-order-neg", "dpd-width-not-int"])
+        "verify-any-order-neg", "verify-random-eval-0", "verify-random-eval-neg",
+        "dpd-width-not-int"])
 def test_nonsense_cap_exits_2_naming_the_flag(tmp_path, det2_file, capsys, command, flag, value):
     abp = str(tmp_path / "det2.abp")
     assert run(["build", "commro", det2_file, "-o", abp]) == 0
     capsys.readouterr()
     argv = [arg.format(poly=det2_file, abp=abp) for arg in command] + [flag, value]
     assert run(argv) == 2
-    err = capsys.readouterr().err
-    assert f"argument {flag}" in err and "Traceback" not in err
+    captured = capsys.readouterr()
+    assert f"argument {flag}" in captured.err and "Traceback" not in captured.err
+    assert "verify OK" not in captured.out
 
 
 def test_smallest_caps_are_accepted(tmp_path, det2_file, capsys):

@@ -103,11 +103,15 @@ def test_commro_det2_matches_golden_layers():
 
 def test_commro_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        build_commro(Poly.zero(V2))
-    with pytest.raises(ValueError):
         build_commro(parse_poly("x1*x2 + x1", V2))
-    with pytest.raises(ValueError):
+    # every builder of the apolar quotient refuses the zero polynomial alike
+    zero = "^cannot build a branching program for the zero polynomial$"
+    with pytest.raises(ValueError, match=zero):
+        build_commro(Poly.zero(V2))
+    with pytest.raises(ValueError, match=zero):
         build_commro_general(Poly.zero(V2))
+    with pytest.raises(ValueError, match=zero):
+        build_smabp(Poly.zero(V2), [[0], [1]])
 
 
 def test_commro_width_equals_dpd():
@@ -261,6 +265,8 @@ def test_smabp_partition_violation_names_offender():
         build_smabp(f, [[0], [1, 2]])
     with pytest.raises(ValueError, match="cover"):
         build_smabp(parse_poly("x1*x2", V2), [[0]])
+    with pytest.raises(ValueError, match="^empty partition part$"):
+        build_smabp(parse_poly("x1*x2*x3", V3), [[0], [], [1], [2]])
 
 
 def test_diagro_single_variable_power():
@@ -357,6 +363,9 @@ def test_diagro_rejects_degenerate_input():
         WaringDecomposition(degree=2, terms=())
     with pytest.raises(ValueError):
         WaringDecomposition(degree=2, terms=((Fraction(1), (Fraction(0), Fraction(0))),))
+    with pytest.raises(ValueError, match="^linear forms of mixed arity$"):
+        WaringDecomposition(degree=2, terms=((Fraction(1), (Fraction(1), Fraction(2))),
+                                             (Fraction(1), (Fraction(3),))))
 
 
 def test_waring_of_monomial_small():

@@ -1,4 +1,5 @@
-"""tools/code_lines.py on a fixture of known counts, and tools/ab.py on the tiny corpus."""
+"""tools/code_lines.py on a fixture of known counts; tools/ab.py and tools/traffic.py on the tiny
+corpus."""
 
 import importlib.util
 import json
@@ -89,3 +90,20 @@ def test_ab_fails_a_round_whose_verify_fails_on_both_sides(tmp_path):
     assert done.returncode == 1 and done.stdout == ""
     assert done.stderr.startswith("round 1, parent: ") and "failed (exit 1)" in done.stderr
     assert "verify FAILED: forced" in done.stderr
+
+
+def test_traffic_lists_what_the_tiny_corpus_never_enters():
+    # the tiny corpus builds and verifies by random evaluation: it meets
+    # check_kind, and never the dense vec_mat that only the benchmark wraps
+    root = SCRIPT.parent.parent
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "tools/traffic.py", "tiny"],
+                          cwd=root, capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 3.0
+    assert done.returncode == 0, done.stdout + done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert (report["workloads"], report["seed"]) == (["tiny"], 1)
+    never = report["never_entered"]
+    assert "vec_mat" in never["linalg"] and "check_kind" not in never.get("abp", {})
+    assert report["code_lines"] == sum(n for names in never.values() for n in names.values())
+    assert f"total: {report['code_lines']} code lines never entered" in done.stdout

@@ -31,15 +31,19 @@ def docstring_lines(tree: ast.Module) -> set[int]:
     return lines
 
 
-def count(path: Path) -> tuple[int, int]:
-    """(code lines, lines in all) of one Python file."""
-    source = path.read_text()
+def code_lines(path: Path) -> set[int]:
+    """The line numbers of the code lines of one Python file."""
     code: set[int] = set()
     with path.open("rb") as f:
         for token in tokenize.tokenize(f.readline):
             if token.type not in _NOT_CODE:
                 code.update(range(token.start[0], token.end[0] + 1))
-    return len(code - docstring_lines(ast.parse(source))), len(source.splitlines())
+    return code - docstring_lines(ast.parse(path.read_text()))
+
+
+def count(path: Path) -> tuple[int, int]:
+    """(code lines, lines in all) of one Python file."""
+    return len(code_lines(path)), len(path.read_text().splitlines())
 
 
 def main(argv: list[str]) -> None:
