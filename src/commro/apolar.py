@@ -1,12 +1,14 @@
 """Quotient structure of the apolar ideal, read off one reduced echelon form.
 
-The apolar ideal of f collects every polynomial h whose derivative
-operator annihilates f.  For nonzero f its quotient ring is finite
-dimensional with dimension equal to the derivative-span dimension of f,
-and a polynomial lies in the ideal exactly when its pairing against a
-derivative basis of f vanishes.  The pairing <x^m, g> is m! *
-coeff_g(m), the entry at m of g in divided powers, so the closure's
-rows (partials.derivative_basis) are the transposed pairing columns:
+The apolar ideal Ann(f) collects every polynomial h whose derivative
+operator annihilates f.  For every f, homogeneous or not, its quotient
+ring R/Ann(f), R the polynomial ring, is finite dimensional with
+dimension equal to the derivative-span dimension of f (Macaulay's
+inverse systems), and a polynomial lies in the ideal exactly when its
+pairing against a derivative basis of f vanishes; for f = 0 the ideal
+is everything and the quotient is empty.  The pairing <x^m, g> is m! * coeff_g(m), the
+entry at m of g in divided powers, so the rows of the closure's echelon
+form (partials.derivative_basis) are the transposed pairing columns:
 column m of that matrix is x^m's pairing vector.  Its reduced echelon
 form, pivoting on the smallest key, gives the whole quotient with no
 further elimination:
@@ -39,15 +41,16 @@ from .poly import Mono, Poly
 class QuotientStructure:
     """Normal set and multiplication tables of f's apolar ideal.
 
-    normal_set is ascending in deg-lex and always starts at the constant
-    monomial 1; tables (once filled) hold one w x w matrix per variable,
-    representing multiplication by that variable on the quotient ring.
+    normal_set is ascending in deg-lex and starts at the constant
+    monomial 1 unless f = 0, whose normal set is empty; tables (once
+    filled) hold one w x w matrix per variable, representing
+    multiplication by that variable on the quotient ring.
     """
 
     basis: DerivBasis
     normal_set: tuple[Mono, ...]
     tables: tuple[QMatrix, ...] | None = None
-    # the reduced echelon form of the basis rows, {packed m_i: int row}, ascending
+    # the reduced echelon form of the closure's rows, {packed m_i: int row}, ascending
     _reduced: dict[int, dict[int, int]] = field(repr=False, compare=False, default=None)
 
     @property
@@ -60,19 +63,18 @@ class QuotientStructure:
 
 
 def normal_set(b: DerivBasis) -> QuotientStructure:
-    """Greedy normal-set selection for the apolar ideal of a homogeneous source.
+    """Greedy normal-set selection for the apolar ideal of any source.
 
     The normal set is the pivots of the reduced echelon form of the
-    basis rows: the monomials of the basis support whose pairing column
-    grows the rank when scanned in deg-lex order.  Exactly w = dim(b)
+    closure's rows: the monomials of the basis support whose pairing
+    column grows the rank when scanned in deg-lex order.  Deg-lex is a
+    monomial order, so these are the monomials that lead no element of
+    the ideal, for a non-homogeneous source too.  Exactly w = dim(b)
     monomials get selected, their columns independent; any other
     monomial pairs to the zero vector against every basis element, so
     it could never be selected.  The choice depends only on the span of
     b, not on its basis order or scale.
     """
-    if not b.source.is_homogeneous():
-        raise ValueError("normal set requires a homogeneous polynomial; "
-                         "route general inputs through the homogeneous components")
     reduced = b.echelon.reduced()
     return QuotientStructure(basis=b, normal_set=tuple(map(b.packing.unpack, reduced)),
                              _reduced=reduced)
@@ -135,7 +137,7 @@ def multiplication_tables(q: QuotientStructure) -> QuotientStructure:
 
 
 def quotient(f: Poly, max_width: int | None = None) -> QuotientStructure:
-    """Normal set plus tables for a homogeneous nonzero f; max_width as in derivative_basis."""
+    """Normal set plus tables of R/Ann(f) for any f; max_width as in derivative_basis."""
     return multiplication_tables(normal_set(derivative_basis(f, max_width)))
 
 

@@ -59,8 +59,13 @@ def _vars_flag(text: str) -> tuple[str, ...]:
 
 
 def _load_poly(path: str, vars_flag: str | None) -> Poly:
+    """The polynomial of a file; --vars names a headerless file's variables or repeats its own."""
     default = _vars_flag(vars_flag) if vars_flag else None
-    return parse_poly_file(_read(path), default_vars=default)
+    f = parse_poly_file(_read(path), default_vars=default)
+    if default is not None and f.vars != default:
+        raise ValueError(f"--vars {','.join(default)} differs from the file's "
+                         f"'vars: {' '.join(f.vars)}'")
+    return f
 
 
 def _random_point(rng: random.Random, arity: int) -> list[Fraction]:
@@ -69,11 +74,7 @@ def _random_point(rng: random.Random, arity: int) -> list[Fraction]:
 
 
 def _cmd_dpd(args) -> int:
-    f = _load_poly(args.poly, args.vars)
-    if f.is_zero():
-        print(0)
-        return 0
-    basis = derivative_basis(f, args.max_width)
+    basis = derivative_basis(_load_poly(args.poly, args.vars), args.max_width)
     print(basis.dimension)
     if args.basis:
         for g in basis.basis:
@@ -156,16 +157,21 @@ def _cmd_nisan(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.max_terms is not None and not args.expand:
+        raise ValueError("--max-terms applies to --expand only")
+    if args.max_power is not None and args.expand:
+        raise ValueError("--max-power applies to --random-eval only")
+    max_power = DEFAULT_POWER_CAP if args.max_power is None else args.max_power
     abp = parse_abp(_read(args.abp))
     if args.random_eval is not None:
         top = max((k for layer in abp.layers for _, k, _ in layer.terms), default=0)
-        if top > args.max_power:
+        if top > max_power:
             raise CapExceeded(f"layer power {top} exceeds the random-evaluation cap "
-                              f"of {args.max_power}", flag="--max-power")
+                              f"of {max_power}", flag="--max-power")
     f = _load_poly(args.against, args.vars)
-    if args.random_eval is not None and f.max_individual_degree() > args.max_power:
+    if args.random_eval is not None and f.max_individual_degree() > max_power:
         raise CapExceeded(f"exponent {f.max_individual_degree()} of the --against polynomial "
-                          f"exceeds the random-evaluation cap of {args.max_power}",
+                          f"exceeds the random-evaluation cap of {max_power}",
                           flag="--max-power")
     if f.vars != abp.vars:
         print(f"verify FAILED: variable mismatch {f.vars} vs {abp.vars}")
@@ -196,7 +202,7 @@ def _cmd_verify(args) -> int:
 
     def check(program, label: str) -> bool:
         if args.expand:
-            computed = expand_abp(program, max_terms=args.max_terms)
+            computed = expand_abp(program, max_terms=args.max_terms or DEFAULT_TERM_CAP)
             if computed != f:
                 print(f"verify FAILED: {label} expansion differs")
                 return False
@@ -337,12 +343,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--any-order", type=_int_at_least(0), metavar="M", default=0,
                    help="also verify M random layer permutations, naming each order")
-    p.add_argument("--max-terms", type=_POSITIVE, metavar="N", default=DEFAULT_TERM_CAP,
-                   help="refuse (exit 3) once --expand holds over N terms (default: %(default)s)")
-    p.add_argument("--max-power", type=_int_at_least(0), metavar="P", default=DEFAULT_POWER_CAP,
+    p.add_argument("--max-terms", type=_POSITIVE, metavar="N",
+                   help="refuse (exit 3) once --expand holds over N terms; --expand only "
+                        f"(default: {DEFAULT_TERM_CAP})")
+    p.add_argument("--max-power", type=_int_at_least(0), metavar="P",
                    help="refuse (exit 3) to --random-eval when a layer power or an "
-                        "exponent of the --against polynomial is above P "
-                        "(default: %(default)s)")
+                        "exponent of the --against polynomial is above P; --random-eval "
+                        f"only (default: {DEFAULT_POWER_CAP})")
     add_vars(p)
     p.set_defaults(func=_cmd_verify)
 

@@ -166,17 +166,20 @@ def det_mult_tables(n: int) -> list[QMatrix]:
 def det2_golden() -> list[PolyMatrix]:
     """The four 6x6 layer matrices of the width-6 program for the 2x2 determinant.
 
-    Rows and columns follow the normal set (1, x1_1, x1_2, x2_1, x2_2,
-    x1_2*x2_1); matrix k is I + A_k * x_k for the multiplication table
-    A_k of variable x_k, written out explicitly as golden data.
+    Rows and columns follow the basis (1, x1_1, x1_2, x2_1, x2_2,
+    -x1_2*x2_1) of the apolar quotient, whose last element is x1_1*x2_2
+    there; matrix k is I + D A_k D * x_k for the multiplication table A_k
+    of variable x_k over the normal set and D = diag(1, 1, 1, 1, 1, -1),
+    written out explicitly as golden data.  Their product in any order
+    carries Det2 at (1, 6).
     """
     vars = det_variables(2)
     # (variable, off-diagonal entries as (row, col, coefficient), 1-indexed)
     data = [
-        ("x1_1", [(1, 2, 1), (5, 6, -1)]),
-        ("x1_2", [(1, 3, 1), (4, 6, 1)]),
-        ("x2_1", [(1, 4, 1), (3, 6, 1)]),
-        ("x2_2", [(1, 5, 1), (2, 6, -1)]),
+        ("x1_1", [(1, 2, 1), (5, 6, 1)]),
+        ("x1_2", [(1, 3, 1), (4, 6, -1)]),
+        ("x2_1", [(1, 4, 1), (3, 6, -1)]),
+        ("x2_2", [(1, 5, 1), (2, 6, 1)]),
     ]
     matrices = []
     for name, entries in data:

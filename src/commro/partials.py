@@ -2,23 +2,24 @@
 
 The central measure is the dimension of the span of *all* partial
 derivatives of a polynomial (all orders, the polynomial itself
-included).  `derivative_basis` materializes an explicit basis of that
-span by breadth-first closure under single-variable derivatives, and
-`pairing` implements the bilinear form
+included).  `derivative_basis` finds a basis of that span by
+breadth-first closure under single-variable derivatives, and `pairing`
+implements the bilinear form
 
     <g, h> = sum_e coeff_g(e) * e! * coeff_h(e)
 
 which is the value at 0 of the derivative operator of g applied to h
 (symmetric in g and h).  A polynomial lies in the apolar ideal of f
-exactly when it pairs to zero with every basis element.  The closure
+exactly when it pairs to zero with every basis element; every f has
+that ideal, and the zero polynomial's basis is empty.  The closure
 runs on packed monomial keys (poly.MonoPacking) and integer
-coefficients in divided powers: row g holds m! * coeff_g(m) at m,
-times one scale common to all rows, so the entry at m is the pairing
-<x^m, g> times that scale, and d/dx_i is a contraction that changes no
-coefficient.  The basis is kept as
-those rows together with the closure's echelon form, whose reduced
-form apolar reads the whole quotient from; `pairing` on Polys is the
-reference the tests check the quotient against.
+coefficients in divided powers: a row holds m! * coeff_g(m) at m,
+times some scale, so the entry at m is the pairing <x^m, g> times that
+scale, and d/dx_i is a contraction that changes no coefficient.  The
+basis keeps the multi-index of each kept derivative and the closure's
+echelon form, whose reduced form apolar reads the whole quotient from;
+`pairing` on Polys is the reference the tests check the quotient
+against.
 """
 
 from __future__ import annotations
@@ -37,51 +38,47 @@ from .poly import MonoPacking, Poly, mono_factorial
 class DerivBasis:
     """Ordered basis g_1, ..., g_w of the derivative span of `source`.
 
-    g_1 is always the source polynomial itself; the rest follow in the
-    order the breadth-first closure kept them (level by level, each kept
-    element differentiated by the variables occurring in it, in index
-    order).  Row i is g_i in divided powers times `scale`, as {packed
-    key: int} under `packing`: the entry at monomial m is scale * m! *
-    coeff_{g_i}(m).  `echelon` is the closure's elimination of those
-    rows.
+    g_i is the derivative of `source` by the multi-index a_i, kept as
+    the packed key multi_indices[i] under `packing`.  g_1 is the source
+    polynomial itself (a_1 = 0) unless it is zero, whose basis is empty;
+    the rest follow in the order the breadth-first closure kept them
+    (level by level, each kept element differentiated by the variables
+    occurring in it, in index order).  `echelon` is the closure's
+    elimination of the g_i, written in divided powers (g at monomial m
+    is m! * coeff_g(m)) and scaled to integers.
     """
 
     source: Poly
-    rows: tuple[dict[int, int], ...]
-    scale: Fraction
+    multi_indices: tuple[int, ...]
     packing: MonoPacking = field(repr=False, compare=False)
     echelon: Echelon = field(repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
-        return len(self.rows)
+        return len(self.multi_indices)
 
     @cached_property
     def basis(self) -> tuple[Poly, ...]:
-        """The g_i as exact Polys, the rows divided by scale * m!; built on first read."""
-        keys = set().union(*self.rows)
-        monos = {k: self.packing.unpack(k) for k in keys}
-        weights = {k: mono_factorial(monos[k]) * self.scale for k in keys}
-        return tuple(Poly.sparse(self.source.vars, {monos[k]: c / weights[k]
-                                                    for k, c in row.items()})
-                     for row in self.rows)
+        """The g_i as exact Polys, each derived from the source; built on first read."""
+        return tuple(self.source.derive(self.packing.unpack(a)) for a in self.multi_indices)
 
 
 def derivative_basis(f: Poly, max_width: int | None = None) -> DerivBasis:
-    """Basis of the span of all partial derivatives of f (f must be nonzero).
+    """Basis of the span of all partial derivatives of f; empty for f = 0.
 
     Breadth-first closure under single-variable derivatives: level 0 is
-    [f], and level k+1 keeps each d/dx_i of a level-k element, i in index
-    order, iff it is independent of everything kept so far.  Only the x_i
-    that occur in the element are tried, since the other derivatives are
-    zero, and each level's candidates are derived one at a time as the
-    elimination takes them.  Every derivative of a kept element lies in
-    the kept span, so that span is closed under each d/dx_i and is the
-    whole derivative span.  Degrees drop along levels, so the loop ends.
-    Each kept row is d^m f for a multi-index m, carried as a packed key
-    (the candidate d/dx_i of it has m + step(i)); a candidate whose m was
-    already tried in its level is that same row, kept or rejected, so it
-    would be rejected and is skipped before it is derived.
+    [f] if f is nonzero, and level k+1 keeps each d/dx_i of a level-k
+    element, i in index order, iff it is independent of everything kept
+    so far.  Only the x_i that occur in the element are tried, since the
+    other derivatives are zero, and each level's candidates are derived
+    one at a time as the elimination takes them.  Every derivative of a
+    kept element lies in the kept span, so that span is closed under
+    each d/dx_i and is the whole derivative span.  Degrees drop along
+    levels, so the loop ends.  Each kept row is d^a f for a multi-index
+    a, carried as a packed key (the candidate d/dx_i of it has a +
+    step(i)); a candidate whose a was already tried in its level is that
+    same row, kept or rejected, so it would be rejected and is skipped
+    before it is derived.
 
     The closure runs on integer rows keyed by packed monomials, in
     divided powers (Macaulay's inverse systems): the seed holds m! *
@@ -93,44 +90,40 @@ def derivative_basis(f: Poly, max_width: int | None = None) -> DerivBasis:
     d has d + 1 derivatives of distinct degrees, so a degree of at least
     max_width is refused before any m! is formed.
     """
-    if f.is_zero():
-        raise ValueError("zero polynomial has no derivative basis")
     degree = f.total_degree()
     if max_width is not None and degree >= max_width:
         raise CapExceeded(f"derivative span has more than {max_width} dimensions",
                           flag="--max-width")
     packing = MonoPacking(f.arity, degree)
-    lcd, terms = f.integer_terms()
+    _, terms = f.integer_terms()
     seed = {packing.pack(m): mono_factorial(m) * c for m, c in terms.items()}
     content = gcd(*seed.values())
-    level = [(0, {k: c // content for k, c in seed.items()})]
+    seed = {k: c // content for k, c in seed.items()}
     echelon = Echelon()
-    echelon.add(level[0][1])
-    rows: list[dict[int, int]] = []
+    level = [(0, seed)] if echelon.add(seed) else []
+    multi_indices: list[int] = []
     while level:
-        rows.extend(row for _, row in level)
+        multi_indices.extend(a for a, _ in level)
         # a derivative by a variable the row lacks is zero and adds nothing
-        candidates = ((m + packing.step(i), row, i) for m, row in level
+        candidates = ((a + packing.step(i), row, i) for a, row in level
                       for i in packing.occurring(row))
         level, tried = [], set()
-        for m, row, i in candidates:
-            if m in tried:
+        for a, row, i in candidates:
+            if a in tried:
                 continue
-            tried.add(m)
+            tried.add(a)
             row = packing.derive(row, i)
             if echelon.add(row):
                 if max_width is not None and echelon.rank > max_width:
                     raise CapExceeded(f"derivative span has more than {max_width} dimensions",
                                       flag="--max-width")
-                level.append((m, row))
-    return DerivBasis(source=f, rows=tuple(rows), scale=Fraction(lcd, content),
-                      packing=packing, echelon=echelon)
+                level.append((a, row))
+    return DerivBasis(source=f, multi_indices=tuple(multi_indices), packing=packing,
+                      echelon=echelon)
 
 
 def dpd(f: Poly) -> int:
     """Dimension of the span of all partial derivatives; 0 for the zero polynomial."""
-    if f.is_zero():
-        return 0
     return derivative_basis(f).dimension
 
 

@@ -3,7 +3,6 @@ import math
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,8 +12,8 @@ from commro import (Poly, QMatrix, apolar_member, commute, derivative_basis,
 from commro.apolar import residue_coefficients
 from commro.detspecial import det_polynomial, palindrome, perm_polynomial
 
-from helpers import (ColumnScanQuotient, companion_matrix, poly_at_matrices, random_poly,
-                     residue_by_pairing, wide_rational_polys)
+from helpers import (ColumnScanQuotient, brute_dpd, companion_matrix, poly_at_matrices,
+                     random_poly, residue_by_pairing, wide_rational_polys)
 
 V2 = ("x1", "x2")
 
@@ -52,9 +51,25 @@ def test_normal_set_det2():
     assert [mono_str(m, det2.vars) for m in q.normal_set] == names
 
 
-def test_normal_set_rejects_non_homogeneous():
-    with pytest.raises(ValueError):
-        normal_set(derivative_basis(parse_poly("x1*x2 + x1", V2)))
+def test_quotient_of_non_homogeneous_input():
+    # R/Ann(f) exists for every f: no homogeneous component is split off
+    rng = random.Random(29)
+    seen = 0
+    while seen < 120:
+        f = random_poly(rng, rng.randint(1, 3), rng.randint(1, 4), 6, homogeneous=False)
+        if f.is_homogeneous():
+            continue
+        seen += 1
+        q = quotient(f)
+        assert q.dimension == brute_dpd(f)
+        assert q.normal_set[0] == (0,) * f.arity
+        for a, b in itertools.combinations(q.tables, 2):
+            assert commute(a, b)
+        for var, table in enumerate(q.tables):
+            for i, mono in enumerate(q.normal_set):
+                shifted = tuple(e + (k == var) for k, e in enumerate(mono))
+                residue = Poly(f.vars, {m: x for m, x in zip(q.normal_set, table.data[i])})
+                assert apolar_member(Poly.monomial(f.vars, shifted) - residue, f)
 
 
 def test_normal_set_structure_invariants():

@@ -60,6 +60,26 @@ def test_dpd_of_zero_polynomial(tmp_path, capsys):
     assert capsys.readouterr().out == "0\n"
 
 
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["dpd", "ZERO"], 0, "0\n", ""),
+    (["dpd", "ZERO", "--basis"], 0, "0\n", ""),
+    (["normal-set", "ZERO"], 0, "", ""),
+    (["tables", "ZERO"], 0, "table a\n0 0\ntable b\n0 0\n", ""),
+    (["nisan", "ZERO", "--order", "a,b"], 0, "order: a,b cut-ranks: 0 0 width: 0 size: 0\n",
+     ""),
+    (["build", "commro", "ZERO", "-o", "OUT"], 2, "",
+     "error: cannot build a branching program for the zero polynomial\n"),
+], ids=["dpd", "dpd-basis", "normal-set", "tables", "nisan", "build"])
+def test_the_zero_polynomial(tmp_path, capsys, argv, code, out, err):
+    # Ann(0) is the whole ring: no derivative, an empty normal set and 0 x 0
+    # tables; only build refuses, since a program has width at least 1
+    files = {"ZERO": tmp_path / "zero.poly", "OUT": tmp_path / "out.abp"}
+    files["ZERO"].write_text("vars: a b\n0\n")
+    assert run([str(files.get(arg, arg)) for arg in argv]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (out, err)
+
+
 def test_normal_set_command(det2_file, capsys):
     assert run(["normal-set", det2_file]) == 0
     assert capsys.readouterr().out.splitlines() == [
@@ -615,6 +635,15 @@ def test_vars_flag_for_headerless_files(tmp_path, capsys):
     assert run(["dpd", str(raw)]) == 2
 
 
+def test_vars_flag_must_match_the_header(tmp_path, capsys):
+    path = tmp_path / "h.poly"
+    path.write_text("vars: a b\na*b\n")
+    assert run(["dpd", str(path), "--vars", "x,y,z"]) == 2
+    assert capsys.readouterr().err == "error: --vars x,y,z differs from the file's 'vars: a b'\n"
+    assert run(["dpd", str(path), "--vars", "a,b"]) == 0
+    assert capsys.readouterr().out == "4\n"
+
+
 X1X2_ABP = format_abp(build_commro(parse_poly("x1*x2", ("x1", "x2"))))
 
 
@@ -686,8 +715,13 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, suffix, text, fla
     (["gen", "det", "0"], "n must be at least 1"),
     (["gen", "palindrome", "0"], "n must be at least 1"),
     (["gen", "monomial-waring", "0"], "need at least one variable"),
+    (["verify", "OUT", "--against", "AB", "--random-eval", "3", "--max-terms", "5"],
+     "--max-terms applies to --expand only"),
+    (["verify", "OUT", "--against", "AB", "--expand", "--max-power", "5"],
+     "--max-power applies to --random-eval only"),
 ], ids=["smabp-without-partition", "partition-overlap", "all-orders-7-variables",
-        "order-repeats", "gen-det-0", "gen-palindrome-0", "gen-monomial-waring-0"])
+        "order-repeats", "gen-det-0", "gen-palindrome-0", "gen-monomial-waring-0",
+        "verify-max-terms-without-expand", "verify-max-power-with-expand"])
 def test_refused_arguments_exit_2_with_their_message(tmp_path, capsys, argv, message):
     files = {"AB": tmp_path / "ab.poly", "SEVEN": tmp_path / "seven.poly",
              "OUT": tmp_path / "out.abp"}
@@ -1064,6 +1098,29 @@ def test_dpd_basis_of_rational_input_is_pinned(tmp_path, capsys):
     path.write_text(RATIONAL_QUARTIC)
     assert run(["dpd", str(path), "--basis"]) == 0
     assert capsys.readouterr().out == RATIONAL_QUARTIC_BASIS
+
+
+# SHA-256 of the stdout of normal-set and tables, as recorded before the
+# derivative basis dropped its rows and normal_set its homogeneity check
+ANALYSIS_OUTPUTS = [
+    ("det3", "normal-set", "11f32bed105292d64e93918e30fd7d9603003eb50171332e5a1d29a623267dd2"),
+    ("det3", "tables", "5dda8a8dec79cfef7ea1eb96ac763c55be907e29d9910deb1876a97a10e8c240"),
+    ("pal3", "normal-set", "7e26ba4296e06e98b3dbcfa3ee8415336287c69abc7dc294ab3fede599a1882d"),
+    ("pal3", "tables", "4c3946d1f78710474f48bf589e4e9ca75194d5c16bda2772a0a185f1e6265f54"),
+    ("quartic", "normal-set", "1ba92cad3c9677cdcb784369904447621a0c87546e3c75dffca87fa4fe9e8800"),
+    ("quartic", "tables", "aeab01966ef1121d3827398f9c2e1176b510e48aa783469609626653ff736f96"),
+]
+
+
+@pytest.mark.parametrize("name, command, sha256", ANALYSIS_OUTPUTS,
+                         ids=[f"{name}-{command}" for name, command, _ in ANALYSIS_OUTPUTS])
+def test_analysis_output_is_pinned(tmp_path, capsys, name, command, sha256):
+    text = {"det3": format_poly_file(det_polynomial(3)),
+            "pal3": format_poly_file(palindrome(3)), "quartic": RATIONAL_QUARTIC}[name]
+    path = tmp_path / "input.poly"
+    path.write_text(text)
+    assert run([command, str(path)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
 
 
 # SHA-256 of the .abp text built from rational inputs with exponents up to

@@ -84,15 +84,17 @@ def test_commro_det2_matches_golden_layers():
     det2 = det_polynomial(2)
     abp = build_commro(det2)
     assert abp.width == 6
-    # layer k holds I at power 0 and A_k at power 1; each must match the
-    # coefficient of x_k^power in the golden matrix entries, and the
-    # golden entries hold no other monomial
+    # layer k holds I at power 0 and A_k at power 1; the golden matrices are
+    # over -x1_2*x2_1 for the normal set's x1_2*x2_1, so D A_k D, with
+    # D = diag(1, 1, 1, 1, 1, -1), must match the coefficient of x_k^power
+    # in the golden matrix entries, and the golden entries hold no other monomial
+    d = [1, 1, 1, 1, 1, -1]
     for var, (layer, expected) in enumerate(zip(abp.layers, det2_golden())):
         monos = [tuple(power if k == var else 0 for k in range(4)) for power in (0, 1)]
         assert [(v, power) for v, power, _ in layer.terms] == [(var, 0), (var, 1)]
         for (_, _, mat), mono in zip(layer.terms, monos):
-            assert mat.data == tuple(tuple(expected[i, j].coeff(mono) for j in range(6))
-                                     for i in range(6))
+            assert mat.data == tuple(tuple(d[i] * expected[i, j].coeff(mono) * d[j]
+                                           for j in range(6)) for i in range(6))
         assert all(set(expected[i, j].terms) <= set(monos) for i in range(6) for j in range(6))
     assert expand_abp(abp) == det2
     # the output coefficient sits at the last normal-set slot, with the

@@ -92,11 +92,11 @@ def test_det2_golden_entries_as_printed():
     vars = det_variables(2)
     x11 = Poly.variable(vars, 0)
     x22 = Poly.variable(vars, 3)
-    # the distinguishing negative entries sit in the last column region
-    assert golden[0][4, 5] == -x11
-    assert golden[3][1, 5] == -x22
-    assert golden[1][3, 5] == Poly.variable(vars, 1)
-    assert golden[2][2, 5] == Poly.variable(vars, 2)
+    # over the basis element -x1_2*x2_1 the negative entries sit at x1_2, x2_1
+    assert golden[0][4, 5] == x11
+    assert golden[3][1, 5] == x22
+    assert golden[1][3, 5] == -Poly.variable(vars, 1)
+    assert golden[2][2, 5] == -Poly.variable(vars, 2)
     for m in golden:
         for i in range(6):
             assert m[i, i] == Poly.constant(vars, 1)
@@ -105,11 +105,13 @@ def test_det2_golden_entries_as_printed():
 def test_det2_golden_is_identity_plus_table():
     golden = det2_golden()
     vars = det_variables(2)
+    # golden = I + D A_k D x_k, D = diag(1, 1, 1, 1, 1, -1)
+    d = [1, 1, 1, 1, 1, -1]
     for var, (table, printed) in enumerate(zip(det_mult_tables(2), golden)):
         x = Poly.variable(vars, var)
         for i in range(6):
             for j in range(6):
-                expected = x.scale(table[i, j])
+                expected = x.scale(d[i] * table[i, j] * d[j])
                 if i == j:
                     expected = expected + Poly.constant(vars, 1)
                 assert printed[i, j] == expected
@@ -125,9 +127,9 @@ def test_det2_golden_product_all_orders():
             prod = polymat_mul(prod, golden[idx])
         if reference is None:
             reference = prod
-            # the product carries -Det2 at the (1,6) slot: reducing
-            # x1_1*x2_2 modulo the apolar ideal flips its sign
-            assert prod[0, 5] == -det2
+            # the product carries Det2 at the (1,6) slot: the last basis
+            # element -x1_2*x2_1 is x1_1*x2_2 in the apolar quotient
+            assert prod[0, 5] == det2
         else:
             assert prod == reference
 

@@ -112,14 +112,13 @@ def test_polymat_mul_examples():
 
 def test_polymat_mul_golden_product():
     # the four golden layers multiply, in the printed order, to a matrix
-    # whose (1,6) entry is the *negated* 2x2 determinant: the apolar
-    # reduction sends x1_1*x2_2 to -x1_2*x2_1, so the path through
-    # x1_1, x2_2 picks up a minus sign
+    # whose (1,6) entry is the 2x2 determinant: they are printed over the
+    # basis element -x1_2*x2_1, which is x1_1*x2_2 in the apolar quotient
     golden = det2_golden()
     prod = golden[0]
     for m in golden[1:]:
         prod = polymat_mul(prod, m)
-    assert prod[0, 5] == -det_polynomial(2)
+    assert prod[0, 5] == det_polynomial(2)
 
 
 def test_polymat_specialization_homomorphism():

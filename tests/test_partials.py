@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 from commro import Poly, derivative_basis, dpd, monomials_upto, pairing, parse_poly
 from commro.detspecial import det_polynomial, palindrome, perm_polynomial
-from commro.poly import MonoPacking
+from commro.poly import MonoPacking, mono_factorial
 
 from helpers import (brute_dpd, dilate, random_poly, reference_derivative_basis, span_rank,
                      wide_rational_polys)
@@ -46,8 +46,8 @@ def test_determinant_dimension():
 def test_dpd_degenerate_cases():
     assert dpd(Poly.zero(V2)) == 0
     assert dpd(Poly.constant(V2, 7)) == 1
-    with pytest.raises(ValueError):
-        derivative_basis(Poly.zero(V2))
+    zero = derivative_basis(Poly.zero(V2))
+    assert zero.dimension == 0 and zero.basis == ()
 
 
 def test_dpd_matches_brute_force():
@@ -171,8 +171,10 @@ def test_closure_uses_only_single_variable_derivatives(monkeypatch):
 def assert_closure_matches_the_reference(f):
     b = derivative_basis(f)
     rows, scale, echelon = reference_derivative_basis(f)
-    assert list(b.rows) == rows
-    assert b.scale == scale
+    packing = MonoPacking(f.arity, f.total_degree())
+    assert list(b.basis) == [
+        Poly.sparse(f.vars, {packing.unpack(k): c / (scale * mono_factorial(packing.unpack(k)))
+                             for k, c in row.items()}) for row in rows]
     assert list(b.echelon.reduced().items()) == list(echelon.reduced().items())
 
 
