@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -92,6 +93,12 @@ class Abp:
     def coefficient_matrices(self) -> list[QMatrix]:
         return [mat for layer in self.layers for _, _, mat in layer.terms]
 
+    @cached_property
+    def boundary_rows(self) -> tuple[QMatrix, QMatrix]:
+        """u and v as 1 x width matrices (an int row over one denominator each), made once."""
+        return tuple(QMatrix.rational(1, self.width, [{j: x for j, x in enumerate(vec) if x}])
+                     for vec in (self.u, self.v))
+
 
 def _sweep(abp: Abp, row: dict, den: int,
            power: Callable[[int, int], tuple[object, int]]) -> Iterator[tuple[dict, int]]:
@@ -137,16 +144,16 @@ def _sweep(abp: Abp, row: dict, den: int,
 def eval_abp(abp: Abp, point: Sequence[Fraction | int]) -> Fraction:
     """Exact value u^T * (product of specialized layers in order) * v, swept in ints.
 
-    u and v enter as int rows over the lcm of their denominators, so the
-    value is one Fraction built at the end.
+    u and v enter as int rows over the lcm of their denominators, made
+    once per program (Abp.boundary_rows), so the value is one Fraction
+    built at the end.
     """
     point = [Fraction(p) for p in point]
     if len(point) != len(abp.vars):
         raise ValueError(f"point has {len(point)} coordinates, expected {len(abp.vars)}")
     nums = [p.numerator for p in point]
     dens = [p.denominator for p in point]
-    u, v = (QMatrix.rational(1, abp.width, [{j: x for j, x in enumerate(vec) if x}])
-            for vec in (abp.u, abp.v))
+    u, v = abp.boundary_rows
     (row,), (v_row,), den = u.entries, v.entries, u.den
     for row, den in _sweep(abp, row, den, lambda var, k: (nums[var] ** k, dens[var] ** k)):
         pass

@@ -55,6 +55,8 @@ __all__ = [
     "waring_expand",
 ]
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
 
 @dataclass(frozen=True)
 class WaringDecomposition:
@@ -93,10 +95,16 @@ def waring_expand(w: WaringDecomposition, vars: Sequence[str]) -> Poly:
     return total
 
 
-def _closed_form_v(q: QuotientStructure, f: Poly) -> tuple[Fraction, ...]:
-    # v_j = e_j! * coeff_f(m_j): the derivative operator of f, as a linear
-    # functional on residues, evaluated on each normal-set monomial.
-    return tuple(mono_factorial(m) * f.coeff(m) for m in q.normal_set)
+def _closed_form_v(q: QuotientStructure, f: Poly) -> list[Fraction]:
+    """v_j = e_j! * coeff_f(m_j) over the normal-set monomials m_j = t^(e_j).
+
+    v is the derivative operator of f, as a linear functional on
+    residues, evaluated on each normal-set monomial.  It is read off f's
+    own term dict: v_j = e_j! * c when c * x^(m_j) is a term of f, and
+    the shared zero when m_j is not one of f's monomials.
+    """
+    terms = f.terms
+    return [mono_factorial(m) * terms[m] if m in terms else _ZERO for m in q.normal_set]
 
 
 def _block_diagonal(blocks: Sequence[QMatrix]) -> QMatrix:
@@ -129,7 +137,7 @@ def _quotient_program(f: Poly, max_width: int | None) -> tuple[
         except CapExceeded:
             raise CapExceeded(f"program width exceeds {max_width}", flag="--max-width") from None
         quotients.append(q)
-        u += [Fraction(int(i == 0)) for i in range(q.dimension)]
+        u += [_ONE, *[_ZERO] * (q.dimension - 1)]
         v += _closed_form_v(q, fk)
     tables = tuple(_block_diagonal([q.tables[var] for q in quotients]) for var in range(f.arity))
     return tables, tuple(u), tuple(v)
@@ -138,15 +146,20 @@ def _quotient_program(f: Poly, max_width: int | None) -> tuple[
 def _exponential_layers(tables: Sequence[QMatrix], degrees: Sequence[int]) -> list[Layer]:
     """Layer l = I + T_l x_l + T_l^2 x_l^2 / 2! + ... + T_l^(d_l) x_l^(d_l) / d_l!.
 
-    A_1 is the table itself and A_k = A_(k-1) T_l / k, one product per
-    power; every layer holds the same identity object as its A_0.
+    A_1 is the table itself and A_k = A_(k-1) T_l / k: the int rows of
+    A_(k-1) times those of T_l, over the denominator A_(k-1).den *
+    T_l.den * k, normalised once by QMatrix.sparse.  Every layer holds
+    the same identity object as its A_0.
     """
     identity = QMatrix.identity(tables[0].rows) if tables else None
     layers = []
     for var, (table, d) in enumerate(zip(tables, degrees)):
         terms = [(var, 0, identity), (var, 1, table)][:d + 1]
         for k in range(2, d + 1):
-            terms.append((var, k, (terms[-1][2] @ table).scale(Fraction(1, k))))
+            a = terms[-1][2]
+            terms.append((var, k, QMatrix.sparse(
+                a.rows, a.cols, (sparse_vec_mat(row, table) if row else row for row in a.entries),
+                a.den * table.den * k)))
         layers.append(Layer(terms))
     return layers
 

@@ -1,10 +1,14 @@
 """Versioned ASCII file formats: polynomials, matrices, Waring data, ABPs.
 
 Every format is line oriented with bit-exact rationals (`Fraction`
-string form), so emitted artifacts are stable golden files.  One token
-reader, _rational, reads every rational of an abp row, of the `u:` and
-`v:` headers and of a waring term: a token that int() reads is an int,
-and only the others (`1/2`, `1.5`, `1e3`) build a Fraction.
+string form), so emitted artifacts are stable golden files.  A matrix
+row is written from its ints: an entry x over the denominator den is
+`x`, `x/den` or the same with the common factor divided out, as
+`str(Fraction(x, den))` would write it.  One token reader, _rational,
+reads every rational of an abp row, of the `u:` and `v:` headers and of
+a waring term: a token of that `p/q` form is read as two ints, any
+other token that int() reads is an int, and only the rest (`1.5`,
+`1e3`) go through Fraction's string parser.
 
 polynomial file:   `vars: x1 x2 ...` header, then the expression text
 matrix block:      `rows cols` line, then row-major rationals (written by
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .abp import Abp, Layer
@@ -49,17 +54,24 @@ from .poly import Poly, parse_poly
 # limit on the digits of an int read from text
 _MAX_EXPONENT = 4300
 _EXPONENT_RE = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+_RATIO_RE = re.compile(r"([-+]?[0-9]+)/([0-9]+)")
 
 
 def _rational(token: str) -> int | Fraction:
     """A rational token such as `12`, `-3/4` or `1.5e3`, read exactly.
 
-    A token that int() reads is that int: int() accepts a subset of
-    Fraction's grammar (signs, leading zeros, underscores between digits)
-    with the same value, so only other tokens (`1/2`, `1.5`, `1e400`)
-    build a Fraction.  A zero denominator or an exponent beyond
-    +-_MAX_EXPONENT is a ValueError.
+    A token of the writer's `p/q` form (an optional sign, ASCII digits,
+    `/`, ASCII digits) is read as two ints.  Any other token that int()
+    reads is that int: int() accepts a subset of Fraction's grammar
+    (signs, leading zeros, underscores between digits) with the same
+    value.  Only the rest (`1_0/3`, `1.5`, `1e400`) go through
+    Fraction's string parser.  Every path gives Fraction(token)'s value
+    or message, save that a zero denominator and an exponent beyond
+    +-_MAX_EXPONENT are ValueErrors with messages of their own.
     """
+    # a zero denominator is left to Fraction(token), which raises on it below
+    if "/" in token and (ratio := _RATIO_RE.fullmatch(token)) and ratio[2].strip("0"):
+        return Fraction(int(ratio[1]), int(ratio[2]))
     try:
         return int(token)
     except ValueError:
@@ -138,13 +150,18 @@ def _row_lines(m: QMatrix) -> list[str]:
 
     Column j of the zero row is its character 2j, so a row is the slices
     of the zero row between its sorted nonzeros, and an empty row is the
-    zero row itself.
+    zero row itself.  An entry x over den != 1 is written from ints as
+    `x//g` or `x//g/den//g`, g = gcd(x, den): the text of Fraction(x, den).
     """
     den, zero, lines = m.den, " ".join(["0"] * m.cols), []
     for row in m.entries:
         parts, at = [], 0
         for j in sorted(row):
-            parts += zero[at:2 * j], str(row[j]) if den == 1 else str(Fraction(row[j], den))
+            x = row[j]
+            if den != 1:
+                g = gcd(x, den)
+                x = x // g if g == den else f"{x // g}/{den // g}"
+            parts += zero[at:2 * j], str(x)
             at = 2 * j + 1
         lines.append("".join(parts) + zero[at:] if parts else zero)
     return lines

@@ -14,6 +14,7 @@ from commro import construct
 from commro.construct import _inverse_vandermonde_row
 from commro.detspecial import det2_golden, det_polynomial
 from commro.partials import DerivBasis
+from commro.poly import mono_factorial
 from commro.textio import format_waring_file, parse_waring_file
 
 from helpers import SMALL, WIDE_RATIONALS, boundary_vector_by_solve, cofactor_det, random_poly
@@ -134,6 +135,49 @@ def test_closed_form_v_matches_linear_solve():
         solved = boundary_vector_by_solve(abp, f)
         assert solved is not None
         assert tuple(solved) == abp.v
+
+
+def _rational_polys(seed: int, count: int) -> list[Poly]:
+    """Seeded non-homogeneous polys in 3 variables with p/q coefficients, degree up to 4."""
+    rng = random.Random(seed)
+    polys = []
+    for _ in range(count):
+        f = random_poly(rng, 3, 4, 7, homogeneous=False)
+        polys.append(Poly(f.vars, {m: c / rng.randint(1, 6) for m, c in f.terms.items()}))
+    return polys
+
+
+def test_layer_powers_are_the_scaled_products_of_the_table():
+    # A_k = (A_(k-1) @ T) / k at every power of every layer, for rational,
+    # non-homogeneous input and for the diagonal builder's tables
+    polys = _rational_polys(613, 10) + [parse_poly("x1^3*x2 - 5/6*x1^2 + 7/4", V2)]
+    assert sum(f.max_individual_degree() >= 2 for f in polys) >= 8
+    assert sum(not f.is_homogeneous() for f in polys) >= 8
+    programs = [build_commro_general(f) for f in polys]
+    programs.append(build_diagro_from_waring(WaringDecomposition(3, ((Fraction(2, 3), (1, -2)),
+                                                                     (-1, (Fraction(1, 2), 3)))),
+                                             V2))
+    checked = 0
+    for abp in programs:
+        for layer in abp.layers:
+            mats = [mat for _, _, mat in layer.terms]
+            for k in range(2, len(mats)):
+                assert mats[k] == (mats[k - 1] @ mats[1]).scale(Fraction(1, k))
+                checked += 1
+    assert checked >= 20
+
+
+def test_v_is_the_scaled_coefficient_at_each_normal_monomial():
+    # v_j = e_j! * coeff_f(m_j), block by block over the nonzero components
+    polys = _rational_polys(617, 10) + [parse_poly("x1^3*x2 - 5/6*x1^2 + 7/4", V2)]
+    assert any(c.denominator != 1 for f in polys for c in f.terms.values())
+    for f in polys:
+        expected = [mono_factorial(m) * fk.coeff(m)
+                    for fk in f.components_by_degree().values()
+                    for m in quotient(fk).normal_set]
+        v = build_commro_general(f).v
+        assert v == tuple(expected)
+        assert all(type(x) is type(y) for x, y in zip(v, expected))
 
 
 def test_general_is_identity_on_homogeneous():

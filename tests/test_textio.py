@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from commro import (Abp, Layer, Poly, QMatrix, WaringDecomposition, build_commro
                     build_smabp, check_kind, eval_abp, expand_abp, parse_poly,
                     permute_order, rank, waring_of_monomial)
 from commro.detspecial import det_polynomial, palindrome
-from commro.textio import (_row_lines, format_abp, format_matrix, format_poly_file,
+from commro.textio import (_rational, _row_lines, format_abp, format_matrix, format_poly_file,
                            format_waring_file, parse_abp, parse_poly_file,
                            parse_waring_file)
 
@@ -170,14 +171,36 @@ def test_format_abp_writes_a_shared_matrix_as_equal_copies():
         assert text.splitlines()[7:] == blocks
 
 
+# one matrix over den 1 with a negative entry, one over den 12 whose
+# entries -2/12 and 9/12 share a factor with den
+MIXED_DEN_PROGRAM = Abp(kind="commutative", vars=("x", "y"), width=2, u=(1, 0), v=(0, 1),
+                        layers=(Layer([(0, 0, QMatrix.identity(2)),
+                                       (0, 1, QMatrix([[2, -1], [0, 2]]))]),
+                                Layer([(1, 1, QMatrix.sparse(2, 2, [{0: -2, 1: 9}, {1: 5}],
+                                                             12))])))
+
+
+def test_the_mixed_den_program_covers_signs_shared_factors_and_den_1():
+    mats = MIXED_DEN_PROGRAM.coefficient_matrices()
+    entries = [(x, mat.den) for mat in mats for row in mat.entries for x in row.values()]
+    assert any(den == 1 and x < 0 for x, den in entries)
+    assert any(den != 1 and x < 0 and math.gcd(x, den) > 1 for x, den in entries)
+    assert any(den != 1 and x > 0 and 1 < math.gcd(x, den) < den for x, den in entries)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from([WIDE_RATIONALS, SMALL]).flatmap(rational_commutative_programs))
+@example(MIXED_DEN_PROGRAM)
 def test_abp_text_round_trip_on_wide_rationals(abp):
     # the writer prints each stored int over the matrix's den as the Fraction
-    # it stands for, so the text is that of the dense Fraction rows
+    # it stands for: each block is reference_row_lines of its matrix, and the
+    # text is that of the dense Fraction rows
     text = format_abp(abp)
     assert parse_abp(text) == abp
     assert format_abp(parse_abp(text)) == text
+    blocks = [line for layer in abp.layers for var, k, mat in layer.terms
+              for line in (f"layer {abp.vars[var]} power {k}", *reference_row_lines(mat))]
+    assert text.splitlines()[7:] == blocks
     dense = [" ".join(str(x) for x in row) for layer in abp.layers
              for _, _, mat in layer.terms for row in mat.data]
     assert [line for line in text.splitlines()[7:] if not line.startswith("layer ")] == dense
@@ -211,6 +234,25 @@ def sparse_matrices(draw) -> QMatrix:
 @example(QMatrix([[0, 0, Fraction(10 ** 18 + 1, 999_983)], [0, 0, 0], [3, 0, 0]]))
 def test_row_writer_matches_the_token_writer(m):
     assert _row_lines(m) == reference_row_lines(m)
+
+
+@pytest.mark.parametrize("token", [
+    "-3/2", "+3/4", "-0/5", "03/4", "3/4/5", "+-3/4", "\u0663/4", "1_0/3", "4/2", "-6/0", "7/00",
+    "1/0", "1/-2", "1/+2", "1/_2", "nan", "12", "-0", "1.5", "9" * 4301 + "/7", "7/" + "9" * 4301,
+])
+def test_rational_gives_what_fraction_gives(token):
+    # the same value, or the same message; a zero denominator has one of its own
+    try:
+        expected = Fraction(token)
+    except ZeroDivisionError:
+        expected = f"rational {token!r} has a zero denominator"
+    except ValueError as bad:
+        expected = str(bad)
+    try:
+        got = _rational(token)
+    except ValueError as bad:
+        got = str(bad)
+    assert got == expected and isinstance(got, str) == isinstance(expected, str)
 
 
 def _read(parse, text):

@@ -60,15 +60,20 @@ def test_ab_compares_the_checkout_with_itself_on_the_tiny_corpus():
     assert [line.split(":")[0] for line in lines[:-1]] == ["round 1", "round 2"]
     report = json.loads(lines[-1])
     assert list(report) == ["workload", "seed", "command", "rounds", "ops", "parent", "change",
-                            "ratio"]
+                            "ratio", "wall_ratio"]
     assert (report["workload"], report["seed"], report["command"], report["rounds"]) == (
         "tiny", 1, "verify", 2)
     assert report["ops"] > 0
     for side in ("parent", "change"):
-        assert list(report[side]) == ["median_s", "min_s", "wins"]
+        assert list(report[side]) == ["median_s", "min_s", "wins",
+                                      "median_wall_s", "min_wall_s", "wall_wins"]
         assert 0 < report[side]["min_s"] <= report[side]["median_s"]
-    assert report["parent"]["wins"] + report["change"]["wins"] == 2
+        assert 0 < report[side]["min_wall_s"] <= report[side]["median_wall_s"]
+    for wins in ("wins", "wall_wins"):
+        assert report["parent"][wins] + report["change"][wins] == 2
     assert report["ratio"] == report["change"]["median_s"] / report["parent"]["median_s"]
+    assert report["wall_ratio"] == (report["change"]["median_wall_s"]
+                                    / report["parent"]["median_wall_s"])
 
 
 def test_ab_fails_a_round_whose_verify_fails_on_both_sides(tmp_path):

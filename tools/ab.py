@@ -13,13 +13,17 @@ on each side, the side that goes first alternating, and asserts that
 every op passed (exit 0, and for verify a `verify OK` line, as
 perfbench/run.py's Checker requires) and that both sides printed the
 same output (for build, also the same `.abp` bytes).
-A pass's time is the sum of its ops' wall seconds, the CLI driven
-in-process as perfbench/run.py drives it.
+A pass's time is the sum of its ops' seconds, the CLI driven
+in-process as perfbench/run.py drives it, in reference seconds: the
+rounds run under perfbench's SpeedMeter, which corrects each op's wall
+time for the host's drifting speed as run.py's timings are corrected.
 
-The last line is JSON: for each side the median and the minimum pass
-seconds and the rounds it won, and the ratio of the medians, change
-over parent.  Alternating pairs keep the comparison fair on a host
-whose speed drifts.
+After the rounds, one line per round gives both passes in reference
+and in wall seconds.  The last line is JSON: for each side the median
+and the minimum pass seconds and the rounds it won, in reference
+seconds and again in wall seconds (`_wall_s`, `wall_wins`), and the
+ratio of the medians, change over parent, in both.  Alternating pairs
+keep the comparison fair on a host whose speed drifts.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import corpus as corpora  # noqa: E402
-from run import run_pass  # noqa: E402
+from run import Outcome, run_pass  # noqa: E402
+from speed import SpeedMeter  # noqa: E402
 
 
 def load_cli(root: Path):
@@ -54,8 +59,8 @@ def load_cli(root: Path):
     return cli
 
 
-def timed_pass(cli, corpus, where: str) -> tuple[float, list]:
-    """(seconds, what the pass printed and wrote) of one pass over the corpus.
+def timed_pass(cli, corpus, where: str) -> tuple[list[Outcome], list]:
+    """(outcomes, what the pass printed and wrote) of one pass over the corpus.
 
     An op that failed ends the run with a message that begins with where.
     """
@@ -67,7 +72,15 @@ def timed_pass(cli, corpus, where: str) -> tuple[float, list]:
                              f"{o.output.strip()[-200:]}")
     seen = [(o.code, o.output, o.op.artifact.read_bytes() if o.op.command == "build" else None)
             for o in outcomes]
-    return sum(o.seconds for o in outcomes), seen
+    return outcomes, seen
+
+
+def summary(seconds: dict[str, list[float]]) -> dict[str, tuple[float, float, int]]:
+    """Per side (median, minimum, rounds won) of its pass seconds; a tie goes to the parent."""
+    change_wins = sum(c < p for p, c in zip(seconds["parent"], seconds["change"]))
+    wins = {"parent": len(seconds["parent"]) - change_wins, "change": change_wins}
+    return {side: (statistics.median(times), min(times), wins[side])
+            for side, times in seconds.items()}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -90,25 +103,31 @@ def main(argv: list[str] | None = None) -> int:
         ops = [op for op in corpus.ops if op.command == args.command]
         corpus = corpora.Corpus(corpus.workload, tuple(ops))
         run_pass(sides["change"], corpus)  # warms the change as that pass warmed the parent
-        seconds: dict[str, list[float]] = {side: [] for side in sides}
-        wins = dict.fromkeys(sides, 0)
-        for r in range(args.rounds):
-            order = ["parent", "change"] if r % 2 == 0 else ["change", "parent"]
-            passes = {side: timed_pass(sides[side], corpus, f"round {r + 1}, {side}")
-                      for side in order}
-            if passes["parent"][1] != passes["change"][1]:
-                raise SystemExit(f"round {r + 1}: the two sides' output differs")
-            for side in sides:
-                seconds[side].append(passes[side][0])
-            wins[min(sides, key=lambda side: passes[side][0])] += 1
-            print(f"round {r + 1}: parent {passes['parent'][0]:.6f} s, "
-                  f"change {passes['change'][0]:.6f} s")
+        outcomes: dict[str, list[list[Outcome]]] = {side: [] for side in sides}
+        with SpeedMeter() as meter:
+            for r in range(args.rounds):
+                order = ["parent", "change"] if r % 2 == 0 else ["change", "parent"]
+                passes = {side: timed_pass(sides[side], corpus, f"round {r + 1}, {side}")
+                          for side in order}
+                if passes["parent"][1] != passes["change"][1]:
+                    raise SystemExit(f"round {r + 1}: the two sides' output differs")
+                for side in sides:
+                    outcomes[side].append(passes[side][0])
+    seconds = {side: [sum(meter.seconds(o.start, o.end) for o in rs) for rs in outcomes[side]]
+               for side in sides}
+    wall = {side: [sum(o.seconds for o in rs) for rs in outcomes[side]] for side in sides}
+    for r in range(args.rounds):
+        print(f"round {r + 1}: parent {seconds['parent'][r]:.6f} s "
+              f"(wall {wall['parent'][r]:.6f} s), change {seconds['change'][r]:.6f} s "
+              f"(wall {wall['change'][r]:.6f} s)")
     report = {"workload": args.workload, "seed": args.seed, "command": args.command,
               "rounds": args.rounds, "ops": len(ops)}
+    reference, walls = summary(seconds), summary(wall)
+    keys = ("median_s", "min_s", "wins", "median_wall_s", "min_wall_s", "wall_wins")
     for side in sides:
-        report[side] = {"median_s": statistics.median(seconds[side]),
-                        "min_s": min(seconds[side]), "wins": wins[side]}
+        report[side] = dict(zip(keys, reference[side] + walls[side]))
     report["ratio"] = report["change"]["median_s"] / report["parent"]["median_s"]
+    report["wall_ratio"] = report["change"]["median_wall_s"] / report["parent"]["median_wall_s"]
     print(json.dumps(report))
     return 0
 
