@@ -30,7 +30,7 @@ from math import lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DEFAULT_TERM_CAP, CapExceeded
-from .linalg import Echelon, QMatrix, commute, sparse_vec_mat
+from .linalg import Echelon, QMatrix, commute
 from .poly import MonoPacking, Poly
 
 KINDS = ("general", "commutative", "diagonal", "set_multilinear")
@@ -200,7 +200,7 @@ class KindCheck:
     span: int         # dimension of the span of I and the matrices (commuting kinds)
     pairs: int        # basis pairs the packed products check; all were when ok
     products: int     # packed products commute(m, P) that check them; all were made when ok
-    power_steps: int  # span-basis matrices k * A_k = A_(k-1) * A_1, one product each
+    power_steps: int  # span-basis matrices A_k = A_(k-1) A_1 / k, one product each
 
     def __bool__(self) -> bool:
         return self.ok
@@ -227,9 +227,10 @@ def check_kind(abp: Abp) -> KindCheck:
     The layer of a commutative program is usually an exponential, I +
     T x + T^2 x^2 / 2! + ..., whose powers need no pair of their own.  A
     basis matrix A_k (k >= 2) is a power step when its variable's A_1 and
-    A_(k-1) came before it and k * A_k = A_(k-1) * A_1; one product tests
-    that.  The rest of the basis, S, must commute pair by pair.  This is
-    still exact and an iff.  Taken in order, every matrix lies in the
+    A_(k-1) came before it and A_k = A_(k-1).times(A_1, k), the product
+    that forms the layers; QMatrix is canonical, so == tests that
+    exactly.  The rest of the basis, S, must commute pair by pair.  This
+    is still exact and an iff.  Taken in order, every matrix lies in the
     algebra generated by I and S: one outside the basis lies in the span
     of I and the basis matrices before it, and a power step is a product
     of two matrices before it.  If S commutes pairwise, that algebra is
@@ -263,7 +264,7 @@ def check_kind(abp: Abp) -> KindCheck:
         for var, k, m in layer.terms:
             if id(m) not in met and m != identity and span.add(flat := m.flat()):
                 if (k >= 2 and (var, 1) in before and (var, k - 1) in before
-                        and _power_step(k, m, before[var, k - 1], before[var, 1])):
+                        and m == before[var, k - 1].times(before[var, 1], k)):
                     steps += 1
                 else:
                     basis.append(m)
@@ -298,20 +299,6 @@ def _pack(p: QMatrix, m: QMatrix, scale: int) -> QMatrix:
                 rp[j] = rp.get(j, 0) + scale * x
         rows.append(rp)
     return QMatrix.sparse(p.rows, p.cols, rows)
-
-
-def _power_step(k: int, a_k: QMatrix, a_prev: QMatrix, a_1: QMatrix) -> bool:
-    """k * a_k == a_prev @ a_1 exactly, by one product.
-
-    The product's int rows are over a_prev.den * a_1.den, so both sides
-    are compared as int rows cross-multiplied by the denominators, row by
-    row up to the first that differs.  A row empty in both a_k and a_prev
-    is empty on both sides, so it is skipped.
-    """
-    left, right = k * a_prev.den * a_1.den, a_k.den
-    return all({j: x * left for j, x in row.items()}
-               == {j: y * right for j, y in sparse_vec_mat(prev, a_1).items()}
-               for row, prev in zip(a_k.entries, a_prev.entries) if row or prev)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .construct import (build_commro_general, build_diagro_from_waring,
 from .detspecial import det_polynomial, palindrome, perm_polynomial
 from .errors import DEFAULT_ENTRY_CAP, DEFAULT_TERM_CAP, CapExceeded
 from .partials import derivative_basis
-from .poly import Poly, PolyParseError, mono_str
+from .poly import Poly, mono_str
 from .textio import (_variables, format_abp, format_matrix, format_order, format_poly_file,
                      format_waring_file, parse_abp, parse_groups, parse_poly_file,
                      parse_waring_file)
@@ -381,7 +381,7 @@ def run(argv: list[str]) -> int:
     except CapExceeded as cap:
         print(f"error: {cap} (raise {cap.flag})", file=sys.stderr)
         return 3
-    except (PolyParseError, ValueError, OSError) as bad:
+    except (ValueError, OSError) as bad:
         print(f"error: {bad}", file=sys.stderr)
         return 2
 

@@ -42,18 +42,8 @@ from typing import Sequence
 from .abp import Abp, Layer
 from .apolar import QuotientStructure, quotient
 from .errors import CapExceeded
-from .linalg import QMatrix, sparse_vec_mat
+from .linalg import QMatrix
 from .poly import Poly, mono_factorial
-
-__all__ = [
-    "WaringDecomposition",
-    "build_commro",
-    "build_commro_general",
-    "build_smabp",
-    "build_diagro_from_waring",
-    "waring_of_monomial",
-    "waring_expand",
-]
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
@@ -146,20 +136,16 @@ def _quotient_program(f: Poly, max_width: int | None) -> tuple[
 def _exponential_layers(tables: Sequence[QMatrix], degrees: Sequence[int]) -> list[Layer]:
     """Layer l = I + T_l x_l + T_l^2 x_l^2 / 2! + ... + T_l^(d_l) x_l^(d_l) / d_l!.
 
-    A_1 is the table itself and A_k = A_(k-1) T_l / k: the int rows of
-    A_(k-1) times those of T_l, over the denominator A_(k-1).den *
-    T_l.den * k, normalised once by QMatrix.sparse.  Every layer holds
-    the same identity object as its A_0.
+    A_1 is the table itself and A_k = A_(k-1).times(T_l, k), the product
+    A_(k-1) T_l / k that check_kind also tests them by.  Every layer
+    holds the same identity object as its A_0.
     """
     identity = QMatrix.identity(tables[0].rows) if tables else None
     layers = []
     for var, (table, d) in enumerate(zip(tables, degrees)):
         terms = [(var, 0, identity), (var, 1, table)][:d + 1]
         for k in range(2, d + 1):
-            a = terms[-1][2]
-            terms.append((var, k, QMatrix.sparse(
-                a.rows, a.cols, (sparse_vec_mat(row, table) if row else row for row in a.entries),
-                a.den * table.den * k)))
+            terms.append((var, k, terms[-1][2].times(table, k)))
         layers.append(Layer(terms))
     return layers
 
@@ -191,10 +177,8 @@ def build_commro_general(f: Poly, max_width: int | None = None) -> Abp:
     layers = _exponential_layers(tables, [f.individual_degree(var) for var in range(f.arity)])
     for layer, table in zip(layers, tables):
         # T^(d+1) = d! A_d T (A_0 = I): the table is nilpotent past the
-        # individual degree d, so everything truncated away is exactly zero;
-        # A_d T is tested row by row, never formed
-        top = layer.terms[-1][2]
-        if any(sparse_vec_mat(row, table) for row in top.entries if row):
+        # individual degree d, so everything truncated away is exactly zero
+        if not (layer.terms[-1][2] @ table).is_zero():
             raise AssertionError("multiplication table not nilpotent at the individual degree")
     return Abp(kind="commutative", vars=f.vars, width=len(u), u=u, v=v, layers=tuple(layers))
 

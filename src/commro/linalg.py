@@ -3,26 +3,26 @@
 QMatrix stores its entries as integers over one positive denominator:
 one {column: nonzero int} dict per row, plus den, kept with gcd(den,
 entries) = 1 so that equal matrices are stored alike.  A product
-multiplies the denominators, a sum takes their lcm and scale changes
-the denominator (and the entries only by a numerator other than 1), so
-matrix arithmetic builds no Fraction; data, [i, j] and the text writers
-give the Fractions back.  PolyMatrix is a dense matrix with Poly
-entries, kept for the printed det2 layers (detspecial.det2_golden) and
-their product.  Every elimination in the package runs through one
-kernel, Echelon: an incremental echelon form over sparse rows keyed by
-any sortable column key (ints for vectors, packed monomials, exponent
-tuples), pivoting on each row's smallest key.  It reduces a row by the
-row's own keys, so a row pays for the pivots it meets, not for every
-stored row.  It takes integer rows only and eliminates fraction-free,
-so no elimination step builds a Fraction; a caller that holds
-rationals brings them to integers once, where it holds them.  Echelon
-has three parts: add, which works on a copy of each row it takes, rank
-and reduced(), one back-substitution that gives the reduced row echelon
-form.  QMatrix rows go to it as they are; rank is the rank of m's rows,
-and inverse and minimal_polynomial read the reduced form of augmented
-rows.  The product, the sum and sparse_vec_mat reuse its integer row
-update (_axpy).  Arithmetic is exact, so no result depends on the pivot
-choice; rank sees only stored nonzeros, so it takes no size cap.
+a.times(b, k) = a @ b / k multiplies the denominators and k, and a sum
+takes their lcm, so matrix arithmetic builds no Fraction; data, [i, j]
+and the text writers give the Fractions back.  PolyMatrix is a dense
+matrix with Poly entries, kept for the printed det2 layers
+(detspecial.det2_golden) and their product.  Every elimination in the
+package runs through one kernel, Echelon: an incremental echelon form
+over sparse rows keyed by any sortable column key (ints for vectors,
+packed monomials, exponent tuples), pivoting on each row's smallest key.
+It reduces a row by the row's own keys, so a row pays for the pivots it
+meets, not for every stored row.  It takes integer rows only and
+eliminates fraction-free, so no elimination step builds a Fraction; a
+caller that holds rationals brings them to integers once, where it holds
+them.  Echelon has three parts: add, which works on a copy of each row
+it takes, rank and reduced(), one back-substitution that gives the
+reduced row echelon form.  QMatrix rows go to it as they are; rank is
+the rank of m's rows, and inverse and minimal_polynomial read the
+reduced form of augmented rows.  The product, the sum and sparse_vec_mat
+reuse its integer row update (_axpy).  Arithmetic is exact, so no result
+depends on the pivot choice; rank sees only stored nonzeros, so it takes
+no size cap.
 """
 
 from __future__ import annotations
@@ -144,15 +144,6 @@ class QMatrix:
     def is_diagonal(self) -> bool:
         return all(j == i for i, row in enumerate(self.entries) for j in row)
 
-    def scale(self, factor: Fraction | int) -> QMatrix:
-        factor = Fraction(factor)
-        if not factor:
-            return QMatrix.zeros(self.rows, self.cols)
-        p = factor.numerator
-        entries = self.entries if p == 1 else (
-            {j: x * p for j, x in row.items()} for row in self.entries)
-        return QMatrix.sparse(self.rows, self.cols, entries, self.den * factor.denominator)
-
     def __add__(self, other: QMatrix) -> QMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch")
@@ -165,12 +156,22 @@ class QMatrix:
             out.append(row)
         return QMatrix.sparse(self.rows, self.cols, out, den)
 
-    def __matmul__(self, other: QMatrix) -> QMatrix:
+    def times(self, other: QMatrix, k: int) -> QMatrix:
+        """self @ other / k for a positive int k, normalised once.
+
+        The int rows of self times those of other, over the denominator
+        self.den * other.den * k; an empty row of self stays empty.  One
+        such product forms every exponential layer power, A_k = A_(k-1) T
+        / k, and checks it.
+        """
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch: {self.cols} vs {other.rows}")
         return QMatrix.sparse(self.rows, other.cols,
                               (sparse_vec_mat(row, other) if row else row for row in self.entries),
-                              self.den * other.den)
+                              self.den * other.den * k)
+
+    def __matmul__(self, other: QMatrix) -> QMatrix:
+        return self.times(other, 1)
 
 
 def sparse_vec_mat(row: dict[int, int], m: QMatrix) -> dict[int, int]:

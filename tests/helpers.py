@@ -5,8 +5,9 @@ brute_dpd enumerates every derivative directly, cofactor_det expands a
 numeric determinant recursively, poly_at_matrices substitutes matrices
 into a polynomial the long way, dense_eval_abp and dense_expand_abp
 evaluate and expand a program from the dense view of its matrices
-alone, and all_pairs_commute multiplies every pair of matrices densely,
-both ways.  flattened_kind_check is check_kind without its skips: every
+alone, all_pairs_commute multiplies every pair of matrices densely,
+both ways, and scaled multiplies a matrix by a scalar from its dense
+Fractions.  flattened_kind_check is check_kind without its skips: every
 coefficient matrix, the identities and repeated objects included, is
 flattened into the span echelon.  Ranks and
 solves come from sympy, not from the library's own elimination kernel:
@@ -51,6 +52,11 @@ from commro.abp import _PACK_BITS, KindCheck
 from commro.linalg import Echelon
 from commro.poly import MonoPacking, mono_factorial
 from commro.textio import _rational, _variables, format_abp
+
+
+def scaled(m: QMatrix, factor) -> QMatrix:
+    """factor * m, from the Fractions of m.data, so no library product is involved."""
+    return QMatrix([[x * factor for x in row] for row in m.data])
 
 
 def var_names(n: int) -> tuple[str, ...]:
@@ -109,7 +115,7 @@ def rational_commutative_programs(draw, entry=SMALL) -> Abp:
         for k in range(draw(st.integers(0, 4)) + 1):
             mat = QMatrix.zeros(n, n)
             for power in powers:
-                mat = mat + power.scale(draw(entry))
+                mat = mat + scaled(power, draw(entry))
             terms.append((var, k, mat))
         layers.append(Layer(terms))
     vector = st.tuples(*[entry] * n)
@@ -231,7 +237,7 @@ def poly_at_matrices(g: Poly, mats: list[QMatrix]) -> QMatrix:
         for var, e in enumerate(mono):
             if e:
                 term = term @ power(var, e)
-        total = total + term.scale(coeff)
+        total = total + scaled(term, coeff)
     return total
 
 
@@ -281,7 +287,7 @@ def flattened_kind_check(abp) -> KindCheck:
         for var, k, m in layer.terms:
             if span.add(m.flat()):
                 if (k >= 2 and (var, 1) in before and (var, k - 1) in before
-                        and m.scale(k) == before[var, k - 1] @ before[var, 1]):
+                        and scaled(m, k) == before[var, k - 1] @ before[var, 1]):
                     steps += 1
                 else:
                     basis.append(m)

@@ -22,7 +22,7 @@ from commro.textio import parse_abp
 
 from helpers import (SMALL, WIDE_RATIONALS, all_pairs_commute, dense_eval_abp,
                      dense_expand_abp, dense_nisan_rank, flattened_kind_check, random_point,
-                     random_poly, rational_commutative_programs, var_names,
+                     random_poly, rational_commutative_programs, scaled, var_names,
                      wide_rational_polys)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -144,16 +144,16 @@ def matrix_families(draw, entry=st.integers(-3, 3), max_n=4, max_count=6):
         for _ in range(count):
             acc, power = QMatrix.zeros(n, n), ident
             for _ in range(draw(st.integers(0, 3)) + 1):
-                acc = acc + power.scale(draw(entry))
+                acc = acc + scaled(power, draw(entry))
                 power = power @ base
             mats.append(acc)
     elif family == "scalar":
-        mats = [ident.scale(draw(entry)) for _ in range(count)]
+        mats = [scaled(ident, draw(entry)) for _ in range(count)]
     elif family == "diagonal":
         mats = [QMatrix.diagonal([draw(entry) for _ in range(n)]) for _ in range(count)]
     else:
         base = dense()
-        mats = [draw(st.sampled_from([base, base, base.scale(2), ident])) for _ in range(count)]
+        mats = [draw(st.sampled_from([base, base, scaled(base, 2), ident])) for _ in range(count)]
     if draw(st.booleans()):
         k, i, j = (draw(st.integers(0, bound - 1)) for bound in (count, n, n))
         bump = QMatrix.sparse(n, n, ({j: draw(st.sampled_from([-2, -1, 1, 3]))}
@@ -183,7 +183,7 @@ def exponential_layers(draw):
     def in_base():
         acc, power = QMatrix.zeros(n, n), ident
         for _ in range(draw(st.integers(1, 3))):
-            acc = acc + power.scale(draw(entry))
+            acc = acc + scaled(power, draw(entry))
             power = power @ base
         return acc
 
@@ -193,7 +193,7 @@ def exponential_layers(draw):
         t = in_base() if common else dense()
         powers = [ident]
         for k in range(1, draw(st.integers(1, 4)) + 1):
-            powers.append((powers[-1] @ t).scale(Fraction(1, k)))
+            powers.append(scaled(powers[-1] @ t, Fraction(1, k)))
         layers.append(powers)
     tamper = draw(st.sampled_from(["none", "bump", "in-base", "apart"]))
     if tamper != "none":
@@ -227,7 +227,7 @@ def reshaped_layers(draw):
     elif how == "identity":
         layers[at][draw(st.integers(1, len(layers[at]) - 1))] = QMatrix.identity(n)
     else:
-        layers[at][0] = QMatrix.identity(n).scale(Fraction(1, 3))
+        layers[at][0] = scaled(QMatrix.identity(n), Fraction(1, 3))
     return layers
 
 
@@ -295,7 +295,7 @@ def test_check_kind_agrees_with_all_pairs_oracle(layers_and_kind):
     # a power step has a power of 2 or more, and an untouched exponential layer
     # leaves at most its T to multiply
     assert report.power_steps <= sum(max(len(powers) - 2, 0) for powers in layers)
-    if all(m is None or m == (powers[1] @ powers[k - 1]).scale(Fraction(1, k))
+    if all(m is None or m == scaled(powers[1] @ powers[k - 1], Fraction(1, k))
            for powers in layers for k, m in enumerate(powers) if k >= 2):
         assert multiplied <= len(layers)
 
@@ -350,6 +350,46 @@ def test_check_kind_packs_the_basis_pairs(monkeypatch):
     report = check_kind(program)
     assert report and (report.span, report.pairs) == (8, 21)
     assert 6 < report.products < 21
+
+
+def _with_power(abp: Abp, var: int, k: int, m: QMatrix) -> Abp:
+    """abp with the power k of var's layer replaced by m."""
+    return replace(abp, layers=tuple(
+        Layer([(v, j, m if (v, j) == (var, k) else a) for v, j, a in layer.terms])
+        for layer in abp.layers))
+
+
+def test_check_kind_counts_a_power_step_only_for_the_layer_product():
+    # x1 and x2 have individual degree 2, and both A_2 are power steps
+    abp = build_commro(parse_poly("x1^2*x2 + x2^2*x3", ("x1", "x2", "x3")))
+    report = check_kind(abp)
+    assert report and report.power_steps == 2
+    a_2 = abp.layers[0].terms[2][2]
+    # A_2 + 3 I commutes with everything but is no product: it joins the pairs
+    shifted = check_kind(_with_power(abp, 0, 2, a_2 + scaled(QMatrix.identity(abp.width), 3)))
+    assert shifted and shifted.power_steps == report.power_steps - 1
+    assert shifted.span == report.span and shifted.pairs > report.pairs
+    # one entry bumped, A_2 no longer commutes with the tables
+    i = next(i for i, row in enumerate(a_2.entries) if row)
+    bump = QMatrix.sparse(abp.width, abp.width, ({i: 1} if r == i else {}
+                                                  for r in range(abp.width)))
+    bumped = _with_power(abp, 0, 2, a_2 + bump)
+    assert not all_pairs_commute(bumped.coefficient_matrices())
+    assert not check_kind(bumped)
+
+
+def test_check_kind_counts_the_power_steps_of_rational_tables():
+    # tables over den 2, 98 and 81 give their powers other denominators
+    polys = [parse_poly(text, V) for text, V in (
+        ("x1^2*x2^2 + x1*x2*x3^2", ("x1", "x2", "x3")),
+        ("1/3*x1^2*x2 - 5/7*x1*x2^2 + 1/2*x2^3", V2),
+        ("2/3*x1^2*x2^2 + 1/5*x1^3*x2", V2))]
+    for f in polys:
+        abp = build_commro(f)
+        assert any(m.den != 1 for m in abp.coefficient_matrices())
+        report = check_kind(abp)
+        assert report and report.power_steps >= 3
+        assert report == flattened_kind_check(abp)
 
 
 def test_abp_validation():
@@ -558,7 +598,7 @@ def sweep_programs(draw):
         elif how == "unshared":
             powers[0] = QMatrix.identity(n)
         elif how == "over-den":
-            powers[0] = shared.scale(Fraction(1, draw(st.integers(2, 5))))
+            powers[0] = scaled(shared, Fraction(1, draw(st.integers(2, 5))))
         elif how == "later":
             powers[0] = sparse()
             powers[draw(st.integers(1, len(powers) - 1))] = shared

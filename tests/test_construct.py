@@ -17,7 +17,8 @@ from commro.partials import DerivBasis
 from commro.poly import mono_factorial
 from commro.textio import format_waring_file, parse_waring_file
 
-from helpers import SMALL, WIDE_RATIONALS, boundary_vector_by_solve, cofactor_det, random_poly
+from helpers import (SMALL, WIDE_RATIONALS, boundary_vector_by_solve, cofactor_det, random_poly,
+                     scaled)
 
 V2 = ("x1", "x2")
 V3 = ("x1", "x2", "x3")
@@ -162,9 +163,26 @@ def test_layer_powers_are_the_scaled_products_of_the_table():
         for layer in abp.layers:
             mats = [mat for _, _, mat in layer.terms]
             for k in range(2, len(mats)):
-                assert mats[k] == (mats[k - 1] @ mats[1]).scale(Fraction(1, k))
+                assert mats[k] == scaled(mats[k - 1] @ mats[1], Fraction(1, k))
                 checked += 1
     assert checked >= 20
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda tables: tables[0] + tables[1],  # nilpotent, but its square 2 T1 T2 is not zero
+    lambda tables: tables[0] + QMatrix.identity(tables[0].rows),  # not nilpotent at all
+], ids=["T1+T2", "T1+I"])
+def test_a_table_not_nilpotent_at_the_individual_degree_fails_the_build(monkeypatch, tamper):
+    # x1*x2 has individual degrees 1, so each table must square to zero
+    built = construct._quotient_program
+
+    def tampered(f, max_width):
+        tables, u, v = built(f, max_width)
+        return (tamper(tables), *tables[1:]), u, v
+
+    monkeypatch.setattr(construct, "_quotient_program", tampered)
+    with pytest.raises(AssertionError, match="^multiplication table not nilpotent"):
+        build_commro_general(parse_poly("x1*x2", V2))
 
 
 def test_v_is_the_scaled_coefficient_at_each_normal_monomial():
@@ -399,7 +417,7 @@ def test_diagro_layers_are_exponentials_and_expand_to_the_waring_sum(w):
         a = {k: mat for _, k, mat in layer.terms}
         assert sorted(a) == list(range(w.degree + 1))
         for k in range(2, w.degree + 1):
-            assert a[k].scale(k) == a[k - 1] @ a[1]
+            assert scaled(a[k], k) == a[k - 1] @ a[1]
 
 
 def test_diagro_rejects_degenerate_input():

@@ -14,7 +14,7 @@ from commro import (Poly, PolyMatrix, QMatrix, commute, inverse,
 from commro.detspecial import det2_golden, det_polynomial
 from commro.linalg import Echelon, vec_mat
 
-from helpers import (WIDE_RATIONALS, random_point, random_poly, sympy_fraction,
+from helpers import (WIDE_RATIONALS, random_point, random_poly, scaled, sympy_fraction,
                      sympy_minimal_polynomial)
 
 # the worked 5x5 multiplication table with minimal polynomial
@@ -95,7 +95,7 @@ def test_minimal_polynomial_annihilates():
         total = QMatrix.zeros(n, n)
         power = QMatrix.identity(n)
         for k in range(p.total_degree() + 1):
-            total = total + power.scale(p.coeff((k,)))
+            total = total + scaled(power, p.coeff((k,)))
             power = power @ m
         assert total.is_zero()
 
@@ -161,7 +161,7 @@ def qmatrix_operands(draw, entry=ENTRY):
     a = draw(dense_lists(rows, inner, entry))
     b = draw(st.one_of(st.just([list(row) for row in a]), dense_lists(rows, inner, entry)))
     c = draw(dense_lists(inner, cols, entry))
-    return a, b, c, draw(entry)
+    return a, b, c, draw(st.integers(1, 7))
 
 
 def as_tuples(lists):
@@ -177,7 +177,7 @@ def in_normal_form(m):
             and math.gcd(m.den, *values) == 1)
 
 
-def check_against_nested_lists(a, b, c, factor):
+def check_against_nested_lists(a, b, c, divisor):
     # the oracle is plain nested lists of Fractions; every result must also
     # be in normal form, since == compares the stored rows and den
     rows, inner, cols = len(a), len(c), len(c[0])
@@ -185,10 +185,11 @@ def check_against_nested_lists(a, b, c, factor):
     product = [[sum((a[i][k] * c[k][j] for k in range(inner)), Fraction(0))
                 for j in range(cols)] for i in range(rows)]
     total = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-    scaled = [[x * factor for x in row] for row in a]
-    for result, expected in ((ma @ mc, product), (ma + mb, total), (ma.scale(factor), scaled),
-                             (ma, a)):
+    divided = [[x / divisor for x in row] for row in product]
+    for result, expected in ((ma @ mc, product), (ma.times(mc, divisor), divided),
+                             (ma + mb, total), (ma, a)):
         assert in_normal_form(result)
+        assert result.is_zero() <= (result.den == 1)
         assert result.data == as_tuples(expected)
         assert all(type(x) is Fraction for row in result.data for x in row)
         assert (result.rows, result.cols) == (len(expected), len(expected[0]))
@@ -196,12 +197,10 @@ def check_against_nested_lists(a, b, c, factor):
         width = len(expected[0])
         assert {k: Fraction(x, result.den) for k, x in result.flat().items()} == {
             i * width + j: x for i, row in enumerate(expected) for j, x in enumerate(row) if x}
-    cancelled = ma + ma.scale(-1)
+    assert ma @ mc == ma.times(mc, 1)
+    cancelled = ma + scaled(ma, -1)
     assert in_normal_form(cancelled) and cancelled == QMatrix.zeros(rows, inner)
     assert cancelled.den == 1
-    assert ma.scale(0) == QMatrix.zeros(rows, inner)
-    if factor:
-        assert ma.scale(factor).scale(1 / factor) == ma
     assert ma.is_zero() == all(x == 0 for row in a for x in row)
     assert ma.is_diagonal() == all(a[i][j] == 0 for i in range(rows)
                                    for j in range(inner) if i != j)

@@ -9,6 +9,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
 spec = importlib.util.spec_from_file_location("code_lines", SCRIPT)
 code_lines = importlib.util.module_from_spec(spec)
@@ -65,10 +67,15 @@ def test_ab_compares_the_checkout_with_itself_on_the_tiny_corpus():
         "tiny", 1, "verify", 2)
     assert report["ops"] > 0
     for side in ("parent", "change"):
-        assert list(report[side]) == ["median_s", "min_s", "wins",
-                                      "median_wall_s", "min_wall_s", "wall_wins"]
+        assert list(report[side]) == ["median_s", "min_s", "iqr_s", "wins",
+                                      "median_wall_s", "min_wall_s", "iqr_wall_s", "wall_wins"]
         assert 0 < report[side]["min_s"] <= report[side]["median_s"]
         assert 0 < report[side]["min_wall_s"] <= report[side]["median_wall_s"]
+        # two rounds: the inclusive quartiles lie a quarter of the spread in from
+        # each pass, so the IQR is the median less the minimum
+        for iqr, median, low in (("iqr_s", "median_s", "min_s"),
+                                 ("iqr_wall_s", "median_wall_s", "min_wall_s")):
+            assert report[side][iqr] == pytest.approx(report[side][median] - report[side][low])
     for wins in ("wins", "wall_wins"):
         assert report["parent"][wins] + report["change"][wins] == 2
     assert report["ratio"] == report["change"]["median_s"] / report["parent"]["median_s"]

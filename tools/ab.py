@@ -19,11 +19,14 @@ rounds run under perfbench's SpeedMeter, which corrects each op's wall
 time for the host's drifting speed as run.py's timings are corrected.
 
 After the rounds, one line per round gives both passes in reference
-and in wall seconds.  The last line is JSON: for each side the median
-and the minimum pass seconds and the rounds it won, in reference
-seconds and again in wall seconds (`_wall_s`, `wall_wins`), and the
-ratio of the medians, change over parent, in both.  Alternating pairs
-keep the comparison fair on a host whose speed drifts.
+and in wall seconds.  The last line is JSON: for each side the median,
+the minimum and the interquartile range of its pass seconds and the
+rounds it won, in reference seconds and again in wall seconds
+(`_wall_s`, `wall_wins`), and the ratio of the medians, change over
+parent, in both.  A change is within noise when the gap between the
+medians is inside the parent's IQR; it claims a gain when it wins at
+least 9 of 10 rounds and the gap is wider than that IQR.  Alternating
+pairs keep the comparison fair on a host whose speed drifts.
 """
 
 from __future__ import annotations
@@ -75,11 +78,22 @@ def timed_pass(cli, corpus, where: str) -> tuple[list[Outcome], list]:
     return outcomes, seen
 
 
-def summary(seconds: dict[str, list[float]]) -> dict[str, tuple[float, float, int]]:
-    """Per side (median, minimum, rounds won) of its pass seconds; a tie goes to the parent."""
+def iqr(times: list[float]) -> float:
+    """The interquartile range of the times (inclusive quartiles); 0 for one time."""
+    if len(times) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    return q3 - q1
+
+
+def summary(seconds: dict[str, list[float]]) -> dict[str, tuple[float, float, float, int]]:
+    """Per side (median, minimum, IQR, rounds won) of its pass seconds.
+
+    A tie goes to the parent.
+    """
     change_wins = sum(c < p for p, c in zip(seconds["parent"], seconds["change"]))
     wins = {"parent": len(seconds["parent"]) - change_wins, "change": change_wins}
-    return {side: (statistics.median(times), min(times), wins[side])
+    return {side: (statistics.median(times), min(times), iqr(times), wins[side])
             for side, times in seconds.items()}
 
 
@@ -123,7 +137,8 @@ def main(argv: list[str] | None = None) -> int:
     report = {"workload": args.workload, "seed": args.seed, "command": args.command,
               "rounds": args.rounds, "ops": len(ops)}
     reference, walls = summary(seconds), summary(wall)
-    keys = ("median_s", "min_s", "wins", "median_wall_s", "min_wall_s", "wall_wins")
+    keys = ("median_s", "min_s", "iqr_s", "wins",
+            "median_wall_s", "min_wall_s", "iqr_wall_s", "wall_wins")
     for side in sides:
         report[side] = dict(zip(keys, reference[side] + walls[side]))
     report["ratio"] = report["change"]["median_s"] / report["parent"]["median_s"]
