@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DEFAULT_TERM_CAP, CapExceeded
 from .linalg import Echelon, QMatrix, commute
-from .poly import MonoPacking, Poly
+from .poly import MonoPacking, Poly, split_point
 
 KINDS = ("general", "commutative", "diagonal", "set_multilinear")
 ROABP_KINDS = ("general", "commutative", "diagonal")
@@ -57,13 +57,19 @@ class Layer:
 
 @dataclass(frozen=True)
 class Abp:
-    """A branching program: declared kind, boundary vectors, layers in multiplication order."""
+    """A branching program: declared kind, boundary vectors, layers in multiplication order.
+
+    The entries of u and v are ints or Fractions, as the builders and
+    the `.abp` reader give them; an int and the equal Fraction compare
+    equal, so two programs that differ only so are equal.  The identity
+    and the boundary rows are made once per program, on first use.
+    """
 
     kind: str
     vars: tuple[str, ...]
     width: int
-    u: tuple[Fraction, ...]
-    v: tuple[Fraction, ...]
+    u: tuple[int | Fraction, ...]
+    v: tuple[int | Fraction, ...]
     layers: tuple[Layer, ...]
 
     def __post_init__(self):
@@ -99,6 +105,11 @@ class Abp:
         return tuple(QMatrix.rational(1, self.width, [{j: x for j, x in enumerate(vec) if x}])
                      for vec in (self.u, self.v))
 
+    @cached_property
+    def identity(self) -> QMatrix:
+        """The width x width identity, whose int rows _sweep and check_kind compare against."""
+        return QMatrix.identity(self.width)
+
 
 def _sweep(abp: Abp, row: dict, den: int,
            power: Callable[[int, int], tuple[object, int]]) -> Iterator[tuple[dict, int]]:
@@ -113,9 +124,10 @@ def _sweep(abp: Abp, row: dict, den: int,
     whose int rows are I's (the power 0 of every built layer, or I / den)
     is the scaled row itself, and a matrix row that is empty is skipped,
     so each layer costs the number of stored nonzeros its other matrices
-    hold in the row's support.
+    hold in the row's support.  I's rows are Abp.identity's, made once
+    per program, not once per sweep.
     """
-    identity = QMatrix.identity(abp.width).entries
+    identity = abp.identity.entries
     for layer in abp.layers:
         terms = []
         for var, k, mat in layer.terms:
@@ -144,15 +156,15 @@ def _sweep(abp: Abp, row: dict, den: int,
 def eval_abp(abp: Abp, point: Sequence[Fraction | int]) -> Fraction:
     """Exact value u^T * (product of specialized layers in order) * v, swept in ints.
 
-    u and v enter as int rows over the lcm of their denominators, made
-    once per program (Abp.boundary_rows), so the value is one Fraction
-    built at the end.
+    Each coordinate is read as its numerator and denominator
+    (poly.split_point: an int or a Fraction as it is, so an int point
+    such as verify's costs no conversion).  u and v enter as int rows
+    over the lcm of their denominators, made once per program
+    (Abp.boundary_rows), so the value is one Fraction built at the end.
     """
-    point = [Fraction(p) for p in point]
-    if len(point) != len(abp.vars):
-        raise ValueError(f"point has {len(point)} coordinates, expected {len(abp.vars)}")
-    nums = [p.numerator for p in point]
-    dens = [p.denominator for p in point]
+    nums, dens = split_point(point)
+    if len(nums) != len(abp.vars):
+        raise ValueError(f"point has {len(nums)} coordinates, expected {len(abp.vars)}")
     u, v = abp.boundary_rows
     (row,), (v_row,), den = u.entries, v.entries, u.den
     for row, den in _sweep(abp, row, den, lambda var, k: (nums[var] ** k, dens[var] ** k)):
@@ -254,7 +266,7 @@ def check_kind(abp: Abp) -> KindCheck:
     mats = abp.coefficient_matrices()
     if abp.kind == "diagonal":
         return KindCheck(all(m.is_diagonal() for m in mats), len(mats), 0, 0, 0, 0)
-    identity = QMatrix.identity(abp.width)
+    identity = abp.identity
     span = Echelon()
     span.add(identity.flat())
     before: dict[tuple[int, int], QMatrix] = {}  # (var, power) -> a matrix met already

@@ -68,9 +68,13 @@ def _load_poly(path: str, vars_flag: str | None) -> Poly:
     return f
 
 
-def _random_point(rng: random.Random, arity: int) -> list[Fraction]:
-    return [Fraction(rng.randint(-RANDOM_COORD_BOUND, RANDOM_COORD_BOUND))
-            for _ in range(arity)]
+def _random_point(rng: random.Random, arity: int) -> list[int]:
+    """arity int coordinates, uniform in [-RANDOM_COORD_BOUND, RANDOM_COORD_BOUND].
+
+    They are ints, not Fractions: eval_abp and Poly.eval read an int's
+    numerator and denominator as they are.
+    """
+    return [rng.randint(-RANDOM_COORD_BOUND, RANDOM_COORD_BOUND) for _ in range(arity)]
 
 
 def _cmd_dpd(args) -> int:
@@ -193,7 +197,7 @@ def _cmd_verify(args) -> int:
               f"{kind.products} packed products)")
 
     # f's value at each seeded point, evaluated once for every layer order
-    expected: list[tuple[list[Fraction], Fraction]] = []
+    expected: list[tuple[list[int], Fraction]] = []
     if args.random_eval is not None:
         rng = random.Random(args.seed)
         for _ in range(args.random_eval):

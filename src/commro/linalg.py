@@ -86,11 +86,10 @@ class QMatrix:
                  entries: Sequence[dict[int, int | Fraction]]) -> QMatrix:
         """The matrix of row dicts whose values are nonzero ints and Fractions.
 
-        Rows of ints only are handed to sparse as they are, so they become
-        the matrix's storage as sparse says.
+        The rows are brought to ints over the lcm of the denominators, in
+        new dicts.  A caller whose rows are all ints already hands them to
+        sparse instead, as the `.abp` reader does with an integral block.
         """
-        if all(type(x) is int for row in entries for x in row.values()):
-            return cls.sparse(rows, cols, entries)
         den = lcm(*[x.denominator for row in entries for x in row.values()])
         return cls.sparse(rows, cols, (
             {j: x.numerator * (den // x.denominator) for j, x in row.items()} if row else row
@@ -332,13 +331,29 @@ def commute(a: QMatrix, b: QMatrix) -> bool:
 
     Both products have the denominator a.den * b.den, so their int rows
     are compared as they come, row by row up to the first that differs.
-    Row i of a @ b is empty when a's row i is, and likewise for b @ a, so
-    only the rows where either operand's row is nonempty are multiplied.
+    Row i of both products is formed in one dict, which adds a's row i
+    times b's int rows and subtracts b's row i times a's; the rows agree
+    iff every entry of it is zero.  Row i of a @ b is empty when a's row
+    i is, and likewise for b @ a, so a pair of empty rows costs nothing,
+    and an empty row of the other operand adds nothing.
     """
     if a.rows != a.cols or b.rows != b.cols or a.rows != b.rows:
         raise ValueError("dimension mismatch")
-    return all(sparse_vec_mat(ra, b) == sparse_vec_mat(rb, a)
-               for ra, rb in zip(a.entries, b.entries) if ra or rb)
+    ea, eb = a.entries, b.entries
+    for ra, rb in zip(ea, eb):
+        if ra or rb:
+            acc: dict[int, int] = {}
+            for k, x in ra.items():
+                if source := eb[k]:
+                    for j, y in source.items():
+                        acc[j] = acc.get(j, 0) + x * y
+            for k, x in rb.items():
+                if source := ea[k]:
+                    for j, y in source.items():
+                        acc[j] = acc.get(j, 0) - x * y
+            if any(acc.values()):
+                return False
+    return True
 
 
 def minimal_polynomial(m: QMatrix) -> Poly:

@@ -12,8 +12,9 @@ coefficients as ints and builds a Fraction only for a `p/q`.
 `Poly.integer_terms` gives L * f in ints, L the lcm of the coefficient
 denominators; evaluation, the derivative closure and the Nisan cuts
 start from it.  `Poly.eval` splits the point into integer numerators
-and denominators and sums integer terms over one common denominator,
-so it builds a single Fraction, the value.
+and denominators (split_point, which reads an int or a Fraction as it
+is) and sums integer terms over one common denominator, so it builds a
+single Fraction, the value.
 
 Monomials are compared in the degree-lexicographic order ("deg-lex"):
 first by total degree, ties broken lexicographically with the *last*
@@ -156,6 +157,17 @@ def monomials_upto(arity: int, degree: int) -> Iterator[Mono]:
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------
+
+def split_point(point: Iterable) -> tuple[list[int], list[int]]:
+    """The int numerators and positive int denominators of a point's coordinates.
+
+    An int or a Fraction coordinate is read as it is; one of any other
+    type (a float, a string, a numpy integer) goes through Fraction()
+    first.
+    """
+    point = [p if type(p) is int or type(p) is Fraction else Fraction(p) for p in point]
+    return [p.numerator for p in point], [p.denominator for p in point]
+
 
 class Poly:
     """Immutable sparse polynomial over exact rational (int or Fraction) coefficients.
@@ -327,18 +339,20 @@ class Poly:
         int terms c * L * prod n_i^e_i * d_i^(E_i - e_i) over
         L * prod d_i^E_i.  The factor n_i^e * d_i^(E_i - e) is formed
         once for each exponent e of x_i that occurs, never for the
-        others up to E_i.
+        others up to E_i.  n_i and d_i come from split_point: an int or a
+        Fraction coordinate is read as it is (an int has d_i = 1), any
+        other goes through Fraction().
         """
-        point = [Fraction(p) for p in point]
-        if len(point) != self.arity:
-            raise ValueError(f"arity mismatch: point has {len(point)} coordinates, expected {self.arity}")
+        nums, dens = split_point(point)
+        if len(nums) != self.arity:
+            raise ValueError(f"arity mismatch: point has {len(nums)} coordinates, expected {self.arity}")
         if not self.terms:
             return Fraction(0)
         den, terms = self.integer_terms()
         factors = []
-        for exponents, p in zip(zip(*terms), point):
+        for exponents, n, d in zip(zip(*terms), nums, dens):
             exponents = set(exponents)
-            top, n, d = max(exponents), p.numerator, p.denominator
+            top = max(exponents)
             den *= d ** top
             factors.append({e: n ** e * d ** (top - e) for e in exponents})
         total = 0

@@ -32,8 +32,12 @@ read the first time, and a block whose width lines equal an earlier
 block's, as text, is that block's QMatrix object, read no further.  So
 equal rows of a parsed program share one dict, which nothing changes
 afterwards, and every repeated block (each layer's power-0 I, equal
-tables) is one matrix.  Nothing is sized by the `width:` header before
-a block of that many rows has been read.
+tables) is one matrix.  The memo also notes whether a line's entries
+are all ints: a block of such lines is its int rows as read
+(QMatrix.sparse, no second scan), and only a block with a p/q or other
+Fraction entry goes through QMatrix.rational.  The `u:` and `v:`
+entries stay the ints and Fractions _rational gives.  Nothing is sized
+by the `width:` header before a block of that many rows has been read.
 """
 
 from __future__ import annotations
@@ -271,12 +275,13 @@ def parse_abp(text: str) -> Abp:
         raise ValueError(f"abp width must be positive, got {width}")
     vars = _variables(headers["vars"].split())
     index = {name: i for i, name in enumerate(vars)}
-    u = tuple(Fraction(_rational(x)) for x in headers["u"].split())
-    v = tuple(Fraction(_rational(x)) for x in headers["v"].split())
+    u = tuple(_rational(x) for x in headers["u"].split())
+    v = tuple(_rational(x) for x in headers["v"].split())
 
     # layer blocks, grouped by variable; memo maps a row's line to its dict
-    # and mats a block's lines to its matrix
-    memo: dict[str, dict[int, int | Fraction]] = {}
+    # and whether its entries are all ints, and mats a block's lines to its
+    # matrix
+    memo: dict[str, tuple[dict[int, int | Fraction], bool]] = {}
     mats: dict[tuple[str, ...], QMatrix] = {}
     blocks: dict[int, list[tuple[int, QMatrix]]] = {}
     while at < len(lines):
@@ -292,19 +297,20 @@ def parse_abp(text: str) -> Abp:
         key = tuple(lines[at + 1:at + 1 + width])
         at += 1 + width
         if (mat := mats.get(key)) is None:
-            rows = []
+            rows, integral = [], True
             for i, line in enumerate(key):
-                if (row := memo.get(line)) is None:
+                if (read := memo.get(line)) is None:
                     tokens = line.split()
                     if len(tokens) != width:
                         raise ValueError(f"row {i + 1} of {header!r} has {len(tokens)} entries, "
                                          f"expected {width}")
-                    row = memo[line] = {j: x for j, t in enumerate(tokens)
-                                        if t != "0" and (x := _rational(t))}
-                rows.append(row)
+                    row = {j: x for j, t in enumerate(tokens) if t != "0" and (x := _rational(t))}
+                    read = memo[line] = row, all(type(x) is int for x in row.values())
+                rows.append(read[0])
+                integral = integral and read[1]
             if len(rows) < width:
                 raise ValueError("truncated layer block")
-            mat = mats[key] = QMatrix.rational(width, width, rows)
+            mat = mats[key] = (QMatrix.sparse if integral else QMatrix.rational)(width, width, rows)
         blocks.setdefault(var, []).append((power, mat))
 
     separator = "|" if kind == "set_multilinear" else ","

@@ -5,8 +5,8 @@ brute_dpd enumerates every derivative directly, cofactor_det expands a
 numeric determinant recursively, poly_at_matrices substitutes matrices
 into a polynomial the long way, dense_eval_abp and dense_expand_abp
 evaluate and expand a program from the dense view of its matrices
-alone, all_pairs_commute multiplies every pair of matrices densely,
-both ways, and scaled multiplies a matrix by a scalar from its dense
+alone, dense_product multiplies two matrices from their Fractions,
+all_pairs_commute multiplies every pair of matrices so, both ways, and scaled multiplies a matrix by a scalar from its dense
 Fractions.  flattened_kind_check is check_kind without its skips: every
 coefficient matrix, the identities and repeated objects included, is
 flattened into the span echelon.  Ranks and
@@ -28,7 +28,9 @@ write every zero cell by cell, kept as oracles
 for textio's codec, which reads each distinct row line once and sets a
 row's nonzeros into one shared zero row; edited_abp_texts draws program
 texts with respaced, respelled, cut or inserted text for both readers
-and the CLI.  wide_rational_polys draws homogeneous input
+and the CLI.  built_programs draws a polynomial with the program the
+library builds for it: rational tables, a non-homogeneous direct sum or
+a diagonal build.  wide_rational_polys draws homogeneous input
 with wide rational coefficients, of degree up to max_degree, for the
 integer-row closure and quotient, and rational_commutative_programs
 draws commutative programs with rational (or wide rational) entries
@@ -47,7 +49,9 @@ from sympy import QQ, Symbol
 from sympy import Poly as SympyPoly
 from sympy.polys.matrices import DomainMatrix
 
-from commro import Abp, Layer, Poly, QMatrix, deglex_key, monomials_of_degree, pairing
+from commro import (Abp, Layer, Poly, QMatrix, WaringDecomposition, build_commro_general,
+                    build_diagro_from_waring, deglex_key, monomials_of_degree, pairing,
+                    waring_expand)
 from commro.abp import _PACK_BITS, KindCheck
 from commro.linalg import Echelon
 from commro.poly import MonoPacking, mono_factorial
@@ -121,6 +125,35 @@ def rational_commutative_programs(draw, entry=SMALL) -> Abp:
     vector = st.tuples(*[entry] * n)
     return Abp(kind="commutative", vars=var_names(arity), width=n,
                u=draw(vector), v=draw(vector), layers=tuple(layers))
+
+
+@st.composite
+def built_programs(draw) -> tuple[Poly, Abp]:
+    """(f, the program the library builds for f), built one of three ways.
+
+    "tables": build_commro_general of a homogeneous f with wide rational
+    coefficients, whose tables and v hold p/q entries; "direct sum": of
+    a non-homogeneous f with small rational coefficients, one block per
+    homogeneous component; "diagonal": build_diagro_from_waring of a
+    drawn decomposition with small rational entries, f its expansion.
+    """
+    how = draw(st.sampled_from(["tables", "direct sum", "diagonal"]))
+    if how == "tables":
+        f = draw(wide_rational_polys())
+        return f, build_commro_general(f)
+    nonzero = SMALL.filter(bool)
+    if how == "direct sum":
+        nvars = draw(st.integers(1, 3))
+        pool = [m for d in range(4) for m in monomials_of_degree(nvars, d)]
+        monos = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=5, unique=True)
+                     .filter(lambda ms: len({sum(m) for m in ms}) > 1))
+        f = Poly(var_names(nvars), {m: draw(nonzero) for m in monos})
+        return f, build_commro_general(f)
+    arity, degree = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    form = st.lists(SMALL, min_size=arity, max_size=arity).filter(any).map(tuple)
+    w = WaringDecomposition(degree=degree, terms=tuple(draw(st.lists(
+        st.tuples(nonzero, form), min_size=1, max_size=3))))
+    return waring_expand(w, var_names(arity)), build_diagro_from_waring(w, var_names(arity))
 
 
 # whitespace the reader must treat as split() does, and token spellings
@@ -300,16 +333,17 @@ def flattened_kind_check(abp) -> KindCheck:
                      sum(-(-i // size) for i in range(len(basis))), steps)
 
 
+def dense_product(a: QMatrix, b: QMatrix) -> list[list[Fraction]]:
+    """a @ b as dense rows of Fractions, summed from a.data and b.data."""
+    a, b = a.data, b.data
+    return [[sum((row[k] * b[k][j] for k in range(len(b))), Fraction(0))
+             for j in range(len(b[0]))] for row in a]
+
+
 def all_pairs_commute(mats: list[QMatrix]) -> bool:
     """Every pair of square matrices commutes, by dense products of .data."""
-    dense = [m.data for m in mats]
-
-    def mul(a, b):
-        n = len(a)
-        return [[sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
-                for i in range(n)]
-
-    return all(mul(a, b) == mul(b, a) for a, b in itertools.combinations(dense, 2))
+    return all(dense_product(a, b) == dense_product(b, a)
+               for a, b in itertools.combinations(mats, 2))
 
 
 def span_rank(polys: list[Poly]) -> int:

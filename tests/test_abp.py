@@ -16,11 +16,12 @@ from commro import (Abp, CapExceeded, Layer, Poly, QMatrix, check_kind, commute,
                     permute_order)
 from commro import abp as abp_module
 from commro.cli import run
-from commro.construct import build_commro
+from commro.construct import build_commro, build_commro_general
+from commro.poly import split_point
 from commro.detspecial import det_polynomial, palindrome
 from commro.textio import parse_abp
 
-from helpers import (SMALL, WIDE_RATIONALS, all_pairs_commute, dense_eval_abp,
+from helpers import (SMALL, WIDE_RATIONALS, all_pairs_commute, built_programs, dense_eval_abp,
                      dense_expand_abp, dense_nisan_rank, flattened_kind_check, random_point,
                      random_poly, rational_commutative_programs, scaled, var_names,
                      wide_rational_polys)
@@ -572,6 +573,32 @@ def test_eval_with_wide_rational_boundary_matches_dense_fractions(abp, data):
     value = eval_abp(abp, point)
     assert type(value) is Fraction
     assert value == dense_eval_abp(abp, point)
+
+
+@settings(max_examples=60, deadline=None)
+@given(built_programs(), st.data())
+def test_int_coordinates_evaluate_as_the_equal_fractions(built, data):
+    # verify's points are ints, read as they are; the equal Fractions give the
+    # same value in eval_abp and in Poly.eval, and so does expand_abp's polynomial
+    f, abp = built
+    ints = data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=f.arity,
+                              max_size=f.arity))
+    fractions = [Fraction(x) for x in ints]
+    value = eval_abp(abp, ints)
+    assert type(value) is Fraction and type(f.eval(ints)) is Fraction
+    assert value == eval_abp(abp, fractions) == f.eval(ints) == f.eval(fractions)
+    assert value == expand_abp(abp).eval(fractions)
+
+
+def test_a_coordinate_of_another_type_goes_through_fraction():
+    # a float, a string or a bool is read by Fraction(), as before; only int
+    # and Fraction coordinates skip it
+    f = parse_poly("x1^2*x2 - 3*x2*x3 + 1/2", ("x1", "x2", "x3"))
+    abp = build_commro_general(f)
+    exact = [Fraction(1, 2), Fraction(-3, 4), Fraction(1)]
+    for point in ([0.5, "-3/4", True], [Fraction(1, 2), -0.75, 1]):
+        assert eval_abp(abp, point) == f.eval(point) == f.eval(exact) == eval_abp(abp, exact)
+    assert split_point([3, Fraction(-6, 4), 0.25, "2/6"]) == ([3, -3, 1, 1], [1, 2, 4, 3])
 
 
 @st.composite

@@ -7,6 +7,7 @@ import random
 import re
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,11 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commro import (Poly, QMatrix, build_commro, check_kind, expand_abp, parse_poly,
-                    waring_expand)
+from commro import (Layer, Poly, QMatrix, build_commro, build_commro_general,
+                    build_diagro_from_waring, check_kind, expand_abp, inverse, parse_poly,
+                    waring_expand, waring_of_monomial)
 from commro import cli
 from commro.cli import run
 from commro.detspecial import det_polynomial, det_variables, palindrome
+from commro.linalg import vec_mat
 from commro.textio import (format_abp, format_poly_file, parse_abp,
                            parse_poly_file, parse_waring_file)
 
@@ -841,6 +844,93 @@ def test_verify_exits_0_1_2_or_3_on_edited_programs(edited_dir, data):
     path.write_bytes(data.draw(edited_abp_texts(abp)).encode())
     against.write_text(format_poly_file(expand_abp(abp)))
     assert run(["verify", str(path), "--against", str(against), "--random-eval", "2"]) in {0, 1, 2, 3}
+
+
+def _mutant(abp, kind: str, rng: random.Random):
+    """abp with one seeded edit: an entry's sign, a row, an entry of v or two layers' variables."""
+    if kind == "v entry":
+        v = list(abp.v)
+        v[rng.randrange(abp.width)] += rng.choice([-2, -1, 1, Fraction(1, 3)])
+        return replace(abp, v=tuple(v))
+    if kind == "swap variables":
+        a, b = (next(iter(abp.layers[i].variables()))
+                for i in rng.sample(range(len(abp.layers)), 2))
+        swap = {a: b, b: a}
+        return replace(abp, layers=tuple(Layer([(swap.get(var, var), k, m)
+                                                for var, k, m in layer.terms])
+                                         for layer in abp.layers))
+    # an entry of a matrix of power >= 1: its sign flipped, or its whole row zeroed
+    spots = [(li, ti, i, j) for li, layer in enumerate(abp.layers)
+             for ti, (_, k, m) in enumerate(layer.terms) if k >= 1
+             for i, row in enumerate(m.entries) for j in row]
+    li, ti, i, j = rng.choice(spots)
+    layers, terms = list(abp.layers), list(abp.layers[li].terms)
+    var, k, m = terms[ti]
+    rows = [dict(row) for row in m.entries]
+    if kind == "flip sign":
+        rows[i][j] = -rows[i][j]
+    else:
+        rows[i] = {}
+    terms[ti] = (var, k, QMatrix.sparse(m.rows, m.cols, rows, m.den))
+    layers[li] = Layer(terms)
+    return replace(abp, layers=tuple(layers))
+
+
+def _similar(abp, rng: random.Random):
+    """S M S^-1 for every matrix M, u^T S^-1 and S v, for a seeded integer S: the same polynomial."""
+    n = abp.width
+    while True:
+        s = QMatrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        if (s_inv := inverse(s)) is not None:
+            break
+    s_t = QMatrix([list(column) for column in zip(*s.data)])
+    return replace(abp, u=tuple(vec_mat(list(abp.u), s_inv)), v=tuple(vec_mat(list(abp.v), s_t)),
+                   layers=tuple(Layer([(var, k, s @ m @ s_inv) for var, k, m in layer.terms])
+                                for layer in abp.layers))
+
+
+MUTATIONS = ("flip sign", "zero row", "v entry", "swap variables")
+
+
+def test_verify_catches_every_mutant_that_changes_the_polynomial(tmp_path):
+    # seeded edits of built programs: whenever the edit changes the computed
+    # polynomial (expand_abp is the oracle), verify exits 1 by random
+    # evaluation and by expansion; a similarity transform changes nothing and
+    # still exits 0
+    rng = random.Random(17)
+    programs = [(f, build_commro_general(f)) for f in (
+        palindrome(3), det_polynomial(2), parse_poly("1/2*x1^2*x2 - 3/5*x2*x3 + 7/3*x3 - 1",
+                                                      ("x1", "x2", "x3")),
+        *[random_poly(rng, 3, 3, 5, homogeneous=False) for _ in range(2)])]
+    monomial = waring_of_monomial(3)
+    programs.append((waring_expand(monomial, ("x1", "x2", "x3")),
+                     build_diagro_from_waring(monomial, ("x1", "x2", "x3"))))
+    path, against = tmp_path / "mutant.abp", tmp_path / "f.poly"
+
+    def verify(abp, f) -> list[int]:
+        path.write_text(format_abp(abp))
+        against.write_text(format_poly_file(f))
+        with contextlib.redirect_stdout(io.StringIO()):
+            return [run(["verify", str(path), "--against", str(against), *how])
+                    for how in (["--random-eval", "2"], ["--expand"])]
+
+    tally = {kind: [0, 0, 0] for kind in MUTATIONS}  # mutants, changed f, killed
+    for f, abp in programs:
+        for kind in MUTATIONS:
+            for _ in range(3):
+                mutant = _mutant(abp, kind, rng)
+                changed = expand_abp(mutant) != f
+                codes = verify(mutant, f)
+                if changed:
+                    assert codes == [1, 1], (kind, format_abp(mutant))
+                # an unchanged polynomial leaves only the kind check to decide
+                assert codes[0] == codes[1]
+                tally[kind] = [t + x for t, x in zip(tally[kind], (1, changed, codes == [1, 1]))]
+        if abp.kind == "commutative":
+            assert verify(_similar(abp, rng), f) == [0, 0]
+    for kind, (mutants, changed, killed) in tally.items():
+        print(f"{kind}: {killed} of {mutants} mutants killed, {changed} changed f")
+        assert changed > 0
 
 
 # the exit-code contract of every subcommand on any input file: IN is the

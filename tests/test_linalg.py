@@ -12,10 +12,11 @@ from sympy.polys.matrices import DomainMatrix
 from commro import (Poly, PolyMatrix, QMatrix, commute, inverse,
                     minimal_polynomial, parse_poly, polymat_mul, rank)
 from commro.detspecial import det2_golden, det_polynomial
+from commro.abp import _pack
 from commro.linalg import Echelon, vec_mat
 
-from helpers import (WIDE_RATIONALS, random_point, random_poly, scaled, sympy_fraction,
-                     sympy_minimal_polynomial)
+from helpers import (SMALL, WIDE_RATIONALS, all_pairs_commute, dense_product, random_point,
+                     random_poly, scaled, sympy_fraction, sympy_minimal_polynomial)
 
 # the worked 5x5 multiplication table with minimal polynomial
 # t^5 - 10 t^4 - 7 t^3 + 2 t^2 - 3
@@ -75,6 +76,86 @@ def test_commute_examples():
     assert not commute(proj, lower) and not commute(lower, proj)
     with pytest.raises(ValueError):
         commute(QMatrix.identity(2), QMatrix.identity(3))
+
+
+@st.composite
+def commuting_candidates(draw, entry) -> tuple[QMatrix, QMatrix]:
+    """(a, b): a with rows left empty at random, b a polynomial in a or drawn alike.
+
+    A polynomial in a commutes with it, and may keep rows empty where a's
+    are not, or the other way round; a drawn b usually does not commute.
+    """
+    n = draw(st.integers(1, 5))
+
+    def sparse() -> QMatrix:
+        return QMatrix([[draw(entry) if draw(st.booleans()) else 0 for _ in range(n)]
+                        if draw(st.booleans()) else [0] * n for _ in range(n)])
+
+    a = sparse()
+    if draw(st.booleans()):
+        return a, sparse()
+    b = QMatrix.zeros(n, n)
+    for power in (QMatrix.identity(n), a, a @ a):
+        if draw(st.booleans()):
+            b = b + scaled(power, draw(entry))
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([SMALL, WIDE_RATIONALS]).flatmap(commuting_candidates))
+def test_commute_matches_dense_fraction_products(pair):
+    a, b = pair
+    assert commute(a, b) == commute(b, a) == all_pairs_commute([a, b])
+
+
+def test_commute_finds_a_difference_in_the_last_row_only():
+    # a = e_(n-1) r^T: a @ b has only a last row, r^T b; b @ a has row i
+    # b[i][n-1] r^T, zero above the last row since b's last column is zero
+    # there, while b's rows above are not empty
+    n = 4
+    a = QMatrix([[0] * n] * (n - 1) + [[Fraction(1, 2), -3, 0, 5]])
+    b = QMatrix([[1, 2, 0, 0], [0, Fraction(-7, 3), 4, 0], [9, 0, 1, 0], [1, 1, 1, 2]])
+    ab, ba = dense_product(a, b), dense_product(b, a)
+    assert ab[:-1] == ba[:-1] and ab[-1] != ba[-1]
+    assert not commute(a, b) and not commute(b, a)
+    assert not all_pairs_commute([a, b])
+    # with r = e_(n-1) a left eigenvector of b for b's corner entry, the last
+    # rows agree too
+    corner = QMatrix([[0] * n] * (n - 1) + [[0, 0, 0, 1]])
+    b = QMatrix([*b.data[:-1], [0, 0, 0, 2]])
+    assert commute(corner, b) and commute(b, corner) and all_pairs_commute([corner, b])
+
+
+def test_commute_returns_at_the_first_row_that_differs():
+    # a's second row names column n, which no row of b has: reading it would
+    # raise, so a False from the first row must come before it
+    n = 3
+    a = QMatrix.sparse(n, n, [{0: 1}, {n: 1}, {}])
+    b = QMatrix.sparse(n, n, [{1: 1}, {}, {}])
+    assert not commute(a, b)
+    with pytest.raises(IndexError):
+        commute(a, QMatrix.identity(n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([SMALL, WIDE_RATIONALS]).flatmap(
+    lambda entry: st.tuples(commuting_candidates(entry), commuting_candidates(entry))), st.data())
+def test_commute_with_a_packed_sum_is_commute_with_every_summand(pairs, data):
+    # _pack's sum P = sum_a z^a E_a of int rows: m commutes with P iff it
+    # commutes with every summand, when z = 2^slot exceeds 2 n top^2 as in
+    # check_kind
+    (m, e1), (_, e2) = pairs
+    n = m.rows
+    if e2.rows != n:
+        e2 = QMatrix.identity(n)
+    summands = [e1, e2, data.draw(st.sampled_from([m, e1, QMatrix.identity(n)]))]
+    top = max([1] + [abs(x) for e in [m, *summands] for x in e.flat().values()])
+    slot = (2 * n * top * top).bit_length()
+    packed = summands[0]
+    for i, e in enumerate(summands[1:], 1):
+        packed = _pack(packed, e, 1 << (slot * i))
+    assert commute(m, packed) == all_pairs_commute([m, packed]) == all(
+        all_pairs_commute([m, e]) for e in summands)
 
 
 def test_minimal_polynomial_examples():

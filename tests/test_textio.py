@@ -15,8 +15,9 @@ from commro.textio import (_rational, _row_lines, format_abp, format_matrix, for
                            format_waring_file, parse_abp, parse_poly_file,
                            parse_waring_file)
 
-from helpers import (SMALL, WIDE_RATIONALS, edited_abp_texts, flattened_kind_check, random_poly,
-                     rational_commutative_programs, reference_parse_abp, reference_row_lines)
+from helpers import (SMALL, WIDE_RATIONALS, built_programs, edited_abp_texts,
+                     flattened_kind_check, random_poly, rational_commutative_programs,
+                     reference_parse_abp, reference_row_lines)
 
 
 def test_poly_file_round_trip():
@@ -204,6 +205,58 @@ def test_abp_text_round_trip_on_wide_rationals(abp):
     dense = [" ".join(str(x) for x in row) for layer in abp.layers
              for _, _, mat in layer.terms for row in mat.data]
     assert [line for line in text.splitlines()[7:] if not line.startswith("layer ")] == dense
+
+
+@settings(max_examples=60, deadline=None)
+@given(built_programs())
+def test_built_programs_read_back_with_u_and_v_as_the_token_reader_gives(built):
+    # u and v read as ints where the writer wrote an int and as Fractions
+    # where it wrote p/q, each equal to the built entry; the text is unchanged
+    _, abp = built
+    text = format_abp(abp)
+    parsed = parse_abp(text)
+    assert parsed == abp
+    assert len(parsed.u) == len(abp.u) and len(parsed.v) == len(abp.v)
+    for read, made in zip(parsed.u + parsed.v, abp.u + abp.v):
+        assert read == made
+        assert type(read) is (int if Fraction(made).denominator == 1 else Fraction)
+    assert format_abp(parsed) == text
+
+
+# a token _rational reads as a Fraction: the writer's p/q, and spellings of
+# ints that only Fraction reads (`4/2` is Fraction(2), `1e3` Fraction(1000))
+ODD_TOKENS = st.one_of(SMALL.filter(lambda x: x.denominator > 1).map(str),
+                       WIDE_RATIONALS.filter(lambda x: x.denominator > 1).map(str),
+                       st.sampled_from(["4/2", "-9/3", "1e3", "1.5", "-0.25"]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_a_block_of_int_lines_and_one_odd_line_reads_as_rational_gives(data):
+    # the int lines are met in an all-int block too, before or after the mixed
+    # one, so the mixed block reuses memoised int lines or leaves its own
+    width = data.draw(st.integers(1, 4))
+    cells = data.draw(st.lists(st.lists(st.integers(-9, 9) | st.integers(-10 ** 20, 10 ** 20),
+                                        min_size=width, max_size=width),
+                               min_size=width, max_size=width))
+    at, column = data.draw(st.integers(0, width - 1)), data.draw(st.integers(0, width - 1))
+    odd = [row[:] for row in cells]
+    odd[at][column] = data.draw(ODD_TOKENS)
+    integral, mixed = ([" ".join(map(str, row)) for row in rows] for rows in (cells, odd))
+    blocks = [integral, mixed] if data.draw(st.booleans()) else [mixed, integral]
+    header = ["abp v1", "kind: general", f"width: {width}", "vars: x", "order: x",
+              "u: " + " ".join(["1"] * width), "v: " + " ".join(["1"] * width)]
+    text = "\n".join(header + [line for k, block in enumerate(blocks)
+                               for line in (f"layer x power {k}", *block)]) + "\n"
+    expected = {id(block): QMatrix.rational(width, width, [
+        {j: Fraction(t) for j, t in enumerate(line.split()) if Fraction(t)} for line in block])
+        for block in blocks}
+    read = [mat for _, _, mat in parse_abp(text).layers[0].terms]
+    assert read == [expected[id(block)] for block in blocks]
+    int_block = read[blocks.index(integral)]
+    assert int_block == QMatrix.sparse(width, width, [
+        {j: x for j, x in enumerate(row) if x} for row in cells])
+    assert int_block.den == 1
 
 
 def test_abp_rejects_malformed():

@@ -49,22 +49,13 @@ def test_code_lines_counts_code_only(tmp_path):
     assert code_lines.count(path) == (8, 21)
 
 
-def test_ab_compares_the_checkout_with_itself_on_the_tiny_corpus():
-    # two alternating rounds of verify; the last line is the JSON report
-    root = SCRIPT.parent.parent
-    start = time.perf_counter()
-    done = subprocess.run([sys.executable, "tools/ab.py", ".", ".", "--workload", "tiny",
-                           "--seed", "1", "--command", "verify", "--rounds", "2"],
-                          cwd=root, capture_output=True, text=True, timeout=60)
-    assert time.perf_counter() - start < 2.0
-    assert done.returncode == 0, done.stdout + done.stderr
-    lines = done.stdout.splitlines()
-    assert [line.split(":")[0] for line in lines[:-1]] == ["round 1", "round 2"]
-    report = json.loads(lines[-1])
+def check_ab_report(line: str, seed: int) -> None:
+    """line is tools/ab.py's JSON report of two verify rounds on the tiny corpus at seed."""
+    report = json.loads(line)
     assert list(report) == ["workload", "seed", "command", "rounds", "ops", "parent", "change",
                             "ratio", "wall_ratio"]
     assert (report["workload"], report["seed"], report["command"], report["rounds"]) == (
-        "tiny", 1, "verify", 2)
+        "tiny", seed, "verify", 2)
     assert report["ops"] > 0
     for side in ("parent", "change"):
         assert list(report[side]) == ["median_s", "min_s", "iqr_s", "wins",
@@ -81,6 +72,38 @@ def test_ab_compares_the_checkout_with_itself_on_the_tiny_corpus():
     assert report["ratio"] == report["change"]["median_s"] / report["parent"]["median_s"]
     assert report["wall_ratio"] == (report["change"]["median_wall_s"]
                                     / report["parent"]["median_wall_s"])
+
+
+def test_ab_compares_the_checkout_with_itself_on_the_tiny_corpus():
+    # two alternating rounds of verify; the last line is the JSON report
+    root = SCRIPT.parent.parent
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "tools/ab.py", ".", ".", "--workload", "tiny",
+                           "--seed", "1", "--command", "verify", "--rounds", "2"],
+                          cwd=root, capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 2.0
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == ["round 1", "round 2"]
+    check_ab_report(lines[-1], 1)
+
+
+def test_ab_runs_the_rounds_once_per_seed_of_a_comma_list():
+    # --seed 1,11: the rounds and one JSON report for seed 1, then the same for seed 11
+    root = SCRIPT.parent.parent
+    done = subprocess.run([sys.executable, "tools/ab.py", ".", ".", "--workload", "tiny",
+                           "--seed", "1,11", "--command", "verify", "--rounds", "2"],
+                          cwd=root, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines[:2] + lines[3:5]] == ["round 1", "round 2"] * 2
+    assert len(lines) == 6
+    check_ab_report(lines[2], 1)
+    check_ab_report(lines[5], 11)
+    bad = subprocess.run([sys.executable, "tools/ab.py", ".", ".", "--workload", "tiny",
+                          "--seed", "1,x", "--command", "verify"],
+                         cwd=root, capture_output=True, text=True, timeout=60)
+    assert bad.returncode == 2 and "invalid seeds value: '1,x'" in bad.stderr
 
 
 def test_ab_fails_a_round_whose_verify_fails_on_both_sides(tmp_path):

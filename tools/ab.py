@@ -1,6 +1,6 @@
 """Alternating A/B timing of two checkouts on one benchmark corpus.
 
-    python tools/ab.py PARENT CHANGE --workload det4 --seed 1 --command verify --rounds 8
+    python tools/ab.py PARENT CHANGE --workload det4 --seed 1,11 --command verify --rounds 8
 
 PARENT and CHANGE are the roots of two source checkouts.  Each tree's
 commro is imported afresh from its `src/` (as perfbench/run.py's
@@ -18,8 +18,10 @@ in-process as perfbench/run.py drives it, in reference seconds: the
 rounds run under perfbench's SpeedMeter, which corrects each op's wall
 time for the host's drifting speed as run.py's timings are corrected.
 
-After the rounds, one line per round gives both passes in reference
-and in wall seconds.  The last line is JSON: for each side the median,
+--seed takes one seed or a comma list (`1,11`): the corpus, the rounds
+and the report are made once per seed, in the order given.  After a
+seed's rounds, one line per round gives both passes in reference and in
+wall seconds, and then one JSON line reports them: for each side the median,
 the minimum and the interquartile range of its pass seconds and the
 rounds it won, in reference seconds and again in wall seconds
 (`_wall_s`, `wall_wins`), and the ratio of the medians, change over
@@ -97,29 +99,22 @@ def summary(seconds: dict[str, list[float]]) -> dict[str, tuple[float, float, fl
             for side, times in seconds.items()}
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent", type=Path)
-    parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True,
-                        choices=[*corpora.WORKLOADS, "tiny"])
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--command", required=True, choices=["build", "verify", "nisan"])
-    parser.add_argument("--rounds", type=int, default=8)
-    args = parser.parse_args(argv)
-    if args.rounds < 1:
-        parser.error("--rounds must be at least 1")
-    sides = {"parent": load_cli(args.parent), "change": load_cli(args.change)}
+def seeds(text: str) -> list[int]:
+    """The seeds of a --seed value: one int, or a comma list such as `1,11`."""
+    return [int(part) for part in text.split(",")]
+
+
+def compare(sides: dict, workload: str, seed: int, command: str, rounds: int) -> None:
+    """Time the rounds on one seed's corpus; print a line per round, then the JSON report."""
     with tempfile.TemporaryDirectory() as directory:
-        corpus = corpora.make_corpus(args.workload, args.seed, Path(directory),
-                                     sides["parent"].run)
+        corpus = corpora.make_corpus(workload, seed, Path(directory), sides["parent"].run)
         run_pass(sides["parent"], corpus)  # writes the .abp files that verify reads
-        ops = [op for op in corpus.ops if op.command == args.command]
+        ops = [op for op in corpus.ops if op.command == command]
         corpus = corpora.Corpus(corpus.workload, tuple(ops))
         run_pass(sides["change"], corpus)  # warms the change as that pass warmed the parent
         outcomes: dict[str, list[list[Outcome]]] = {side: [] for side in sides}
         with SpeedMeter() as meter:
-            for r in range(args.rounds):
+            for r in range(rounds):
                 order = ["parent", "change"] if r % 2 == 0 else ["change", "parent"]
                 passes = {side: timed_pass(sides[side], corpus, f"round {r + 1}, {side}")
                           for side in order}
@@ -130,12 +125,12 @@ def main(argv: list[str] | None = None) -> int:
     seconds = {side: [sum(meter.seconds(o.start, o.end) for o in rs) for rs in outcomes[side]]
                for side in sides}
     wall = {side: [sum(o.seconds for o in rs) for rs in outcomes[side]] for side in sides}
-    for r in range(args.rounds):
+    for r in range(rounds):
         print(f"round {r + 1}: parent {seconds['parent'][r]:.6f} s "
               f"(wall {wall['parent'][r]:.6f} s), change {seconds['change'][r]:.6f} s "
               f"(wall {wall['change'][r]:.6f} s)")
-    report = {"workload": args.workload, "seed": args.seed, "command": args.command,
-              "rounds": args.rounds, "ops": len(ops)}
+    report = {"workload": workload, "seed": seed, "command": command,
+              "rounds": rounds, "ops": len(ops)}
     reference, walls = summary(seconds), summary(wall)
     keys = ("median_s", "min_s", "iqr_s", "wins",
             "median_wall_s", "min_wall_s", "iqr_wall_s", "wall_wins")
@@ -143,9 +138,25 @@ def main(argv: list[str] | None = None) -> int:
         report[side] = dict(zip(keys, reference[side] + walls[side]))
     report["ratio"] = report["change"]["median_s"] / report["parent"]["median_s"]
     report["wall_ratio"] = report["change"]["median_wall_s"] / report["parent"]["median_wall_s"]
-    print(json.dumps(report))
-    return 0
+    print(json.dumps(report), flush=True)
 
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True,
+                        choices=[*corpora.WORKLOADS, "tiny"])
+    parser.add_argument("--seed", type=seeds, default=[1])
+    parser.add_argument("--command", required=True, choices=["build", "verify", "nisan"])
+    parser.add_argument("--rounds", type=int, default=8)
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+    sides = {"parent": load_cli(args.parent), "change": load_cli(args.change)}
+    for seed in args.seed:
+        compare(sides, args.workload, seed, args.command, args.rounds)
+    return 0
 
 if __name__ == "__main__":
     sys.exit(main())
