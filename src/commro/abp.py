@@ -205,14 +205,17 @@ def permute_order(abp: Abp, new_order: Sequence[int]) -> Abp:
 
 @dataclass(frozen=True)
 class KindCheck:
-    """What check_kind checked; true iff the declared invariant holds."""
+    """What check_kind checked; true iff the declared invariant holds.
+
+    For the commuting kinds, each matrix other than I and the objects met
+    before is a power step or one of the basis matrices that form pairs.
+    """
 
     ok: bool
     matrices: int     # coefficient matrices inspected
-    span: int         # dimension of the span of I and the matrices (commuting kinds)
     pairs: int        # basis pairs the packed products check; all were when ok
     products: int     # packed products commute(m, P) that check them; all were made when ok
-    power_steps: int  # span-basis matrices A_k = A_(k-1) A_1 / k, one product each
+    power_steps: int  # matrices A_k = A_(k-1) A_1 / k, one product each, outside the basis
 
     def __bool__(self) -> bool:
         return self.ok
@@ -229,24 +232,19 @@ def check_kind(abp: Abp) -> KindCheck:
     commutative / set_multilinear: all coefficient matrices commute
     pairwise; diagonal: all matrices diagonal; general: always true.
 
-    The commutator is bilinear, so matrices commute pairwise iff a basis
-    of their linear span does, and the identity commutes with everything.
-    Each matrix is therefore flattened, in multiplication order, into an
-    echelon seeded with I, and only the matrices that grow its rank form
-    the basis.  A matrix equal to I (every built layer's power 0) or an
-    object met before cannot grow it, so it is skipped unflattened.
-
-    The layer of a commutative program is usually an exponential, I +
-    T x + T^2 x^2 / 2! + ..., whose powers need no pair of their own.  A
-    basis matrix A_k (k >= 2) is a power step when its variable's A_1 and
-    A_(k-1) came before it and A_k = A_(k-1).times(A_1, k), the product
-    that forms the layers; QMatrix is canonical, so == tests that
-    exactly.  The rest of the basis, S, must commute pair by pair.  This
-    is still exact and an iff.  Taken in order, every matrix lies in the
-    algebra generated by I and S: one outside the basis lies in the span
-    of I and the basis matrices before it, and a power step is a product
-    of two matrices before it.  If S commutes pairwise, that algebra is
-    commutative, so all the matrices commute; if they all do, so does S.
+    Each matrix, taken in multiplication order, is one of four things:
+    I (every built layer's power 0), an object met before, a power step,
+    or a basis matrix.  The layer of a commutative program is usually an
+    exponential, I + T x + T^2 x^2 / 2! + ..., and a matrix A_k (k >= 2)
+    is a power step when its variable's A_1 and A_(k-1) came before it
+    and A_k = A_(k-1).times(A_1, k), the product that forms the layers;
+    QMatrix is canonical, so == tests that exactly.  The basis matrices,
+    S, must commute pair by pair.  This is exact and an iff: by induction
+    every matrix lies in the algebra generated by I and S, as I and S do,
+    an object met before is a matrix before it and a power step is a
+    product of two matrices before it.  If S commutes pairwise, that
+    algebra is commutative, so all the matrices commute; if they all do,
+    so does S.
 
     The pairs of S are checked in packed products (Kronecker
     substitution).  With E_a the int rows of S's matrices, top the
@@ -262,27 +260,26 @@ def check_kind(abp: Abp) -> KindCheck:
     which are the pairs themselves.
     """
     if abp.kind == "general":
-        return KindCheck(True, 0, 0, 0, 0, 0)
+        return KindCheck(True, 0, 0, 0, 0)
     mats = abp.coefficient_matrices()
     if abp.kind == "diagonal":
-        return KindCheck(all(m.is_diagonal() for m in mats), len(mats), 0, 0, 0, 0)
+        return KindCheck(all(m.is_diagonal() for m in mats), len(mats), 0, 0, 0)
     identity = abp.identity
-    span = Echelon()
-    span.add(identity.flat())
     before: dict[tuple[int, int], QMatrix] = {}  # (var, power) -> a matrix met already
     met: set[int] = set()  # ids of the matrices met already, all alive in abp
-    basis, steps, top = [], 0, 1
+    basis, steps = [], 0
     for layer in abp.layers:
         for var, k, m in layer.terms:
-            if id(m) not in met and m != identity and span.add(flat := m.flat()):
+            if id(m) not in met and m != identity:
                 if (k >= 2 and (var, 1) in before and (var, k - 1) in before
                         and m == before[var, k - 1].times(before[var, 1], k)):
                     steps += 1
                 else:
                     basis.append(m)
-                    top = max(top, max(map(abs, flat.values())))
             before[var, k] = m
             met.add(id(m))
+    # int rows hold only nonzeros: a basis of zero matrices gives top 1, not a zero slot
+    top = max((abs(x) for m in basis for row in m.entries for x in row.values()), default=1)
     slot = (2 * abp.width * top * top).bit_length()
     size = max(1, _PACK_BITS // slot)
     packed: list[QMatrix] = []  # the groups' sums P; a group's first matrix stands for itself
@@ -294,7 +291,7 @@ def check_kind(abp: Abp) -> KindCheck:
             packed[-1] = _pack(packed[-1], m, 1 << (slot * (i % size)))
         else:
             packed.append(m)
-    return KindCheck(ok, len(mats), span.rank, len(basis) * (len(basis) - 1) // 2, products, steps)
+    return KindCheck(ok, len(mats), len(basis) * (len(basis) - 1) // 2, products, steps)
 
 
 def _pack(p: QMatrix, m: QMatrix, scale: int) -> QMatrix:

@@ -192,9 +192,8 @@ def _cmd_verify(args) -> int:
     else:
         steps = (f"{kind.power_steps} power steps k*A_k = A_(k-1)*A_1, one product each; "
                  if kind.power_steps else "")
-        print(f"kind {abp.kind}: ok ({kind.matrices} matrices; their span with I has "
-              f"dimension {kind.span}; {steps}{kind.pairs} basis pairs checked by "
-              f"{kind.products} packed products)")
+        print(f"kind {abp.kind}: ok ({kind.matrices} matrices; {steps}{kind.pairs} basis pairs "
+              f"checked by {kind.products} packed products)")
 
     # f's value at each seeded point, evaluated once for every layer order
     expected: list[tuple[list[int], Fraction]] = []

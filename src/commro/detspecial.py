@@ -16,6 +16,7 @@ the generic quotient pipeline against them entrywise.
 from __future__ import annotations
 
 import itertools
+from typing import Iterator
 
 from .linalg import PolyMatrix, QMatrix
 from .poly import Mono, Poly, deglex_key
@@ -78,6 +79,12 @@ def palindrome(n: int) -> Poly:
 # anti-diagonal normal set and sign-formula tables
 # ---------------------------------------------------------------------------
 
+def _minors(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The (S, T) row and column index sets of every square minor, by size, the empty one first."""
+    for k in range(n + 1):
+        yield from itertools.product(itertools.combinations(range(1, n + 1), k), repeat=2)
+
+
 def _anti_diagonal_pairs(s: tuple[int, ...], t: tuple[int, ...]) -> list[tuple[int, int]]:
     """Row/column pairs of the anti-diagonal of the (s, t) minor."""
     k = len(s)
@@ -115,13 +122,8 @@ def det_normal_set(n: int) -> list[Mono]:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    out = []
-    for k in range(n + 1):
-        for s in itertools.combinations(range(1, n + 1), k):
-            for t in itertools.combinations(range(1, n + 1), k):
-                out.append(_pairs_to_mono(n, _anti_diagonal_pairs(s, t)))
-    out.sort(key=deglex_key)
-    return out
+    return sorted((_pairs_to_mono(n, _anti_diagonal_pairs(s, t)) for s, t in _minors(n)),
+                  key=deglex_key)
 
 
 def det_mult_tables(n: int) -> list[QMatrix]:
@@ -137,18 +139,11 @@ def det_mult_tables(n: int) -> list[QMatrix]:
     normal = det_normal_set(n)
     position = {mono: idx for idx, mono in enumerate(normal)}
     width = len(normal)
-
-    index_sets: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for k in range(n + 1):
-        for s in itertools.combinations(range(1, n + 1), k):
-            for t in itertools.combinations(range(1, n + 1), k):
-                index_sets.append((s, t))
-
     tables = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             entries: list[dict[int, int]] = [{} for _ in range(width)]
-            for s, t in index_sets:
+            for s, t in _minors(n):
                 if i in s or j in t:
                     continue
                 base = _anti_diagonal_pairs(s, t)

@@ -7,9 +7,9 @@ into a polynomial the long way, dense_eval_abp and dense_expand_abp
 evaluate and expand a program from the dense view of its matrices
 alone, dense_product multiplies two matrices from their Fractions,
 all_pairs_commute multiplies every pair of matrices so, both ways, and scaled multiplies a matrix by a scalar from its dense
-Fractions.  flattened_kind_check is check_kind without its skips: every
-coefficient matrix, the identities and repeated objects included, is
-flattened into the span echelon.  Ranks and
+Fractions.  flattened_kind_check is check_kind without its packing:
+every basis pair is multiplied both ways, and the packed products are
+counted, not formed.  Ranks and
 solves come from sympy, not from the library's own elimination kernel:
 span_rank, dense_nisan_rank (the dense coefficient matrix over a
 variable bipartition, which nisan_width never builds),
@@ -306,29 +306,29 @@ def dense_expand_abp(abp) -> Poly:
 
 
 def flattened_kind_check(abp) -> KindCheck:
-    """check_kind's report on a commutative or set-multilinear program, every matrix flattened.
+    """check_kind's report on a commutative or set-multilinear program, recomputed the long way.
 
-    Every coefficient matrix, I and repeated objects included, is
-    offered to the span echelon in multiplication order; the power steps
-    are tested by a product and a scale, the pairs and the packed
-    products are counted by check_kind's documented rules, and ok is
-    whether every pair of the multiplied basis commutes.
+    In multiplication order, every coefficient matrix that is neither I
+    nor an object met before is a power step, tested by a product and a
+    scale, or joins the basis; the pairs and the packed products are
+    counted by check_kind's documented rules, and ok is whether every
+    pair of the basis commutes, each pair multiplied both ways.
     """
-    span, before, basis, steps = Echelon(), {}, [], 0
-    span.add(QMatrix.identity(abp.width).flat())
+    identity, before, met, basis, steps = QMatrix.identity(abp.width), {}, set(), [], 0
     for layer in abp.layers:
         for var, k, m in layer.terms:
-            if span.add(m.flat()):
+            if id(m) not in met and m != identity:
                 if (k >= 2 and (var, 1) in before and (var, k - 1) in before
                         and scaled(m, k) == before[var, k - 1] @ before[var, 1]):
                     steps += 1
                 else:
                     basis.append(m)
             before[var, k] = m
+            met.add(id(m))
     top = max([1] + [abs(x) for m in basis for x in m.flat().values()])
     size = max(1, _PACK_BITS // (2 * abp.width * top * top).bit_length())
     ok = all(a @ b == b @ a for a, b in itertools.combinations(basis, 2))
-    return KindCheck(ok, len(abp.coefficient_matrices()), span.rank,
+    return KindCheck(ok, len(abp.coefficient_matrices()),
                      len(basis) * (len(basis) - 1) // 2,
                      sum(-(-i // size) for i in range(len(basis))), steps)
 

@@ -8,15 +8,14 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from sympy import QQ
-from sympy.polys.matrices import DomainMatrix
 
 from commro import (Abp, CapExceeded, Layer, Poly, QMatrix, check_kind, commute,
                     dpd, eval_abp, expand_abp, nisan_width, parse_poly,
                     permute_order)
 from commro import abp as abp_module
 from commro.cli import run
-from commro.construct import build_commro, build_commro_general
+from commro.construct import build_commro, build_commro_general, build_smabp
+from commro.linalg import Echelon
 from commro.poly import split_point
 from commro.detspecial import det_polynomial, palindrome
 from commro.textio import parse_abp
@@ -113,6 +112,9 @@ def test_check_kind():
     as_comm = Abp(kind="commutative", vars=V2, width=2, u=diag.u, v=diag.v,
                   layers=diag_layers)
     assert check_kind(as_comm)
+    # zero matrices hold no entry to size the packing by, and still join the basis
+    zeros = replace(as_comm, layers=tuple(Layer([(l, 1, QMatrix.zeros(2, 2))]) for l in (0, 1)))
+    assert check_kind(zeros).pairs == 1
 
     assert check_kind(build_commro(det_polynomial(2)))
 
@@ -282,23 +284,21 @@ def test_check_kind_agrees_with_all_pairs_oracle(layers_and_kind):
     mats = abp.coefficient_matrices()
     report = check_kind(abp)
     assert bool(report) == all_pairs_commute(mats)
-    # skipping I and the objects met before changes nothing it reports
     assert report == flattened_kind_check(abp)
     assert report.matrices == len(mats)
-    flat = [[x for row in m.data for x in row] for m in (QMatrix.identity(n), *mats)]
-    assert report.span == DomainMatrix.from_list(flat, QQ).rank()
-    # the basis (span - 1 matrices besides I) less its power steps is checked pair by pair,
-    # each matrix by one packed product per group of the matrices before it
-    multiplied = report.span - 1 - report.power_steps
+    # the basis, every distinct object other than I less the power steps, is checked
+    # pair by pair, each matrix by one packed product per group of the matrices before it
+    identity = QMatrix.identity(n)
+    multiplied = len({id(m) for m in mats if m != identity}) - report.power_steps
     assert report.pairs == multiplied * (multiplied - 1) // 2
     assert any(report.products == sum(-(-i // size) for i in range(multiplied))
                for size in range(1, multiplied + 2))
     # a power step has a power of 2 or more, and an untouched exponential layer
-    # leaves at most its T to multiply
+    # leaves at most its T, and its power 0 when that is not I, to multiply
     assert report.power_steps <= sum(max(len(powers) - 2, 0) for powers in layers)
     if all(m is None or m == scaled(powers[1] @ powers[k - 1], Fraction(1, k))
            for powers in layers for k, m in enumerate(powers) if k >= 2):
-        assert multiplied <= len(layers)
+        assert multiplied <= sum(1 + (powers[0] not in (None, identity)) for powers in layers)
 
 
 @pytest.mark.parametrize("seed", [1, 11])
@@ -319,18 +319,36 @@ def test_check_kind_on_the_benchmark_corpora_matches_flattening(tmp_path, capsys
     assert checked >= 3
 
 
-def test_check_kind_flattens_no_identity_and_no_object_twice(monkeypatch):
+def test_check_kind_skips_every_identity_and_every_object_met_before(monkeypatch):
     program = build_commro(det_polynomial(3))
     expected = flattened_kind_check(program)
-    flattened = []
-    monkeypatch.setattr(QMatrix, "flat", lambda m: flattened.append(m) or FLAT(m))
-    assert check_kind(program) == expected
-    # the seed I, then each matrix other than I once, in multiplication order
+    calls = []
+    monkeypatch.setattr(abp_module, "commute", lambda a, b: calls.append(a) or commute(a, b))
+    report = check_kind(program)
+    assert report == expected
+    # det3's tables are linear and fit one group: each matrix other than I joins the
+    # basis once, in multiplication order, and all but the first is commuted once
     identity = QMatrix.identity(program.width)
     distinct = {id(m): m for m in program.coefficient_matrices() if m != identity}
-    assert flattened[0] == identity
-    assert [id(m) for m in flattened[1:]] == list(distinct)
+    assert report.power_steps == 0 and report.pairs == len(distinct) * (len(distinct) - 1) // 2
+    assert [id(m) for m in calls] == list(distinct)[1:]
     assert len(distinct) < len(program.coefficient_matrices()) - 1
+
+
+@pytest.mark.parametrize("name", ["det4", "palindrome-smabp", "random-small"])
+def test_check_kind_builds_no_echelon_and_flattens_no_matrix(monkeypatch, name):
+    if name == "det4":
+        program = build_commro(det_polynomial(4))
+    elif name == "palindrome-smabp":
+        f = palindrome(4)
+        program = build_smabp(f, [[i, i + 4] for i in range(4)])
+    else:
+        program = build_commro_general(random_poly(random.Random(1), 3, 4, 6, homogeneous=False))
+    expected = flattened_kind_check(program)
+    used = []
+    monkeypatch.setattr(QMatrix, "flat", lambda m: used.append("flat") or FLAT(m))
+    monkeypatch.setattr(abp_module, "Echelon", lambda: used.append("Echelon") or Echelon())
+    assert check_kind(program) == expected and used == []
 
 
 def test_check_kind_packs_the_basis_pairs(monkeypatch):
@@ -340,8 +358,9 @@ def test_check_kind_packs_the_basis_pairs(monkeypatch):
     # with the packed sum of the tables before it, 15 products for 120 pairs
     report = check_kind(build_commro(det_polynomial(4)))
     assert report and (report.pairs, report.products, len(calls)) == (120, 15, 15)
-    # 8 diagonal matrices with 400-bit entries (slot 2 * 400 + 5 bits) fill more
-    # than one group: the 7 besides I need more products than one each, fewer than pairs
+    # 8 diagonal matrices with 400-bit entries (slot 2 * 400 + 5 bits) fill more than one
+    # group: all 8 join the basis, though one lies in the span of I and the other 7, and
+    # need more products than one each, fewer than pairs
     rng = random.Random(3)
     mats = [QMatrix.diagonal([rng.randrange(2 ** 399, 2 ** 400) for _ in range(8)])
             for _ in range(8)]
@@ -349,8 +368,8 @@ def test_check_kind_packs_the_basis_pairs(monkeypatch):
     program = Abp(kind="commutative", vars=tuple(f"x{l}" for l in range(8)), width=8,
                   u=(Fraction(1),) * 8, v=(Fraction(1),) * 8, layers=layers)
     report = check_kind(program)
-    assert report and (report.span, report.pairs) == (8, 21)
-    assert 6 < report.products < 21
+    assert report and report.pairs == 28
+    assert 7 < report.products < 28
 
 
 def _with_power(abp: Abp, var: int, k: int, m: QMatrix) -> Abp:
@@ -369,7 +388,7 @@ def test_check_kind_counts_a_power_step_only_for_the_layer_product():
     # A_2 + 3 I commutes with everything but is no product: it joins the pairs
     shifted = check_kind(_with_power(abp, 0, 2, a_2 + scaled(QMatrix.identity(abp.width), 3)))
     assert shifted and shifted.power_steps == report.power_steps - 1
-    assert shifted.span == report.span and shifted.pairs > report.pairs
+    assert shifted.pairs > report.pairs
     # one entry bumped, A_2 no longer commutes with the tables
     i = next(i for i, row in enumerate(a_2.entries) if row)
     bump = QMatrix.sparse(abp.width, abp.width, ({i: 1} if r == i else {}

@@ -339,10 +339,10 @@ def test_verify_detects_non_commuting_tamper(tmp_path, capsys, gen, header, i, j
     tables = {(abp.vars[var], power): mat for layer in abp.layers
               for var, power, mat in layer.terms}
     if header.endswith("power 0"):
-        # the identity lies in the span the check starts from
+        # the check skips a matrix equal to the identity
         assert tables[("x1_1", 0)] == QMatrix.identity(abp.width)
     if gen[0] == "palindrome":
-        # linearly dependent on an earlier matrix, so the check multiplies only one of them
+        # the same object as an earlier matrix, so the check multiplies only one of them
         assert tables[("x1", 1)] == tables[("y1", 1)]
     tampered = _bump_entry(abp_path.read_text(), header, i, j)
     assert not all_pairs_commute(parse_abp(tampered).coefficient_matrices())
@@ -358,21 +358,21 @@ def test_verify_kind_line_states_what_was_checked(det2_file, tmp_path, capsys):
     assert run(["build", "commro", det2_file, "-o", out]) == 0
     capsys.readouterr()
     assert run(["verify", out, "--against", det2_file, "--random-eval", "1"]) == 0
-    # 4 identities and 4 independent tables: a span of dimension 5, C(4, 2) pairs,
-    # each table commuted with one packed sum of the tables before it
-    assert ("kind commutative: ok (8 matrices; their span with I has dimension 5; "
-            "6 basis pairs checked by 3 packed products)") in capsys.readouterr().out.splitlines()
+    # 4 identities and 4 tables: C(4, 2) pairs of tables, each table commuted
+    # with one packed sum of the tables before it
+    assert ("kind commutative: ok (8 matrices; 6 basis pairs checked by 3 packed products)"
+            in capsys.readouterr().out.splitlines())
 
 
 def test_verify_kind_line_names_the_power_steps(tmp_path, capsys):
-    # both layers are exponentials up to power 3: the span's basis holds the two T
-    # and four higher powers, each of those tested by one product
+    # both layers are exponentials up to power 3: besides the two identities, the
+    # two T form the basis and the four higher powers are each tested by one product
     poly, out = tmp_path / "f.poly", str(tmp_path / "f.abp")
     poly.write_text("vars: x1 x2\nx1^3*x2 + 2*x1*x2^2 - x2^3\n")
     assert run(["build", "commro", str(poly), "-o", out]) == 0
     capsys.readouterr()
     assert run(["verify", out, "--against", str(poly), "--random-eval", "1"]) == 0
-    assert ("kind commutative: ok (8 matrices; their span with I has dimension 7; "
+    assert ("kind commutative: ok (8 matrices; "
             "4 power steps k*A_k = A_(k-1)*A_1, one product each; "
             "1 basis pairs checked by 1 packed products)") in capsys.readouterr().out.splitlines()
 
@@ -847,11 +847,16 @@ def test_verify_exits_0_1_2_or_3_on_edited_programs(edited_dir, data):
 
 
 def _mutant(abp, kind: str, rng: random.Random):
-    """abp with one seeded edit: an entry's sign, a row, an entry of v or two layers' variables."""
-    if kind == "v entry":
-        v = list(abp.v)
-        v[rng.randrange(abp.width)] += rng.choice([-2, -1, 1, Fraction(1, 3)])
-        return replace(abp, v=tuple(v))
+    """abp with one seeded edit, or None when it has no power of 2 or more to double.
+
+    The edit flips an entry's sign, zeroes a row, moves an entry of u or v,
+    swaps two layers' variables or doubles a power A_k (k >= 2), which is
+    then no power step.
+    """
+    if kind in ("u entry", "v entry"):
+        vec = list(abp.u if kind == "u entry" else abp.v)
+        vec[rng.randrange(abp.width)] += rng.choice([-2, -1, 1, Fraction(1, 3)])
+        return replace(abp, **{kind[0]: tuple(vec)})
     if kind == "swap variables":
         a, b = (next(iter(abp.layers[i].variables()))
                 for i in rng.sample(range(len(abp.layers)), 2))
@@ -859,18 +864,27 @@ def _mutant(abp, kind: str, rng: random.Random):
         return replace(abp, layers=tuple(Layer([(swap.get(var, var), k, m)
                                                 for var, k, m in layer.terms])
                                          for layer in abp.layers))
-    # an entry of a matrix of power >= 1: its sign flipped, or its whole row zeroed
-    spots = [(li, ti, i, j) for li, layer in enumerate(abp.layers)
-             for ti, (_, k, m) in enumerate(layer.terms) if k >= 1
-             for i, row in enumerate(m.entries) for j in row]
+    # an entry of a matrix of power >= 1: its sign flipped, or its whole row zeroed;
+    # or a whole matrix of power >= 2 doubled
+    if kind == "double power":
+        spots = [(li, ti, 0, 0) for li, layer in enumerate(abp.layers)
+                 for ti, (_, k, _) in enumerate(layer.terms) if k >= 2]
+    else:
+        spots = [(li, ti, i, j) for li, layer in enumerate(abp.layers)
+                 for ti, (_, k, m) in enumerate(layer.terms) if k >= 1
+                 for i, row in enumerate(m.entries) for j in row]
+    if not spots:
+        return None
     li, ti, i, j = rng.choice(spots)
     layers, terms = list(abp.layers), list(abp.layers[li].terms)
     var, k, m = terms[ti]
     rows = [dict(row) for row in m.entries]
     if kind == "flip sign":
         rows[i][j] = -rows[i][j]
-    else:
+    elif kind == "zero row":
         rows[i] = {}
+    else:
+        rows = [{c: 2 * x for c, x in row.items()} for row in rows]
     terms[ti] = (var, k, QMatrix.sparse(m.rows, m.cols, rows, m.den))
     layers[li] = Layer(terms)
     return replace(abp, layers=tuple(layers))
@@ -889,7 +903,7 @@ def _similar(abp, rng: random.Random):
                                 for layer in abp.layers))
 
 
-MUTATIONS = ("flip sign", "zero row", "v entry", "swap variables")
+MUTATIONS = ("flip sign", "zero row", "v entry", "swap variables", "u entry", "double power")
 
 
 def test_verify_catches_every_mutant_that_changes_the_polynomial(tmp_path):
@@ -898,6 +912,7 @@ def test_verify_catches_every_mutant_that_changes_the_polynomial(tmp_path):
     # evaluation and by expansion; a similarity transform changes nothing and
     # still exits 0
     rng = random.Random(17)
+    later = random.Random(19)  # the last two kinds' draws, so the first four's stay as they were
     programs = [(f, build_commro_general(f)) for f in (
         palindrome(3), det_polynomial(2), parse_poly("1/2*x1^2*x2 - 3/5*x2*x3 + 7/3*x3 - 1",
                                                       ("x1", "x2", "x3")),
@@ -918,8 +933,13 @@ def test_verify_catches_every_mutant_that_changes_the_polynomial(tmp_path):
     for f, abp in programs:
         for kind in MUTATIONS:
             for _ in range(3):
-                mutant = _mutant(abp, kind, rng)
+                mutant = _mutant(abp, kind, rng if kind in MUTATIONS[:4] else later)
+                if mutant is None:
+                    break
                 changed = expand_abp(mutant) != f
+                if kind == "double power" and abp.kind == "commutative":
+                    # the doubled power, a power step before, joins the basis
+                    assert check_kind(mutant).power_steps < check_kind(abp).power_steps
                 codes = verify(mutant, f)
                 if changed:
                     assert codes == [1, 1], (kind, format_abp(mutant))

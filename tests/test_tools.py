@@ -127,6 +127,32 @@ def test_ab_fails_a_round_whose_verify_fails_on_both_sides(tmp_path):
     assert "verify FAILED: forced" in done.stderr
 
 
+@pytest.mark.parametrize("command, module, old, new, message", [
+    ("verify", "cli.py", 'packed products)")', 'packed products.)")',
+     "det2 verify-commro, stdout line 1: parent 'kind commutative: ok (8 matrices; 6 basis "
+     "pairs checked by 3 packed products)', change 'kind commutative: ok (8 matrices; 6 basis "
+     "pairs checked by 3 packed products.)'"),
+    # "abp v1\nkind: commutative\nwidth: 6": the width's digit is byte 32
+    ("build", "textio.py", 'f"width: {abp.width}"', 'f"width:  {abp.width}"',
+     "det2 build-commro, .abp byte 32: parent b'6', change b' '"),
+], ids=["stdout", "abp-bytes"])
+def test_ab_names_the_first_op_whose_output_differs(tmp_path, command, module, old, new,
+                                                     message):
+    root = SCRIPT.parent.parent
+    for side in ("parent", "change"):
+        shutil.copytree(root / "src" / "commro", tmp_path / side / "src" / "commro",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    edited = tmp_path / "change" / "src" / "commro" / module
+    assert edited.read_text().count(old) == 1
+    edited.write_text(edited.read_text().replace(old, new))
+    done = subprocess.run([sys.executable, "tools/ab.py", str(tmp_path / "parent"),
+                           str(tmp_path / "change"), "--workload", "tiny", "--seed", "1",
+                           "--command", command, "--rounds", "2"],
+                          cwd=root, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == f"round 1: the two sides' output differs at {message}\n"
+
+
 def test_traffic_lists_what_the_tiny_corpus_never_enters():
     # the tiny corpus builds and verifies by random evaluation: it meets
     # check_kind, and never the dense vec_mat that only the benchmark wraps

@@ -12,7 +12,10 @@ change.  Then each round runs the ops of the command once
 on each side, the side that goes first alternating, and asserts that
 every op passed (exit 0, and for verify a `verify OK` line, as
 perfbench/run.py's Checker requires) and that both sides printed the
-same output (for build, also the same `.abp` bytes).
+same output (for build, also the same `.abp` bytes); a round whose
+sides differ ends the run with a message that names the first op that
+differs, by input and label, and its first differing stdout line or
+`.abp` byte.
 A pass's time is the sum of its ops' seconds, the CLI driven
 in-process as perfbench/run.py drives it, in reference seconds: the
 rounds run under perfbench's SpeedMeter, which corrects each op's wall
@@ -36,6 +39,7 @@ from __future__ import annotations
 import argparse
 import gc
 import importlib
+import itertools
 import json
 import statistics
 import sys
@@ -80,6 +84,24 @@ def timed_pass(cli, corpus, where: str) -> tuple[list[Outcome], list]:
     return outcomes, seen
 
 
+def first_difference(outcomes: list[Outcome], parent: list, change: list) -> str:
+    """The first op whose output differs between the sides, and where it first differs.
+
+    parent and change are what timed_pass saw of each op on each side:
+    the exit code, stdout and, for build, the `.abp` bytes.  Both sides
+    exited 0, so an op that differs differs in stdout or in its bytes.
+    """
+    o, (_, p_out, p_abp), (_, c_out, c_abp) = next(
+        (o, p, c) for o, p, c in zip(outcomes, parent, change) if p != c)
+    where = f"{o.op.input.name} {o.op.label}"
+    for i, (a, b) in enumerate(itertools.zip_longest(p_out.split("\n"), c_out.split("\n"))):
+        if a != b:
+            return f"{where}, stdout line {i + 1}: parent {a!r}, change {b!r}"
+    i = next((i for i, (a, b) in enumerate(zip(p_abp, c_abp)) if a != b),
+             min(len(p_abp), len(c_abp)))
+    return f"{where}, .abp byte {i}: parent {p_abp[i:i + 1]!r}, change {c_abp[i:i + 1]!r}"
+
+
 def iqr(times: list[float]) -> float:
     """The interquartile range of the times (inclusive quartiles); 0 for one time."""
     if len(times) < 2:
@@ -119,7 +141,8 @@ def compare(sides: dict, workload: str, seed: int, command: str, rounds: int) ->
                 passes = {side: timed_pass(sides[side], corpus, f"round {r + 1}, {side}")
                           for side in order}
                 if passes["parent"][1] != passes["change"][1]:
-                    raise SystemExit(f"round {r + 1}: the two sides' output differs")
+                    raise SystemExit(f"round {r + 1}: the two sides' output differs at "
+                                     f"{first_difference(*passes['parent'], passes['change'][1])}")
                 for side in sides:
                     outcomes[side].append(passes[side][0])
     seconds = {side: [sum(meter.seconds(o.start, o.end) for o in rs) for rs in outcomes[side]]
