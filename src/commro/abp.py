@@ -338,7 +338,10 @@ def nisan_width(f: Poly, order: Sequence[int]) -> NisanCutReport:
     of the rest, and entry (m, m') is the coefficient of m * m' in f.
     Each cut is gathered from f's support, one sparse row per prefix
     exponent that occurs; zero rows and columns add no rank, so the
-    dense matrix over every exponent is never built.  The rows hold
+    dense matrix over every exponent is never built.  A matrix has the
+    rank of its transpose, so when fewer suffix exponents occur than
+    prefix ones the rows are keyed by the suffix instead, and Echelon
+    gets one row per label of the smaller side.  The rows hold
     the integer coefficients of L * f, L the lcm of f's denominators,
     which have the same ranks.  Each term is packed once
     (poly.MonoPacking, exponent fields only); a cut's prefix is the
@@ -354,7 +357,10 @@ def nisan_widths(f: Poly, orders: Iterable[Sequence[int]]) -> Iterator[NisanCutR
     """nisan_width(f, order) for each order in turn, f packed once.
 
     A cut's rank depends only on its set of prefix variables, so each
-    distinct set is ranked once, however many orders share it.
+    distinct set is ranked once, however many orders share it.  A cut's
+    rows are built on the prefix labels, and built again on the suffix
+    labels only when the union of their column labels is smaller: on a
+    cut whose two sides are alike that costs one set union.
     """
     packing = MonoPacking(f.arity, f.total_degree())
     # the degree field dropped, a key is its exponent fields alone
@@ -368,13 +374,21 @@ def nisan_widths(f: Poly, orders: Iterable[Sequence[int]]) -> Iterator[NisanCutR
         for i in order:
             prefix |= packing.field(i)
             if prefix not in ranks:
-                suffix = ~prefix
-                rows: dict[int, dict[int, int]] = {}
-                for key, coeff in terms.items():
-                    rows.setdefault(key & prefix, {})[key & suffix] = coeff
+                rows = _cut_rows(terms, prefix, ~prefix)
+                # the column labels are the suffix labels; rank M = rank M^T
+                if len(set().union(*rows.values())) < len(rows):
+                    rows = _cut_rows(terms, ~prefix, prefix)
                 echelon = Echelon()
                 for row in rows.values():
                     echelon.add(row)
                 ranks[prefix] = echelon.rank
             cut_ranks.append(ranks[prefix])
         yield NisanCutReport(order=order, cut_ranks=tuple(cut_ranks))
+
+
+def _cut_rows(terms: dict[int, int], row_mask: int, column_mask: int) -> dict[int, dict[int, int]]:
+    """A cut's matrix as sparse rows: the masks split each key into its row and column label."""
+    rows: dict[int, dict[int, int]] = {}
+    for key, coeff in terms.items():
+        rows.setdefault(key & row_mask, {})[key & column_mask] = coeff
+    return rows

@@ -7,8 +7,9 @@ tuple of variable names.  Coefficients are exact rationals, ints or
 `fractions.Fraction` values, so every operation here is exact and no
 rounding ever happens.
 
-Parsing and evaluation run in ints.  `parse_poly` keeps integer
-coefficients as ints and builds a Fraction only for a `p/q`.
+Parsing and evaluation run in ints.  `parse_poly` reads the tokens in
+one regex findall, keeps integer coefficients as ints and builds a
+Fraction only for a `p/q`.
 `Poly.integer_terms` gives L * f in ints, L the lcm of the coefficient
 denominators; evaluation, the derivative closure and the Nisan cuts
 start from it.  `Poly.eval` splits the point into integer numerators
@@ -39,7 +40,7 @@ import math
 import re
 from fractions import Fraction
 from functools import reduce
-from operator import add, ge, getitem, or_, sub
+from operator import add, ge, getitem, itemgetter, or_, sub
 from typing import Iterable, Iterator, Mapping
 
 Rational = Fraction
@@ -47,11 +48,11 @@ Mono = tuple[int, ...]
 
 
 class PolyParseError(ValueError):
-    """Raised on malformed polynomial text; carries the offending position."""
+    """Raised on malformed polynomial text; carries the message and the offending position."""
 
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at position {pos})")
-        self.pos = pos
+        self.message, self.pos = message, pos
 
 
 # ---------------------------------------------------------------------------
@@ -409,18 +410,13 @@ class Poly:
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"(\d+)|([A-Za-z][A-Za-z0-9_]*)|([+\-*/^])|(\S)")
-_TOKEN_KINDS = (None, "num", "ident", "op")
+_END = ("", "", "", "")  # the token after the last: no alternative matched
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        group = m.lastindex  # the one alternative that matched
-        if group == 4:
-            raise PolyParseError(f"unexpected character {m[4]!r}", m.start())
-        tokens.append((_TOKEN_KINDS[group], m[group], m.start()))
-    tokens.append(("end", "", len(text)))
-    return tokens
+def _error(message: str, text: str, index: int) -> PolyParseError:
+    """The error at the index-th token of text, the end if there is none; its position found anew."""
+    match = next(itertools.islice(_TOKEN_RE.finditer(text), index, None), None)
+    return PolyParseError(message, match.start() if match else len(text))
 
 
 def parse_poly(text: str, var_order: Iterable[str]) -> Poly:
@@ -429,60 +425,71 @@ def parse_poly(text: str, var_order: Iterable[str]) -> Poly:
     Grammar: terms joined by '+'/'-'; each term is an optional rational
     coefficient and '*'-separated factors `var` or `var^nat`.  A leading
     sign on the first term is accepted.  Coefficients stay ints; only a
-    `p/q` builds a Fraction.
+    `p/q` builds a Fraction.  Blanks and line breaks between tokens are
+    skipped.
+
+    The text is tokenized in one findall, which gives each token as the
+    string tuple (num, ident, op, other) of _TOKEN_RE's groups, one of
+    them nonempty; a token's position in the text is found only for an
+    error, by scanning the tokens again up to its index.
     """
     vars = tuple(var_order)
     index = {name: i for i, name in enumerate(vars)}
-    tokens = _tokenize(text)
+    tokens = _TOKEN_RE.findall(text)
+    if any(map(itemgetter(3), tokens)):
+        at = next(i for i, token in enumerate(tokens) if token[3])
+        raise _error(f"unexpected character {tokens[at][3]!r}", text, at)
+    end = len(tokens)
+    tokens.append(_END)
     terms: dict[Mono, int | Fraction] = {}
-    # only op tokens have the values + - * / ^, and the end token is ""
-    kind, value, at = tokens[0]
-    pos = 1 if kind == "op" and value in "+-" else 0
-    sign = -1 if pos and value == "-" else 1
+    op = tokens[0][2]
+    pos = 1 if op == "+" or op == "-" else 0
+    sign = -1 if op == "-" else 1
     while True:
         coeff, mono = 1, [0] * len(vars)
-        kind, value, at = tokens[pos]
-        if kind == "num":
-            coeff = int(value)
+        num, ident, _, _ = tokens[pos]
+        if num:
+            coeff = int(num)
             pos += 1
-            if tokens[pos][1] == "/":
-                kind, value, at = tokens[pos + 1]
-                if kind != "num" or int(value) == 0:
-                    raise PolyParseError("expected a positive denominator", at)
-                coeff = Fraction(coeff, int(value))
+            if tokens[pos][2] == "/":
+                den = tokens[pos + 1][0]
+                if not den or int(den) == 0:
+                    raise _error("expected a positive denominator", text, pos + 1)
+                coeff = Fraction(coeff, int(den))
                 pos += 2
-            more = tokens[pos][1] == "*"
+            more = tokens[pos][2] == "*"
             pos += more
-        elif kind == "ident":
-            more = True
+        elif not ident:
+            raise _error("expected a term", text, pos)
         else:
-            raise PolyParseError("expected a term", at)
+            more = True
         while more:  # one factor `var` or `var^nat`, then a '*' or not
-            kind, value, at = tokens[pos]
-            if kind != "ident":
-                raise PolyParseError("expected a variable", at)
-            var = index.get(value)
+            ident = tokens[pos][1]
+            if not ident:
+                raise _error("expected a variable", text, pos)
+            var = index.get(ident)
             if var is None:
-                raise PolyParseError(f"unknown variable {value!r}", at)
+                raise _error(f"unknown variable {ident!r}", text, pos)
             pos += 1
-            if tokens[pos][1] == "^":
-                kind, value, at = tokens[pos + 1]
-                if kind != "num":
-                    raise PolyParseError("expected an exponent", at)
-                mono[var] += int(value)
+            if tokens[pos][2] == "^":
+                power = tokens[pos + 1][0]
+                if not power:
+                    raise _error("expected an exponent", text, pos + 1)
+                mono[var] += int(power)
                 pos += 2
             else:
                 mono[var] += 1
-            more = tokens[pos][1] == "*"
+            more = tokens[pos][2] == "*"
             pos += more
         mono = tuple(mono)
         terms[mono] = terms.get(mono, 0) + sign * coeff
-        kind, value, at = tokens[pos]
-        if kind == "end":
+        if pos == end:
             break
-        if value not in ("+", "-"):
-            raise PolyParseError(f"expected '+', '-' or end of input, got {value!r}", at)
-        sign = -1 if value == "-" else 1
+        op = tokens[pos][2]
+        if op != "+" and op != "-":
+            raise _error(f"expected '+', '-' or end of input, got {''.join(tokens[pos])!r}",
+                         text, pos)
+        sign = -1 if op == "-" else 1
         pos += 1
     # every exponent tuple has the arity and no negative entry by construction
     return Poly.sparse(vars, {mono: c for mono, c in terms.items() if c})

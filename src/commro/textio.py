@@ -50,7 +50,7 @@ from typing import Sequence
 from .abp import Abp, Layer
 from .construct import WaringDecomposition
 from .linalg import QMatrix
-from .poly import Poly, parse_poly
+from .poly import Poly, PolyParseError, parse_poly
 
 
 # Fraction() expands an exponent form such as `1e10000000` into a number of
@@ -128,21 +128,36 @@ def format_poly_file(p: Poly) -> str:
 
 
 def parse_poly_file(text: str, default_vars: Sequence[str] | None = None) -> Poly:
-    """Parse a polynomial file; a missing `vars:` header falls back to default_vars."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if lines and lines[0].strip().startswith("vars:"):
-        vars = _variables(lines[0].strip()[len("vars:"):].split())
-        body = " ".join(lines[1:])
+    """Parse a polynomial file; a missing `vars:` header falls back to default_vars.
+
+    The header is the first line that is not blank, and the expression
+    is the text after it as it stands: parse_poly skips line breaks as
+    it skips blanks.  So a syntax error names its line and column in
+    the file, both counted from 1.
+    """
+    lines = text.splitlines(keepends=True)
+    start = next((i for i, line in enumerate(lines) if line.strip()), 0)
+    if lines and lines[start].strip().startswith("vars:"):
+        vars = _variables(lines[start].strip()[len("vars:"):].split())
+        start += 1
     elif default_vars is not None:
         vars = _variables(default_vars)
-        body = " ".join(lines)
     else:
         raise ValueError("polynomial file lacks a 'vars:' header and no variable order was given")
     if not vars:
         raise ValueError("empty variable list")
-    if not body.strip():
+    # trailing blanks hold no token: an error at the end of input lies just after the last one
+    body = "".join(lines[start:]).rstrip()
+    if not body:
         raise ValueError("polynomial file has no expression")
-    return parse_poly(body, vars)
+    try:
+        return parse_poly(body, vars)
+    except PolyParseError as err:
+        # a character after the error's text makes its last line, and that
+        # line's length the column, also where the text ends in a line break
+        before = (body[:err.pos] + "^").splitlines()
+        raise ValueError(f"{err.message} (at line {start + len(before)}, "
+                         f"column {len(before[-1])})") from err
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,9 @@ write every zero cell by cell, kept as oracles
 for textio's codec, which reads each distinct row line once and sets a
 row's nonzeros into one shared zero row; edited_abp_texts draws program
 texts with respaced, respelled, cut or inserted text for both readers
-and the CLI.  built_programs draws a polynomial with the program the
+and the CLI.  reference_parse_poly is the polynomial reader that makes
+each token a (kind, value, position) triple one regex match at a time,
+kept as the oracle for parse_poly's one-pass tokenizer.  built_programs draws a polynomial with the program the
 library builds for it: rational tables, a non-homogeneous direct sum or
 a diagonal build.  wide_rational_polys draws homogeneous input
 with wide rational coefficients, of degree up to max_degree, for the
@@ -54,7 +56,7 @@ from commro import (Abp, Layer, Poly, QMatrix, WaringDecomposition, build_commro
                     waring_expand)
 from commro.abp import _PACK_BITS, KindCheck
 from commro.linalg import Echelon
-from commro.poly import MonoPacking, mono_factorial
+from commro.poly import _TOKEN_RE, MonoPacking, PolyParseError, mono_factorial
 from commro.textio import _rational, _variables, format_abp
 
 
@@ -355,25 +357,25 @@ def span_rank(polys: list[Poly]) -> int:
 
 
 def dense_nisan_rank(f: Poly, s) -> int:
-    """Rank of f's dense coefficient matrix over the bipartition (s, complement).
+    """Rank of f's coefficient matrix over the bipartition (s, complement).
 
     Rows and columns are every exponent tuple of individual degree at
     most d (f's largest exponent) over the two variable groups; entry
-    (m, m') is the coefficient of m * m' in f.  sympy computes the rank.
+    (m, m') is the coefficient of m * m' in f.  Each term of f sets its
+    one entry, the rest are zero, and sympy's sparse DomainMatrix
+    computes the rank, so no zero is converted one by one.
     """
     s = sorted(set(s))
     t = [i for i in range(f.arity) if i not in s]
     d = f.max_individual_degree()
-
-    def coeff(row: tuple, col: tuple) -> Fraction:
-        mono = [0] * f.arity
-        for i, e in [*zip(s, row), *zip(t, col)]:
-            mono[i] = e
-        return f.coeff(tuple(mono))
-
-    rows = list(itertools.product(range(d + 1), repeat=len(s)))
-    cols = list(itertools.product(range(d + 1), repeat=len(t)))
-    return DomainMatrix.from_list([[coeff(r, c) for c in cols] for r in rows], QQ).rank()
+    rows = {r: i for i, r in enumerate(itertools.product(range(d + 1), repeat=len(s)))}
+    cols = {c: j for j, c in enumerate(itertools.product(range(d + 1), repeat=len(t)))}
+    entries: dict[int, dict[int, object]] = {}
+    for mono, c in f.terms.items():
+        c = Fraction(c)
+        entries.setdefault(rows[tuple(mono[i] for i in s)], {})[
+            cols[tuple(mono[i] for i in t)]] = QQ(c.numerator, c.denominator)
+    return DomainMatrix(entries, (len(rows), len(cols)), QQ).rank()
 
 
 def boundary_vector_by_solve(abp, f: Poly) -> list[Fraction] | None:
@@ -616,3 +618,79 @@ def reference_parse_abp(text: str) -> Abp:
                           for power, mat in blocks.get(var, [])])
                    for group in order_groups)
     return Abp(kind=kind, vars=vars, width=width, u=u, v=v, layers=layers)
+
+
+# ---------------------------------------------------------------------------
+# polynomial text token at a time
+# ---------------------------------------------------------------------------
+
+_REFERENCE_TOKEN_KINDS = (None, "num", "ident", "op")
+
+
+def _reference_tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastindex  # the one alternative that matched
+        if group == 4:
+            raise PolyParseError(f"unexpected character {m[4]!r}", m.start())
+        tokens.append((_REFERENCE_TOKEN_KINDS[group], m[group], m.start()))
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+def reference_parse_poly(text: str, var_order) -> Poly:
+    """parse_poly with every token a (kind, value, position) triple made one match at a time."""
+    vars = tuple(var_order)
+    index = {name: i for i, name in enumerate(vars)}
+    tokens = _reference_tokenize(text)
+    terms: dict = {}
+    # only op tokens have the values + - * / ^, and the end token is ""
+    kind, value, at = tokens[0]
+    pos = 1 if kind == "op" and value in "+-" else 0
+    sign = -1 if pos and value == "-" else 1
+    while True:
+        coeff, mono = 1, [0] * len(vars)
+        kind, value, at = tokens[pos]
+        if kind == "num":
+            coeff = int(value)
+            pos += 1
+            if tokens[pos][1] == "/":
+                kind, value, at = tokens[pos + 1]
+                if kind != "num" or int(value) == 0:
+                    raise PolyParseError("expected a positive denominator", at)
+                coeff = Fraction(coeff, int(value))
+                pos += 2
+            more = tokens[pos][1] == "*"
+            pos += more
+        elif kind == "ident":
+            more = True
+        else:
+            raise PolyParseError("expected a term", at)
+        while more:  # one factor `var` or `var^nat`, then a '*' or not
+            kind, value, at = tokens[pos]
+            if kind != "ident":
+                raise PolyParseError("expected a variable", at)
+            var = index.get(value)
+            if var is None:
+                raise PolyParseError(f"unknown variable {value!r}", at)
+            pos += 1
+            if tokens[pos][1] == "^":
+                kind, value, at = tokens[pos + 1]
+                if kind != "num":
+                    raise PolyParseError("expected an exponent", at)
+                mono[var] += int(value)
+                pos += 2
+            else:
+                mono[var] += 1
+            more = tokens[pos][1] == "*"
+            pos += more
+        mono = tuple(mono)
+        terms[mono] = terms.get(mono, 0) + sign * coeff
+        kind, value, at = tokens[pos]
+        if kind == "end":
+            break
+        if value not in ("+", "-"):
+            raise PolyParseError(f"expected '+', '-' or end of input, got {value!r}", at)
+        sign = -1 if value == "-" else 1
+        pos += 1
+    return Poly.sparse(vars, {mono: c for mono, c in terms.items() if c})

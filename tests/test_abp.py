@@ -491,6 +491,22 @@ def test_nisan_width_cut_ranks_match_dense_matrix():
         assert nisan_width(f, order).cut_ranks == expected
 
 
+
+@pytest.mark.parametrize("f, adds", [(palindrome(6), 189), (det_polynomial(4), 97)],
+                         ids=["palindrome6", "det4"])
+def test_nisan_width_ranks_each_cut_on_its_side_with_fewer_labels(monkeypatch, f, adds):
+    # one Echelon.add per label of the smaller side: 510 and 238 adds when
+    # every cut was ranked on its prefix labels; palindrome 6 adds exactly
+    # the sum of its ranks
+    calls = []
+    add = Echelon.add
+    monkeypatch.setattr(Echelon, "add", lambda self, row: calls.append(row) or add(self, row))
+    order = tuple(range(f.arity))
+    report = nisan_width(f, order)
+    assert len(calls) == adds
+    assert report.cut_ranks == tuple(dense_nisan_rank(f, order[:i])
+                                     for i in range(1, f.arity + 1))
+
 @st.composite
 def rational_nisan_inputs(draw) -> Poly:
     """A wide rational polynomial, a random one with each coefficient divided by a

@@ -709,6 +709,22 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, suffix, text, fla
     assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
+
+@pytest.mark.parametrize("text, flags, message", [
+    ("vars: a b\na*b +\n\n  b^2 * $\n", [], "unexpected character '$' (at line 4, column 9)"),
+    # the end of input lies just after the last token, not on a trailing blank line
+    ("vars: a b\na*b +\n\n", [], "expected a term (at line 2, column 6)"),
+    ("vars: a b\r\na*b\r\n+ a^\r\n", [], "expected an exponent (at line 3, column 5)"),
+    ("\n\na*b c\n", ["--vars", "a,b"], "expected '+', '-' or end of input, got 'c' "
+     "(at line 3, column 5)"),
+], ids=["stray-character", "end-of-input", "crlf", "headerless"])
+def test_poly_syntax_error_names_its_line_and_column_in_the_file(tmp_path, capsys, text, flags,
+                                                                  message):
+    path = tmp_path / "bad.poly"
+    path.write_bytes(text.encode())
+    assert run(["dpd", str(path), *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
 # refused argument values; each message is the whole of stderr
 @pytest.mark.parametrize("argv, message", [
     (["build", "smabp", "AB", "-o", "OUT"], "smabp requires --partition"),

@@ -12,7 +12,8 @@ from commro import (Poly, PolyParseError, deglex_key, mono_factorial,
 from commro.detspecial import det_polynomial
 from commro.poly import MonoPacking
 
-from helpers import WIDE_RATIONALS, random_poly, random_point, sympy_fraction, wide_rational_polys
+from helpers import (WIDE_RATIONALS, random_poly, random_point, reference_parse_poly,
+                     sympy_fraction, wide_rational_polys)
 
 V3 = ("x1", "x2", "x3")
 V2 = ("x1", "x2")
@@ -87,6 +88,45 @@ def test_parse_error_positions_are_unchanged(text, message, pos):
         parse_poly(text, V2)
     assert err.value.pos == pos
     assert str(err.value) == f"{message} (at position {pos})"
+
+
+
+SOUP = st.sampled_from(["x1", "x2", "0", "3", "12", "+", "-", "*", "/", "^", " ", "\n"])
+FACTOR = st.sampled_from(["x1", "x2", "x1^3", "x2^0", "x2^12"])
+
+
+@st.composite
+def poly_texts(draw) -> str:
+    """A token soup, mostly malformed, or a well-formed sum; either may hold one stray '$'."""
+    if draw(st.booleans()):
+        pieces = draw(st.lists(SOUP, max_size=14))
+    else:
+        pieces = [draw(st.sampled_from(["", "-", "+ "]))]
+        for t in range(draw(st.integers(1, 5))):
+            if t:
+                pieces.append(draw(st.sampled_from([" + ", " - ", "\n+ ", "-"])))
+            coeff = draw(st.sampled_from(["", "2", "0", "12", "1/2", "7/3", "3/0"]))
+            factors = draw(st.lists(FACTOR, min_size=0 if coeff else 1, max_size=3))
+            pieces.append("*".join([coeff] * bool(coeff) + factors))
+    if draw(st.integers(0, 3)) == 3:
+        pieces.insert(draw(st.integers(0, len(pieces))), "$")
+    return "".join(pieces)
+
+
+@settings(max_examples=400, deadline=None)
+@given(poly_texts())
+def test_parse_poly_agrees_with_the_token_at_a_time_reader(text):
+    # the same Poly with the same int or Fraction coefficients, or the same message and position
+    try:
+        expected = reference_parse_poly(text, V2)
+    except PolyParseError as err:
+        with pytest.raises(PolyParseError) as got:
+            parse_poly(text, V2)
+        assert (str(got.value), got.value.pos) == (str(err), err.pos)
+        return
+    parsed = parse_poly(text, V2)
+    assert parsed == expected
+    assert [type(c) for c in parsed.terms.values()] == [type(c) for c in expected.terms.values()]
 
 
 def test_parse_cancelling_terms():

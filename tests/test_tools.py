@@ -2,6 +2,7 @@
 corpus."""
 
 import importlib.util
+import itertools
 import json
 import shutil
 import subprocess
@@ -49,13 +50,13 @@ def test_code_lines_counts_code_only(tmp_path):
     assert code_lines.count(path) == (8, 21)
 
 
-def check_ab_report(line: str, seed: int) -> None:
-    """line is tools/ab.py's JSON report of two verify rounds on the tiny corpus at seed."""
+def check_ab_report(line: str, seed: int, command: str = "verify") -> None:
+    """line is tools/ab.py's JSON report of two rounds of command on the tiny corpus at seed."""
     report = json.loads(line)
     assert list(report) == ["workload", "seed", "command", "rounds", "ops", "parent", "change",
                             "ratio", "wall_ratio"]
     assert (report["workload"], report["seed"], report["command"], report["rounds"]) == (
-        "tiny", seed, "verify", 2)
+        "tiny", seed, command, 2)
     assert report["ops"] > 0
     for side in ("parent", "change"):
         assert list(report[side]) == ["median_s", "min_s", "iqr_s", "wins",
@@ -105,6 +106,26 @@ def test_ab_runs_the_rounds_once_per_seed_of_a_comma_list():
                          cwd=root, capture_output=True, text=True, timeout=60)
     assert bad.returncode == 2 and "invalid seeds value: '1,x'" in bad.stderr
 
+
+
+def test_ab_reports_once_per_command_of_a_comma_list_and_seed():
+    # --command nisan,verify,build on seeds 1 and 11: two rounds and a report per
+    # command, in the order given, on each seed's corpus in turn
+    root = SCRIPT.parent.parent
+    done = subprocess.run([sys.executable, "tools/ab.py", ".", ".", "--workload", "tiny",
+                           "--seed", "1,11", "--command", "nisan,verify,build", "--rounds", "2"],
+                          cwd=root, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 18
+    for i, (seed, command) in enumerate(itertools.product((1, 11), ("nisan", "verify", "build"))):
+        assert [line.split(":")[0] for line in lines[3 * i:3 * i + 2]] == ["round 1", "round 2"]
+        check_ab_report(lines[3 * i + 2], seed, command)
+    for value in ("nisan,x", "nisan,", ""):
+        bad = subprocess.run([sys.executable, "tools/ab.py", ".", ".", "--workload", "tiny",
+                              "--command", value], cwd=root, capture_output=True, text=True,
+                             timeout=60)
+        assert bad.returncode == 2 and f"invalid commands value: {value!r}" in bad.stderr
 
 def test_ab_fails_a_round_whose_verify_fails_on_both_sides(tmp_path):
     # both trees print the same output and exit 1 on every verify: that is

@@ -1,6 +1,6 @@
 """Alternating A/B timing of two checkouts on one benchmark corpus.
 
-    python tools/ab.py PARENT CHANGE --workload det4 --seed 1,11 --command verify --rounds 8
+    python tools/ab.py PARENT CHANGE --workload det4 --seed 1,11 --command nisan,verify --rounds 8
 
 PARENT and CHANGE are the roots of two source checkouts.  Each tree's
 commro is imported afresh from its `src/` (as perfbench/run.py's
@@ -21,10 +21,12 @@ in-process as perfbench/run.py drives it, in reference seconds: the
 rounds run under perfbench's SpeedMeter, which corrects each op's wall
 time for the host's drifting speed as run.py's timings are corrected.
 
---seed takes one seed or a comma list (`1,11`): the corpus, the rounds
-and the report are made once per seed, in the order given.  After a
-seed's rounds, one line per round gives both passes in reference and in
-wall seconds, and then one JSON line reports them: for each side the median,
+--seed takes one seed or a comma list (`1,11`): the corpus is made once
+per seed, in the order given.  --command takes one command or a comma
+list (`nisan,verify,build`): on each seed's corpus the rounds and the
+report are made once per command, in the order given.  After a
+command's rounds, one line per round gives both passes in reference and
+in wall seconds, and then one JSON line reports them: for each side the median,
 the minimum and the interquartile range of its pass seconds and the
 rounds it won, in reference seconds and again in wall seconds
 (`_wall_s`, `wall_wins`), and the ratio of the medians, change over
@@ -51,6 +53,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import corpus as corpora  # noqa: E402
 from run import Outcome, run_pass  # noqa: E402
 from speed import SpeedMeter  # noqa: E402
+
+COMMANDS = ("build", "verify", "nisan")
 
 
 def load_cli(root: Path):
@@ -126,25 +130,39 @@ def seeds(text: str) -> list[int]:
     return [int(part) for part in text.split(",")]
 
 
-def compare(sides: dict, workload: str, seed: int, command: str, rounds: int) -> None:
-    """Time the rounds on one seed's corpus; print a line per round, then the JSON report."""
+def commands(text: str) -> list[str]:
+    """The commands of a --command value: one, or a comma list such as `nisan,verify,build`."""
+    names = text.split(",")
+    if not set(names) <= set(COMMANDS):
+        raise ValueError(text)
+    return names
+
+
+def compare(sides: dict, workload: str, seed: int, names: list[str], rounds: int) -> None:
+    """Time the rounds of each command on one seed's corpus, reporting each command in turn."""
     with tempfile.TemporaryDirectory() as directory:
         corpus = corpora.make_corpus(workload, seed, Path(directory), sides["parent"].run)
         run_pass(sides["parent"], corpus)  # writes the .abp files that verify reads
-        ops = [op for op in corpus.ops if op.command == command]
-        corpus = corpora.Corpus(corpus.workload, tuple(ops))
-        run_pass(sides["change"], corpus)  # warms the change as that pass warmed the parent
-        outcomes: dict[str, list[list[Outcome]]] = {side: [] for side in sides}
-        with SpeedMeter() as meter:
-            for r in range(rounds):
-                order = ["parent", "change"] if r % 2 == 0 else ["change", "parent"]
-                passes = {side: timed_pass(sides[side], corpus, f"round {r + 1}, {side}")
-                          for side in order}
-                if passes["parent"][1] != passes["change"][1]:
-                    raise SystemExit(f"round {r + 1}: the two sides' output differs at "
-                                     f"{first_difference(*passes['parent'], passes['change'][1])}")
-                for side in sides:
-                    outcomes[side].append(passes[side][0])
+        for command in names:
+            ops = [op for op in corpus.ops if op.command == command]
+            time_command(sides, corpora.Corpus(corpus.workload, tuple(ops)), seed, command,
+                         rounds)
+
+
+def time_command(sides: dict, corpus, seed: int, command: str, rounds: int) -> None:
+    """Time the rounds of the corpus's ops; print a line per round, then the JSON report."""
+    run_pass(sides["change"], corpus)  # warms the change as the full pass warmed the parent
+    outcomes: dict[str, list[list[Outcome]]] = {side: [] for side in sides}
+    with SpeedMeter() as meter:
+        for r in range(rounds):
+            order = ["parent", "change"] if r % 2 == 0 else ["change", "parent"]
+            passes = {side: timed_pass(sides[side], corpus, f"round {r + 1}, {side}")
+                      for side in order}
+            if passes["parent"][1] != passes["change"][1]:
+                raise SystemExit(f"round {r + 1}: the two sides' output differs at "
+                                 f"{first_difference(*passes['parent'], passes['change'][1])}")
+            for side in sides:
+                outcomes[side].append(passes[side][0])
     seconds = {side: [sum(meter.seconds(o.start, o.end) for o in rs) for rs in outcomes[side]]
                for side in sides}
     wall = {side: [sum(o.seconds for o in rs) for rs in outcomes[side]] for side in sides}
@@ -152,8 +170,8 @@ def compare(sides: dict, workload: str, seed: int, command: str, rounds: int) ->
         print(f"round {r + 1}: parent {seconds['parent'][r]:.6f} s "
               f"(wall {wall['parent'][r]:.6f} s), change {seconds['change'][r]:.6f} s "
               f"(wall {wall['change'][r]:.6f} s)")
-    report = {"workload": workload, "seed": seed, "command": command,
-              "rounds": rounds, "ops": len(ops)}
+    report = {"workload": corpus.workload, "seed": seed, "command": command,
+              "rounds": rounds, "ops": len(corpus.ops)}
     reference, walls = summary(seconds), summary(wall)
     keys = ("median_s", "min_s", "iqr_s", "wins",
             "median_wall_s", "min_wall_s", "iqr_wall_s", "wall_wins")
@@ -171,7 +189,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True,
                         choices=[*corpora.WORKLOADS, "tiny"])
     parser.add_argument("--seed", type=seeds, default=[1])
-    parser.add_argument("--command", required=True, choices=["build", "verify", "nisan"])
+    parser.add_argument("--command", type=commands, required=True,
+                        help=f"one of {', '.join(COMMANDS)}, or a comma list of them")
     parser.add_argument("--rounds", type=int, default=8)
     args = parser.parse_args(argv)
     if args.rounds < 1:
