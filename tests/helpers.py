@@ -30,9 +30,9 @@ row's nonzeros into one shared zero row; edited_abp_texts draws program
 texts with respaced, respelled, cut or inserted text for both readers
 and the CLI.  reference_parse_poly is the polynomial reader that makes
 each token a (kind, value, position) triple one regex match at a time,
-kept as the oracle for parse_poly's one-pass tokenizer.  built_programs draws a polynomial with the program the
-library builds for it: rational tables, a non-homogeneous direct sum or
-a diagonal build.  wide_rational_polys draws homogeneous input
+kept as the oracle for parse_poly's one-pass tokenizer.  built_programs
+draws a polynomial with the program the library builds for it: rational
+tables, a non-homogeneous direct sum or a diagonal build.  wide_rational_polys draws homogeneous input
 with wide rational coefficients, of degree up to max_degree, for the
 integer-row closure and quotient, and rational_commutative_programs
 draws commutative programs with rational (or wide rational) entries

@@ -491,7 +491,6 @@ def test_nisan_width_cut_ranks_match_dense_matrix():
         assert nisan_width(f, order).cut_ranks == expected
 
 
-
 @pytest.mark.parametrize("f, adds", [(palindrome(6), 189), (det_polynomial(4), 97)],
                          ids=["palindrome6", "det4"])
 def test_nisan_width_ranks_each_cut_on_its_side_with_fewer_labels(monkeypatch, f, adds):
@@ -506,6 +505,7 @@ def test_nisan_width_ranks_each_cut_on_its_side_with_fewer_labels(monkeypatch, f
     assert len(calls) == adds
     assert report.cut_ranks == tuple(dense_nisan_rank(f, order[:i])
                                      for i in range(1, f.arity + 1))
+
 
 @st.composite
 def rational_nisan_inputs(draw) -> Poly:

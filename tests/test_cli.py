@@ -709,7 +709,6 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, suffix, text, fla
     assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
-
 @pytest.mark.parametrize("text, flags, message", [
     ("vars: a b\na*b +\n\n  b^2 * $\n", [], "unexpected character '$' (at line 4, column 9)"),
     # the end of input lies just after the last token, not on a trailing blank line
@@ -724,6 +723,7 @@ def test_poly_syntax_error_names_its_line_and_column_in_the_file(tmp_path, capsy
     path.write_bytes(text.encode())
     assert run(["dpd", str(path), *flags]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
 
 # refused argument values; each message is the whole of stderr
 @pytest.mark.parametrize("argv, message", [

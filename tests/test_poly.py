@@ -90,7 +90,6 @@ def test_parse_error_positions_are_unchanged(text, message, pos):
     assert str(err.value) == f"{message} (at position {pos})"
 
 
-
 SOUP = st.sampled_from(["x1", "x2", "0", "3", "12", "+", "-", "*", "/", "^", " ", "\n"])
 FACTOR = st.sampled_from(["x1", "x2", "x1^3", "x2^0", "x2^12"])
 

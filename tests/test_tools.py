@@ -107,7 +107,6 @@ def test_ab_runs_the_rounds_once_per_seed_of_a_comma_list():
     assert bad.returncode == 2 and "invalid seeds value: '1,x'" in bad.stderr
 
 
-
 def test_ab_reports_once_per_command_of_a_comma_list_and_seed():
     # --command nisan,verify,build on seeds 1 and 11: two rounds and a report per
     # command, in the order given, on each seed's corpus in turn
@@ -126,6 +125,7 @@ def test_ab_reports_once_per_command_of_a_comma_list_and_seed():
                               "--command", value], cwd=root, capture_output=True, text=True,
                              timeout=60)
         assert bad.returncode == 2 and f"invalid commands value: {value!r}" in bad.stderr
+
 
 def test_ab_fails_a_round_whose_verify_fails_on_both_sides(tmp_path):
     # both trees print the same output and exit 1 on every verify: that is
