@@ -30,7 +30,7 @@ from math import lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DEFAULT_TERM_CAP, CapExceeded
-from .linalg import Echelon, QMatrix, commute
+from .linalg import Echelon, QMatrix, commute, sparse_vec_mat
 from .poly import MonoPacking, Poly, split_point
 
 KINDS = ("general", "commutative", "diagonal", "set_multilinear")
@@ -237,8 +237,8 @@ def check_kind(abp: Abp) -> KindCheck:
     or a basis matrix.  The layer of a commutative program is usually an
     exponential, I + T x + T^2 x^2 / 2! + ..., and a matrix A_k (k >= 2)
     is a power step when its variable's A_1 and A_(k-1) came before it
-    and A_k = A_(k-1).times(A_1, k), the product that forms the layers;
-    QMatrix is canonical, so == tests that exactly.  The basis matrices,
+    and A_k = A_(k-1) A_1 / k, the product that forms the layers
+    (_is_power_step tests that exactly, row by row).  The basis matrices,
     S, must commute pair by pair.  This is exact and an iff: by induction
     every matrix lies in the algebra generated by I and S, as I and S do,
     an object met before is a matrix before it and a power step is a
@@ -272,7 +272,7 @@ def check_kind(abp: Abp) -> KindCheck:
         for var, k, m in layer.terms:
             if id(m) not in met and m != identity:
                 if (k >= 2 and (var, 1) in before and (var, k - 1) in before
-                        and m == before[var, k - 1].times(before[var, 1], k)):
+                        and _is_power_step(m, before[var, k - 1], before[var, 1], k)):
                     steps += 1
                 else:
                     basis.append(m)
@@ -292,6 +292,26 @@ def check_kind(abp: Abp) -> KindCheck:
         else:
             packed.append(m)
     return KindCheck(ok, len(mats), len(basis) * (len(basis) - 1) // 2, products, steps)
+
+
+def _is_power_step(m: QMatrix, prev: QMatrix, first: QMatrix, k: int) -> bool:
+    """Whether m = prev @ first / k, compared row by row in ints.
+
+    With E the int rows and d the denominators, that holds iff
+    d_m * (E_prev E_first)[i] == (d_prev * d_first * k) * E_m[i] for every
+    row i; a product row holds no zeros, so two rows with as many entries
+    agree iff each product entry matches.  The first entry that differs
+    ends the test, and no product is normalised.
+    """
+    den, scale = m.den, prev.den * first.den * k
+    for row, target in zip(prev.entries, m.entries):
+        product = sparse_vec_mat(row, first) if row else row
+        if len(product) != len(target):
+            return False
+        for j, x in product.items():
+            if den * x != scale * target.get(j, 0):
+                return False
+    return True
 
 
 def _pack(p: QMatrix, m: QMatrix, scale: int) -> QMatrix:

@@ -25,9 +25,9 @@ from .detspecial import det_polynomial, palindrome, perm_polynomial
 from .errors import DEFAULT_ENTRY_CAP, DEFAULT_TERM_CAP, CapExceeded
 from .partials import derivative_basis
 from .poly import Poly, mono_str
-from .textio import (_variables, format_abp, format_matrix, format_order, format_poly_file,
+from .textio import (_variables, format_matrix, format_order, format_poly_file,
                      format_waring_file, parse_abp, parse_groups, parse_poly_file,
-                     parse_waring_file)
+                     parse_waring_file, write_abp)
 
 RANDOM_COORD_BOUND = 10 ** 6
 # a random coordinate to the power k has about 20k bits; built programs
@@ -137,7 +137,10 @@ def _cmd_build(args) -> int:
                 raise ValueError("smabp requires --partition")
             partition = parse_groups(args.partition, f.vars, "|", "--partition")
             abp = build_smabp(f, partition, args.max_width)
-    Path(args.output).write_text(format_abp(abp))
+    # opened only now: a build that fails leaves an existing output file as
+    # it was; the 1 MiB buffer takes many blocks per write call
+    with open(args.output, "w", buffering=1 << 20) as out:
+        write_abp(abp, out)
     print(f"wrote {args.output} (kind={abp.kind} width={abp.width})")
     return 0
 

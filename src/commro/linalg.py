@@ -161,7 +161,7 @@ class QMatrix:
         The int rows of self times those of other, over the denominator
         self.den * other.den * k; an empty row of self stays empty.  One
         such product forms every exponential layer power, A_k = A_(k-1) T
-        / k, and checks it.
+        / k.
         """
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch: {self.cols} vs {other.rows}")

@@ -11,8 +11,9 @@ other token that int() reads is an int, and only the rest (`1.5`,
 `1e3`) go through Fraction's string parser.
 
 polynomial file:   `vars: x1 x2 ...` header, then the expression text
-matrix block:      `rows cols` line, then row-major rationals (written by
-                   `commro tables`; nothing reads it back)
+matrix block:      `rows cols` line, then row-major rationals, one row a
+                   line as in an abp block (written by `commro tables`;
+                   nothing reads it back)
 waring file:       `waring d=<d> n=<n>` header (each field once), lines
                    `c: a1 a2 ... an`
 abp file:          `abp v1` magic, `kind:`/`width:`/`vars:`/`order:`/
@@ -24,28 +25,37 @@ abp file:          `abp v1` magic, `kind:`/`width:`/`vars:`/`order:`/
                    layer per group; for set-multilinear programs it
                    groups part variables with '|': `order: a,b|c,d`.
 
-Format v1 writes every zero of a layer row.  An abp row is read as
-str.split() reads it, in whatever layout.  The reader reads each
-distinct row line and each distinct block once per file: a row line met
-again (det4's 1 440 nonzero rows are 123 distinct lines) reuses the dict
-read the first time, and a block whose width lines equal an earlier
-block's, as text, is that block's QMatrix object, read no further.  So
-equal rows of a parsed program share one dict, which nothing changes
-afterwards, and every repeated block (each layer's power-0 I, equal
-tables) is one matrix.  The memo also notes whether a line's entries
-are all ints: a block of such lines is its int rows as read
-(QMatrix.sparse, no second scan), and only a block with a p/q or other
-Fraction entry goes through QMatrix.rational.  The `u:` and `v:`
+Format v1 writes every zero of a layer row.  write_abp streams the text
+to its output: the headers, then each layer header and its block.  A
+block's text is the zero line for every empty row, with only the
+nonempty rows formatted, joined once per block; a matrix object held by
+several blocks is formatted once, and its text is kept only until its
+last block is written.  So no file-sized string is built, and
+format_abp is write_abp into a StringIO.
+
+An abp row is read as str.split() reads it, in whatever layout.  The
+reader reads each distinct row line and each distinct block once per
+file: a row line met again (det4's 1 440 nonzero rows are 123 distinct
+lines) reuses the dict read the first time, and a block whose width
+lines equal an earlier block's, as text, is that block's QMatrix object,
+read no further.  So equal rows of a parsed program share one dict,
+which nothing changes afterwards, and every repeated block (each layer's
+power-0 I, equal tables) is one matrix.  The memo also notes whether a
+line's entries are all ints: a block of such lines is its int rows as
+read (QMatrix.sparse, no second scan), and only a block with a p/q or
+other Fraction entry goes through QMatrix.rational.  The `u:` and `v:`
 entries stay the ints and Fractions _rational gives.  Nothing is sized
 by the `width:` header before a block of that many rows has been read.
 """
 
 from __future__ import annotations
 
+import io
 import re
+from collections import Counter
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
+from typing import Sequence, TextIO
 
 from .abp import Abp, Layer
 from .construct import WaringDecomposition
@@ -164,17 +174,23 @@ def parse_poly_file(text: str, default_vars: Sequence[str] | None = None) -> Pol
 # matrix blocks
 # ---------------------------------------------------------------------------
 
-def _row_lines(m: QMatrix) -> list[str]:
-    """One line of space-separated rationals per row: the zero row, stored nonzeros set in.
+def _block_text(m: QMatrix) -> str:
+    """m's rows as text, one line of space-separated rationals per row, each ending in a newline.
 
-    Column j of the zero row is its character 2j, so a row is the slices
-    of the zero row between its sorted nonzeros, and an empty row is the
-    zero row itself.  An entry x over den != 1 is written from ints as
-    `x//g` or `x//g/den//g`, g = gcd(x, den): the text of Fraction(x, den).
+    An empty row is the zero line, and only the nonempty rows are
+    formatted.  Column j of the zero line is its character 2j, so a
+    nonempty row is the slices of the zero line (newline included)
+    between its sorted nonzeros.  An entry x over den != 1 is written
+    from ints as `x//g` or `x//g/den//g`, g = gcd(x, den): the text of
+    Fraction(x, den).  The block is joined once, not row by row.
     """
-    den, zero, lines = m.den, " ".join(["0"] * m.cols), []
+    den, zero = m.den, " ".join(["0"] * m.cols) + "\n"
+    parts = []
     for row in m.entries:
-        parts, at = [], 0
+        if not row:
+            parts.append(zero)
+            continue
+        at = 0
         for j in sorted(row):
             x = row[j]
             if den != 1:
@@ -182,12 +198,12 @@ def _row_lines(m: QMatrix) -> list[str]:
                 x = x // g if g == den else f"{x // g}/{den // g}"
             parts += zero[at:2 * j], str(x)
             at = 2 * j + 1
-        lines.append("".join(parts) + zero[at:] if parts else zero)
-    return lines
+        parts.append(zero[at:])
+    return "".join(parts)
 
 
 def format_matrix(m: QMatrix) -> str:
-    return "\n".join([f"{m.rows} {m.cols}", *_row_lines(m)]) + "\n"
+    return f"{m.rows} {m.cols}\n{_block_text(m)}"
 
 
 # ---------------------------------------------------------------------------
@@ -246,21 +262,35 @@ def format_order(abp: Abp) -> str:
     return separator.join(groups)
 
 
-def format_abp(abp: Abp) -> str:
-    """The v1 text; a matrix object held by several blocks is formatted once."""
-    lines = ["abp v1", f"kind: {abp.kind}", f"width: {abp.width}",
-             f"vars: {' '.join(abp.vars)}", f"order: {format_order(abp)}"]
-    lines.append(f"u: {' '.join(str(x) for x in abp.u)}")
-    lines.append(f"v: {' '.join(str(x) for x in abp.v)}")
+def write_abp(abp: Abp, out: TextIO) -> None:
+    """Write the v1 text to out, the headers and then block by block.
+
+    A matrix object held by several blocks is formatted once, and its
+    text is kept only until its last block is written, so no more than
+    the text of one block per shared matrix is held at a time.
+    """
+    headers = ["abp v1", f"kind: {abp.kind}", f"width: {abp.width}",
+               f"vars: {' '.join(abp.vars)}", f"order: {format_order(abp)}",
+               f"u: {' '.join(map(str, abp.u))}", f"v: {' '.join(map(str, abp.v))}"]
+    out.write("\n".join(headers) + "\n")
     # keyed by id: every matrix stays alive in abp for the whole call
-    written: dict[int, list[str]] = {}
+    uses = Counter(id(mat) for layer in abp.layers for _, _, mat in layer.terms)
+    kept: dict[int, str] = {}
     for layer in abp.layers:
         for var, power, mat in layer.terms:
-            lines.append(f"layer {abp.vars[var]} power {power}")
-            if (rows := written.get(id(mat))) is None:
-                rows = written[id(mat)] = _row_lines(mat)
-            lines.extend(rows)
-    return "\n".join(lines) + "\n"
+            text = kept.pop(id(mat), None) or _block_text(mat)
+            uses[id(mat)] -= 1
+            if uses[id(mat)]:
+                kept[id(mat)] = text
+            out.write(f"layer {abp.vars[var]} power {power}\n")
+            out.write(text)
+
+
+def format_abp(abp: Abp) -> str:
+    """The v1 text that write_abp writes, as one string."""
+    out = io.StringIO()
+    write_abp(abp, out)
+    return out.getvalue()
 
 
 def parse_abp(text: str) -> Abp:

@@ -16,13 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commro import (Layer, Poly, QMatrix, build_commro, build_commro_general,
-                    build_diagro_from_waring, check_kind, expand_abp, inverse, parse_poly,
-                    waring_expand, waring_of_monomial)
+                    build_diagro_from_waring, build_smabp, check_kind, expand_abp, inverse,
+                    parse_poly, waring_expand, waring_of_monomial)
 from commro import cli
 from commro.cli import run
 from commro.detspecial import det_polynomial, det_variables, palindrome
 from commro.linalg import vec_mat
-from commro.textio import (format_abp, format_poly_file, parse_abp,
+from commro.textio import (format_abp, format_poly_file, format_waring_file, parse_abp,
                            parse_poly_file, parse_waring_file)
 
 from helpers import (SMALL, WIDE_RATIONALS, all_pairs_commute, edited_abp_texts, random_poly,
@@ -549,6 +549,44 @@ def test_build_refuses_an_entry_cap_it_would_ignore(tmp_path, capsys, det2_file)
     assert run(["build", "commro", det2_file, "-o", str(out), "--max-entries", "5"]) == 2
     assert "--max-entries applies to diagro only, not commro" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["commro", "{det3}", "--max-width", "19"], 3),
+    (["smabp", "{det3}", "--partition", "x1_1,x1_2|no_such"], 2),
+    (["smabp", "{det3}"], 2),
+    (["commro", "{bad}"], 2),
+    (["diagro", "{det3}"], 2),
+], ids=["width-cap", "unknown-part-name", "no-partition", "bad-poly", "poly-as-waring"])
+def test_a_failed_build_leaves_an_existing_output_file_unchanged(tmp_path, capsys, argv, code):
+    det3, bad, out = tmp_path / "det3.poly", tmp_path / "bad.poly", tmp_path / "out.abp"
+    assert run(["gen", "det", "3", "-o", str(det3)]) == 0
+    bad.write_text("vars: a b\na * * b\n")
+    before = b"an earlier program\n\x00 its bytes kept as they are"
+    out.write_bytes(before)
+    argv = [arg.format(det3=det3, bad=bad) for arg in argv]
+    capsys.readouterr()
+    assert run(["build", *argv, "-o", str(out)]) == code
+    assert "Traceback" not in capsys.readouterr().err
+    assert out.read_bytes() == before
+
+
+@pytest.mark.parametrize("target", ["commro", "smabp", "diagro"])
+def test_build_writes_the_text_format_abp_gives_its_program(tmp_path, capsys, target):
+    f = det_polynomial(3)
+    path, out = tmp_path / "in.txt", tmp_path / "out.abp"
+    partition = "x1_1,x1_2,x1_3|x2_1,x2_2,x2_3|x3_1,x3_2,x3_3"
+    if target == "diagro":
+        w = waring_of_monomial(3)
+        path.write_text(format_waring_file(w))
+        abp = build_diagro_from_waring(w, ("x1", "x2", "x3"))
+    else:
+        path.write_text(format_poly_file(f))
+        abp = (build_commro_general(f) if target == "commro"
+               else build_smabp(f, [[0, 1, 2], [3, 4, 5], [6, 7, 8]]))
+    argv = ["build", target, str(path), "-o", str(out)]
+    assert run(argv + (["--partition", partition] if target == "smabp" else [])) == 0
+    assert out.read_bytes() == format_abp(abp).encode()
 
 
 # SHA-256 of the generated files, as recorded before the generators wrote

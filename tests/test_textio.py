@@ -11,7 +11,7 @@ from commro import (Abp, Layer, Poly, QMatrix, WaringDecomposition, build_commro
                     build_smabp, check_kind, eval_abp, expand_abp, parse_poly,
                     permute_order, rank, waring_of_monomial)
 from commro.detspecial import det_polynomial, palindrome
-from commro.textio import (_rational, _row_lines, format_abp, format_matrix, format_poly_file,
+from commro.textio import (_block_text, _rational, format_abp, format_matrix, format_poly_file,
                            format_waring_file, parse_abp, parse_poly_file,
                            parse_waring_file)
 
@@ -286,7 +286,7 @@ def sparse_matrices(draw) -> QMatrix:
 @example(QMatrix([[Fraction(-1, 2), 0, 0], [0, 0, 0], [0, 0, 7]]))
 @example(QMatrix([[0, 0, Fraction(10 ** 18 + 1, 999_983)], [0, 0, 0], [3, 0, 0]]))
 def test_row_writer_matches_the_token_writer(m):
-    assert _row_lines(m) == reference_row_lines(m)
+    assert _block_text(m) == "".join(line + "\n" for line in reference_row_lines(m))
 
 
 @pytest.mark.parametrize("token", [
