@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DEFAULT_TERM_CAP, CapExceeded
 from .linalg import Echelon, QMatrix, commute, sparse_vec_mat
-from .poly import MonoPacking, Poly, split_point
+from .poly import MonoPacking, Poly, split_point, variable_names
 
 KINDS = ("general", "commutative", "diagonal", "set_multilinear")
 ROABP_KINDS = ("general", "commutative", "diagonal")
@@ -63,6 +63,22 @@ class Abp:
     the `.abp` reader give them; an int and the equal Fraction compare
     equal, so two programs that differ only so are equal.  The identity
     and the boundary rows are made once per program, on first use.
+
+    The constructor refuses, with a ValueError, every value that `.abp`
+    v1 cannot state, so every program it accepts writes a file that
+    reads back as an equal program:
+
+    * a kind not in KINDS;
+    * vars that poly.variable_names refuses: none, a repeated name, or
+      a name that is not an identifier;
+    * a width below 1, or a u or v whose length is not the width;
+    * no layer, a layer with no term, or a layer with two terms of one
+      variable and power;
+    * a term whose variable index is out of range, whose power is
+      negative or whose matrix is not width x width;
+    * a read-once layer (general, commutative, diagonal) that reads more
+      than one variable, or a set-multilinear term whose power is not 1;
+    * a variable read by more than one layer.
     """
 
     kind: str
@@ -75,10 +91,15 @@ class Abp:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
+        variable_names(self.vars)
+        if self.width < 1:
+            raise ValueError(f"width must be positive, got {self.width}")
         if len(self.u) != self.width or len(self.v) != self.width:
             raise ValueError("boundary vector length differs from width")
+        if not self.layers:
+            raise ValueError("program has no layer")
         seen: set[int] = set()
-        for layer in self.layers:
+        for number, layer in enumerate(self.layers, 1):
             for var, power, mat in layer.terms:
                 if not (0 <= var < len(self.vars)):
                     raise ValueError(f"variable index {var} out of range")
@@ -87,6 +108,12 @@ class Abp:
                 if mat.rows != self.width or mat.cols != self.width:
                     raise ValueError("coefficient matrix does not match width")
             read = layer.variables()
+            if not read:
+                raise ValueError(f"layer {number} has no term")
+            # the terms are sorted, so two of one (var, power) are neighbours
+            for (var, power, _), twin in zip(layer.terms, layer.terms[1:]):
+                if twin[:2] == (var, power):
+                    raise ValueError(f"layer has two terms of {self.vars[var]!r} at power {power}")
             if self.kind in ROABP_KINDS and len(read) > 1:
                 raise ValueError("read-once layer reads more than one variable")
             if self.kind == "set_multilinear":

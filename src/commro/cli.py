@@ -24,8 +24,8 @@ from .construct import (build_commro_general, build_diagro_from_waring,
 from .detspecial import det_polynomial, palindrome, perm_polynomial
 from .errors import DEFAULT_ENTRY_CAP, DEFAULT_TERM_CAP, CapExceeded
 from .partials import derivative_basis
-from .poly import Poly, mono_str
-from .textio import (_variables, format_matrix, format_order, format_poly_file,
+from .poly import Poly, mono_str, variable_names
+from .textio import (format_matrix, format_order, format_poly_file,
                      format_waring_file, parse_abp, parse_groups, parse_poly_file,
                      parse_waring_file, write_abp)
 
@@ -49,18 +49,13 @@ def _write_output(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def _vars_flag(text: str) -> tuple[str, ...]:
-    """The names of a --vars flag: distinct, each one word."""
-    vars = _variables(text.split(","))
-    for name in vars:
-        if name.split() != [name]:
-            raise ValueError(f"--vars name {name!r} is not one word")
-    return vars
-
-
 def _load_poly(path: str, vars_flag: str | None) -> Poly:
-    """The polynomial of a file; --vars names a headerless file's variables or repeats its own."""
-    default = _vars_flag(vars_flag) if vars_flag else None
+    """The polynomial of a file; --vars names a headerless file's variables or repeats its own.
+
+    parse_poly_file checks the names of a headerless file's --vars; with a
+    header, --vars must equal the header's names, which it checks.
+    """
+    default = tuple(vars_flag.split(",")) if vars_flag else None
     f = parse_poly_file(_read(path), default_vars=default)
     if default is not None and f.vars != default:
         raise ValueError(f"--vars {','.join(default)} differs from the file's "
@@ -108,17 +103,6 @@ def _cmd_tables(args) -> int:
     return 0
 
 
-def _waring_vars(vars_flag: str | None, arity: int) -> tuple[str, ...]:
-    """The names --vars gives a Waring decomposition's variables, x1..xn without it."""
-    if not vars_flag:
-        return tuple(f"x{i + 1}" for i in range(arity))
-    vars = _vars_flag(vars_flag)
-    if len(vars) != arity:
-        raise ValueError(f"--vars gives {len(vars)} names for the decomposition's "
-                         f"{arity} variables")
-    return vars
-
-
 def _cmd_build(args) -> int:
     if args.partition and args.target != "smabp":
         raise ValueError(f"--partition applies to smabp only, not {args.target}")
@@ -126,7 +110,9 @@ def _cmd_build(args) -> int:
         raise ValueError(f"--max-entries applies to diagro only, not {args.target}")
     if args.target == "diagro":
         w = parse_waring_file(_read(args.input))
-        abp = build_diagro_from_waring(w, _waring_vars(args.vars, w.arity), args.max_width,
+        vars = (variable_names(args.vars.split(",")) if args.vars
+                else [f"x{i + 1}" for i in range(w.arity)])
+        abp = build_diagro_from_waring(w, vars, args.max_width,
                                        args.max_entries or DEFAULT_ENTRY_CAP)
     else:
         f = _load_poly(args.input, args.vars)

@@ -237,7 +237,8 @@ def build_diagro_from_waring(w: WaringDecomposition, vars: Sequence[str],
     """
     vars = tuple(vars)
     if len(vars) != w.arity:
-        raise ValueError("variable list does not match the decomposition arity")
+        raise ValueError(f"got {len(vars)} variable names for the decomposition's "
+                         f"{w.arity} variables")
     n, d = w.arity, w.degree
     t = n * d + 1
     width = len(w.terms) * t

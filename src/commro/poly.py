@@ -7,6 +7,11 @@ tuple of variable names.  Coefficients are exact rationals, ints or
 `fractions.Fraction` values, so every operation here is exact and no
 rounding ever happens.
 
+A variable name is an identifier, a letter and then letters, digits
+and '_', the token the parser reads as a variable; variable_names
+checks a list of names against that rule (at least one name, all
+distinct), for every reader and for Abp.
+
 Parsing and evaluation run in ints.  `parse_poly` reads the tokens in
 one regex findall, keeps integer coefficients as ints and builds a
 Fraction only for a `p/q`.
@@ -409,8 +414,30 @@ class Poly:
 # parsing
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"(\d+)|([A-Za-z][A-Za-z0-9_]*)|([+\-*/^])|(\S)")
+# a variable name: the identifier token of the polynomial grammar
+_NAME = r"[A-Za-z][A-Za-z0-9_]*"
+_NAME_RE = re.compile(_NAME)
+_TOKEN_RE = re.compile(rf"(\d+)|({_NAME})|([+\-*/^])|(\S)")
 _END = ("", "", "", "")  # the token after the last: no alternative matched
+
+
+def variable_names(names: Iterable[str]) -> tuple[str, ...]:
+    """names as a tuple, checked: at least one, all distinct, each an identifier.
+
+    An identifier is a letter and then letters, digits and '_', the only
+    name a polynomial's text can spell.  This is the one name rule: the
+    `.poly` `vars:` header, the CLI's `--vars` and every Abp (so the
+    `.abp` `vars:` header) are checked by it.
+    """
+    vars = tuple(names)
+    if not vars:
+        raise ValueError("empty variable list")
+    for i, name in enumerate(vars):
+        if not _NAME_RE.fullmatch(name):
+            raise ValueError(f"variable name {name!r} is not an identifier {_NAME}")
+        if name in vars[:i]:
+            raise ValueError(f"variable {name!r} is declared twice")
+    return vars
 
 
 def _error(message: str, text: str, index: int) -> PolyParseError:

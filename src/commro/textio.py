@@ -20,10 +20,20 @@ abp file:          `abp v1` magic, `kind:`/`width:`/`vars:`/`order:`/
                    `u:`/`v:` headers once each (a positive width), then
                    `layer <var> power <k>` blocks, each for a variable of
                    the order line and followed by width rows of width
-                   rationals.  The order
-                   line lists the layers in multiplication order, one
-                   layer per group; for set-multilinear programs it
-                   groups part variables with '|': `order: a,b|c,d`.
+                   rationals; every variable of the order line has at
+                   least one block, and no two blocks share a variable
+                   and a power.  The order line lists the layers in
+                   multiplication order, one layer per group; for
+                   set-multilinear programs it groups part variables
+                   with '|': `order: a,b|c,d`.
+
+The variable names of a `vars:` header, in either file, follow the one
+name rule of poly.variable_names: at least one, all distinct, each an
+identifier.  The readers here check syntax only.  parse_poly_file hands
+its names to variable_names; parse_abp hands the program it read to the
+Abp constructor, which refuses every value that `.abp` v1 cannot state
+(bad names, an empty layer, a repeated block, a variable read by two
+layers), so those rules have one raise site each.
 
 Format v1 writes every zero of a layer row.  write_abp streams the text
 to its output: the headers, then each layer header and its block.  A
@@ -60,7 +70,7 @@ from typing import Sequence, TextIO
 from .abp import Abp, Layer
 from .construct import WaringDecomposition
 from .linalg import QMatrix
-from .poly import Poly, PolyParseError, parse_poly
+from .poly import Poly, PolyParseError, parse_poly, variable_names
 
 
 # Fraction() expands an exponent form such as `1e10000000` into a number of
@@ -97,14 +107,6 @@ def _rational(token: str) -> int | Fraction:
         return Fraction(token)
     except ZeroDivisionError:
         raise ValueError(f"rational {token!r} has a zero denominator") from None
-
-
-def _variables(names: Sequence[str]) -> tuple[str, ...]:
-    vars = tuple(names)
-    for i, name in enumerate(vars):
-        if name in vars[:i]:
-            raise ValueError(f"variable {name!r} is declared twice")
-    return vars
 
 
 def parse_groups(text: str, vars: Sequence[str], separator: str,
@@ -147,15 +149,11 @@ def parse_poly_file(text: str, default_vars: Sequence[str] | None = None) -> Pol
     """
     lines = text.splitlines(keepends=True)
     start = next((i for i, line in enumerate(lines) if line.strip()), 0)
-    if lines and lines[start].strip().startswith("vars:"):
-        vars = _variables(lines[start].strip()[len("vars:"):].split())
-        start += 1
-    elif default_vars is not None:
-        vars = _variables(default_vars)
-    else:
+    header = bool(lines) and lines[start].lstrip().startswith("vars:")
+    if not header and default_vars is None:
         raise ValueError("polynomial file lacks a 'vars:' header and no variable order was given")
-    if not vars:
-        raise ValueError("empty variable list")
+    vars = variable_names(lines[start].split(":", 1)[1].split() if header else default_vars)
+    start += header
     # trailing blanks hold no token: an error at the end of input lies just after the last one
     body = "".join(lines[start:]).rstrip()
     if not body:
@@ -316,9 +314,12 @@ def parse_abp(text: str) -> Abp:
 
     kind = headers["kind"]
     width = int(headers["width"])
+    # Abp refuses such a width too, but only once the blocks are read, and
+    # this guard must run before: the block loop below steps by 1 + width,
+    # so a negative width would hold it in place or step it backwards
     if width < 1:
         raise ValueError(f"abp width must be positive, got {width}")
-    vars = _variables(headers["vars"].split())
+    vars = tuple(headers["vars"].split())
     index = {name: i for i, name in enumerate(vars)}
     u = tuple(_rational(x) for x in headers["u"].split())
     v = tuple(_rational(x) for x in headers["v"].split())
@@ -337,8 +338,6 @@ def parse_abp(text: str) -> Abp:
         name, power = parts[1], int(parts[3])
         if (var := index.get(name)) is None:
             raise ValueError(f"layer for unknown variable {name!r}")
-        if any(p == power for p, _ in blocks.get(var, [])):
-            raise ValueError(f"repeated layer block {header!r}")
         key = tuple(lines[at + 1:at + 1 + width])
         at += 1 + width
         if (mat := mats.get(key)) is None:
@@ -366,8 +365,9 @@ def parse_abp(text: str) -> Abp:
             raise ValueError(f"layer block 'layer {vars[var]} power {powers[0][0]}' "
                              "is for a variable the order header does not list")
 
-    # one layer per group, in multiplication order; a variable listed twice
-    # gives both its layers its blocks, which Abp rejects
+    # one layer per group, in multiplication order; Abp refuses a variable
+    # listed twice (both its layers get its blocks), one with no block (an
+    # empty layer) and a repeated block (two terms of one power)
     layers = tuple(Layer([(var, power, mat) for var in group
                           for power, mat in blocks.get(var, [])])
                    for group in order_groups)

@@ -57,7 +57,7 @@ from commro import (Abp, Layer, Poly, QMatrix, WaringDecomposition, build_commro
 from commro.abp import _PACK_BITS, KindCheck
 from commro.linalg import Echelon
 from commro.poly import _TOKEN_RE, MonoPacking, PolyParseError, mono_factorial
-from commro.textio import _rational, _variables, format_abp
+from commro.textio import _rational, format_abp
 
 
 def scaled(m: QMatrix, factor) -> QMatrix:
@@ -558,7 +558,7 @@ def reference_parse_abp(text: str) -> Abp:
     width = int(headers["width"])
     if width < 1:
         raise ValueError(f"abp width must be positive, got {width}")
-    vars = _variables(headers["vars"].split())
+    vars = tuple(headers["vars"].split())
     index = {name: i for i, name in enumerate(vars)}
     u = tuple(_rational(x) for x in headers["u"].split())
     v = tuple(_rational(x) for x in headers["v"].split())
@@ -574,8 +574,6 @@ def reference_parse_abp(text: str) -> Abp:
         if name not in index:
             raise ValueError(f"layer for unknown variable {name!r}")
         var = index[name]
-        if any(p == power for p, _ in blocks.get(var, [])):
-            raise ValueError(f"repeated layer block {header!r}")
         at += 1
         rows = []
         for i in range(width):
@@ -612,8 +610,8 @@ def reference_parse_abp(text: str) -> Abp:
             raise ValueError(f"layer block 'layer {vars[var]} power {powers[0][0]}' "
                              "is for a variable the order header does not list")
 
-    # one layer per group, in multiplication order; a variable listed twice
-    # gives both its layers its blocks, which Abp rejects
+    # one layer per group, in multiplication order; Abp refuses a variable
+    # listed twice, one with no block and a repeated block
     layers = tuple(Layer([(var, power, mat) for var in group
                           for power, mat in blocks.get(var, [])])
                    for group in order_groups)

@@ -433,12 +433,35 @@ _ONE, _TWO = QMatrix([[1]]), QMatrix.identity(2)
      "read-once layer reads more than one variable"),
     ("set_multilinear", [[(0, 0, _ONE), (0, 1, _ONE)], [(1, 1, _ONE)]],
      "set-multilinear layers must be linear with no constant term"),
+    ("general", [], "program has no layer"),
+    ("general", [[(0, 1, _ONE)], []], "layer 2 has no term"),
+    ("diagonal", [[(1, 0, _ONE), (1, 2, _ONE), (1, 2, _ONE)]],
+     "layer has two terms of 'x2' at power 2"),
+    ("set_multilinear", [[(0, 1, _ONE), (1, 1, _ONE), (0, 1, _ONE)]],
+     "layer has two terms of 'x1' at power 1"),
 ], ids=["var-out-of-range", "negative-power", "wrong-size", "commutative-two-vars",
-        "set-multilinear-power-0"])
+        "set-multilinear-power-0", "no-layer", "empty-layer", "repeated-power",
+        "set-multilinear-repeated-variable"])
 def test_abp_rejects_each_broken_invariant(kind, layers, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         Abp(kind=kind, vars=V2, width=1, u=(Fraction(1),), v=(Fraction(1),),
             layers=tuple(Layer(terms) for terms in layers))
+
+
+@pytest.mark.parametrize("vars, width, message", [
+    ((), 1, "empty variable list"),
+    (("x1", "x2", "x1"), 1, "variable 'x1' is declared twice"),
+    (("x1", "a b"), 1, r"variable name 'a b' is not an identifier \[A-Za-z\]\[A-Za-z0-9_\]\*"),
+    (("x1", "2x"), 1, "variable name '2x' is not an identifier"),
+    (("x1", "\u03be"), 1, "variable name '\u03be' is not an identifier"),
+    (V2, 0, "width must be positive, got 0"),
+    (V2, -1, "width must be positive, got -1"),
+], ids=["no-names", "repeated-name", "blank-in-name", "leading-digit", "not-ascii", "width-0",
+        "width-negative"])
+def test_abp_refuses_names_and_widths_abp_v1_cannot_state(vars, width, message):
+    # the names and the width are checked before any layer is looked at
+    with pytest.raises(ValueError, match=f"^{message}"):
+        Abp(kind="general", vars=vars, width=width, u=(1,) * width, v=(1,) * width, layers=())
 
 
 def test_nisan_width_rejects_an_order_that_repeats_a_variable():

@@ -523,9 +523,10 @@ def test_build_diagro_names_variables_by_the_vars_flag(tmp_path, capsys):
     assert run(["build", "diagro", str(waring), "-o", out, "--vars", "a,b"]) == 0
     assert parse_abp(Path(out).read_text()).vars == ("a", "b")
     assert run(["verify", out, "--against", str(against), "--expand"]) == 0
-    for flag, message in (("a", "--vars gives 1 names for the decomposition's 2 variables"),
-                          ("a,b,c", "--vars gives 3 names"), ("a,a", "'a' is declared twice"),
-                          ("a,", "'' is not one word"), ("a,b c", "'b c' is not one word")):
+    for flag, message in (("a", "got 1 variable names for the decomposition's 2 variables"),
+                          ("a,b,c", "got 3 variable names"), ("a,a", "'a' is declared twice"),
+                          ("a,", "variable name '' is not an identifier"),
+                          ("a,b c", "variable name 'b c' is not an identifier")):
         capsys.readouterr()
         assert run(["build", "diagro", str(waring), "-o", out, "--vars", flag]) == 2
         err = capsys.readouterr().err
@@ -685,6 +686,31 @@ def test_vars_flag_must_match_the_header(tmp_path, capsys):
     assert capsys.readouterr().out == "4\n"
 
 
+@pytest.mark.parametrize("header, bad", [("vars: a,b c", "a,b"), ("vars: a|b c", "a|b")],
+                         ids=["comma", "bar"])
+def test_a_header_name_that_is_not_an_identifier_exits_2(tmp_path, capsys, header, bad):
+    # the body names only c, so nothing but the name rule refuses the file
+    path, out = tmp_path / "f.poly", tmp_path / "f.abp"
+    path.write_text(f"{header}\nc^2\n")
+    for argv in (["build", "commro", str(path), "-o", str(out)], ["dpd", str(path)],
+                 ["nisan", str(path), "--order", "c"]):
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (f"error: variable name {bad!r} is not an identifier "
+                                           "[A-Za-z][A-Za-z0-9_]*\n")
+    assert not out.exists()
+
+
+def test_an_order_variable_with_no_block_exits_2(tmp_path, capsys):
+    # `order: x1,x2` with x2's blocks gone: x2's layer would be empty, which
+    # the writer would print as `order: x1,`
+    lines = X1X2_ABP.splitlines(keepends=True)
+    path, against = tmp_path / "x1.abp", tmp_path / "x1x2.poly"
+    path.write_text("".join(lines[:lines.index("layer x2 power 0\n")]))
+    against.write_text("vars: x1 x2\nx1*x2\n")
+    assert run(["verify", str(path), "--against", str(against), "--expand"]) == 2
+    assert capsys.readouterr().err == "error: layer 2 has no term\n"
+
+
 X1X2_ABP = format_abp(build_commro(parse_poly("x1*x2", ("x1", "x2"))))
 
 
@@ -693,9 +719,10 @@ X1X2_ABP = format_abp(build_commro(parse_poly("x1*x2", ("x1", "x2"))))
     ("abp", re.sub(r"(?m)^v: \S+", "v: 1/0", X1X2_ABP), [], "zero denominator"),
     ("abp", re.sub(r"(?m)^(layer x1 power 0\n)\S+", r"\g<1>1/0", X1X2_ABP), [],
      "zero denominator"),
-    ("abp", re.sub(r"(?m)^vars: .*", "vars: x1 x1", X1X2_ABP), [], "declared twice"),
+    ("abp", re.sub(r"(?m)^vars: .*", "vars: x1 x2 x1", X1X2_ABP), [], "'x1' is declared twice"),
     ("abp", re.sub(r"(?m)^order: .*", "order: x1,zz", X1X2_ABP), [], "unknown variable"),
-    ("abp", X1X2_ABP.replace("layer x2 power 0", "layer x1 power 0"), [], "repeated layer block"),
+    ("abp", X1X2_ABP.replace("layer x2 power 0", "layer x1 power 0"), [],
+     "layer has two terms of 'x1' at power 0"),
     ("abp", X1X2_ABP.replace("layer x1 power 1\n0 1 0 0", "layer x1 power 1\n0 1 0"), [],
      "has 3 entries, expected 4"),
     ("abp", re.sub(r"(?m)^order: .*", "order: x1", X1X2_ABP), [], "'layer x2 power 0'"),
@@ -712,7 +739,7 @@ X1X2_ABP = format_abp(build_commro(parse_poly("x1*x2", ("x1", "x2"))))
     ("waring", "waringfoo d=2 n=2\n1: 1 1\n", [], "'waringfoo'"),
     ("poly", "vars: x x\nx^2\n", [], "declared twice"),
     ("poly", "x^2\n", ["--vars", "x,x"], "declared twice"),
-    ("poly", "x^2\n", ["--vars", "x,"], "--vars name '' is not one word"),
+    ("poly", "x^2\n", ["--vars", "x,"], "variable name '' is not an identifier"),
     ("abp", X1X2_ABP.replace("layer x2 power 1", "layer c power 1"), [],
      "layer for unknown variable 'c'"),
     ("abp", X1X2_ABP.replace("layer x1 power 1", "layer x1 power -1"), [], "negative power"),

@@ -10,6 +10,7 @@ from commro import (Abp, Layer, Poly, QMatrix, WaringDecomposition, build_commro
                     build_commro_general, build_diagro_from_waring,
                     build_smabp, check_kind, eval_abp, expand_abp, parse_poly,
                     permute_order, rank, waring_of_monomial)
+from commro.abp import KINDS
 from commro.detspecial import det_polynomial, palindrome
 from commro.textio import (_block_text, _rational, format_abp, format_matrix, format_poly_file,
                            format_waring_file, parse_abp, parse_poly_file,
@@ -221,6 +222,79 @@ def test_built_programs_read_back_with_u_and_v_as_the_token_reader_gives(built):
         assert read == made
         assert type(read) is (int if Fraction(made).denominator == 1 else Fraction)
     assert format_abp(parsed) == text
+
+
+@st.composite
+def accepted_abp_fields(draw) -> dict:
+    """The fields of an arbitrary program the Abp constructor accepts, as keyword arguments.
+
+    Any kind, width 1 to 5, distinct identifier names (not every one
+    read), int and wide Fraction entries; a read-once layer has some
+    powers of one variable, a set-multilinear layer a group of variables
+    at power 1.  A matrix may be one an earlier term holds.
+    """
+    kind, width = draw(st.sampled_from(KINDS)), draw(st.integers(1, 5))
+    names = draw(st.lists(st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,3}", fullmatch=True),
+                          min_size=1, max_size=4, unique=True))
+    entry = st.one_of(st.integers(-9, 9), WIDE_RATIONALS)
+    made: list[QMatrix] = []
+
+    def matrix() -> QMatrix:
+        if made and draw(st.booleans()):
+            return draw(st.sampled_from(made))
+        made.append(QMatrix([[draw(entry) if draw(st.booleans()) else 0 for _ in range(width)]
+                             for _ in range(width)]))
+        return made[-1]
+
+    read = draw(st.permutations(range(len(names))))[:draw(st.integers(1, len(names)))]
+    if kind == "set_multilinear":
+        cuts = sorted(k for k in draw(st.sets(st.integers(1, 3))) if k < len(read))
+        groups = [read[a:b] for a, b in zip([0, *cuts], [*cuts, len(read)])]
+        layers = [Layer([(var, 1, matrix()) for var in group]) for group in groups]
+    else:
+        layers = [Layer([(var, k, matrix()) for k in draw(st.sets(st.integers(0, 3), min_size=1))])
+                  for var in read]
+    vector = st.lists(entry, min_size=width, max_size=width).map(tuple)
+    return dict(kind=kind, vars=tuple(names), width=width, u=draw(vector), v=draw(vector),
+                layers=tuple(layers))
+
+
+_ONE = QMatrix([[1]])
+# programs that `.abp` v1 cannot state: each formats to text parse_abp refuses
+REFUSED_FIELDS = [
+    dict(kind="general", vars=("x",), width=0, u=(), v=(),
+         layers=(Layer([(0, 1, QMatrix.identity(0))]),)),
+    dict(kind="general", vars=(), width=1, u=(1,), v=(1,), layers=()),
+    dict(kind="general", vars=("x", "x"), width=1, u=(1,), v=(1,), layers=(Layer([(0, 1, _ONE)]),)),
+    dict(kind="general", vars=("a b",), width=1, u=(1,), v=(1,), layers=(Layer([(0, 1, _ONE)]),)),
+    dict(kind="general", vars=("x",), width=1, u=(1,), v=(1,),
+         layers=(Layer([(0, 1, _ONE), (0, 1, _ONE)]),)),
+    dict(kind="general", vars=("x",), width=1, u=(1,), v=(1,), layers=()),
+    dict(kind="general", vars=("x", "y"), width=1, u=(1,), v=(1,),
+         layers=(Layer([(0, 1, _ONE)]), Layer([]))),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(accepted_abp_fields())
+@example(REFUSED_FIELDS[0])
+@example(REFUSED_FIELDS[1])
+@example(REFUSED_FIELDS[2])
+@example(REFUSED_FIELDS[3])
+@example(REFUSED_FIELDS[4])
+@example(REFUSED_FIELDS[5])
+@example(REFUSED_FIELDS[6])
+def test_every_program_the_constructor_accepts_reads_back_equal(fields):
+    # width 0, no names, a name twice, a name that is not an identifier, a
+    # layer with two x^1 terms, no layer, an empty layer: the constructor
+    # refuses each, and every program it accepts is one the `.abp` v1 text
+    # states
+    if fields in REFUSED_FIELDS:
+        with pytest.raises(ValueError):
+            Abp(**fields)
+        return
+    abp = Abp(**fields)
+    assert parse_abp(format_abp(abp)) == abp
 
 
 # a token _rational reads as a Fraction: the writer's p/q, and spellings of

@@ -1,9 +1,10 @@
-"""tools/code_lines.py on a fixture of known counts; tools/ab.py and tools/traffic.py on the tiny
-corpus."""
+"""tools/code_lines.py on a fixture of known counts and against README's stated total;
+tools/ab.py and tools/traffic.py on the tiny corpus."""
 
 import importlib.util
 import itertools
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -48,6 +49,15 @@ def test_code_lines_counts_code_only(tmp_path):
     path = tmp_path / "fixture.py"
     path.write_text(FIXTURE)
     assert code_lines.count(path) == (8, 21)
+
+
+def test_readme_states_the_package_total_that_code_lines_counts():
+    # README "Library layout" gives the never-entered lines as "N of the M",
+    # M the package's code lines as tools/code_lines.py counts them
+    root = SCRIPT.parent.parent
+    stated = re.findall(r"code lines: \d+ of the (\d+)\.", (root / "README.md").read_text())
+    total = sum(code_lines.count(path)[0] for path in (root / "src" / "commro").glob("*.py"))
+    assert stated == [str(total)]
 
 
 def check_ab_report(line: str, seed: int, command: str = "verify") -> None:
