@@ -52,7 +52,7 @@ def _write_output(text: str, out: str | None) -> None:
 def _load_poly(path: str, vars_flag: str | None) -> Poly:
     """The polynomial of a file; --vars names a headerless file's variables or repeats its own.
 
-    parse_poly_file checks the names of a headerless file's --vars; with a
+    parse_poly checks the names of a headerless file's --vars; with a
     header, --vars must equal the header's names, which it checks.
     """
     default = tuple(vars_flag.split(",")) if vars_flag else None

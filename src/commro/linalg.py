@@ -15,14 +15,17 @@ It reduces a row by the row's own keys, so a row pays for the pivots it
 meets, not for every stored row.  It takes integer rows only and
 eliminates fraction-free, so no elimination step builds a Fraction; a
 caller that holds rationals brings them to integers once, where it holds
-them.  Echelon has three parts: add, which works on a copy of each row
-it takes, rank and reduced(), one back-substitution that gives the
-reduced row echelon form.  QMatrix rows go to it as they are; rank is
-the rank of m's rows, and inverse and minimal_polynomial read the
-reduced form of augmented rows.  The product, the sum and sparse_vec_mat
-reuse its integer row update (_axpy).  Arithmetic is exact, so no result
-depends on the pivot choice; rank sees only stored nonzeros, so it takes
-no size cap.
+them.  Echelon has three parts: add, rank and reduced(), one
+back-substitution that gives the reduced row echelon form.  add refuses
+a row that is a multiple of the stored row at its first pivot by one
+comparison, with no copy and no elimination (the derivative closure's
+duplicate candidates are such rows: det_n's are +-minors met again),
+and works on a copy of every other row it takes.  QMatrix rows go to it
+as they are; rank is the rank of m's rows, and inverse and
+minimal_polynomial read the reduced form of augmented rows.  The
+product, the sum and sparse_vec_mat reuse its integer row update
+(_axpy).  Arithmetic is exact, so no result depends on the pivot choice;
+rank sees only stored nonzeros, so it takes no size cap.
 """
 
 from __future__ import annotations
@@ -225,20 +228,36 @@ class Echelon:
     def add(self, row) -> bool:
         """Store the reduced row iff it is independent of the rows stored so far.
 
-        The row is copied on entry, so the caller's row is never changed
-        and never stored.
+        The row's first pivot hit is taken before any copy: a row with as
+        many entries as the stored row at that pivot, and equal to it or
+        a multiple of it (p * row[k] == w * stored[k] at each stored key
+        k, p and w the two pivot entries), is refused at once, with no
+        copy and no elimination.  Otherwise the row is copied, so the
+        caller's row is never changed and never stored, and reduced from
+        that pivot on.
         """
-        work, rows = dict(row), self._rows
-        while hits := rows.keys() & work.keys():
+        rows = self._rows
+        if hits := rows.keys() & row.keys():
             pivot = min(hits)
+            if len(prow := rows[pivot]) == len(row):
+                w, p = row[pivot], prow[pivot]
+                if row == prow or all(p * row.get(k, 0) == w * x for k, x in prow.items()):
+                    return False
+        work = dict(row)
+        while hits:
             _eliminate(work, pivot, rows[pivot])
+            if hits := rows.keys() & work.keys():
+                pivot = min(hits)
         if not work:
             return False
         pivot = min(work)
         content = gcd(*work.values())
         if work[pivot] < 0:
             content = -content
-        rows[pivot] = work if content == 1 else _exact_div(work, content)
+        if content != 1:
+            for k in work:
+                work[k] //= content
+        rows[pivot] = work
         self.rank += 1
         return True
 

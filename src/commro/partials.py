@@ -78,7 +78,9 @@ def derivative_basis(f: Poly, max_width: int | None = None) -> DerivBasis:
     a, carried as a packed key (the candidate d/dx_i of it has a +
     step(i)); a candidate whose a was already tried in its level is that
     same row, kept or rejected, so it would be rejected and is skipped
-    before it is derived.
+    before it is derived.  Most other rejected candidates are a multiple
+    of a kept row (det_n's derivatives are +-minors met again), which
+    Echelon.add refuses with one comparison.
 
     The closure runs on integer rows keyed by packed monomials, in
     divided powers (Macaulay's inverse systems): the seed holds m! *
@@ -99,13 +101,13 @@ def derivative_basis(f: Poly, max_width: int | None = None) -> DerivBasis:
     seed = {packing.pack(m): mono_factorial(m) * c for m, c in terms.items()}
     content = gcd(*seed.values())
     seed = {k: c // content for k, c in seed.items()}
-    echelon = Echelon()
+    echelon, steps = Echelon(), [packing.step(i) for i in range(f.arity)]
     level = [(0, seed)] if echelon.add(seed) else []
     multi_indices: list[int] = []
     while level:
         multi_indices.extend(a for a, _ in level)
         # a derivative by a variable the row lacks is zero and adds nothing
-        candidates = ((a + packing.step(i), row, i) for a, row in level
+        candidates = ((a + steps[i], row, i) for a, row in level
                       for i in packing.occurring(row))
         level, tried = [], set()
         for a, row, i in candidates:

@@ -10,7 +10,8 @@ rounding ever happens.
 A variable name is an identifier, a letter and then letters, digits
 and '_', the token the parser reads as a variable; variable_names
 checks a list of names against that rule (at least one name, all
-distinct), for every reader and for Abp.
+distinct), for parse_poly, the checking constructor Poly(), every other
+reader and Abp; only Poly.sparse, which wraps values it trusts, skips it.
 
 Parsing and evaluation run in ints.  `parse_poly` reads the tokens in
 one regex findall, keeps integer coefficients as ints and builds a
@@ -178,15 +179,15 @@ def split_point(point: Iterable) -> tuple[list[int], list[int]]:
 class Poly:
     """Immutable sparse polynomial over exact rational (int or Fraction) coefficients.
 
-    `vars` fixes both the arity and the deg-lex variable chain.  The
-    term map never stores zero coefficients, and every exponent tuple
-    has length equal to the arity.
+    `vars` fixes both the arity and the deg-lex variable chain; they are
+    names that variable_names accepts.  The term map never stores zero
+    coefficients, and every exponent tuple has length equal to the arity.
     """
 
     __slots__ = ("vars", "terms")
 
     def __init__(self, vars: Iterable[str], terms: Mapping[Mono, Fraction | int] = ()):
-        self.vars: tuple[str, ...] = tuple(vars)
+        self.vars: tuple[str, ...] = variable_names(vars)
         arity = len(self.vars)
         clean: dict[Mono, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -426,8 +427,9 @@ def variable_names(names: Iterable[str]) -> tuple[str, ...]:
 
     An identifier is a letter and then letters, digits and '_', the only
     name a polynomial's text can spell.  This is the one name rule: the
-    `.poly` `vars:` header, the CLI's `--vars` and every Abp (so the
-    `.abp` `vars:` header) are checked by it.
+    `.poly` `vars:` header, the CLI's `--vars`, every Poly that parse_poly
+    or Poly() makes and every Abp (so the `.abp` `vars:` header) are
+    checked by it.
     """
     vars = tuple(names)
     if not vars:
@@ -453,14 +455,14 @@ def parse_poly(text: str, var_order: Iterable[str]) -> Poly:
     coefficient and '*'-separated factors `var` or `var^nat`.  A leading
     sign on the first term is accepted.  Coefficients stay ints; only a
     `p/q` builds a Fraction.  Blanks and line breaks between tokens are
-    skipped.
+    skipped.  variable_names checks var_order.
 
     The text is tokenized in one findall, which gives each token as the
     string tuple (num, ident, op, other) of _TOKEN_RE's groups, one of
     them nonempty; a token's position in the text is found only for an
     error, by scanning the tokens again up to its index.
     """
-    vars = tuple(var_order)
+    vars = variable_names(var_order)
     index = {name: i for i, name in enumerate(vars)}
     tokens = _TOKEN_RE.findall(text)
     if any(map(itemgetter(3), tokens)):

@@ -30,10 +30,10 @@ abp file:          `abp v1` magic, `kind:`/`width:`/`vars:`/`order:`/
 The variable names of a `vars:` header, in either file, follow the one
 name rule of poly.variable_names: at least one, all distinct, each an
 identifier.  The readers here check syntax only.  parse_poly_file hands
-its names to variable_names; parse_abp hands the program it read to the
-Abp constructor, which refuses every value that `.abp` v1 cannot state
-(bad names, an empty layer, a repeated block, a variable read by two
-layers), so those rules have one raise site each.
+its names to parse_poly, which checks them; parse_abp hands the program
+it read to the Abp constructor, which refuses every value that `.abp` v1
+cannot state (bad names, an empty layer, a repeated block, a variable
+read by two layers), so those rules have one raise site each.
 
 Format v1 writes every zero of a layer row.  write_abp streams the text
 to its output: the headers, then each layer header and its block.  A
@@ -70,7 +70,7 @@ from typing import Sequence, TextIO
 from .abp import Abp, Layer
 from .construct import WaringDecomposition
 from .linalg import QMatrix
-from .poly import Poly, PolyParseError, parse_poly, variable_names
+from .poly import Poly, PolyParseError, parse_poly
 
 
 # Fraction() expands an exponent form such as `1e10000000` into a number of
@@ -152,7 +152,8 @@ def parse_poly_file(text: str, default_vars: Sequence[str] | None = None) -> Pol
     header = bool(lines) and lines[start].lstrip().startswith("vars:")
     if not header and default_vars is None:
         raise ValueError("polynomial file lacks a 'vars:' header and no variable order was given")
-    vars = variable_names(lines[start].split(":", 1)[1].split() if header else default_vars)
+    # parse_poly checks the names
+    vars = lines[start].split(":", 1)[1].split() if header else default_vars
     start += header
     # trailing blanks hold no token: an error at the end of input lies just after the last one
     body = "".join(lines[start:]).rstrip()

@@ -36,7 +36,8 @@ tables, a non-homogeneous direct sum or a diagonal build.  wide_rational_polys d
 with wide rational coefficients, of degree up to max_degree, for the
 integer-row closure and quotient, and rational_commutative_programs
 draws commutative programs with rational (or wide rational) entries
-for the integer-row evaluation and writers.
+for the integer-row evaluation and writers.  count_eliminations
+records the pivot of every linalg._eliminate call.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from commro import (Abp, Layer, Poly, QMatrix, WaringDecomposition, build_commro
                     build_diagro_from_waring, deglex_key, monomials_of_degree, pairing,
                     waring_expand)
 from commro.abp import _PACK_BITS, KindCheck
+from commro import linalg
 from commro.linalg import Echelon
 from commro.poly import _TOKEN_RE, MonoPacking, PolyParseError, mono_factorial
 from commro.textio import _rational, format_abp
@@ -219,6 +221,15 @@ def brute_dpd(f: Poly) -> int:
         if not g.is_zero():
             derivatives.append(g)
     return span_rank(derivatives)
+
+
+def count_eliminations(monkeypatch) -> list:
+    """The list that the pivot of every later linalg._eliminate call is appended to."""
+    calls = []
+    eliminate = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate",
+                        lambda work, key, prow: calls.append(key) or eliminate(work, key, prow))
+    return calls
 
 
 def reference_derivative_basis(f: Poly) -> tuple[list[dict[int, int]], Fraction, Echelon]:

@@ -15,8 +15,9 @@ from commro.detspecial import det2_golden, det_polynomial
 from commro.abp import _pack
 from commro.linalg import Echelon, vec_mat
 
-from helpers import (SMALL, WIDE_RATIONALS, all_pairs_commute, dense_product, random_point,
-                     random_poly, scaled, sympy_fraction, sympy_minimal_polynomial)
+from helpers import (SMALL, WIDE_RATIONALS, all_pairs_commute, count_eliminations,
+                     dense_product, random_point, random_poly, scaled, sympy_fraction,
+                     sympy_minimal_polynomial)
 
 # the worked 5x5 multiplication table with minimal polynomial
 # t^5 - 10 t^4 - 7 t^3 + 2 t^2 - 3
@@ -325,12 +326,16 @@ WIDE = WIDE_RATIONALS
 
 @st.composite
 def echelon_rows(draw, keys, coeffs=NONZERO):
-    # fresh sparse rows (explicit zeros included) mixed with combinations of
-    # earlier rows, so dependent rows and cancellation both occur
+    # fresh sparse rows (explicit zeros included) mixed with combinations and
+    # multiples of earlier rows, so dependent rows and cancellation both occur
     keys = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=6, unique=True))
     rows: list[dict] = []
     for _ in range(draw(st.integers(1, 8))):
-        if rows and draw(st.booleans()):
+        kind = draw(st.sampled_from(["fresh", "combination", "multiple"])) if rows else "fresh"
+        if kind == "multiple":  # which add may refuse with its one comparison
+            a = draw(st.one_of(st.sampled_from([1, -1, 3]), coeffs))
+            row = {k: a * x for k, x in draw(st.sampled_from(rows)).items()}
+        elif kind == "combination":
             row: dict = {}
             for earlier in draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3)):
                 a = draw(coeffs)
@@ -405,6 +410,25 @@ def test_echelon_add_matches_sympy_rank_growth(key_kind, data):
             check_reduced_form(echelon.reduced(), rows[:i + 1])
         # no caller's row is changed
         assert all(ints == before for ints, before in added)
+
+
+def test_echelon_add_refuses_a_multiple_of_a_stored_row_without_eliminating(monkeypatch):
+    echelon = Echelon()
+    assert echelon.add({0: 2, 3: -4}) and echelon.add({1: 1, 2: 5, 4: 1})
+    stored = {pivot: dict(row) for pivot, row in echelon._rows.items()}
+    calls = count_eliminations(monkeypatch)
+    for row in ({1: 1, 2: 5, 4: 1}, {1: -1, 2: -5, 4: -1}, {1: 3, 2: 15, 4: 3},
+                {0: 1, 3: -2}, {0: -3, 3: 6}):
+        assert not echelon.add(row)
+    assert calls == []
+    assert echelon.rank == 2 and echelon._rows == stored
+    # the stored row's keys with values that are not proportional: eliminated at
+    # its pivot, then kept
+    assert echelon.add({1: 1, 2: 5, 4: 2})
+    assert calls == [1] and echelon.rank == 3 and echelon._rows[4] == {4: 1}
+    # the empty row meets no pivot and is refused as an empty reduced row
+    assert not echelon.add({})
+    assert calls == [1] and echelon.rank == 3
 
 
 def test_echelon_add_keeps_the_callers_rows():

@@ -9,8 +9,8 @@ from commro import Poly, derivative_basis, dpd, monomials_upto, pairing, parse_p
 from commro.detspecial import det_polynomial, palindrome, perm_polynomial
 from commro.poly import MonoPacking, mono_factorial
 
-from helpers import (brute_dpd, dilate, random_poly, reference_derivative_basis, span_rank,
-                     wide_rational_polys)
+from helpers import (brute_dpd, count_eliminations, dilate, random_poly,
+                     reference_derivative_basis, span_rank, wide_rational_polys)
 
 V2 = ("x1", "x2")
 
@@ -210,6 +210,17 @@ def test_closure_derives_no_row_by_a_variable_it_lacks(monkeypatch):
     assert derivative_basis(palindrome(5)).dimension == 32
     assert len(empty) == 178 + 111
     assert not any(empty)
+
+
+def test_closure_eliminates_nowhere_on_det4_and_palindrome(monkeypatch):
+    # every candidate these closures refuse is +- the stored row at its first
+    # pivot (a minor met again; d/dx_i = d/dy_i on the palindrome), which
+    # Echelon.add refuses with one comparison, and every kept row meets no
+    # stored pivot: no row is eliminated at all
+    calls = count_eliminations(monkeypatch)
+    assert derivative_basis(det_polynomial(4)).dimension == 70
+    assert derivative_basis(palindrome(5)).dimension == 32
+    assert calls == []
 
 
 @settings(max_examples=40, deadline=None)

@@ -137,6 +137,19 @@ def test_parse_cancelling_terms():
     assert parse_poly("x1*x2 + x2*x1 - 2*x1*x2 + x2^2", V2).terms == {(0, 2): 1}
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: parse_poly("x^2", ("x", "x")), "variable 'x' is declared twice"),
+    (lambda: parse_poly("a^2", ("a", "b c")), "variable name 'b c' is not an identifier"),
+    (lambda: parse_poly("1", ()), "empty variable list"),
+    (lambda: Poly(("x", "x"), {}), "variable 'x' is declared twice"),
+    (lambda: Poly(("a", "b c"), {(2, 0): 1}), "variable name 'b c' is not an identifier"),
+])
+def test_parse_poly_and_poly_refuse_what_variable_names_refuses(make, message):
+    # the name rule owns every polynomial value made from outside input
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_parse_keeps_integer_coefficients_as_ints():
     p = parse_poly("3*x1 - 4/2*x2 + 5/3", V2)
     assert p.terms == {(1, 0): 3, (0, 1): -2, (0, 0): Fraction(5, 3)}

@@ -14,9 +14,17 @@ from pathlib import Path
 import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
-spec = importlib.util.spec_from_file_location("code_lines", SCRIPT)
-code_lines = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(code_lines)
+
+
+def load_tool(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+code_lines = load_tool(SCRIPT)
+ab = load_tool(SCRIPT.parent / "ab.py")
 
 # code lines: import, class, def f, the two lines of `text`, return text,
 # def g, return 1; the docstrings, the comment line and the blank lines
@@ -64,7 +72,7 @@ def check_ab_report(line: str, seed: int, command: str = "verify") -> None:
     """line is tools/ab.py's JSON report of two rounds of command on the tiny corpus at seed."""
     report = json.loads(line)
     assert list(report) == ["workload", "seed", "command", "rounds", "ops", "parent", "change",
-                            "ratio", "wall_ratio"]
+                            "ratio", "wall_ratio", "verdict"]
     assert (report["workload"], report["seed"], report["command"], report["rounds"]) == (
         "tiny", seed, command, 2)
     assert report["ops"] > 0
@@ -83,6 +91,23 @@ def check_ab_report(line: str, seed: int, command: str = "verify") -> None:
     assert report["ratio"] == report["change"]["median_s"] / report["parent"]["median_s"]
     assert report["wall_ratio"] == (report["change"]["median_wall_s"]
                                     / report["parent"]["median_wall_s"])
+    assert report["verdict"] in ("gain", "loss", "within noise", "unclear")
+
+
+@pytest.mark.parametrize("parent, change, expected", [
+    # the change wins 9 of 10 and its median lies below the parent's by more than its IQR
+    ([1.0] * 10, [0.8] * 9 + [1.1], "gain"),
+    # 10 of 10 wins, but the parent's IQR (0.4) holds the gap
+    ([0.8, 1.2] * 5, [0.75] * 10, "within noise"),
+    ([1.0] * 10, [1.2] * 9 + [0.9], "loss"),
+    ([1.0, 1.1] * 5, [1.05] * 10, "within noise"),
+    ([1.0] * 10, [0.8] * 8 + [1.1] * 2, "unclear"),  # a wide gap, but 8 of 10 wins
+    ([1.0] * 10, [1.2] * 8 + [0.9] * 2, "unclear"),
+    ([1.0] * 10, [1.2] * 8 + [1.0] * 2, "unclear"),  # a tie counts for neither side
+    ([1.0] * 10, [1.0] * 10, "within noise"),
+])
+def test_ab_verdict_follows_the_stated_rule(parent, change, expected):
+    assert ab.verdict({"parent": parent, "change": change}) == expected
 
 
 def test_ab_compares_the_checkout_with_itself_on_the_tiny_corpus():

@@ -29,11 +29,13 @@ command's rounds, one line per round gives both passes in reference and
 in wall seconds, and then one JSON line reports them: for each side the median,
 the minimum and the interquartile range of its pass seconds and the
 rounds it won, in reference seconds and again in wall seconds
-(`_wall_s`, `wall_wins`), and the ratio of the medians, change over
-parent, in both.  A change is within noise when the gap between the
-medians is inside the parent's IQR; it claims a gain when it wins at
-least 9 of 10 rounds and the gap is wider than that IQR.  Alternating
-pairs keep the comparison fair on a host whose speed drifts.
+(`_wall_s`, `wall_wins`), the ratio of the medians, change over
+parent, in both, and the verdict on the reference seconds.  A change is
+within noise when the gap between the medians is inside the parent's
+IQR; it claims a gain when it wins at least 9 of 10 rounds and the gap
+is wider than that IQR, and a loss when the parent does; any other
+result is unclear.  Alternating pairs keep the comparison fair on a
+host whose speed drifts.
 """
 
 from __future__ import annotations
@@ -125,6 +127,24 @@ def summary(seconds: dict[str, list[float]]) -> dict[str, tuple[float, float, fl
             for side, times in seconds.items()}
 
 
+def verdict(seconds: dict[str, list[float]]) -> str:
+    """`gain`, `loss`, `within noise` or `unclear`: the change against the parent.
+
+    A gap between the medians inside the parent's IQR is within noise.
+    A wider gap is a gain (the change faster) or a loss (the parent
+    faster) when the faster side wins at least 9 of 10 rounds, a tie
+    counting for neither side.
+    """
+    parent, change = seconds["parent"], seconds["change"]
+    gap = statistics.median(change) - statistics.median(parent)
+    if abs(gap) <= iqr(parent):
+        return "within noise"
+    wins = sum(c < p if gap < 0 else c > p for p, c in zip(parent, change))
+    if 10 * wins >= 9 * len(parent):
+        return "gain" if gap < 0 else "loss"
+    return "unclear"
+
+
 def seeds(text: str) -> list[int]:
     """The seeds of a --seed value: one int, or a comma list such as `1,11`."""
     return [int(part) for part in text.split(",")]
@@ -179,6 +199,7 @@ def time_command(sides: dict, corpus, seed: int, command: str, rounds: int) -> N
         report[side] = dict(zip(keys, reference[side] + walls[side]))
     report["ratio"] = report["change"]["median_s"] / report["parent"]["median_s"]
     report["wall_ratio"] = report["change"]["median_wall_s"] / report["parent"]["median_wall_s"]
+    report["verdict"] = verdict(seconds)
     print(json.dumps(report), flush=True)
 
 
